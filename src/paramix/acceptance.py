@@ -23,6 +23,7 @@ from scipy import optimize
 from .analysis import (
     ReadoutChainRecord,
     _on_resonance_powers,
+    _refl_conv,
     backaction_report,
     bandwidth_attenuation_scan,
     eta_from_separation,
@@ -158,7 +159,6 @@ def crit_cross_equivalence() -> CriterionResult:
 
 def crit_directionality() -> CriterionResult:
     rng = np.random.default_rng(5)
-    grid = 6.84 + np.linspace(-0.05, 0.05, 7)
     worst_swap = 0.0
     worst_flip = 0.0
     for _ in range(100):
@@ -173,6 +173,7 @@ def crit_directionality() -> CriterionResult:
             "P2" if pump == "P1" else "P1", phi_ext1_rad=f1, phi_ext2_rad=f2,
         )
         flipped = make_jis(6.84, 9.567, 40.0, 100.0, rho, alpha, pump, phi_ext1_rad=-f1, phi_ext2_rad=-f2)
+        grid = default_grid(base, 100.0, 7)
         s = effective_2port_sweep(base, grid)
         ss = effective_2port_sweep(swapped, grid)
         sf = effective_2port_sweep(flipped, grid)
@@ -225,17 +226,10 @@ def _swap_system_roots(rho: float, alpha: float) -> bool:
     and converted amplitudes; solve that swapped system from a start
     lattice and compare any in-domain roots against (rho, alpha).
     """
-
-    def amplitudes(r, a):
-        t = 2.0 * r / (1.0 + r**2)
-        rr = (1.0 - r**2) / (1.0 + r**2)
-        loop = 1.0 - (rr * a) ** 2
-        return rr * (1.0 - a**2) / loop, a * t**2 / loop
-
-    refl, conv = amplitudes(rho, alpha)
+    refl, conv = _refl_conv(rho, alpha)
 
     def eqs(x):
-        rp, cp = amplitudes(x[0], x[1])
+        rp, cp = _refl_conv(x[0], x[1])
         return [rp - conv, cp - refl]
 
     for r0 in (0.1, 0.3, 0.5, 0.7, 0.9):

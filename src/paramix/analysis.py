@@ -21,7 +21,6 @@ from .errors import (
     UnbracketedBandwidthError,
 )
 from .isolator import JisConfig, SweepResult, default_grid, effective_2port_sweep, with_rho
-from .mixer import r_on_resonance, t_on_resonance
 
 
 def to_power_dB(s) -> np.ndarray | float:

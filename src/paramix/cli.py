@@ -8,18 +8,14 @@ bandwidth-scan, selftest. Configs are JSON with a "schema": "paramix/1" tag;
 unknown keys are rejected. Exit codes: 0 success, 2 config error, 3
 numerical error, 4 check failure (self-test criteria or parity mismatch).
 
-All outputs are deterministic: identical configs yield byte-identical
-files. PARAMIX_THREADS (positive integer, default 1) caps the worker pool
-used for frequency sweeps; results are ordered by frequency regardless.
+All outputs are deterministic: identical configs yield byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +33,8 @@ from .errors import ConfigError, NoDipError, NumericalError, UnbracketedBandwidt
 from .formats import write_csv, write_json, write_touchstone
 from .isolator import (
     JisConfig,
-    SweepResult,
     composed_4port,
+    default_grid,
     effective_2port_sweep,
     make_jis,
     reference_device,
@@ -58,19 +54,6 @@ _FORMATS = {
     "bandwidth-scan": ("csv",),
     "selftest": (),
 }
-
-
-def _threads() -> int:
-    raw = os.environ.get("PARAMIX_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PARAMIX_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"PARAMIX_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _load_config(path: str):
@@ -106,39 +89,15 @@ def _build_jis(obj) -> JisConfig:
     )
 
 
-def _grid_values(grid_obj, center_ghz: float) -> np.ndarray:
-    grid_obj = grid_obj or {}
-    span = float(grid_obj.get("span_mhz", 300.0))
-    points = int(grid_obj.get("points", 2001))
-    return center_ghz + np.linspace(-span / 2.0, span / 2.0, points) * 1e-3
-
-
 def _isolated_direction(config: JisConfig) -> str:
     # S21 = i (refl - conv sin phi): positive sin phi darkens the forward
     # direction, negative darkens the backward one
     return "s21" if np.sin(config.phi_rad) > 0.0 else "s12"
 
 
-def _sweep_threaded(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
-    workers = min(_threads(), len(f_ghz))
-    if workers <= 1:
-        return effective_2port_sweep(config, f_ghz)
-    chunks = np.array_split(f_ghz, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: effective_2port_sweep(config, c), chunks))
-    return SweepResult(
-        f_ghz=np.concatenate([p.f_ghz for p in parts]),
-        s11=np.concatenate([p.s11 for p in parts]),
-        s12=np.concatenate([p.s12 for p in parts]),
-        s21=np.concatenate([p.s21 for p in parts]),
-        s22=np.concatenate([p.s22 for p in parts]),
-        config=config,
-    )
-
-
 def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
     jpc = JpcParams(**payload["jpc"])
-    f = _grid_values(payload.get("grid"), jpc.f_a_ghz)
+    f = default_grid(jpc, **payload.get("grid", {}))
     t = t_of_frequency(f, jpc)
     ra = r_a_of_frequency(f, jpc)
     rows = list(zip(f, np.abs(t) ** 2, np.abs(ra) ** 2, np.angle(t)))
@@ -158,8 +117,7 @@ def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
 
 def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
-    f = _grid_values(payload.get("grid"), config.f_a_ghz)
-    sweep = _sweep_threaded(config, f)
+    sweep = effective_2port_sweep(config, default_grid(config, **payload.get("grid", {})))
     write_csv(
         out_dir / "jis_sweep.csv",
         ["f_GHz", "S21_dB", "S12_dB", "S11_dB", "S22_dB"],
@@ -183,10 +141,7 @@ def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
     validate_artifact("jis_sweep_sidecar", sidecar)
     write_json(out_dir / "jis_sweep.json", sidecar)
     if fmt == "touchstone":
-        mats = [
-            np.array([[s11, s12], [s21, s22]])
-            for s11, s12, s21, s22 in zip(sweep.s11, sweep.s12, sweep.s21, sweep.s22)
-        ]
+        mats = np.array([[sweep.s11, sweep.s12], [sweep.s21, sweep.s22]]).transpose(2, 0, 1)
         write_touchstone(out_dir / "jis_sweep.s2p", sweep.f_ghz, mats)
     if extraction_error is not None:
         print(f"numerical error: {extraction_error}", file=sys.stderr)
@@ -321,13 +276,8 @@ def cmd_flux_curve(payload, out_dir: Path, fmt: str) -> int:
 def cmd_bandwidth_scan(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
     rhos = [float(r) for r in payload["rho_values"]]
-    grid = payload.get("grid") or {}
-    span = float(grid.get("span_mhz", 300.0))
-    points = int(grid.get("points", 2001))
     direction = _isolated_direction(config)
-    pairs = bandwidth_attenuation_scan(
-        config, rhos, direction=direction, span_mhz=span, points=points
-    )
+    pairs = bandwidth_attenuation_scan(config, rhos, direction, **payload.get("grid", {}))
     g0 = gamma0(config.jpc1.gamma_a_mhz, config.jpc1.gamma_b_mhz)
     rows = [
         (rho, sqrt_l, gamma, g0 * sqrt_l) for rho, (sqrt_l, gamma) in zip(rhos, pairs)

@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from .network import ScatteringMatrix
-
 
 def fmt(value) -> str:
     """One float to text: 9 significant digits, '-inf' for minus infinity."""
@@ -101,8 +99,3 @@ def write_touchstone(path, freqs_ghz, matrices) -> None:
                 lines.append(" ".join(parts))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def touchstone_from_matrix(path, matrix: ScatteringMatrix) -> None:
-    """Single-frequency Touchstone export of one ScatteringMatrix."""
-    write_touchstone(path, [matrix.freq_ghz], [matrix.s])

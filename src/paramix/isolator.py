@@ -23,7 +23,6 @@ from .errors import SingularResponseError
 from .mixer import (
     JpcParams,
     RHO_5050,
-    generalized_pump_phase,
     mixer_2port,
     t_of_frequency,
     r_a_of_frequency,
@@ -344,14 +343,9 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     becomes singular on the grid.
     """
     f = np.asarray(f_ghz, dtype=float)
-    jpc = config.jpc1
-    rho = config.rho
-    ca = 1.0 - 2j * (f - jpc.f_a_ghz) * 1e3 / jpc.gamma_a_mhz
-    cb = 1.0 - 2j * (f - jpc.f_a_ghz) * 1e3 / jpc.gamma_b_mhz
-    den = ca * cb + rho**2
-    t = 2.0 * rho / den
-    r_a = (np.conj(ca) * cb - rho**2) / den
-    r_b = (ca * np.conj(cb) - rho**2) / den
+    t = t_of_frequency(f, config.jpc1)
+    r_a = r_a_of_frequency(f, config.jpc1)
+    r_b = r_b_of_frequency(f, config.jpc1)
 
     # delay_phase_rad is plain arithmetic, safe to evaluate on the array
     theta_d = delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f + config.f_p_ghz)
@@ -380,12 +374,11 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     )
 
 
-def default_grid(config: JisConfig, span_mhz: float = 300.0, points: int = 2001) -> np.ndarray:
-    """Symmetric sweep grid around the signal resonance."""
+def default_grid(config, span_mhz: float = 300.0, points: int = 2001) -> np.ndarray:
+    """Symmetric sweep grid around the signal resonance of a JisConfig or JpcParams."""
     if points < 2:
         raise ValueError("points must be at least 2")
-    half = span_mhz / 2e3
-    return np.linspace(config.f_a_ghz - half, config.f_a_ghz + half, int(points))
+    return config.f_a_ghz + np.linspace(-span_mhz / 2.0, span_mhz / 2.0, int(points)) * 1e-3
 
 
 def added_noise(transmitted_power: float) -> float:

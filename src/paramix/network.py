@@ -23,7 +23,6 @@ closed-form device responses elsewhere in the package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 

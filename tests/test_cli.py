@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from paramix import cli
@@ -221,25 +220,6 @@ def test_out_directory_is_created(tmp_path):
     rc = run(tmp_path, "fit", {"s21_sq": 0.36, "s12_sq": 0.01}, out=out)
     assert rc == 0
     assert (out / "fit.json").exists()
-
-
-def test_threads_env_gives_identical_bytes(tmp_path, monkeypatch):
-    payload = {"jis": JIS_PRESET, "grid": {"points": 501}}
-    out1 = tmp_path / "single"
-    out2 = tmp_path / "pooled"
-    monkeypatch.delenv("PARAMIX_THREADS", raising=False)
-    assert run(tmp_path, "jis-sweep", payload, out=out1) == 0
-    monkeypatch.setenv("PARAMIX_THREADS", "3")
-    assert run(tmp_path, "jis-sweep", payload, out=out2) == 0
-    assert (out1 / "jis_sweep.csv").read_bytes() == (out2 / "jis_sweep.csv").read_bytes()
-    assert (out1 / "jis_sweep.json").read_bytes() == (out2 / "jis_sweep.json").read_bytes()
-
-
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    for bad in ("abc", "0", "-2"):
-        monkeypatch.setenv("PARAMIX_THREADS", bad)
-        assert run(tmp_path, "jis-sweep", {"jis": JIS_PRESET, "grid": {"points": 11}}) == 2
-        assert "PARAMIX_THREADS" in capsys.readouterr().err
 
 
 def test_selftest_runs_clean_and_repeats_byte_identically(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 from paramix.formats import (
     fmt,
     round9,
-    touchstone_from_matrix,
     write_csv,
     write_json,
     write_touchstone,
@@ -55,7 +54,7 @@ def test_touchstone_two_port(tmp_path):
 def test_touchstone_four_port(tmp_path):
     path = tmp_path / "t.s4p"
     s = closed_form_4port(0.3, 0.51, np.sqrt(1.0 - 0.51**2), -np.pi / 2.0)
-    touchstone_from_matrix(path, s)
+    write_touchstone(path, [s.freq_ghz], [s.s])
     lines = path.read_text().splitlines()
     assert lines[1] == "# GHz S RI R 50"
     assert len(lines) == 2 + 4

@@ -1,0 +1,64 @@
+"""Golden SHA-256 of every CLI artifact on fixed small configs.
+
+The writers are deterministic, so a changed hash here is a change in the
+bytes a user gets. The hashes were taken with numpy 2.4.6 on Python 3.11;
+another numpy may move a last printed digit.
+"""
+
+import hashlib
+import json
+
+import pytest
+from test_cli import JIS_PLAIN, JIS_PRESET, RECORDS
+
+from paramix import cli
+from paramix.schemas import SCHEMA_TAG
+
+GOLDEN = {
+    "bandwidth_scan.csv": "dfdc80f04669349daaa4db12cb1832453276e82ae47a2685e18f2eb44d9f6293",
+    "fit.json": "512eff7bffe82e540a9bacacda8b2c40597b1ff2d742d28eeeaf94e24c93668d",
+    "flux_curve.csv": "479d21fb8a26ac1a781a0febd78d49d18593211042f49b1af829be487bc68672",
+    "jis_4port.csv": "ee424bae74d05e779f12daab0bcd1b5d8b659e845274c5b8626550a6e105b6ce",
+    "jis_4port.json": "3f5661c03943deb7702f02647e3f521090ebe5377a5a1d8144745b71223f10b4",
+    "jis_4port.s4p": "1894125718e497f44a001d0ce93524cfc4b86377ad6d64fef5d62683030b3a68",
+    "jis_sweep.csv": "59306f699be74661282b51250f75abd0a7143e6fe0e7e314436e02f14eb00a73",
+    "jis_sweep.json": "09531a69c6424a51e9207f3a01ff85bf4ce31348d550044643f913bbcf16edcc",
+    "jis_sweep.s2p": "25a02df8d4e8d2988789d0a1e934d84c8cfdd33eb62317b299e66a7f58afa483",
+    "jpc_sweep.csv": "6412fa217db6e60c47822bc27106a6980cb201fc1fdc46713ee3a41cfc8e3bfa",
+    "jpc_sweep.json": "602f4e33584d7488a1a044f5acdff6a782cc1473566b8cd1b8d546eb84909ad1",
+    "parity.json": "092279e87bbffd56e4d3966e2927efa3847c736c4c7a8e1798650a736fa7800f",
+    "readout.csv": "7fd851c15c6d920619a9e580687cf2fa893559cb57e0a2def78d59f0f7b8a480",
+    "readout.json": "bf57865418931159b74d7ebd697a6b580b868b7b839999088bae14f0abf8ba0c",
+}
+
+JIS_SWEEP = {"jis": JIS_PRESET, "grid": {"points": 201}}
+JPC_SWEEP = {"jpc": JIS_PLAIN, "grid": {"points": 101}}
+CHAINS = [[{"parity": "even"}, {"parity": "odd", "pump_port": "P2"}], [{"parity": "odd"}]]
+SCAN = {"jis": JIS_PRESET, "rho_values": [0.3, 0.35, 0.4], "grid": {"points": 401}}
+# (command, format, payload, artifacts written)
+CASES = [
+    ("jis-sweep", "csv", JIS_SWEEP, ["jis_sweep.csv", "jis_sweep.json"]),
+    ("jis-sweep", "touchstone", JIS_SWEEP, ["jis_sweep.csv", "jis_sweep.json", "jis_sweep.s2p"]),
+    ("jpc-sweep", "csv", JPC_SWEEP, ["jpc_sweep.csv"]),
+    ("jpc-sweep", "json", JPC_SWEEP, ["jpc_sweep.json"]),
+    ("jis-4port", "touchstone", {"jis": JIS_PRESET}, ["jis_4port.s4p"]),
+    ("jis-4port", "csv", {"jis": JIS_PRESET}, ["jis_4port.csv"]),
+    ("jis-4port", "json", {"jis": JIS_PRESET}, ["jis_4port.json"]),
+    ("fit", "json", {"s21_sq": 0.36, "s12_sq": 0.01}, ["fit.json"]),
+    ("parity", "json", {"chains": CHAINS}, ["parity.json"]),
+    ("readout", "json", {"records": RECORDS}, ["readout.csv", "readout.json"]),
+    ("flux-curve", "csv", {"jrm": {}, "grid": {"points": 41}}, ["flux_curve.csv"]),
+    ("bandwidth-scan", "csv", SCAN, ["bandwidth_scan.csv"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, payload, names", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES]
+)
+def test_artifact_bytes_are_pinned(tmp_path, command, fmt, payload, names):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **payload}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {name: GOLDEN[name] for name in names}
