@@ -7,6 +7,7 @@ Commands: jpc-sweep, jis-sweep, jis-4port, fit, parity, readout, flux-curve,
 bandwidth-scan, selftest. Configs are JSON with a "schema": "paramix/1" tag;
 unknown keys are rejected. Exit codes: 0 success, 2 config error, 3
 numerical error, 4 check failure (self-test criteria or parity mismatch).
+Any other failure is a bug and surfaces as a traceback (exit 1).
 
 All outputs are deterministic: identical configs yield byte-identical files.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,13 @@ from .isolator import (
     make_jis,
     reference_device,
 )
-from .mixer import JpcParams, JrmParams, flux_tuning_curve, r_a_of_frequency, t_of_frequency
+from .mixer import (
+    PRIMARY_LOBE_RAD,
+    JpcParams,
+    JrmParams,
+    amplitudes_of_frequency,
+    flux_tuning_curve,
+)
 from .parity import ChainSpec, GyratorSpec, calibrate, chain_transmission
 from .schemas import SCHEMA_TAG, validate_artifact, validate_config
 
@@ -66,27 +74,17 @@ def _load_config(path: str):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
+def _build(model, **kwargs):
+    """model(**kwargs) from validated config values; a rejected value is a config error."""
+    try:
+        return model(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _build_jis(obj) -> JisConfig:
-    if "preset" in obj:
-        overrides = {
-            k: obj[k]
-            for k in ("rho", "alpha_mag", "pump_port", "phi_ext1_rad", "phi_ext2_rad")
-            if k in obj
-        }
-        return reference_device(**overrides)
-    return make_jis(
-        f_a_ghz=obj["f_a_ghz"],
-        f_b_ghz=obj["f_b_ghz"],
-        gamma_a_mhz=obj["gamma_a_mhz"],
-        gamma_b_mhz=obj["gamma_b_mhz"],
-        rho=obj["rho"],
-        alpha_mag=obj.get("alpha_mag", 0.5),
-        pump_port=obj.get("pump_port", "P1"),
-        phi_ext1_rad=obj.get("phi_ext1_rad", 0.0),
-        phi_ext2_rad=obj.get("phi_ext2_rad", 0.0),
-        delay_length_um=obj.get("delay_length_um", 0.0),
-        delay_eps_eff=obj.get("delay_eps_eff", 1.0),
-    )
+    kwargs = {k: v for k, v in obj.items() if k != "preset"}
+    return _build(reference_device if "preset" in obj else make_jis, **kwargs)
 
 
 def _isolated_direction(config: JisConfig) -> str:
@@ -96,20 +94,15 @@ def _isolated_direction(config: JisConfig) -> str:
 
 
 def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
-    jpc = JpcParams(**payload["jpc"])
+    jpc = _build(JpcParams, **payload["jpc"])
     f = default_grid(jpc, **payload.get("grid", {}))
-    t = t_of_frequency(f, jpc)
-    ra = r_a_of_frequency(f, jpc)
-    rows = list(zip(f, np.abs(t) ** 2, np.abs(ra) ** 2, np.angle(t)))
+    t, ra, _ = amplitudes_of_frequency(f, jpc)
+    columns = [f, np.abs(t) ** 2, np.abs(ra) ** 2, np.angle(t)]
     if fmt == "csv":
-        write_csv(out_dir / "jpc_sweep.csv", ["f_GHz", "t_sq", "ra_sq", "arg_t_rad"], rows)
+        write_csv(out_dir / "jpc_sweep.csv", ["f_GHz", "t_sq", "ra_sq", "arg_t_rad"], columns)
     else:
-        doc = {
-            "schema": SCHEMA_TAG,
-            "rows": [
-                {"f_ghz": r[0], "t_sq": r[1], "ra_sq": r[2], "arg_t_rad": r[3]} for r in rows
-            ],
-        }
+        keys = ("f_ghz", "t_sq", "ra_sq", "arg_t_rad")
+        doc = {"schema": SCHEMA_TAG, "rows": [dict(zip(keys, row)) for row in zip(*columns)]}
         validate_artifact("jpc_sweep_rows", doc)
         write_json(out_dir / "jpc_sweep.json", doc)
     return 0
@@ -121,13 +114,7 @@ def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
     write_csv(
         out_dir / "jis_sweep.csv",
         ["f_GHz", "S21_dB", "S12_dB", "S11_dB", "S22_dB"],
-        zip(
-            sweep.f_ghz,
-            to_power_dB(sweep.s21),
-            to_power_dB(sweep.s12),
-            to_power_dB(sweep.s11),
-            to_power_dB(sweep.s22),
-        ),
+        [sweep.f_ghz, *(to_power_dB(s) for s in (sweep.s21, sweep.s12, sweep.s11, sweep.s22))],
     )
     direction = _isolated_direction(config)
     sidecar = {"schema": SCHEMA_TAG, "direction": direction}
@@ -153,20 +140,19 @@ def cmd_jis_4port(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
     mat = composed_4port(config)
     if fmt == "touchstone":
-        write_touchstone(out_dir / "jis_4port.s4p", [mat.freq_ghz], [mat.s])
+        write_touchstone(out_dir / "jis_4port.s4p", [mat.freq_ghz], mat.s[np.newaxis])
     elif fmt == "csv":
-        rows = []
-        for i, pi in enumerate(mat.ports):
-            for j, pj in enumerate(mat.ports):
-                rows.append((pi, pj, mat.s[i, j].real, mat.s[i, j].imag))
-        write_csv(out_dir / "jis_4port.csv", ["out_port", "in_port", "s_real", "s_imag"], rows)
+        ports = list(mat.ports)
+        out_ports = [p for p in ports for _ in ports]
+        columns = [out_ports, ports * len(ports), mat.s.real.ravel(), mat.s.imag.ravel()]
+        write_csv(out_dir / "jis_4port.csv", ["out_port", "in_port", "s_real", "s_imag"], columns)
     else:
         doc = {
             "schema": SCHEMA_TAG,
             "freq_ghz": mat.freq_ghz,
             "ports": list(mat.ports),
-            "s_real": [[mat.s[i, j].real for j in range(4)] for i in range(4)],
-            "s_imag": [[mat.s[i, j].imag for j in range(4)] for i in range(4)],
+            "s_real": mat.s.real.tolist(),
+            "s_imag": mat.s.imag.tolist(),
         }
         validate_artifact("four_port", doc)
         write_json(out_dir / "jis_4port.json", doc)
@@ -228,64 +214,44 @@ def cmd_parity(payload, out_dir: Path, fmt: str) -> int:
 
 
 def cmd_readout(payload, out_dir: Path, fmt: str) -> int:
-    records = [ReadoutChainRecord(**r) for r in payload["records"]]
+    records = [_build(ReadoutChainRecord, **r) for r in payload["records"]]
     report = backaction_report(records)
-    rows = [
-        {
-            "label": r.label,
-            "t_phi_us": r.t_phi_us,
-            "gamma_phi_per_us": r.gamma_phi_per_us,
-            "nbar": r.nbar,
-            "nbar_ba": r.nbar_ba,
-            "jis": r.jis,
-            "jda": r.jda,
-        }
-        for r in report.rows
-    ]
     doc = {
         "schema": SCHEMA_TAG,
         "nbar_th": report.nbar_th,
         "isolation_db": report.isolation_db,
-        "rows": rows,
+        "rows": [asdict(r) for r in report.rows],
     }
     validate_artifact("readout_report", doc)
     write_json(out_dir / "readout.json", doc)
-    write_csv(
-        out_dir / "readout.csv",
-        ["label", "jis", "jda", "t_phi_us", "gamma_phi_per_us", "nbar", "nbar_ba"],
-        [
-            (r.label, r.jis, r.jda, r.t_phi_us, r.gamma_phi_per_us, r.nbar, r.nbar_ba)
-            for r in report.rows
-        ],
-    )
+    header = ["label", "jis", "jda", "t_phi_us", "gamma_phi_per_us", "nbar", "nbar_ba"]
+    columns = [[getattr(r, k) for r in report.rows] for k in header]
+    write_csv(out_dir / "readout.csv", header, columns)
     return 0
 
 
 def cmd_flux_curve(payload, out_dir: Path, fmt: str) -> int:
-    jrm = JrmParams(**payload.get("jrm", {}))
+    jrm = _build(JrmParams, **payload.get("jrm", {}))
     grid = payload.get("grid") or {}
-    start = float(grid.get("phi_start_rad", -1.4 * 2.0 * np.pi))
-    stop = float(grid.get("phi_stop_rad", 1.4 * 2.0 * np.pi))
-    points = int(grid.get("points", 401))
-    phis = np.linspace(start, stop, points)
-    rows = [(phi, flux_tuning_curve(phi, jrm)) for phi in phis]
-    write_csv(out_dir / "flux_curve.csv", ["phi_ext_rad", "f_ghz"], rows)
+    start = float(grid.get("phi_start_rad", -PRIMARY_LOBE_RAD))
+    stop = float(grid.get("phi_stop_rad", PRIMARY_LOBE_RAD))
+    phis = np.linspace(start, stop, int(grid.get("points", 401)))
+    f = flux_tuning_curve(phis, jrm)
+    write_csv(out_dir / "flux_curve.csv", ["phi_ext_rad", "f_ghz"], [phis, f])
     return 0
 
 
 def cmd_bandwidth_scan(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
-    rhos = [float(r) for r in payload["rho_values"]]
+    rhos = np.array(payload["rho_values"], dtype=float)
     direction = _isolated_direction(config)
     pairs = bandwidth_attenuation_scan(config, rhos, direction, **payload.get("grid", {}))
+    sqrt_l, gamma = np.array(pairs).T
     g0 = gamma0(config.jpc1.gamma_a_mhz, config.jpc1.gamma_b_mhz)
-    rows = [
-        (rho, sqrt_l, gamma, g0 * sqrt_l) for rho, (sqrt_l, gamma) in zip(rhos, pairs)
-    ]
     write_csv(
         out_dir / "bandwidth_scan.csv",
         ["rho", "sqrt_L", "gamma_mhz", "gamma0_sqrt_L_mhz"],
-        rows,
+        [rhos, sqrt_l, gamma, g0 * sqrt_l],
     )
     return 0
 
@@ -342,9 +308,6 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](payload, out_dir, fmt)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,9 +1,14 @@
 """Deterministic writers for CSV, Touchstone, and JSON artifacts.
 
 Identical inputs must produce byte-identical files, so every float goes
-through one fixed 9-significant-digit formatter, line endings are plain
-newlines, and JSON keys are sorted. Negative infinity (a legitimate dB
-value for an exact zero) is written as the literal -inf in CSV.
+through one fixed 9-significant-digit format ("%.9g", the same text as
+`fmt`), line endings are plain newlines, and JSON keys are sorted. Negative
+infinity (a legitimate dB value for an exact zero) is written as the
+literal -inf in CSV.
+
+The CSV and Touchstone writers take arrays, not rows: one column per CSV
+field, one complex (F, n, n) array per Touchstone file. Both stream the
+file through one precomputed line template.
 """
 
 from __future__ import annotations
@@ -25,21 +30,32 @@ def round9(value) -> float:
     return float(fmt(value))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write rows of floats/strings under a mandatory header."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif cell is None:
-                cells.append("")
-            else:
-                cells.append(fmt(cell))
-        lines.append(",".join(cells))
+def _write_rows(path, head: str, template: str, columns) -> None:
+    """head, then template % row for each row of the equal-length columns."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head)
+        fh.writelines(template % row for row in zip(*columns))
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    return "" if value is None else fmt(value)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write one column per header field under the header line.
+
+    An np.ndarray column holds numbers, each written as "%.9g". Any other
+    column is a sequence of cells: a str as is, None as an empty field, a
+    number through `fmt`. All columns must have the same length.
+    """
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError("need one column per header field, all of one length")
+    arrays = [isinstance(c, np.ndarray) for c in columns]
+    template = ",".join("%.9g" if a else "%s" for a in arrays) + "\n"
+    cells = [c if a else [_cell(v) for v in c] for a, c in zip(arrays, columns)]
+    _write_rows(path, ",".join(header) + "\n", template, cells)
 
 
 def _json_ready(obj):
@@ -65,37 +81,32 @@ def write_json(path, payload) -> str:
     return text
 
 
-def write_touchstone(path, freqs_ghz, matrices) -> None:
+def write_touchstone(path, freqs_ghz, s) -> None:
     """Touchstone v1.1 file, option line `# GHz S RI R 50`.
 
-    matrices is one complex (n, n) array per frequency, n = 2 or 4. The
-    2-port record is the single-line S11 S21 S12 S22 layout; larger ports
-    get one matrix row per line, frequency on the first.
+    s is one complex (F, n, n) array, s[k] the matrix at freqs_ghz[k], with
+    n = 2 or 4. Each record is the n^2 entries as re/im pairs, 8 values to a
+    line, the frequency leading the first line. A 2-port record is the
+    single line S11 S21 S12 S22 (column-major); a 4-port record has one
+    matrix row per line.
     """
-    freqs = [float(f) for f in freqs_ghz]
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    if len(freqs) != len(mats) or not freqs:
+    freqs = np.asarray(freqs_ghz, dtype=float)
+    s = np.asarray(s, dtype=complex)
+    if not freqs.size or s.shape[:1] != freqs.shape:
         raise ValueError("need one matrix per frequency")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise ValueError("matrices must share one square shape")
+    n = s.shape[1]
     if n not in (2, 4):
         raise ValueError("only 2-port and 4-port supported")
-    lines = [f"! {n}-port scattering data", "# GHz S RI R 50"]
-    for f, m in zip(freqs, mats):
-        if n == 2:
-            vals = [m[0, 0], m[1, 0], m[0, 1], m[1, 1]]
-            parts = [fmt(f)]
-            for v in vals:
-                parts.append(fmt(v.real))
-                parts.append(fmt(v.imag))
-            lines.append(" ".join(parts))
-        else:
-            for i in range(n):
-                parts = [fmt(f)] if i == 0 else []
-                for j in range(n):
-                    parts.append(fmt(m[i, j].real))
-                    parts.append(fmt(m[i, j].imag))
-                lines.append(" ".join(parts))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if n == 2:
+        s = s.transpose(0, 2, 1)
+    entries = [s[:, i, j] for i in range(n) for j in range(n)]
+    line = " ".join(["%.9g"] * 8)
+    template = "%.9g " + "\n".join([line] * (n * n // 4)) + "\n"
+    _write_rows(
+        path,
+        f"! {n}-port scattering data\n# GHz S RI R 50\n",
+        template,
+        [freqs, *(part for e in entries for part in (e.real, e.imag))],
+    )

@@ -23,10 +23,8 @@ from .errors import SingularResponseError
 from .mixer import (
     JpcParams,
     RHO_5050,
+    amplitudes_of_frequency,
     mixer_2port,
-    t_of_frequency,
-    r_a_of_frequency,
-    r_b_of_frequency,
     t_on_resonance,
 )
 from .network import (
@@ -343,9 +341,7 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     becomes singular on the grid.
     """
     f = np.asarray(f_ghz, dtype=float)
-    t = t_of_frequency(f, config.jpc1)
-    r_a = r_a_of_frequency(f, config.jpc1)
-    r_b = r_b_of_frequency(f, config.jpc1)
+    t, r_a, r_b = amplitudes_of_frequency(f, config.jpc1)
 
     # delay_phase_rad is plain arithmetic, safe to evaluate on the array
     theta_d = delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f + config.f_p_ghz)

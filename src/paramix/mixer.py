@@ -96,28 +96,36 @@ class JpcParams:
         return generalized_pump_phase(self.pump_phase_rad, self.phi_ext_rad)
 
 
-def _chis(f1_ghz: float, params: JpcParams) -> tuple[complex, complex]:
+def amplitudes_of_frequency(f1_ghz: float, params: JpcParams) -> tuple[complex, complex, complex]:
+    """(t, r_a, r_b) at signal frequency f1, from one pair of susceptibilities.
+
+    With D = chi_a^-1 chi_b^-1 + rho^2: the conversion amplitude t = 2 rho / D,
+    the reflection at the low-mode port r_a = (chi_a^-1* chi_b^-1 - rho^2) / D,
+    and the reflection at the high-mode port (idler frequency f1 + f_p)
+    r_b = (chi_a^-1 chi_b^-1* - rho^2) / D.
+    """
     ca = chi_inv(f1_ghz, params.f_a_ghz, params.gamma_a_mhz)
     cb = chi_inv(f1_ghz, params.f_a_ghz, params.gamma_b_mhz)
-    return ca, cb
+    den = ca * cb + params.rho**2
+    t = 2.0 * params.rho / den
+    r_a = (np.conj(ca) * cb - params.rho**2) / den
+    r_b = (ca * np.conj(cb) - params.rho**2) / den
+    return t, r_a, r_b
 
 
 def t_of_frequency(f1_ghz: float, params: JpcParams) -> complex:
-    """Conversion amplitude 2 rho / (chi_a^-1 chi_b^-1 + rho^2) at signal f1."""
-    ca, cb = _chis(f1_ghz, params)
-    return 2.0 * params.rho / (ca * cb + params.rho**2)
+    """Conversion amplitude t of `amplitudes_of_frequency`."""
+    return amplitudes_of_frequency(f1_ghz, params)[0]
 
 
 def r_a_of_frequency(f1_ghz: float, params: JpcParams) -> complex:
-    """Reflection at the low-mode port at signal frequency f1."""
-    ca, cb = _chis(f1_ghz, params)
-    return (np.conj(ca) * cb - params.rho**2) / (ca * cb + params.rho**2)
+    """Low-mode reflection r_a of `amplitudes_of_frequency`."""
+    return amplitudes_of_frequency(f1_ghz, params)[1]
 
 
 def r_b_of_frequency(f1_ghz: float, params: JpcParams) -> complex:
-    """Reflection at the high-mode port at idler frequency f1 + f_p."""
-    ca, cb = _chis(f1_ghz, params)
-    return (ca * np.conj(cb) - params.rho**2) / (ca * cb + params.rho**2)
+    """High-mode reflection r_b of `amplitudes_of_frequency`."""
+    return amplitudes_of_frequency(f1_ghz, params)[2]
 
 
 def n_g(phi_ext_rad: float) -> int:
@@ -192,21 +200,22 @@ class JrmParams:
             raise ValueError("inductance ratios must be positive")
 
 
-def _l_jrm_nh(phi_ext_rad: float, jrm: JrmParams) -> float:
+def _l_jrm_nh(phi_ext_rad, jrm: JrmParams):
     lj0_nh = FLUX_QUANTUM_WB / (2.0 * np.pi * jrm.i0_ua * 1e-6) * 1e9
     denom = jrm.lj0_over_l / 2.0 + np.cos(phi_ext_rad / 4.0)
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise NumericalError("JRM inductance diverges at this flux")
     return lj0_nh / denom
 
 
-def flux_tuning_curve(phi_ext_rad: float, jrm: JrmParams = JrmParams()) -> float:
-    """Resonance frequency in GHz at the given reduced flux.
+def flux_tuning_curve(phi_ext_rad, jrm: JrmParams = JrmParams()):
+    """Resonance frequency in GHz at the given reduced flux (a float or an array).
 
     The ring inductance is shunt-limited, L_JRM = L_J0 / (L_J0 / 2L +
     cos(phi/4)), in series with a stray inductance and the geometric
     inductance set by the resonator impedance. The resonance scales as
-    1/sqrt(L_total), normalized to f_max at zero flux.
+    1/sqrt(L_total), normalized to f_max at zero flux. Raises NumericalError
+    if L_JRM diverges at any of the fluxes.
     """
     lj0_nh = FLUX_QUANTUM_WB / (2.0 * np.pi * jrm.i0_ua * 1e-6) * 1e9
     ls_nh = lj0_nh / jrm.lj0_over_ls

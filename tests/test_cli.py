@@ -210,6 +210,31 @@ def test_config_error_paths(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_values_the_models_reject_are_config_errors(tmp_path, capsys):
+    # schema-valid, but the models need f_a < f_b and a flux inside the primary lobe
+    inverted = {**JIS_PLAIN, "f_a_ghz": 9.567, "f_b_ghz": 6.84}
+    assert run(tmp_path, "jpc-sweep", {"jpc": inverted}) == 2
+    assert run(tmp_path, "jis-sweep", {"jis": inverted}) == 2
+    assert run(tmp_path, "jis-sweep", {"jis": {**JIS_PRESET, "phi_ext1_rad": 9.0}}) == 2
+    assert "config error: need 0 < f_a_ghz < f_b_ghz" in capsys.readouterr().err
+
+
+def test_a_bug_in_compute_code_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(config, f_ghz):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "effective_2port_sweep", broken)
+    with pytest.raises(ValueError, match="bug"):
+        run(tmp_path, "jis-sweep", {"jis": JIS_PRESET})
+
+
+def test_flux_curve_divergence_exits_3(tmp_path, capsys):
+    # a weak shunt diverges near the lobe edges of the default window
+    rc = run(tmp_path, "flux-curve", {"jrm": {"lj0_over_l": 1.0}})
+    assert rc == 3
+    assert "diverges" in capsys.readouterr().err
+
+
 def test_unknown_command_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate", "--config", str(tmp_path / "x.json")])

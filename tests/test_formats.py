@@ -23,8 +23,14 @@ def test_fmt():
 
 def test_write_csv(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b", "c"], [[1.0, "x", None], [0.25, "", -np.inf]])
+    write_csv(path, ["a", "b", "c"], [[1.0, 0.25], ["x", ""], [None, -np.inf]])
     assert path.read_bytes() == b"a,b,c\n1,x,\n0.25,,-inf\n"
+    # an array column gives the same text as a list of the same numbers
+    write_csv(path, ["a", "b", "c"], [np.array([1.0, 0.25]), ["x", ""], [None, -np.inf]])
+    assert path.read_bytes() == b"a,b,c\n1,x,\n0.25,,-inf\n"
+    for columns in ([np.zeros(2)], [np.zeros(2), np.zeros(3)]):
+        with pytest.raises(ValueError, match="one column per header field"):
+            write_csv(path, ["a", "b"], columns)
 
 
 def test_write_json(tmp_path):
@@ -42,7 +48,7 @@ def test_write_json(tmp_path):
 def test_touchstone_two_port(tmp_path):
     path = tmp_path / "t.s2p"
     m = np.array([[0.5, 0.25j], [1j, -0.5]])
-    write_touchstone(path, [6.84], [m])
+    write_touchstone(path, [6.84], m[np.newaxis])
     lines = path.read_text().splitlines()
     assert lines[0] == "! 2-port scattering data"
     assert lines[1] == "# GHz S RI R 50"
@@ -54,7 +60,7 @@ def test_touchstone_two_port(tmp_path):
 def test_touchstone_four_port(tmp_path):
     path = tmp_path / "t.s4p"
     s = closed_form_4port(0.3, 0.51, np.sqrt(1.0 - 0.51**2), -np.pi / 2.0)
-    write_touchstone(path, [s.freq_ghz], [s.s])
+    write_touchstone(path, [s.freq_ghz], s.s[np.newaxis])
     lines = path.read_text().splitlines()
     assert lines[1] == "# GHz S RI R 50"
     assert len(lines) == 2 + 4
@@ -71,20 +77,22 @@ def test_touchstone_four_port(tmp_path):
 def test_touchstone_validation(tmp_path):
     path = tmp_path / "t.s3p"
     with pytest.raises(ValueError, match="one matrix per frequency"):
-        write_touchstone(path, [1.0, 2.0], [np.eye(2)])
+        write_touchstone(path, [1.0, 2.0], np.eye(2)[np.newaxis])
     with pytest.raises(ValueError, match="one matrix per frequency"):
-        write_touchstone(path, [], [])
+        write_touchstone(path, [], np.empty((0, 2, 2)))
     with pytest.raises(ValueError, match="square"):
-        write_touchstone(path, [1.0, 2.0], [np.eye(2), np.eye(4)])
+        write_touchstone(path, [1.0, 2.0], np.zeros((2, 2, 3)))
     with pytest.raises(ValueError, match="supported"):
-        write_touchstone(path, [1.0], [np.eye(3)])
+        write_touchstone(path, [1.0], np.eye(3)[np.newaxis])
 
 
 def test_writers_are_byte_deterministic(tmp_path):
     rows = [[6.84 + 0.001 * k, np.sin(k)] for k in range(50)]
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(p1, ["f", "y"], rows)
-    write_csv(p2, ["f", "y"], rows)
-    assert p1.read_bytes() == p2.read_bytes()
+    columns = [[r[0] for r in rows], [r[1] for r in rows]]
+    p1, p2, p3 = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    write_csv(p1, ["f", "y"], columns)
+    write_csv(p2, ["f", "y"], columns)
+    write_csv(p3, ["f", "y"], [np.array(c) for c in columns])
+    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
     j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
     assert write_json(j1, {"rows": rows}) == write_json(j2, {"rows": rows})

@@ -189,3 +189,11 @@ def test_flux_tuning_curve_divergence():
     assert flux_tuning_curve(2.0, weak) < weak.f_max_ghz
     with pytest.raises(NumericalError, match="diverges"):
         flux_tuning_curve(8.6, weak)
+    with pytest.raises(NumericalError, match="diverges"):
+        flux_tuning_curve(np.array([0.0, 2.0, 8.6]), weak)
+
+
+def test_flux_tuning_curve_on_an_array_matches_each_point():
+    phis = np.linspace(-PRIMARY_LOBE_RAD, PRIMARY_LOBE_RAD, 20001)
+    want = np.array([flux_tuning_curve(float(p)) for p in phis])
+    assert np.array_equal(flux_tuning_curve(phis), want)
