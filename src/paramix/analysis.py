@@ -325,7 +325,8 @@ def nbar_from_dephasing(t_phi_us: float, kappa_mhz: float, chi_mhz: float) -> fl
     """Resonator occupancy inferred from measurement-induced dephasing.
 
     Inverts Gamma_phi = nbar kappa chi^2 / (kappa^2 + chi^2) with angular
-    kappa and chi; Gamma_phi = 1 / T_phi in 1/us.
+    kappa and chi; Gamma_phi = 1 / T_phi in 1/us. Raises NumericalError
+    when that quotient overflows or underflows to a non-finite occupancy.
     """
     if t_phi_us <= 0.0:
         raise ValueError("t_phi_us must be positive")
@@ -334,7 +335,15 @@ def nbar_from_dephasing(t_phi_us: float, kappa_mhz: float, chi_mhz: float) -> fl
     kappa_ang = 2.0 * np.pi * kappa_mhz
     chi_ang = 2.0 * np.pi * chi_mhz
     gamma_phi = 0.0 if math.isinf(t_phi_us) else 1.0 / t_phi_us
-    return gamma_phi * (kappa_ang**2 + chi_ang**2) / (kappa_ang * chi_ang**2)
+    try:
+        nbar = gamma_phi * (kappa_ang**2 + chi_ang**2) / (kappa_ang * chi_ang**2)
+    except (OverflowError, ZeroDivisionError):
+        nbar = math.nan
+    if not math.isfinite(nbar):
+        raise NumericalError(
+            f"occupancy is not finite for kappa_mhz={kappa_mhz:g}, chi_mhz={chi_mhz:g}"
+        )
+    return nbar
 
 
 def isolation_estimate_dB(nbar_off_isolator: float, nbar_on_isolator: float) -> float:

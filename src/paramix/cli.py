@@ -15,6 +15,7 @@ All outputs are deterministic: identical configs yield byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -277,7 +278,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="paramix",
         description="Scattering models and analysis for pumped-converter interferometric isolators.",
@@ -288,7 +291,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", default=None, choices=["csv", "json", "touchstone"])
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.config is None:

@@ -4,7 +4,9 @@ Identical inputs must produce byte-identical files, so every float goes
 through one fixed 9-significant-digit format ("%.9g", the same text as
 `fmt`), line endings are plain newlines, and JSON keys are sorted. Negative
 infinity (a legitimate dB value for an exact zero) is written as the
-literal -inf in CSV.
+literal -inf in CSV. No writer writes NaN or +inf: `write_json` and
+`write_csv` raise ValueError("non-finite ...") on one, before the file is
+opened.
 
 The CSV and Touchstone writers take arrays, not rows: one column per CSV
 field, one complex (F, n, n) array per Touchstone file. Both stream the
@@ -46,13 +48,19 @@ def _cell(value) -> str:
 def write_csv(path, header, columns) -> None:
     """Write one column per header field under the header line.
 
-    An np.ndarray column holds numbers, each written as "%.9g". Any other
-    column is a sequence of cells: a str as is, None as an empty field, a
-    number through `fmt`. All columns must have the same length.
+    An np.ndarray column holds numbers, each written as "%.9g"; NaN or +inf
+    in one raises ValueError (-inf, the dB value of an exact zero, is
+    written). Any other column is a sequence of cells: a str as is, None as
+    an empty field, a number through `fmt`. All columns must have the same
+    length.
     """
     if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
         raise ValueError("need one column per header field, all of one length")
     arrays = [isinstance(c, np.ndarray) for c in columns]
+    for name, a, c in zip(header, arrays, columns):
+        # NaN and +inf are exactly the values not below +inf
+        if a and not (c < np.inf).all():
+            raise ValueError(f"non-finite value (NaN or +inf) in CSV column {name!r}")
     template = ",".join("%.9g" if a else "%s" for a in arrays) + "\n"
     cells = [c if a else [_cell(v) for v in c] for a, c in zip(arrays, columns)]
     _write_rows(path, ",".join(header) + "\n", template, cells)

@@ -22,6 +22,7 @@ closed-form device responses elsewhere in the package):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +167,8 @@ class NetworkElement:
 
     kind selects a standard builder (hybrid90, delay_line, lossy_coupler,
     termination) parameterized by params, or a fixed matrix for kinds
-    mixer_2port and custom (params = {"matrix": ScatteringMatrix}).
+    mixer_2port and custom (params = {"matrix": ScatteringMatrix}), which
+    is returned as is at every frequency.
     """
 
     name: str
@@ -183,8 +185,7 @@ class NetworkElement:
         if self.kind == "termination":
             return termination(self.params.get("reflection", 0.0), freq_ghz)
         if self.kind in ("mixer_2port", "custom"):
-            fixed = self.params["matrix"]
-            return ScatteringMatrix(freq_ghz, fixed.ports, fixed.s)
+            return self.params["matrix"]
         raise ValueError(f"unknown element kind {self.kind!r}")
 
 
@@ -211,6 +212,48 @@ class ConnectionGraph:
             raise ValueError("element names must be unique")
 
 
+@functools.lru_cache(maxsize=128)
+def _plan(elements, joints, external):
+    """Port bookkeeping of one topology, shared by every graph that has it.
+
+    elements is ((name, ports), ...) in graph order, joints the joined
+    (element, port) pairs and external the requested external order (or
+    ()). Returns (gather, n_ext, labels): s_full[gather] puts the external
+    ports first and the internal ones after them, each internal row
+    replaced by its joint partner's, so that block is the permuted system
+    P S of the joint constraints. Raises ValueError for a bad graph
+    (lru_cache stores no exception).
+    """
+    index: dict[tuple[str, str], int] = {}
+    for name, ports in elements:
+        for p in ports:
+            index[(name, p)] = len(index)
+
+    partner: dict[int, int] = {}
+    for (a, b) in joints:
+        for ref in (a, b):
+            if ref not in index:
+                raise ValueError(f"joint references unknown port {ref!r}")
+        ia, ib = index[a], index[b]
+        if ia in partner or ib in partner or ia == ib:
+            raise ValueError("each port may appear in at most one joint")
+        partner[ia] = ib
+        partner[ib] = ia
+
+    ext_refs = [ref for ref, i in index.items() if i not in partner]
+    if external:
+        if sorted(external) != sorted(ext_refs):
+            raise ValueError("external list must name exactly the unjoined ports")
+        ext_refs = list(external)
+    ext = [index[r] for r in ext_refs]
+    internal = sorted(partner)
+    gather = np.ix_(ext + [partner[g] for g in internal], ext + internal)
+    for a in gather:
+        a.flags.writeable = False
+    labels = tuple(f"{name}.{port}" for name, port in ext_refs)
+    return gather, len(ext), labels
+
+
 def connect(graph: ConnectionGraph, freq_ghz: float) -> ScatteringMatrix:
     """Reduce a connection graph to the scattering matrix of its external ports.
 
@@ -219,64 +262,37 @@ def connect(graph: ConnectionGraph, freq_ghz: float) -> ScatteringMatrix:
     response seen from the unjoined ports. Raises
     NonInvertibleNetworkError("non-invertible internal network") when the
     internal system is singular instead of returning NaNs.
-    """
-    matrices = {e.name: e.matrix(freq_ghz) for e in graph.elements}
 
-    index: dict[tuple[str, str], int] = {}
-    n = 0
-    for e in graph.elements:
-        for p in matrices[e.name].ports:
-            index[(e.name, p)] = n
-            n += 1
+    The index bookkeeping (port index, joint partners, internal/external
+    split, labels) depends only on the topology: element names with their
+    port tuples, the joints and the external order. It is planned once per
+    topology and cached; each call then fills the blocks, checks the
+    conditioning of the internal system and solves it. A bad graph is never
+    cached, so its ValueError is raised on every call.
+    """
+    matrices = [e.matrix(freq_ghz) for e in graph.elements]
+    gather, n_ext, labels = _plan(
+        tuple((e.name, m.ports) for e, m in zip(graph.elements, matrices)),
+        tuple((tuple(a), tuple(b)) for a, b in graph.joints),
+        tuple(tuple(r) for r in graph.external),
+    )
+
+    n = sum(m.n_ports for m in matrices)
     s_full = np.zeros((n, n), dtype=complex)
     row = 0
-    for e in graph.elements:
-        m = matrices[e.name].s
-        k = m.shape[0]
-        s_full[row : row + k, row : row + k] = m
+    for m in matrices:
+        k = m.n_ports
+        s_full[row : row + k, row : row + k] = m.s
         row += k
 
-    internal: list[int] = []
-    partner: dict[int, int] = {}
-    for (a, b) in graph.joints:
-        for ref in (a, b):
-            if tuple(ref) not in index:
-                raise ValueError(f"joint references unknown port {ref!r}")
-        ia, ib = index[tuple(a)], index[tuple(b)]
-        if ia in partner or ib in partner or ia == ib:
-            raise ValueError("each port may appear in at most one joint")
-        partner[ia] = ib
-        partner[ib] = ia
-        internal.extend([ia, ib])
-
-    internal_sorted = sorted(internal)
-    ext_refs = [ref for ref, i in index.items() if i not in partner]
-    if graph.external:
-        wanted = [tuple(r) for r in graph.external]
-        if sorted(wanted) != sorted(ext_refs):
-            raise ValueError("external list must name exactly the unjoined ports")
-        ext_refs = wanted
-    ext_idx = [index[r] for r in ext_refs]
-
-    s_ee = s_full[np.ix_(ext_idx, ext_idx)]
-    if internal_sorted:
-        s_ei = s_full[np.ix_(ext_idx, internal_sorted)]
-        s_ie = s_full[np.ix_(internal_sorted, ext_idx)]
-        s_ii = s_full[np.ix_(internal_sorted, internal_sorted)]
-        pos = {g: k for k, g in enumerate(internal_sorted)}
-        perm = np.zeros((len(internal_sorted), len(internal_sorted)))
-        for g in internal_sorted:
-            perm[pos[g], pos[partner[g]]] = 1.0
-        system = np.eye(len(internal_sorted)) - perm @ s_ii
+    s = s_full[gather]
+    if n_ext < n:
+        system = np.eye(n - n_ext) - s[n_ext:, n_ext:]
         if np.linalg.cond(system) > _MAX_INTERNAL_COND:
             raise NonInvertibleNetworkError("non-invertible internal network")
-        a_int = np.linalg.solve(system, perm @ s_ie)
-        s_red = s_ee + s_ei @ a_int
-    else:
-        s_red = s_ee
-
-    labels = tuple(f"{name}.{port}" for name, port in ext_refs)
-    return ScatteringMatrix(freq_ghz, labels, s_red)
+        a_int = np.linalg.solve(system, s[n_ext:, :n_ext])
+        s = s[:n_ext, :n_ext] + s[:n_ext, n_ext:] @ a_int
+    return ScatteringMatrix(freq_ghz, labels, s)
 
 
 def check_unitarity(matrix: ScatteringMatrix, tol: float = 1e-9) -> tuple[bool, float]:

@@ -4,11 +4,25 @@ Every config file carries "schema": "paramix/1" and is validated before any
 computation; unknown keys are rejected so unit mistakes (MHz vs GHz fields)
 fail loudly. Emitted JSON artifacts carry the same version tag and have
 schemas of their own so a written file can be re-validated round-trip.
+
+Each schema is compiled once, at import, into a plain-Python checker that
+follows JSON Schema Draft 2020-12 for exactly the keywords these schemas
+use: type, const, enum, minimum, maximum, exclusiveMinimum, properties,
+required, additionalProperties (false only), items, minItems and oneOf. Any
+other keyword, or an enum/const literal other than a string or null, raises
+at import, so a later schema edit cannot go silently unchecked. As in Draft
+2020-12, a bool is not a number, "number" is any numbers.Number (so
+np.float64 counts), "integer" also accepts an integral float, and a bound
+fails only on v < minimum, v > maximum or v <= exclusiveMinimum, so NaN
+passes every bound. Every document is checked in full on every call; of
+all violations, the one with the smallest JSON path is reported, with the
+message jsonschema gives (the test suite uses jsonschema as the oracle).
 """
 
 from __future__ import annotations
 
-import jsonschema
+import numbers
+import operator
 
 from .errors import ConfigError
 
@@ -329,6 +343,200 @@ ARTIFACT_SCHEMAS = {
 }
 
 
+def _is_number(v) -> bool:
+    if isinstance(v, float):
+        return True
+    return not isinstance(v, bool) and isinstance(v, numbers.Number)
+
+
+def _is_integer(v) -> bool:
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": _is_integer,
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+# A checker is check(value, path, errors): it appends (path, message) to
+# errors for every violation, in the order jsonschema yields them.
+
+
+def _type(names, schema):
+    names = [names] if isinstance(names, str) else list(names)
+    tests = [_TYPES[n] for n in names]
+    reprs = ", ".join(repr(n) for n in names)
+    matches = tests[0] if len(tests) == 1 else lambda v: any(test(v) for test in tests)
+
+    def check(v, path, errors):
+        if not matches(v):
+            errors.append((path, f"{v!r} is not of type {reprs}"))
+
+    return check
+
+
+def _literals(values):
+    # plain == agrees with jsonschema's equality for strings and null, but
+    # not for numbers or bools (True == 1), so only these are compiled
+    for value in values:
+        if value is not None and not isinstance(value, str):
+            raise TypeError(f"no compiled comparison for literal {value!r}")
+
+
+def _const(literal, schema):
+    _literals([literal])
+    message = f"{literal!r} was expected"
+
+    def check(v, path, errors):
+        if v != literal:
+            errors.append((path, message))
+
+    return check
+
+
+def _enum(literals, schema):
+    _literals(literals)
+
+    def check(v, path, errors):
+        if v not in literals:
+            errors.append((path, f"{v!r} is not one of {literals!r}"))
+
+    return check
+
+
+def _bound(fails, text):
+    def compile_bound(limit, schema):
+        def check(v, path, errors):
+            if _is_number(v) and fails(v, limit):
+                errors.append((path, f"{v!r} is {text} {limit!r}"))
+
+        return check
+
+    return compile_bound
+
+
+def _properties(props, schema):
+    subs = [(key, _compile(sub)) for key, sub in props.items()]
+
+    def check(v, path, errors):
+        if isinstance(v, dict):
+            for key, sub in subs:
+                if key in v:
+                    sub(v[key], path + (key,), errors)
+
+    return check
+
+
+def _required(keys, schema):
+    def check(v, path, errors):
+        if isinstance(v, dict):
+            for key in keys:
+                if key not in v:
+                    errors.append((path, f"{key!r} is a required property"))
+
+    return check
+
+
+def _additional_properties(allowed, schema):
+    if allowed is not False:
+        raise ValueError("only additionalProperties: false is compiled")
+    known = frozenset(schema.get("properties", {}))
+
+    def check(v, path, errors):
+        if isinstance(v, dict) and not known.issuperset(v):
+            extras = sorted({key for key in v if key not in known}, key=str)
+            verb = "was" if len(extras) == 1 else "were"
+            joined = ", ".join(repr(key) for key in extras)
+            message = f"Additional properties are not allowed ({joined} {verb} unexpected)"
+            errors.append((path, message))
+
+    return check
+
+
+def _items(item_schema, schema):
+    sub = _compile(item_schema)
+
+    def check(v, path, errors):
+        if isinstance(v, list):
+            for i, item in enumerate(v):
+                sub(item, path + (i,), errors)
+
+    return check
+
+
+def _min_items(least, schema):
+    text = "should be non-empty" if least == 1 else "is too short"
+
+    def check(v, path, errors):
+        if isinstance(v, list) and len(v) < least:
+            errors.append((path, f"{v!r} {text}"))
+
+    return check
+
+
+def _one_of(branches, schema):
+    subs = [_compile(branch) for branch in branches]
+
+    def check(v, path, errors):
+        valid = [branch for branch, sub in zip(branches, subs) if not _errors(sub, v)]
+        if not valid:
+            errors.append((path, f"{v!r} is not valid under any of the given schemas"))
+        elif len(valid) > 1:
+            reprs = ", ".join(repr(branch) for branch in valid[1:] + valid[:1])
+            errors.append((path, f"{v!r} is valid under each of {reprs}"))
+
+    return check
+
+
+_KEYWORDS = {
+    "type": _type,
+    "const": _const,
+    "enum": _enum,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "oneOf": _one_of,
+}
+
+
+def _compile(schema):
+    """One checker running each keyword's check in the schema's key order."""
+    unknown = [key for key in schema if key not in _KEYWORDS]
+    if unknown:
+        raise ValueError(f"schema keywords {unknown} have no compiled checker")
+    parts = [_KEYWORDS[key](value, schema) for key, value in schema.items()]
+    if len(parts) == 1:
+        return parts[0]
+
+    def check(v, path, errors):
+        for part in parts:
+            part(v, path, errors)
+
+    return check
+
+
+def _errors(check, payload) -> list:
+    errors = []
+    check(payload, (), errors)
+    return errors
+
+
+_CONFIG_CHECKS = {name: _compile(schema) for name, schema in CONFIG_SCHEMAS.items()}
+_ARTIFACT_CHECKS = {name: _compile(schema) for name, schema in ARTIFACT_SCHEMAS.items()}
+
+
 def validate_config(command: str, payload) -> None:
     """Check a parsed config against the command's schema.
 
@@ -336,18 +544,17 @@ def validate_config(command: str, payload) -> None:
     """
     if command not in CONFIG_SCHEMAS:
         raise ConfigError(f"unknown command '{command}'")
-    _validate(payload, CONFIG_SCHEMAS[command], "config")
+    _validate(payload, _CONFIG_CHECKS[command], "config")
 
 
 def validate_artifact(name: str, payload) -> None:
     """Re-validate an emitted JSON artifact before writing it."""
-    _validate(payload, ARTIFACT_SCHEMAS[name], name)
+    _validate(payload, _ARTIFACT_CHECKS[name], name)
 
 
-def _validate(payload, schema, what: str) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(payload), key=lambda e: list(e.absolute_path))
+def _validate(payload, check, what: str) -> None:
+    errors = _errors(check, payload)
     if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.absolute_path) or "(root)"
-        raise ConfigError(f"invalid {what} at {path}: {err.message}")
+        path, message = min(errors, key=lambda e: e[0])
+        where = "/".join(str(p) for p in path) or "(root)"
+        raise ConfigError(f"invalid {what} at {where}: {message}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -161,6 +162,13 @@ def test_readout_writes_both_artifacts(tmp_path):
     assert lines[1].startswith("bare,off,off,")
 
 
+def test_readout_occupancy_that_overflows_exits_3(tmp_path, capsys):
+    # schema-valid rates whose occupancy quotient leaves the float range
+    for field, value in (("kappa_mhz", 1e300), ("chi_mhz", 1e300), ("chi_mhz", 1e-200)):
+        assert run(tmp_path, "readout", {"records": [{**RECORDS[0], field: value}]}) == 3
+        assert "numerical error: occupancy is not finite" in capsys.readouterr().err
+
+
 def test_flux_curve_command(tmp_path):
     rc = run(tmp_path, "flux-curve", {"jrm": {}, "grid": {"points": 11}})
     assert rc == 0
@@ -253,3 +261,18 @@ def test_selftest_runs_clean_and_repeats_byte_identically(tmp_path, capsys):
     assert "12/12 criteria passed" in first
     assert cli.main(["selftest", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_one_process_runs_every_command_to_the_golden_bytes(tmp_path):
+    from test_golden import CASES, GOLDEN
+
+    # the parser and the network plans are built once and reused by every call
+    for round_ in range(2):
+        for k, (command, fmt, payload, names) in enumerate(CASES):
+            out = tmp_path / f"{round_}-{k}"
+            assert run(tmp_path, command, payload, fmt=fmt, out=out) == 0
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            assert digests == {name: GOLDEN[name] for name in names}
+        with pytest.raises(SystemExit):
+            cli.main(["frobnicate"])
+        assert cli.main(["fit", "--config", str(tmp_path / "missing.json")]) == 2

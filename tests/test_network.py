@@ -140,18 +140,82 @@ def test_duplicate_element_names_rejected():
 
 def test_connect_joint_validation():
     elems = (NetworkElement("h", "hybrid90"), NetworkElement("t", "termination"))
-    with pytest.raises(ValueError, match="unknown port"):
-        connect(ConnectionGraph(elems, ((("h", "9"), ("t", "1")),)), 0.0)
-    with pytest.raises(ValueError, match="at most one joint"):
-        connect(
-            ConnectionGraph(
-                elems + (NetworkElement("t2", "termination"),),
-                ((("h", "1p"), ("t", "1")), (("h", "1p"), ("t2", "1"))),
-            ),
-            0.0,
-        )
-    with pytest.raises(ValueError, match="external list"):
-        connect(ConnectionGraph(elems, ((("h", "1p"), ("t", "1")),), external=(("h", "1"),)), 0.0)
+    # a bad graph is never planned: the same call raises every time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown port"):
+            connect(ConnectionGraph(elems, ((("h", "9"), ("t", "1")),)), 0.0)
+        with pytest.raises(ValueError, match="at most one joint"):
+            connect(
+                ConnectionGraph(
+                    elems + (NetworkElement("t2", "termination"),),
+                    ((("h", "1p"), ("t", "1")), (("h", "1p"), ("t2", "1"))),
+                ),
+                0.0,
+            )
+        with pytest.raises(ValueError, match="external list"):
+            connect(
+                ConnectionGraph(elems, ((("h", "1p"), ("t", "1")),), external=(("h", "1"),)), 0.0
+            )
+
+
+def reference_connect(graph, freq_ghz):
+    """The dense reduction: full block matrix, np.ix_ blocks, joint permutation matrix."""
+    matrices = [e.matrix(freq_ghz) for e in graph.elements]
+    refs = [(e.name, p) for e, m in zip(graph.elements, matrices) for p in m.ports]
+    index = {ref: i for i, ref in enumerate(refs)}
+    n = len(refs)
+    s_full = np.zeros((n, n), dtype=complex)
+    row = 0
+    for m in matrices:
+        s_full[row : row + m.n_ports, row : row + m.n_ports] = m.s
+        row += m.n_ports
+    partner = {}
+    for a, b in graph.joints:
+        partner[index[a]] = index[b]
+        partner[index[b]] = index[a]
+    internal = sorted(partner)
+    ext_refs = list(graph.external) or [r for r in refs if index[r] not in partner]
+    ext = [index[r] for r in ext_refs]
+    s_ee = s_full[np.ix_(ext, ext)]
+    perm = np.zeros((len(internal), len(internal)))
+    for k, g in enumerate(internal):
+        perm[k, internal.index(partner[g])] = 1.0
+    system = np.eye(len(internal)) - perm @ s_full[np.ix_(internal, internal)]
+    a_int = np.linalg.solve(system, perm @ s_full[np.ix_(internal, ext)])
+    s_red = s_ee + s_full[np.ix_(ext, internal)] @ a_int
+    return tuple(f"{name}.{port}" for name, port in ext_refs), s_red
+
+
+def _loaded_line(length_um, reflection, external=()):
+    return ConnectionGraph(
+        (
+            NetworkElement("h", "hybrid90"),
+            NetworkElement("d", "delay_line", {"length_um": length_um, "eps_eff": 3.3}),
+            NetworkElement("t", "termination", {"reflection": reflection}),
+        ),
+        ((("h", "1p"), ("d", "1")), (("d", "2"), ("t", "1"))),
+        external=external,
+    )
+
+
+def test_graphs_of_one_topology_reduce_as_the_dense_reference():
+    # one cached plan serves both graphs; interleaved calls must not mix them
+    graphs = [_loaded_line(37.0, 0.3j), _loaded_line(5.0, -0.8)]
+    for g in graphs + graphs[::-1]:
+        labels, want = reference_connect(g, 4.2)
+        got = connect(g, 4.2)
+        assert got.ports == labels
+        assert np.array_equal(got.s, want)
+
+
+def test_external_order_is_part_of_the_topology():
+    ext = (("h", "1"), ("h", "2"), ("h", "2p"))
+    for order in (ext, ext[::-1], ext[1:] + ext[:1]):
+        g = _loaded_line(37.0, 0.3j, external=order)
+        labels, want = reference_connect(g, 4.2)
+        got = connect(g, 4.2)
+        assert got.ports == tuple(f"{name}.{port}" for name, port in order) == labels
+        assert np.array_equal(got.s, want)
 
 
 def test_connect_no_joints_is_block_diagonal():
