@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .analysis import (
     ReadoutChainRecord,
     _on_resonance_powers,
-    _refl_conv,
     backaction_report,
     bandwidth_attenuation_scan,
     eta_from_separation,
@@ -219,32 +217,26 @@ def crit_bandwidth_law() -> CriterionResult:
     return CriterionResult(7, "bandwidth-attenuation law", passed, detail)
 
 
+def _swap_twin(rho: float, alpha: float) -> tuple[float, float]:
+    """The point whose reflected and converted amplitudes are those of (rho, alpha) exchanged.
+
+    With r = (1 - rho^2) / (1 + rho^2) the amplitudes are refl = r (1 - a^2) / (1 - r^2 a^2)
+    and conv = (1 - r^2) a / (1 - r^2 a^2), so exchanging them exchanges r and a:
+    the twin has r' = a, hence rho' = sqrt((1 - a) / (1 + a)), and a' = r.
+    """
+    return math.sqrt((1.0 - alpha) / (1.0 + alpha)), (1.0 - rho**2) / (1.0 + rho**2)
+
+
 def _swap_system_roots(rho: float, alpha: float) -> bool:
     """True when no power-equivalent point sits lexicographically below.
 
     The on-resonance powers are invariant under exchanging the reflected
-    and converted amplitudes; solve that swapped system from a start
-    lattice and compare any in-domain roots against (rho, alpha).
+    and converted amplitudes; compare that swapped twin against (rho, alpha).
     """
-    refl, conv = _refl_conv(rho, alpha)
-
-    def eqs(x):
-        rp, cp = _refl_conv(x[0], x[1])
-        return [rp - conv, cp - refl]
-
-    for r0 in (0.1, 0.3, 0.5, 0.7, 0.9):
-        for a0 in (0.1, 0.3, 0.5, 0.7, 0.9):
-            x, info, ier, _ = optimize.fsolve(eqs, [r0, a0], full_output=True, xtol=1e-13)
-            if ier != 1 or max(abs(info["fvec"][0]), abs(info["fvec"][1])) > 1e-10:
-                continue
-            rp, ap = float(x[0]), float(x[1])
-            if not (0.0 <= rp <= 1.0 and 0.0 <= ap <= 1.0):
-                continue
-            if abs(rp - rho) < 1e-6 and abs(ap - alpha) < 1e-6:
-                continue
-            if (rp, ap) < (rho, alpha):
-                return False
-    return True
+    rp, ap = _swap_twin(rho, alpha)
+    if abs(rp - rho) < 1e-6 and abs(ap - alpha) < 1e-6:
+        return True
+    return not (rp, ap) < (rho, alpha)
 
 
 def crit_fit_recovery() -> CriterionResult:

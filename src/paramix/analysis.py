@@ -20,7 +20,14 @@ from .errors import (
     NumericalError,
     UnbracketedBandwidthError,
 )
-from .isolator import JisConfig, SweepResult, default_grid, effective_2port_sweep, with_rho
+from .isolator import (
+    PUMP_PHI_RAD,
+    JisConfig,
+    SweepResult,
+    default_grid,
+    effective_2port_sweep,
+    with_rho,
+)
 
 
 def to_power_dB(s) -> np.ndarray | float:
@@ -117,6 +124,12 @@ def bandwidth_attenuation_scan(
     return out
 
 
+# Step of the fit's coarse (rho, |alpha|) start grid, and the residual spread
+# below which a surface counts as flat (non-identifiable).
+_FIT_GRID_STEP = 0.005
+_FIT_FLAT_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Working point recovered from an on-resonance transmission pair."""
@@ -186,13 +199,7 @@ def _signed_amplitude_roots(s21_sq: float, s12_sq: float) -> list:
     return roots
 
 
-def fit_rho_alpha(
-    s21_sq: float,
-    s12_sq: float,
-    pump_port: str = "P1",
-    grid_step: float = 0.005,
-    flat_tol: float = 1e-12,
-) -> FitResult:
+def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitResult:
     """Recover (rho, |alpha|) from on-resonance |S21|^2 and |S12|^2.
 
     Coarse grid search over [0, 1]^2 followed by bounded refinement of the
@@ -204,15 +211,15 @@ def fit_rho_alpha(
     for name, val in (("s21_sq", s21_sq), ("s12_sq", s12_sq)):
         if not 0.0 <= val <= 1.0 + 1e-9:
             raise ValueError(f"{name} must lie in [0, 1]")
-    if pump_port not in ("P1", "P2"):
+    if pump_port not in PUMP_PHI_RAD:
         raise ValueError("pump_port must be 'P1' or 'P2'")
-    phi = -np.pi / 2.0 if pump_port == "P1" else np.pi / 2.0
+    phi = PUMP_PHI_RAD[pump_port]
 
-    grid = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
+    grid = np.arange(0.0, 1.0 + _FIT_GRID_STEP / 2.0, _FIT_GRID_STEP)
     rr, aa = np.meshgrid(grid, grid, indexing="ij")
     m21, m12 = _on_resonance_powers(rr, aa, phi)
     res = (m21 - s21_sq) ** 2 + (m12 - s12_sq) ** 2
-    if float(res.max() - res.min()) < flat_tol:
+    if float(res.max() - res.min()) < _FIT_FLAT_TOL:
         raise NonIdentifiableError("residual surface is flat: working point non-identifiable")
 
     # the power pair is blind to the sign of the matched-direction amplitude
@@ -268,7 +275,7 @@ def fit_rho_alpha(
         np.full_like(grid, rho_fit), grid, phi
     )
     probe = (probe21 - s21_sq) ** 2 + (probe12 - s12_sq) ** 2
-    alpha_identifiable = bool(probe.max() - probe.min() >= flat_tol)
+    alpha_identifiable = bool(probe.max() - probe.min() >= _FIT_FLAT_TOL)
     if not alpha_identifiable:
         alpha_fit = 0.0
     return FitResult(

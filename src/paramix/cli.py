@@ -248,7 +248,7 @@ def cmd_bandwidth_scan(payload, out_dir: Path, fmt: str) -> int:
     direction = _isolated_direction(config)
     pairs = bandwidth_attenuation_scan(config, rhos, direction, **payload.get("grid", {}))
     sqrt_l, gamma = np.array(pairs).T
-    g0 = gamma0(config.jpc1.gamma_a_mhz, config.jpc1.gamma_b_mhz)
+    g0 = gamma0(config.gamma_a_mhz, config.gamma_b_mhz)
     write_csv(
         out_dir / "bandwidth_scan.csv",
         ["rho", "sqrt_L", "gamma_mhz", "gamma0_sqrt_L_mhz"],

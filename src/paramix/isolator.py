@@ -15,7 +15,7 @@ quoted mod 2 pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .network import (
 # Pump feed patterns: per-stage pump phases for each physical pump port.
 _PUMP_PHASES = {"P1": (0.0, np.pi / 2.0), "P2": (np.pi / 2.0, 0.0)}
 
+# Stage-phase difference each feed sets at zero flux: -pi/2 for P1, +pi/2 for P2.
+PUMP_PHI_RAD = {port: ph1 - ph2 for port, (ph1, ph2) in _PUMP_PHASES.items()}
+
 # Clamp for the internal-loop resonance denominator 1 - r_b^2 alpha^2.
 _LOOP_SINGULARITY_TOL = 1e-12
 
@@ -46,47 +49,45 @@ _LOOP_SINGULARITY_TOL = 1e-12
 class JisConfig:
     """Working point of the full two-stage device.
 
-    The stages must be balanced (same frequencies, linewidths and pump
-    strength); their fluxes may differ, which is what sets the parity. The
-    stage pump phases must follow the feed pattern of pump_port: P1 drives
-    (0, pi/2), P2 drives (pi/2, 0).
+    The fields describe one balanced device with two flux biases: both
+    stages share the mode frequencies, linewidths and pump strength rho,
+    and differ only in their reduced fluxes phi_ext1_rad and phi_ext2_rad,
+    whose lobe parity sets the isolation direction. pump_port sets the
+    stage pump phases: P1 drives (0, pi/2), P2 drives (pi/2, 0). The stages
+    jpc1 and jpc2 are derived from these fields and cannot be set.
     """
 
-    jpc1: JpcParams
-    jpc2: JpcParams
-    alpha_mag: float
-    f_p_ghz: float
+    f_a_ghz: float
+    f_b_ghz: float
+    gamma_a_mhz: float
+    gamma_b_mhz: float
+    rho: float
+    alpha_mag: float = 0.5
     pump_port: str = "P1"
+    phi_ext1_rad: float = 0.0
+    phi_ext2_rad: float = 0.0
     delay_length_um: float = 0.0
     delay_eps_eff: float = 1.0
+    jpc1: JpcParams = field(init=False, repr=False, compare=False)
+    jpc2: JpcParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha_mag <= 1.0:
-            raise ValueError("alpha_mag must lie in [0, 1]")
         if self.pump_port not in _PUMP_PHASES:
             raise ValueError("pump_port must be 'P1' or 'P2'")
-        for jpc in (self.jpc1, self.jpc2):
-            if abs(jpc.f_b_ghz - jpc.f_a_ghz - self.f_p_ghz) > 1e-9:
-                raise ValueError("f_p_ghz must equal f_b - f_a of both stages")
-        for attr in ("f_a_ghz", "f_b_ghz", "gamma_a_mhz", "gamma_b_mhz", "rho"):
-            if abs(getattr(self.jpc1, attr) - getattr(self.jpc2, attr)) > 1e-12:
-                raise ValueError(f"stages must be balanced in {attr}")
-        want = _PUMP_PHASES[self.pump_port]
-        got = (self.jpc1.pump_phase_rad, self.jpc2.pump_phase_rad)
-        if max(abs(w - g) for w, g in zip(want, got)) > 1e-9:
-            raise ValueError(f"stage pump phases {got} do not match pump port {self.pump_port}")
+        ph1, ph2 = _PUMP_PHASES[self.pump_port]
+        shared = (self.f_a_ghz, self.f_b_ghz, self.gamma_a_mhz, self.gamma_b_mhz, self.rho)
+        object.__setattr__(self, "jpc1", JpcParams(*shared, ph1, self.phi_ext1_rad))
+        object.__setattr__(self, "jpc2", JpcParams(*shared, ph2, self.phi_ext2_rad))
+        if not 0.0 <= self.alpha_mag <= 1.0:
+            raise ValueError("alpha_mag must lie in [0, 1]")
         if self.delay_length_um < 0.0:
             raise ValueError("delay_length_um must be nonnegative")
         if self.delay_eps_eff < 1.0:
             raise ValueError("delay_eps_eff must be >= 1")
 
     @property
-    def rho(self) -> float:
-        return self.jpc1.rho
-
-    @property
-    def f_a_ghz(self) -> float:
-        return self.jpc1.f_a_ghz
+    def f_p_ghz(self) -> float:
+        return self.f_b_ghz - self.f_a_ghz
 
     @property
     def beta(self) -> float:
@@ -111,41 +112,7 @@ class JisConfig:
         )
 
 
-def make_jis(
-    f_a_ghz: float,
-    f_b_ghz: float,
-    gamma_a_mhz: float,
-    gamma_b_mhz: float,
-    rho: float,
-    alpha_mag: float = 0.5,
-    pump_port: str = "P1",
-    phi_ext1_rad: float = 0.0,
-    phi_ext2_rad: float = 0.0,
-    delay_length_um: float = 0.0,
-    delay_eps_eff: float = 1.0,
-) -> JisConfig:
-    """Build a balanced config with stage pump phases set by pump_port."""
-    if pump_port not in _PUMP_PHASES:
-        raise ValueError("pump_port must be 'P1' or 'P2'")
-    ph1, ph2 = _PUMP_PHASES[pump_port]
-    mk = lambda ph, fx: JpcParams(
-        f_a_ghz=f_a_ghz,
-        f_b_ghz=f_b_ghz,
-        gamma_a_mhz=gamma_a_mhz,
-        gamma_b_mhz=gamma_b_mhz,
-        rho=rho,
-        pump_phase_rad=ph,
-        phi_ext_rad=fx,
-    )
-    return JisConfig(
-        jpc1=mk(ph1, phi_ext1_rad),
-        jpc2=mk(ph2, phi_ext2_rad),
-        alpha_mag=alpha_mag,
-        f_p_ghz=f_b_ghz - f_a_ghz,
-        pump_port=pump_port,
-        delay_length_um=delay_length_um,
-        delay_eps_eff=delay_eps_eff,
-    )
+make_jis = JisConfig
 
 
 def reference_device(
@@ -156,7 +123,7 @@ def reference_device(
     phi_ext2_rad: float = -2.0 * np.pi * 1.12,
 ) -> JisConfig:
     """Measured working point of the characterized device."""
-    return make_jis(
+    return JisConfig(
         f_a_ghz=6.84,
         f_b_ghz=9.567,
         gamma_a_mhz=40.0,
@@ -172,12 +139,8 @@ def reference_device(
 
 
 def with_rho(config: JisConfig, rho: float) -> JisConfig:
-    """Copy of config with both stage pump strengths set to rho."""
-    return replace(
-        config,
-        jpc1=replace(config.jpc1, rho=rho),
-        jpc2=replace(config.jpc2, rho=rho),
-    )
+    """Copy of config with the shared pump strength set to rho; both stages follow."""
+    return replace(config, rho=rho)
 
 
 _PORTS_4 = ("1", "2", "3", "4")

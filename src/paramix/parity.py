@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmbiguousParityError, NumericalError
+from .isolator import PUMP_PHI_RAD
 from .mixer import FLUX_QUANTUM_WB
 from .network import ConnectionGraph, NetworkElement, ScatteringMatrix, connect
 
-_PUMP_BASE_PHASE = {"P1": -np.pi / 2.0, "P2": np.pi / 2.0}
 _PARITY_BIT = {"even": 0, "odd": 1}
 
 
@@ -37,7 +37,7 @@ class GyratorSpec:
     def __post_init__(self) -> None:
         if self.parity not in _PARITY_BIT:
             raise ValueError("parity must be 'even' or 'odd'")
-        if self.pump_port not in _PUMP_BASE_PHASE:
+        if self.pump_port not in PUMP_PHI_RAD:
             raise ValueError("pump_port must be 'P1' or 'P2'")
 
     @property
@@ -46,7 +46,7 @@ class GyratorSpec:
 
     @property
     def phi_rad(self) -> float:
-        return _PUMP_BASE_PHASE[self.pump_port] + self.parity_bit * np.pi
+        return PUMP_PHI_RAD[self.pump_port] + self.parity_bit * np.pi
 
 
 def gyrator_2port(spec: GyratorSpec) -> ScatteringMatrix:
@@ -74,7 +74,7 @@ class ChainSpec:
 
 def _even_forward(pump_port: str) -> complex:
     """Forward transmission of an even-parity cell before compensation."""
-    return -np.exp(1j * _PUMP_BASE_PHASE[pump_port])
+    return -np.exp(1j * PUMP_PHI_RAD[pump_port])
 
 
 def _two_port(name: str, fwd: complex, bwd: complex) -> NetworkElement:

@@ -6,8 +6,11 @@ reports each verdict as its own pass/fail line.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramix import acceptance
+from paramix.analysis import _refl_conv
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +79,17 @@ def test_rendered_table_shape(results):
     assert lines[0].lstrip().startswith("#")
     assert sum(1 for ln in lines if " PASS " in ln or " FAIL " in ln) == 12
     assert lines[-1] == "12/12 criteria passed"
+
+
+# rho stays 0.01 clear of 0: (rho, alpha) = (0, 1) is a path-dependent 0/0
+# of both amplitudes, and the round trip recovers rho from r = 1 - O(rho^2),
+# which loses about eps / rho in double precision.
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rho=st.floats(0.01, 1.0), alpha=st.floats(0.0, 1.0))
+def test_swap_twin_exchanges_reflected_and_converted(rho, alpha):
+    refl, conv = _refl_conv(rho, alpha)
+    twin = acceptance._swap_twin(rho, alpha)
+    refl_t, conv_t = _refl_conv(*twin)
+    assert abs(refl_t - conv) < 1e-12 and abs(conv_t - refl) < 1e-12
+    back = acceptance._swap_twin(*twin)
+    assert abs(back[0] - rho) < 1e-12 and abs(back[1] - alpha) < 1e-12

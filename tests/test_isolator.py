@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,28 +122,35 @@ def test_make_jis_and_config_properties():
     odd = make_jis(6.84, 9.567, 40.0, 100.0, 0.3, phi_ext1_rad=-1.0, phi_ext2_rad=1.0)
     assert odd.parity == 1
     assert odd.phi_rad == -np.pi / 2.0 - np.pi
+    # the stages are the shared fields plus the feed's pump phase and each flux
+    for pump, (ph1, ph2) in (("P1", (0.0, np.pi / 2.0)), ("P2", (np.pi / 2.0, 0.0))):
+        for fx1, fx2 in ((-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)):
+            cfg = make_jis(6.84, 9.567, 40.0, 100.0, 0.3, 0.6, pump, fx1, fx2)
+            assert cfg.jpc1 == JpcParams(6.84, 9.567, 40.0, 100.0, 0.3, ph1, fx1)
+            assert cfg.jpc2 == JpcParams(6.84, 9.567, 40.0, 100.0, 0.3, ph2, fx2)
 
 
 def test_jis_config_validation():
-    jpc = lambda ph, rho=0.3, f_a=6.84: JpcParams(f_a, 9.567, 40.0, 100.0, rho, pump_phase_rad=ph)
     with pytest.raises(ValueError, match="alpha_mag"):
-        JisConfig(jpc(0.0), jpc(np.pi / 2.0), alpha_mag=1.5, f_p_ghz=2.727)
+        JisConfig(6.84, 9.567, 40.0, 100.0, 0.3, alpha_mag=1.5)
     with pytest.raises(ValueError, match="pump_port"):
-        JisConfig(jpc(0.0), jpc(np.pi / 2.0), alpha_mag=0.5, f_p_ghz=2.727, pump_port="P3")
-    with pytest.raises(ValueError, match="f_p_ghz"):
-        JisConfig(jpc(0.0), jpc(np.pi / 2.0), alpha_mag=0.5, f_p_ghz=2.0)
-    with pytest.raises(ValueError, match="balanced"):
-        JisConfig(jpc(0.0), jpc(np.pi / 2.0, rho=0.4), alpha_mag=0.5, f_p_ghz=2.727)
-    with pytest.raises(ValueError, match="pump phases"):
-        JisConfig(jpc(0.3), jpc(np.pi / 2.0), alpha_mag=0.5, f_p_ghz=2.727)
+        JisConfig(6.84, 9.567, 40.0, 100.0, 0.3, alpha_mag=1.5, pump_port="P3")
+    # a bad stage field is reported before a bad alpha_mag
+    with pytest.raises(ValueError, match="rho"):
+        JisConfig(6.84, 9.567, 40.0, 100.0, 1.5, alpha_mag=1.5)
     with pytest.raises(ValueError, match="delay"):
         make_jis(6.84, 9.567, 40.0, 100.0, 0.3, delay_length_um=-1.0)
+    # the stages are derived, never set
+    with pytest.raises(ValueError, match="jpc1"):
+        replace(reference_device(), jpc1=reference_device().jpc2)
 
 
 def test_with_rho_replaces_both_stages():
     cfg = with_rho(reference_device(), 0.2)
     assert cfg.jpc1.rho == 0.2 and cfg.jpc2.rho == 0.2
     assert cfg.alpha_mag == 0.51
+    fresh = reference_device(rho=0.2)
+    assert (cfg, cfg.jpc1, cfg.jpc2) == (fresh, fresh.jpc1, fresh.jpc2)
 
 
 def test_effective_sweep_matches_on_resonance_2port():
