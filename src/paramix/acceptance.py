@@ -31,6 +31,7 @@ from .analysis import (
     theta_from_chi_kappa,
 )
 from .isolator import (
+    PUMP_PHI_RAD,
     added_noise,
     closed_form_4port,
     closed_form_from_config,
@@ -251,10 +252,10 @@ def crit_fit_recovery() -> CriterionResult:
         if not _swap_system_roots(rho_true, alpha_true):
             continue
         kept += 1
-        s21_sq, s12_sq = _on_resonance_powers(rho_true, alpha_true, -np.pi / 2.0)
+        s21_sq, s12_sq = _on_resonance_powers(rho_true, alpha_true, PUMP_PHI_RAD["P1"])
         res = fit_rho_alpha(s21_sq, s12_sq)
         worst = max(worst, abs(res.rho - rho_true), abs(res.alpha_mag - alpha_true))
-    s21_sq, s12_sq = _on_resonance_powers(RHO_5050, 0.51, -np.pi / 2.0)
+    s21_sq, s12_sq = _on_resonance_powers(RHO_5050, 0.51, PUMP_PHI_RAD["P1"])
     preset = fit_rho_alpha(s21_sq, s12_sq)
     preset_exact = abs(preset.rho - RHO_5050) < 1e-6 and abs(preset.alpha_mag - 0.51) < 1e-6
     alpha_near_half = abs(preset.alpha_mag - 0.5) <= 0.02
@@ -330,7 +331,7 @@ def crit_sweep_properties() -> CriterionResult:
         float(np.max(np.abs(getattr(sweep, entry)))) for entry in ("s11", "s12", "s21", "s22")
     )
     rhos = np.linspace(0.0, 1.0, 2001)
-    _, p12 = _on_resonance_powers(rhos, 0.51, -np.pi / 2.0)
+    _, p12 = _on_resonance_powers(rhos, 0.51, PUMP_PHI_RAD["P1"])
     i_star = int(np.argmin(p12))
     monotone = bool(np.all(np.diff(p12[: i_star + 1]) < 1e-15))
     passed = dip_ok and swap_dev < 1e-12 and peak <= 1.0 + 1e-12 and monotone

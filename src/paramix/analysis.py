@@ -325,6 +325,11 @@ def t_phi(t1_us: float, t2e_us: float) -> float:
     if t2e_us >= 2.0 * t1_us:
         raise NumericalError("no measurable dephasing")
     rate = 1.0 / t2e_us - 1.0 / (2.0 * t1_us)
+    if not 0.0 < rate < math.inf:
+        # times near the smallest floats overflow the rates
+        raise NumericalError(
+            f"dephasing rate is out of range for t1_us={t1_us:g}, t2e_us={t2e_us:g}"
+        )
     return 1.0 / rate
 
 
@@ -375,9 +380,6 @@ class ReadoutChainRecord:
     chi_mhz: float
     jis: str | None = None
     jda: str | None = None
-    nbar_m: float | None = None
-    t_m_us: float | None = None
-    i_over_sigma: float | None = None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Usage:
 
 Commands: jpc-sweep, jis-sweep, jis-4port, fit, parity, readout, flux-curve,
 bandwidth-scan, selftest. Configs are JSON with a "schema": "paramix/1" tag;
-unknown keys are rejected. Exit codes: 0 success, 2 config error, 3
+unknown keys and non-finite numbers are rejected. Exit codes: 0 success, 2 config error, 3
 numerical error, 4 check failure (self-test criteria or parity mismatch).
 Any other failure is a bug and surfaces as a traceback (exit 1).
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -65,14 +66,32 @@ _FORMATS = {
 }
 
 
+def _finite(text: str):
+    """The number a JSON literal spells, refused unless it is a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ConfigError(f"number {shown} is not finite")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite(text)
+    return int(text)
+
+
 def _load_config(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(
+                fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
 
 
 def _build(model, **kwargs):
@@ -161,9 +180,7 @@ def cmd_jis_4port(payload, out_dir: Path, fmt: str) -> int:
 
 
 def cmd_fit(payload, out_dir: Path, fmt: str) -> int:
-    result = fit_rho_alpha(
-        payload["s21_sq"], payload["s12_sq"], pump_port=payload.get("pump_port", "P1")
-    )
+    result = fit_rho_alpha(**{k: v for k, v in payload.items() if k != "schema"})
     doc = {
         "schema": SCHEMA_TAG,
         "rho": result.rho,
@@ -184,10 +201,7 @@ def cmd_parity(payload, out_dir: Path, fmt: str) -> int:
     rows = []
     all_match = True
     for chain_obj in payload["chains"]:
-        gyrators = tuple(
-            GyratorSpec(parity=g["parity"], pump_port=g.get("pump_port", "P1"))
-            for g in chain_obj
-        )
+        gyrators = tuple(_build(GyratorSpec, **g) for g in chain_obj)
         chain = ChainSpec(gyrators, calibration_phase_rad=phase)
         t_mag = abs(chain_transmission(chain))
         odd_count = sum(g.parity == "odd" for g in gyrators)

@@ -17,6 +17,10 @@ class NumericalError(ParamixError):
     """A computation could not be completed on the given inputs."""
 
 
+class NonFiniteError(NumericalError, ValueError):
+    """A computed value to be written is NaN or infinite."""
+
+
 class NonInvertibleNetworkError(NumericalError):
     """Port reduction hit a singular internal system."""
 

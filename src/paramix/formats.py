@@ -5,8 +5,9 @@ through one fixed 9-significant-digit format ("%.9g", the same text as
 `fmt`), line endings are plain newlines, and JSON keys are sorted. Negative
 infinity (a legitimate dB value for an exact zero) is written as the
 literal -inf in CSV. No writer writes NaN or +inf: `write_json` and
-`write_csv` raise ValueError("non-finite ...") on one, before the file is
-opened.
+`write_csv` raise NonFiniteError("non-finite ...") on one, before the file
+is opened. NonFiniteError is a NumericalError (the CLI exits 3) and a
+ValueError.
 
 The CSV and Touchstone writers take arrays, not rows: one column per CSV
 field, one complex (F, n, n) array per Touchstone file. Both stream the
@@ -19,6 +20,8 @@ import json
 import math
 
 import numpy as np
+
+from .errors import NonFiniteError
 
 
 def fmt(value) -> str:
@@ -49,7 +52,7 @@ def write_csv(path, header, columns) -> None:
     """Write one column per header field under the header line.
 
     An np.ndarray column holds numbers, each written as "%.9g"; NaN or +inf
-    in one raises ValueError (-inf, the dB value of an exact zero, is
+    in one raises NonFiniteError (-inf, the dB value of an exact zero, is
     written). Any other column is a sequence of cells: a str as is, None as
     an empty field, a number through `fmt`. All columns must have the same
     length.
@@ -60,7 +63,7 @@ def write_csv(path, header, columns) -> None:
     for name, a, c in zip(header, arrays, columns):
         # NaN and +inf are exactly the values not below +inf
         if a and not (c < np.inf).all():
-            raise ValueError(f"non-finite value (NaN or +inf) in CSV column {name!r}")
+            raise NonFiniteError(f"non-finite value (NaN or +inf) in CSV column {name!r}")
     template = ",".join("%.9g" if a else "%s" for a in arrays) + "\n"
     cells = [c if a else [_cell(v) for v in c] for a, c in zip(arrays, columns)]
     _write_rows(path, ",".join(header) + "\n", template, cells)
@@ -74,7 +77,7 @@ def _json_ready(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         if not math.isfinite(v):
-            raise ValueError("non-finite value in JSON artifact")
+            raise NonFiniteError("non-finite value in JSON artifact")
         return round9(v)
     if isinstance(obj, np.integer):
         return int(obj)

@@ -200,8 +200,15 @@ class JrmParams:
             raise ValueError("inductance ratios must be positive")
 
 
-def _l_jrm_nh(phi_ext_rad, jrm: JrmParams):
-    lj0_nh = FLUX_QUANTUM_WB / (2.0 * np.pi * jrm.i0_ua * 1e-6) * 1e9
+def _lj0_nh(jrm: JrmParams) -> float:
+    """Zero-flux junction inductance Phi_0 / (2 pi I_0), in nH."""
+    current_a = 2.0 * np.pi * jrm.i0_ua * 1e-6
+    if current_a == 0.0:  # i0_ua near the smallest floats underflows in amperes
+        raise NumericalError(f"junction inductance diverges at i0_ua={jrm.i0_ua:g}")
+    return FLUX_QUANTUM_WB / current_a * 1e9
+
+
+def _l_jrm_nh(phi_ext_rad, jrm: JrmParams, lj0_nh: float):
     denom = jrm.lj0_over_l / 2.0 + np.cos(phi_ext_rad / 4.0)
     if np.any(denom <= 0.0):
         raise NumericalError("JRM inductance diverges at this flux")
@@ -215,16 +222,17 @@ def flux_tuning_curve(phi_ext_rad, jrm: JrmParams = JrmParams()):
     cos(phi/4)), in series with a stray inductance and the geometric
     inductance set by the resonator impedance. The resonance scales as
     1/sqrt(L_total), normalized to f_max at zero flux. Raises NumericalError
-    if L_JRM diverges at any of the fluxes.
+    if L_J0 or L_JRM diverges at any of the fluxes.
     """
-    lj0_nh = FLUX_QUANTUM_WB / (2.0 * np.pi * jrm.i0_ua * 1e-6) * 1e9
+    lj0_nh = _lj0_nh(jrm)
     ls_nh = lj0_nh / jrm.lj0_over_ls
+    l_jrm0_nh = _l_jrm_nh(0.0, jrm, lj0_nh)
     l_geo_nh = max(
         0.0,
-        (np.pi / 2.0) * jrm.z_res_ohm / (2.0 * np.pi * jrm.f_max_ghz) - ls_nh - _l_jrm_nh(0.0, jrm),
+        (np.pi / 2.0) * jrm.z_res_ohm / (2.0 * np.pi * jrm.f_max_ghz) - ls_nh - l_jrm0_nh,
     )
-    l_tot0 = l_geo_nh + ls_nh + _l_jrm_nh(0.0, jrm)
-    l_tot = l_geo_nh + ls_nh + _l_jrm_nh(phi_ext_rad, jrm)
+    l_tot0 = l_geo_nh + ls_nh + l_jrm0_nh
+    l_tot = l_geo_nh + ls_nh + _l_jrm_nh(phi_ext_rad, jrm, lj0_nh)
     return jrm.f_max_ghz * np.sqrt(l_tot0 / l_tot)
 
 

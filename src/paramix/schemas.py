@@ -8,15 +8,17 @@ schemas of their own so a written file can be re-validated round-trip.
 Each schema is compiled once, at import, into a plain-Python checker that
 follows JSON Schema Draft 2020-12 for exactly the keywords these schemas
 use: type, const, enum, minimum, maximum, exclusiveMinimum, properties,
-required, additionalProperties (false only), items, minItems and oneOf. Any
-other keyword, or an enum/const literal other than a string or null, raises
-at import, so a later schema edit cannot go silently unchecked. As in Draft
-2020-12, a bool is not a number, "number" is any numbers.Number (so
-np.float64 counts), "integer" also accepts an integral float, and a bound
-fails only on v < minimum, v > maximum or v <= exclusiveMinimum, so NaN
-passes every bound. Every document is checked in full on every call; of
-all violations, the one with the smallest JSON path is reported, with the
-message jsonschema gives (the test suite uses jsonschema as the oracle).
+required, additionalProperties (false only), items, minItems and
+if/then/else. Any other keyword, or an enum/const literal other than a
+string or null, raises at import, so a later schema edit cannot go
+silently unchecked. As in Draft 2020-12, a bool is not a number, "number"
+is any numbers.Number (so np.float64 counts), "integer" also accepts an
+integral float, and a bound fails only on v < minimum, v > maximum or
+v <= exclusiveMinimum, so NaN passes every bound (the CLI refuses
+non-finite numbers while it parses a config). Every document is checked
+in full on every call; of all violations, the one with the smallest JSON
+path is reported, with the message jsonschema gives (the test suite uses
+jsonschema as the oracle).
 """
 
 from __future__ import annotations
@@ -34,312 +36,193 @@ _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 _NUM_OR_NULL = {"type": ["number", "null"]}
+_BOOL = {"type": "boolean"}
+_STR = {"type": "string"}
 _PUMP = {"enum": ["P1", "P2"]}
 _PARITY = {"enum": ["even", "odd"]}
+_MAX_POINTS = 2_000_001
 
-_JPC = {
-    "type": "object",
-    "properties": {
-        "f_a_ghz": _POS,
-        "f_b_ghz": _POS,
-        "gamma_a_mhz": _POS,
-        "gamma_b_mhz": _POS,
-        "rho": _UNIT,
-        "pump_phase_rad": _NUM,
-        "phi_ext_rad": _NUM,
-    },
-    "required": ["f_a_ghz", "f_b_ghz", "gamma_a_mhz", "gamma_b_mhz", "rho"],
-    "additionalProperties": False,
+
+def _closed(properties, required=()):
+    """An object with exactly these properties, of which `required` must be present."""
+    schema = {"type": "object", "properties": properties}
+    if required:
+        schema["required"] = list(required)
+    schema["additionalProperties"] = False
+    return schema
+
+
+def _tagged(properties, required=None):
+    """A top-level document: the schema tag, then `properties`.
+
+    `required` names the keys besides the tag that must be present; all of
+    them by default.
+    """
+    properties = {"schema": _TAG, **properties}
+    return _closed(properties, properties if required is None else ["schema", *required])
+
+
+def _record(properties):
+    """An artifact row: a closed object whose every key is required."""
+    return _closed(properties, properties)
+
+
+# the two modes, shared by a single stage (jpc) and the full device, and the
+# bias, shared by the full device and the preset with its overrides
+_MODES = {"f_a_ghz": _POS, "f_b_ghz": _POS, "gamma_a_mhz": _POS, "gamma_b_mhz": _POS}
+_BIAS = {
+    "rho": _UNIT,
+    "alpha_mag": _UNIT,
+    "pump_port": _PUMP,
+    "phi_ext1_rad": _NUM,
+    "phi_ext2_rad": _NUM,
 }
+_DEVICE_REQUIRED = [*_MODES, "rho"]
 
-_JIS_FULL = {
-    "type": "object",
-    "properties": {
-        "f_a_ghz": _POS,
-        "f_b_ghz": _POS,
-        "gamma_a_mhz": _POS,
-        "gamma_b_mhz": _POS,
-        "rho": _UNIT,
-        "alpha_mag": _UNIT,
-        "pump_port": _PUMP,
-        "phi_ext1_rad": _NUM,
-        "phi_ext2_rad": _NUM,
+_JPC = _closed(
+    {**_MODES, "rho": _UNIT, "pump_phase_rad": _NUM, "phi_ext_rad": _NUM}, _DEVICE_REQUIRED
+)
+_JIS_FULL = _closed(
+    {
+        **_MODES,
+        **_BIAS,
         "delay_length_um": _NONNEG,
         "delay_eps_eff": {"type": "number", "minimum": 1},
     },
-    "required": ["f_a_ghz", "f_b_ghz", "gamma_a_mhz", "gamma_b_mhz", "rho"],
-    "additionalProperties": False,
-}
+    _DEVICE_REQUIRED,
+)
+_JIS_PRESET = _closed({"preset": {"const": "reference"}, **_BIAS}, ["preset"])
+# a "preset" key selects the preset form, as cli._build_jis does
+_JIS = {"if": {"required": ["preset"]}, "then": _JIS_PRESET, "else": _JIS_FULL}
 
-_JIS_PRESET = {
-    "type": "object",
-    "properties": {
-        "preset": {"const": "reference"},
-        "rho": _UNIT,
-        "alpha_mag": _UNIT,
-        "pump_port": _PUMP,
-        "phi_ext1_rad": _NUM,
-        "phi_ext2_rad": _NUM,
-    },
-    "required": ["preset"],
-    "additionalProperties": False,
-}
-
-_JIS = {"oneOf": [_JIS_PRESET, _JIS_FULL]}
-
-_GRID = {
-    "type": "object",
-    "properties": {
+_GRID = _closed(
+    {
         "span_mhz": _POS,
-        "points": {"type": "integer", "minimum": 3},
-    },
-    "additionalProperties": False,
-}
-
-_GYRATOR = {
-    "type": "object",
-    "properties": {"parity": _PARITY, "pump_port": _PUMP},
-    "required": ["parity"],
-    "additionalProperties": False,
-}
-
-_RECORD = {
-    "type": "object",
-    "properties": {
-        "label": {"type": "string"},
+        "points": {"type": "integer", "minimum": 3, "maximum": _MAX_POINTS},
+    }
+)
+_PHI_GRID = _closed(
+    {
+        "phi_start_rad": _NUM,
+        "phi_stop_rad": _NUM,
+        "points": {"type": "integer", "minimum": 2, "maximum": _MAX_POINTS},
+    }
+)
+_GYRATOR = _closed({"parity": _PARITY, "pump_port": _PUMP}, ["parity"])
+_ON_OFF = {"enum": ["on", "off"]}
+_RECORD = _closed(
+    {
+        "label": _STR,
         "t1_us": _POS,
         "t2e_us": _POS,
         "kappa_mhz": _POS,
         "chi_mhz": _POS,
-        "jis": {"enum": ["on", "off"]},
-        "jda": {"enum": ["on", "off"]},
-        "nbar_m": _POS,
-        "t_m_us": _POS,
-        "i_over_sigma": _POS,
+        "jis": _ON_OFF,
+        "jda": _ON_OFF,
     },
-    "required": ["label", "t1_us", "t2e_us", "kappa_mhz", "chi_mhz"],
-    "additionalProperties": False,
-}
-
-_JRM = {
-    "type": "object",
-    "properties": {
+    ["label", "t1_us", "t2e_us", "kappa_mhz", "chi_mhz"],
+)
+_JRM = _closed(
+    {
         "i0_ua": _POS,
         "f_max_ghz": _POS,
         "z_res_ohm": _POS,
         "lj0_over_l": _POS,
         "lj0_over_ls": _POS,
-    },
-    "additionalProperties": False,
-}
-
-_PHI_GRID = {
-    "type": "object",
-    "properties": {
-        "phi_start_rad": _NUM,
-        "phi_stop_rad": _NUM,
-        "points": {"type": "integer", "minimum": 2},
-    },
-    "additionalProperties": False,
-}
+    }
+)
 
 CONFIG_SCHEMAS = {
-    "jpc-sweep": {
-        "type": "object",
-        "properties": {"schema": _TAG, "jpc": _JPC, "grid": _GRID},
-        "required": ["schema", "jpc"],
-        "additionalProperties": False,
-    },
-    "jis-sweep": {
-        "type": "object",
-        "properties": {"schema": _TAG, "jis": _JIS, "grid": _GRID},
-        "required": ["schema", "jis"],
-        "additionalProperties": False,
-    },
-    "jis-4port": {
-        "type": "object",
-        "properties": {"schema": _TAG, "jis": _JIS},
-        "required": ["schema", "jis"],
-        "additionalProperties": False,
-    },
-    "fit": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
-            "s21_sq": _UNIT,
-            "s12_sq": _UNIT,
-            "pump_port": _PUMP,
-        },
-        "required": ["schema", "s21_sq", "s12_sq"],
-        "additionalProperties": False,
-    },
-    "parity": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
+    "jpc-sweep": _tagged({"jpc": _JPC, "grid": _GRID}, ["jpc"]),
+    "jis-sweep": _tagged({"jis": _JIS, "grid": _GRID}, ["jis"]),
+    "jis-4port": _tagged({"jis": _JIS}, ["jis"]),
+    "fit": _tagged({"s21_sq": _UNIT, "s12_sq": _UNIT, "pump_port": _PUMP}, ["s21_sq", "s12_sq"]),
+    "parity": _tagged(
+        {
             "chains": {
                 "type": "array",
                 "minItems": 1,
                 "items": {"type": "array", "minItems": 1, "items": _GYRATOR},
-            },
+            }
         },
-        "required": ["schema", "chains"],
-        "additionalProperties": False,
-    },
-    "readout": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
-            "records": {"type": "array", "minItems": 1, "items": _RECORD},
-        },
-        "required": ["schema", "records"],
-        "additionalProperties": False,
-    },
-    "flux-curve": {
-        "type": "object",
-        "properties": {"schema": _TAG, "jrm": _JRM, "grid": _PHI_GRID},
-        "required": ["schema"],
-        "additionalProperties": False,
-    },
-    "bandwidth-scan": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
+        ["chains"],
+    ),
+    "readout": _tagged(
+        {"records": {"type": "array", "minItems": 1, "items": _RECORD}}, ["records"]
+    ),
+    "flux-curve": _tagged({"jrm": _JRM, "grid": _PHI_GRID}, []),
+    "bandwidth-scan": _tagged(
+        {
             "jis": _JIS,
             "rho_values": {"type": "array", "minItems": 1, "items": _UNIT},
             "grid": _GRID,
         },
-        "required": ["schema", "jis", "rho_values"],
-        "additionalProperties": False,
-    },
-    "selftest": {
-        "type": "object",
-        "properties": {"schema": _TAG},
-        "required": ["schema"],
-        "additionalProperties": False,
-    },
+        ["jis", "rho_values"],
+    ),
+    "selftest": _tagged({}),
 }
 
+_ON_OFF_OR_NULL = {"enum": ["on", "off", None]}
+_NUM_ROWS = {"type": "array", "items": {"type": "array", "items": _NUM}}
+_PARITY_ROW = _record(
+    {
+        "parities": {"type": "array", "items": _PARITY},
+        "pump_ports": {"type": "array", "items": _PUMP},
+        "t_mag": _NONNEG,
+        "xor": _PARITY,
+        "match": _BOOL,
+    }
+)
+_READOUT_ROW = _record(
+    {
+        "label": _STR,
+        "t_phi_us": _POS,
+        "gamma_phi_per_us": _NONNEG,
+        "nbar": _NONNEG,
+        "nbar_ba": _NUM,
+        "jis": _ON_OFF_OR_NULL,
+        "jda": _ON_OFF_OR_NULL,
+    }
+)
+_JPC_ROW = _record({"f_ghz": _NUM, "t_sq": _NONNEG, "ra_sq": _NONNEG, "arg_t_rad": _NUM})
+
 ARTIFACT_SCHEMAS = {
-    "jis_sweep_sidecar": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
+    "jis_sweep_sidecar": _tagged(
+        {
             "direction": {"enum": ["s21", "s12"]},
             "dip_f_ghz": _NUM_OR_NULL,
             "gamma_mhz": _NUM_OR_NULL,
             "floor": _NUM_OR_NULL,
-            "note": {"type": "string"},
+            "note": _STR,
         },
-        "required": ["schema", "direction", "dip_f_ghz", "gamma_mhz", "floor"],
-        "additionalProperties": False,
-    },
-    "fit_result": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
-            "rho": _UNIT,
-            "alpha_mag": _UNIT,
-            "residual": _NONNEG,
-            "alpha_identifiable": {"type": "boolean"},
-        },
-        "required": ["schema", "rho", "alpha_mag", "residual", "alpha_identifiable"],
-        "additionalProperties": False,
-    },
-    "parity_report": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
+        ["direction", "dip_f_ghz", "gamma_mhz", "floor"],
+    ),
+    "fit_result": _tagged(
+        {"rho": _UNIT, "alpha_mag": _UNIT, "residual": _NONNEG, "alpha_identifiable": _BOOL}
+    ),
+    "parity_report": _tagged(
+        {
             "calibration_phase_rad": _NUM,
-            "all_match": {"type": "boolean"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "parities": {"type": "array", "items": _PARITY},
-                        "pump_ports": {"type": "array", "items": _PUMP},
-                        "t_mag": _NONNEG,
-                        "xor": _PARITY,
-                        "match": {"type": "boolean"},
-                    },
-                    "required": ["parities", "pump_ports", "t_mag", "xor", "match"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["schema", "calibration_phase_rad", "all_match", "rows"],
-        "additionalProperties": False,
-    },
-    "readout_report": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
+            "all_match": _BOOL,
+            "rows": {"type": "array", "items": _PARITY_ROW},
+        }
+    ),
+    "readout_report": _tagged(
+        {
             "nbar_th": _NONNEG,
             "isolation_db": _NUM_OR_NULL,
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "label": {"type": "string"},
-                        "t_phi_us": _POS,
-                        "gamma_phi_per_us": _NONNEG,
-                        "nbar": _NONNEG,
-                        "nbar_ba": _NUM,
-                        "jis": {"enum": ["on", "off", None]},
-                        "jda": {"enum": ["on", "off", None]},
-                    },
-                    "required": [
-                        "label",
-                        "t_phi_us",
-                        "gamma_phi_per_us",
-                        "nbar",
-                        "nbar_ba",
-                        "jis",
-                        "jda",
-                    ],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["schema", "nbar_th", "isolation_db", "rows"],
-        "additionalProperties": False,
-    },
-    "four_port": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
+            "rows": {"type": "array", "items": _READOUT_ROW},
+        }
+    ),
+    "four_port": _tagged(
+        {
             "freq_ghz": _NUM,
-            "ports": {"type": "array", "items": {"type": "string"}},
-            "s_real": {"type": "array", "items": {"type": "array", "items": _NUM}},
-            "s_imag": {"type": "array", "items": {"type": "array", "items": _NUM}},
-        },
-        "required": ["schema", "freq_ghz", "ports", "s_real", "s_imag"],
-        "additionalProperties": False,
-    },
-    "jpc_sweep_rows": {
-        "type": "object",
-        "properties": {
-            "schema": _TAG,
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "f_ghz": _NUM,
-                        "t_sq": _NONNEG,
-                        "ra_sq": _NONNEG,
-                        "arg_t_rad": _NUM,
-                    },
-                    "required": ["f_ghz", "t_sq", "ra_sq", "arg_t_rad"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["schema", "rows"],
-        "additionalProperties": False,
-    },
+            "ports": {"type": "array", "items": _STR},
+            "s_real": _NUM_ROWS,
+            "s_imag": _NUM_ROWS,
+        }
+    ),
+    "jpc_sweep_rows": _tagged({"rows": {"type": "array", "items": _JPC_ROW}}),
 }
 
 
@@ -481,18 +364,21 @@ def _min_items(least, schema):
     return check
 
 
-def _one_of(branches, schema):
-    subs = [_compile(branch) for branch in branches]
+def _if(condition, schema):
+    test = _compile(condition)
+    then, otherwise = (_compile(schema[key]) if key in schema else None for key in ("then", "else"))
 
     def check(v, path, errors):
-        valid = [branch for branch, sub in zip(branches, subs) if not _errors(sub, v)]
-        if not valid:
-            errors.append((path, f"{v!r} is not valid under any of the given schemas"))
-        elif len(valid) > 1:
-            reprs = ", ".join(repr(branch) for branch in valid[1:] + valid[:1])
-            errors.append((path, f"{v!r} is valid under each of {reprs}"))
+        branch = otherwise if _errors(test, v) else then
+        if branch is not None:
+            branch(v, path, errors)
 
     return check
+
+
+def _in_if(branch, schema):
+    # "then" and "else" are applied by "if" and are ignored without it
+    return None
 
 
 _KEYWORDS = {
@@ -507,7 +393,9 @@ _KEYWORDS = {
     "additionalProperties": _additional_properties,
     "items": _items,
     "minItems": _min_items,
-    "oneOf": _one_of,
+    "if": _if,
+    "then": _in_if,
+    "else": _in_if,
 }
 
 
@@ -517,6 +405,7 @@ def _compile(schema):
     if unknown:
         raise ValueError(f"schema keywords {unknown} have no compiled checker")
     parts = [_KEYWORDS[key](value, schema) for key, value in schema.items()]
+    parts = [part for part in parts if part is not None]
     if len(parts) == 1:
         return parts[0]
 
@@ -544,17 +433,21 @@ def validate_config(command: str, payload) -> None:
     """
     if command not in CONFIG_SCHEMAS:
         raise ConfigError(f"unknown command '{command}'")
-    _validate(payload, _CONFIG_CHECKS[command], "config")
+    _validate(payload, _CONFIG_CHECKS[command], "config", ConfigError)
 
 
 def validate_artifact(name: str, payload) -> None:
-    """Re-validate an emitted JSON artifact before writing it."""
-    _validate(payload, _ARTIFACT_CHECKS[name], name)
+    """Re-validate an emitted JSON artifact before writing it.
+
+    The program builds every artifact itself, so a violation is a bug in it
+    and raises ValueError, not ConfigError.
+    """
+    _validate(payload, _ARTIFACT_CHECKS[name], name, ValueError)
 
 
-def _validate(payload, check, what: str) -> None:
+def _validate(payload, check, what: str, error: type[Exception]) -> None:
     errors = _errors(check, payload)
     if errors:
         path, message = min(errors, key=lambda e: e[0])
         where = "/".join(str(p) for p in path) or "(root)"
-        raise ConfigError(f"invalid {what} at {where}: {message}")
+        raise error(f"invalid {what} at {where}: {message}")

@@ -171,6 +171,9 @@ def test_t_phi():
         t_phi(10.0, 20.0)
     with pytest.raises(NumericalError):
         t_phi(10.0, 25.0)
+    # 1 / T2E overflows: T_phi would underflow to 0
+    with pytest.raises(NumericalError, match="dephasing rate is out of range"):
+        t_phi(60.0, 1e-320)
 
 
 def test_nbar_from_dephasing():

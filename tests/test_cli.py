@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import json
+import re
 
 import pytest
 
 from paramix import cli
+from paramix.analysis import FitResult
 from paramix.schemas import SCHEMA_TAG, validate_artifact
 
 JIS_PRESET = {"preset": "reference"}
@@ -209,6 +212,8 @@ def test_config_error_paths(tmp_path, capsys):
     assert run(tmp_path, "fit", {"s21_sq": 0.5}) == 2  # s12_sq missing
     assert run(tmp_path, "fit", {"s21_sq": 0.5, "s12_sq": 1.5}) == 2  # out of range
     assert run(tmp_path, "jis-4port", {"jis": JIS_PRESET, "grid": {"points": 5}}) == 2
+    # a readout key that nothing reads
+    assert run(tmp_path, "readout", {"records": [{**RECORDS[0], "i_over_sigma": 2.0}]}) == 2
 
     wrong_tag = tmp_path / "tag.json"
     wrong_tag.write_text(json.dumps({"schema": "paramix/2", "s21_sq": 0.5, "s12_sq": 0.5}))
@@ -276,3 +281,118 @@ def test_one_process_runs_every_command_to_the_golden_bytes(tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
         assert cli.main(["fit", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_the_preset_and_the_full_jis_report_a_bad_field_at_its_own_path(tmp_path, capsys):
+    for jis in (JIS_PRESET, JIS_PLAIN):
+        assert run(tmp_path, "jis-sweep", {"jis": {**jis, "rho": 1.5}}) == 2
+        err = capsys.readouterr().err
+        assert "invalid config at jis/rho: 1.5 is greater than the maximum of 1" in err
+
+
+# One config per command with every optional numeric field present. Each
+# numeric field in turn is replaced by an extreme number or by a raw JSON
+# token that no float can hold; no replacement may end in a traceback, an
+# exit code outside the policy, or a NaN or infinity in an artifact.
+JIS_FULL = {
+    **JIS_PLAIN,
+    "alpha_mag": 0.51,
+    "pump_port": "P1",
+    "phi_ext1_rad": -7.037,
+    "phi_ext2_rad": -7.037,
+    "delay_length_um": 11.283,
+    "delay_eps_eff": 7.418,
+}
+GRID = {"span_mhz": 300.0, "points": 21}
+FUZZ_CONFIGS = {
+    "jpc-sweep": {"jpc": {**JIS_PLAIN, "pump_phase_rad": 0.5, "phi_ext_rad": -1.0}, "grid": GRID},
+    "jis-sweep": {"jis": JIS_FULL, "grid": GRID},
+    "jis-4port": {"jis": JIS_FULL},
+    "fit": {"s21_sq": 0.36, "s12_sq": 0.01, "pump_port": "P2"},
+    "readout": {"records": RECORDS},
+    "flux-curve": {
+        "jrm": {"i0_ua": 2.82, "f_max_ghz": 7.0232, "z_res_ohm": 51.1, "lj0_over_l": 3.1,
+                "lj0_over_ls": 5.0},
+        "grid": {"phi_start_rad": -1.0, "phi_stop_rad": 1.0, "points": 21},
+    },
+    "bandwidth-scan": {"jis": JIS_FULL, "rho_values": [0.3, 0.4], "grid": GRID},
+}
+FUZZ_NUMBERS = ["1e308", "-1e308", "1e-320", "0", "-1", "1e15"]
+FUZZ_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999"]
+FUZZ_POINTS = ["1e308", str(2**40)]
+# a NaN or infinity as Python, numpy or JSON prints it
+NON_FINITE = re.compile(r"-?\b(?:nan|inf(?:inity)?)\b", re.IGNORECASE)
+
+
+def numeric_paths(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from numeric_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from numeric_paths(value, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def with_literal(doc, path, literal):
+    """The JSON text of doc with the number at path spelled as literal."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@literal@"
+    return json.dumps(doc).replace('"@literal@"', literal)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on extreme inputs
+@pytest.mark.parametrize("command", FUZZ_CONFIGS)
+def test_extreme_and_non_finite_numbers_exit_by_the_policy(tmp_path, command):
+    doc = {"schema": SCHEMA_TAG, **FUZZ_CONFIGS[command]}
+    cases = [
+        (path, literal)
+        for path in numeric_paths(doc)
+        for literal in FUZZ_NUMBERS + FUZZ_TOKENS + (FUZZ_POINTS if path[-1] == "points" else [])
+    ]
+    failures = []
+    for k, (path, literal) in enumerate(cases):
+        for fmt in cli._FORMATS[command]:
+            cfg = tmp_path / f"{k}-{fmt}.json"
+            cfg.write_text(with_literal(doc, path, literal))
+            out = tmp_path / f"{k}-{fmt}"
+            rc = cli.main([command, "--config", str(cfg), "--out", str(out), "--format", fmt])
+            # no float holds a token, and no grid is that long
+            refused = literal in FUZZ_TOKENS or (path[-1] == "points" and literal in FUZZ_POINTS)
+            if rc not in ((2,) if refused else (0, 2, 3, 4)):
+                failures.append((path, literal, fmt, f"exit {rc}"))
+            for artifact in out.iterdir() if out.exists() else ():
+                found = NON_FINITE.findall(artifact.read_text())
+                if any(not (m == "-inf" and artifact.suffix == ".csv") for m in found):
+                    failures.append((path, literal, fmt, f"{artifact.name} holds {found[:3]}"))
+    assert not failures
+
+
+def test_numbers_no_float_holds_are_config_errors(tmp_path, capsys):
+    # NaN once passed every bound and chose the positive-flux lobe of the preset
+    preset = {"schema": SCHEMA_TAG, "jis": {**JIS_PRESET, "phi_ext1_rad": 0.0}}
+    cases = [
+        ("jis-sweep", preset, ("jis", "phi_ext1_rad"), "NaN"),
+        ("jis-4port", preset, ("jis", "phi_ext1_rad"), "NaN"),
+        ("jpc-sweep", {"schema": SCHEMA_TAG, "jpc": JIS_PLAIN}, ("jpc", "gamma_a_mhz"), "4" * 400),
+        ("fit", {"schema": SCHEMA_TAG, "s21_sq": 0.36, "s12_sq": 0.0}, ("s12_sq",), "-1e999"),
+    ]
+    for command, doc, path, literal in cases:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(with_literal(doc, path, literal))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: config {cfg}: number {literal[:4]}" in err
+        assert "is not finite" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_an_artifact_the_program_built_wrong_is_a_bug_not_a_config_error(tmp_path, monkeypatch):
+    wrong = FitResult(rho=2.0, alpha_mag=0.5, residual=0.0, alpha_identifiable=True)
+    monkeypatch.setattr(cli, "fit_rho_alpha", lambda **kwargs: wrong)
+    with pytest.raises(ValueError, match="invalid fit_result at rho: 2.0 is greater"):
+        run(tmp_path, "fit", {"s21_sq": 0.36, "s12_sq": 0.01})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paramix.errors import NumericalError
 from paramix.formats import (
     fmt,
     round9,
@@ -50,6 +51,17 @@ def test_write_json(tmp_path):
     )
     with pytest.raises(ValueError, match="non-finite"):
         write_json(path, {"x": np.inf})
+
+
+def test_a_refused_non_finite_value_is_a_numerical_error(tmp_path):
+    # the CLI exits 3 on it, and callers catching ValueError still do
+    for write in (
+        lambda: write_csv(tmp_path / "bad.csv", ["a"], [np.array([np.nan])]),
+        lambda: write_json(tmp_path / "bad.json", {"x": [np.inf]}),
+    ):
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            write()
+        assert isinstance(info.value, ValueError)
 
 
 def test_touchstone_two_port(tmp_path):

@@ -191,6 +191,9 @@ def test_flux_tuning_curve_divergence():
         flux_tuning_curve(8.6, weak)
     with pytest.raises(NumericalError, match="diverges"):
         flux_tuning_curve(np.array([0.0, 2.0, 8.6]), weak)
+    # 2 pi i0 in amperes rounds to 0, so L_J0 has no finite value
+    with pytest.raises(NumericalError, match="junction inductance diverges"):
+        flux_tuning_curve(0.0, JrmParams(i0_ua=1e-320))
 
 
 def test_flux_tuning_curve_on_an_array_matches_each_point():

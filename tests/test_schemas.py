@@ -9,6 +9,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,10 +53,14 @@ def oracle(schema, what, doc):
     return f"invalid {what} at {path}: {errors[0].message}"
 
 
+# a config violation is the user's (exit 2); an artifact violation is a bug
+ERROR_CLASS = {validate_config: ConfigError, validate_artifact: ValueError}
+
+
 def compiled(validate, name, doc):
     try:
         validate(name, doc)
-    except ConfigError as exc:
+    except ERROR_CLASS[validate] as exc:
         return str(exc)
     return None
 
@@ -71,9 +76,12 @@ def assert_agrees(kind, name, doc):
 
 
 def full(schema, branch=0):
-    """A valid document with every optional property present."""
-    if "oneOf" in schema:
-        return full(schema["oneOf"][branch], branch)
+    """A valid document with every optional property present.
+
+    branch 0 takes the "then" side of an if/then/else, branch 1 the "else" side.
+    """
+    if "if" in schema:
+        return full(schema[("then", "else")[branch]], branch)
     if "const" in schema:
         return schema["const"]
     if "enum" in schema:
@@ -196,8 +204,12 @@ def test_every_single_edit_of_a_cli_artifact_agrees(artifacts):
 
 def valid(schema):
     """Strategy for documents the schema accepts."""
-    if "oneOf" in schema:
-        return st.one_of(*(valid(s) for s in schema["oneOf"]))
+    if "if" in schema:
+        condition = jsonschema.Draft202012Validator(schema["if"]).is_valid
+        return st.one_of(
+            valid(schema["then"]).filter(condition),
+            valid(schema["else"]).filter(lambda doc: not condition(doc)),
+        )
     if "const" in schema:
         return st.just(schema["const"])
     if "enum" in schema:
@@ -247,7 +259,10 @@ def test_random_documents_and_edits_agree(data):
 
 
 KEYWORD_CASES = [
-    ({"oneOf": [{"type": "number"}, {"minimum": 0}]}, [1, -1.5, "x", None]),
+    ({"if": {"required": ["a"]}, "then": {"properties": {"a": {"type": "string"}}},
+      "else": {"type": "number"}}, [{"a": "x"}, {"a": 1}, {}, 1, "x", None]),
+    ({"if": {"type": "number"}, "then": {"minimum": 0}}, [1, -1.5, "x", None]),
+    ({"then": {"type": "string"}, "else": {"type": "string"}}, [1, "x"]),
     ({"type": ["number", "null"], "maximum": 1}, [None, 2, True, np.float64(1.5), math.nan]),
     ({"type": "integer", "minimum": 3}, [3.0, 2.0, 3.5, True, np.int64(4), np.float64(3.0)]),
     ({"enum": ["on", None]}, [None, "on", "off", 0, False, ["on"]]),
@@ -262,7 +277,7 @@ def test_each_keyword_agrees_outside_the_package_schemas(schema, docs):
     check = schemas._compile(schema)
     for doc in docs:
         try:
-            schemas._validate(doc, check, "doc")
+            schemas._validate(doc, check, "doc", ConfigError)
             got = None
         except ConfigError as exc:
             got = str(exc)
@@ -294,3 +309,15 @@ def test_importing_the_cli_does_not_import_jsonschema():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+# the command each ```json block of the README, in order, is a config for
+README_COMMANDS = ["jis-sweep", "jis-4port", "fit", "readout"]
+
+
+def test_every_readme_config_example_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == len(README_COMMANDS)
+    for command, block in zip(README_COMMANDS, blocks):
+        validate_config(command, json.loads(block))
