@@ -106,19 +106,20 @@ def bandwidth_attenuation_scan(
     config: JisConfig,
     rho_values,
     direction: str = "s12",
-    span_mhz: float = 300.0,
-    points: int = 2001,
+    f_ghz=None,
 ) -> list[tuple[float, float]]:
     """(sqrt(dip floor), dip width in MHz) for each pump strength.
 
-    The extracted width follows gamma = gamma0 sqrt(L): deeper dips are
-    narrower. Every rho supplied must produce a dip whose 3 dB points are
-    bracketed by the grid (floor below 1/2 of the off-dip level).
+    Each sweep runs on f_ghz, by default `default_grid(config)` (the pump
+    strength does not move it). The extracted width follows
+    gamma = gamma0 sqrt(L): deeper dips are narrower. Every rho supplied must
+    produce a dip whose 3 dB points are bracketed by the grid (floor below
+    1/2 of the off-dip level).
     """
+    f = default_grid(config) if f_ghz is None else f_ghz
     out = []
     for rho in rho_values:
-        cfg = with_rho(config, float(rho))
-        sweep = effective_2port_sweep(cfg, default_grid(cfg, span_mhz, points))
+        sweep = effective_2port_sweep(with_rho(config, float(rho)), f)
         bw = bandwidth_3dB(sweep, direction)
         out.append((math.sqrt(bw.floor), bw.gamma_mhz))
     return out

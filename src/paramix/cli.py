@@ -34,7 +34,7 @@ from .analysis import (
     to_power_dB,
 )
 from .errors import ConfigError, NoDipError, NumericalError, UnbracketedBandwidthError
-from .formats import write_csv, write_json, write_touchstone
+from .formats import write_csv, write_json, write_json_rows, write_touchstone
 from .isolator import (
     JisConfig,
     composed_4port,
@@ -51,7 +51,7 @@ from .mixer import (
     flux_tuning_curve,
 )
 from .parity import ChainSpec, GyratorSpec, calibrate, chain_transmission
-from .schemas import SCHEMA_TAG, validate_artifact, validate_config
+from .schemas import SCHEMA_TAG, validate_artifact, validate_artifact_rows, validate_config
 
 _FORMATS = {
     "jpc-sweep": ("csv", "json"),
@@ -107,6 +107,14 @@ def _build_jis(obj) -> JisConfig:
     return _build(reference_device if "preset" in obj else make_jis, **kwargs)
 
 
+def _grid(model, payload) -> np.ndarray:
+    """The config's sweep grid around model's signal frequency.
+
+    A grid that reaches f <= 0 is a config error.
+    """
+    return _build(default_grid, config=model, **payload.get("grid", {}))
+
+
 def _isolated_direction(config: JisConfig) -> str:
     # S21 = i (refl - conv sin phi): positive sin phi darkens the forward
     # direction, negative darkens the backward one
@@ -115,22 +123,22 @@ def _isolated_direction(config: JisConfig) -> str:
 
 def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
     jpc = _build(JpcParams, **payload["jpc"])
-    f = default_grid(jpc, **payload.get("grid", {}))
+    f = _grid(jpc, payload)
     t, ra, _ = amplitudes_of_frequency(f, jpc)
     columns = [f, np.abs(t) ** 2, np.abs(ra) ** 2, np.angle(t)]
     if fmt == "csv":
         write_csv(out_dir / "jpc_sweep.csv", ["f_GHz", "t_sq", "ra_sq", "arg_t_rad"], columns)
     else:
-        keys = ("f_ghz", "t_sq", "ra_sq", "arg_t_rad")
-        doc = {"schema": SCHEMA_TAG, "rows": [dict(zip(keys, row)) for row in zip(*columns)]}
-        validate_artifact("jpc_sweep_rows", doc)
-        write_json(out_dir / "jpc_sweep.json", doc)
+        envelope = {"schema": SCHEMA_TAG}
+        keys = ["f_ghz", "t_sq", "ra_sq", "arg_t_rad"]
+        validate_artifact_rows("jpc_sweep_rows", envelope, keys, columns)
+        write_json_rows(out_dir / "jpc_sweep.json", envelope, keys, columns)
     return 0
 
 
 def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
-    sweep = effective_2port_sweep(config, default_grid(config, **payload.get("grid", {})))
+    sweep = effective_2port_sweep(config, _grid(config, payload))
     write_csv(
         out_dir / "jis_sweep.csv",
         ["f_GHz", "S21_dB", "S12_dB", "S11_dB", "S22_dB"],
@@ -260,7 +268,7 @@ def cmd_bandwidth_scan(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
     rhos = np.array(payload["rho_values"], dtype=float)
     direction = _isolated_direction(config)
-    pairs = bandwidth_attenuation_scan(config, rhos, direction, **payload.get("grid", {}))
+    pairs = bandwidth_attenuation_scan(config, rhos, direction, _grid(config, payload))
     sqrt_l, gamma = np.array(pairs).T
     g0 = gamma0(config.gamma_a_mhz, config.gamma_b_mhz)
     write_csv(
@@ -327,7 +335,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"format {fmt!r} is not supported by {args.command}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](payload, out_dir, fmt)
+        # a NaN or infinity that reaches a writer is refused there (exit 3);
+        # numpy's warnings on the way would only add noise to stderr
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](payload, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -334,9 +334,18 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
 
 
 def default_grid(config, span_mhz: float = 300.0, points: int = 2001) -> np.ndarray:
-    """Symmetric sweep grid around the signal resonance of a JisConfig or JpcParams."""
+    """Symmetric sweep grid around the signal resonance of a JisConfig or JpcParams.
+
+    The grid must stay above zero frequency, so span_mhz must be less than
+    twice the signal frequency.
+    """
     if points < 2:
         raise ValueError("points must be at least 2")
+    if config.f_a_ghz - span_mhz / 2.0 * 1e-3 <= 0.0:
+        raise ValueError(
+            f"grid span {span_mhz:.9g} MHz around {config.f_a_ghz:.9g} GHz reaches f <= 0 "
+            f"(span_mhz must be less than {2e3 * config.f_a_ghz:.9g})"
+        )
     return config.f_a_ghz + np.linspace(-span_mhz / 2.0, span_mhz / 2.0, int(points)) * 1e-3
 
 

@@ -294,6 +294,14 @@ def _enum(literals, schema):
     return check
 
 
+# each bound keyword: the test a value fails it by, and the message's words
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+}
+
+
 def _bound(fails, text):
     def compile_bound(limit, schema):
         def check(v, path, errors):
@@ -385,9 +393,7 @@ _KEYWORDS = {
     "type": _type,
     "const": _const,
     "enum": _enum,
-    "minimum": _bound(operator.lt, "less than the minimum of"),
-    "maximum": _bound(operator.gt, "greater than the maximum of"),
-    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    **{key: _bound(*bound) for key, bound in _BOUNDS.items()},
     "properties": _properties,
     "required": _required,
     "additionalProperties": _additional_properties,
@@ -422,8 +428,31 @@ def _errors(check, payload) -> list:
     return errors
 
 
+def _column_check(schema):
+    """The row checker and, per row key, the (fails, limit) bounds of its column.
+
+    Only a closed row of numbers compiles: the rows array may use type and
+    items; the row type, properties, required and additionalProperties, which
+    depend on the key set alone (the same in every row); and each property
+    type "number" (every value of a numeric column is one) and the bounds.
+    """
+    rows = schema["properties"]["rows"]
+    row = rows["items"]
+    row_keywords = {"type", "properties", "required", "additionalProperties"}
+    if set(rows) - {"type", "items"} or set(row) - row_keywords:
+        raise ValueError("only a closed row of numbers has a column check")
+    bounds = {}
+    for key, prop in row["properties"].items():
+        if prop.get("type") != "number" or set(prop) - {"type", *_BOUNDS}:
+            raise ValueError(f"no column check for row property {key!r}")
+        bounds[key] = [(_BOUNDS[word][0], limit) for word, limit in prop.items() if word in _BOUNDS]
+    return _compile(row), bounds
+
+
 _CONFIG_CHECKS = {name: _compile(schema) for name, schema in CONFIG_SCHEMAS.items()}
 _ARTIFACT_CHECKS = {name: _compile(schema) for name, schema in ARTIFACT_SCHEMAS.items()}
+# the artifacts written from columns (formats.write_json_rows)
+_COLUMN_CHECKS = {name: _column_check(ARTIFACT_SCHEMAS[name]) for name in ("jpc_sweep_rows",)}
 
 
 def validate_config(command: str, payload) -> None:
@@ -445,8 +474,41 @@ def validate_artifact(name: str, payload) -> None:
     _validate(payload, _ARTIFACT_CHECKS[name], name, ValueError)
 
 
+def validate_artifact_rows(name: str, envelope, names, columns) -> None:
+    """validate_artifact(name, {**envelope, "rows": rows}) without building the rows.
+
+    Row k is {names[i]: columns[i][k]}, each column a 1-D numeric np.ndarray.
+    The bounds of each row property run on whole columns to find the first
+    row that breaks one; that row and row 0 (whose key set every row shares)
+    are then checked as dicts of Python numbers, so a violation is reported
+    at the path and with the message validate_artifact gives that document.
+    """
+    row_check, bounds = _COLUMN_CHECKS[name]
+    if (
+        len(columns) != len(names)
+        or len(set(names)) != len(names)
+        or any(c.ndim != 1 or c.dtype.kind not in "fiu" for c in columns)
+        or len({len(c) for c in columns}) > 1
+    ):
+        raise ValueError("need one 1-D numeric column per distinct row key, all of one length")
+    errors = _errors(_ARTIFACT_CHECKS[name], {**envelope, "rows": []})
+    suspects = {0} if columns and len(columns[0]) else set()
+    for key, column in zip(names, columns):
+        for fails, limit in bounds.get(key, ()):
+            hits = fails(column, limit)
+            if hits.any():
+                suspects.add(int(hits.argmax()))
+    for k in sorted(suspects)[:2]:
+        row_check({key: c[k].item() for key, c in zip(names, columns)}, ("rows", k), errors)
+    _raise_first(errors, name, ValueError)
+
+
 def _validate(payload, check, what: str, error: type[Exception]) -> None:
-    errors = _errors(check, payload)
+    _raise_first(_errors(check, payload), what, error)
+
+
+def _raise_first(errors, what: str, error: type[Exception]) -> None:
+    """Raise error for the violation with the smallest JSON path, if any."""
     if errors:
         path, message = min(errors, key=lambda e: e[0])
         where = "/".join(str(p) for p in path) or "(root)"

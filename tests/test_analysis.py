@@ -81,7 +81,7 @@ def test_reference_dip_regression(reference):
 
 def test_scan_matches_single_extractions(reference):
     rhos = [0.30, 0.40]
-    scan = bandwidth_attenuation_scan(reference, rhos, "s12", 300.0, 1001)
+    scan = bandwidth_attenuation_scan(reference, rhos, "s12", default_grid(reference, 300.0, 1001))
     assert len(scan) == 2
     for rho, (sqrt_l, gamma) in zip(rhos, scan):
         cfg = with_rho(reference, rho)

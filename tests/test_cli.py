@@ -232,6 +232,35 @@ def test_values_the_models_reject_are_config_errors(tmp_path, capsys):
     assert "config error: need 0 < f_a_ghz < f_b_ghz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("jpc-sweep", {"jpc": JIS_PLAIN}),
+        ("jis-sweep", {"jis": JIS_PRESET}),
+        ("bandwidth-scan", {"jis": JIS_PRESET, "rho_values": [0.3]}),
+    ],
+)
+def test_a_grid_that_reaches_zero_frequency_is_a_config_error(tmp_path, capsys, command, payload):
+    # the signal sits at 6.84 GHz, so a 13,680 MHz span starts the grid at f = 0
+    for span in (20000.0, 13680.0):
+        out = tmp_path / str(span)
+        grid = {"span_mhz": span, "points": 5}
+        assert run(tmp_path, command, {**payload, "grid": grid}, out=out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid span ") and "reaches f <= 0" in err
+        assert not list(out.iterdir())
+    assert run(tmp_path, command, {**payload, "grid": {"span_mhz": 13679.0, "points": 5}}) in (0, 3)
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path, capsys):
+    # a vanishing linewidth overflows the line shape into NaN, which the
+    # writer refuses; only that refusal reaches the user
+    rc = run(tmp_path, "jis-sweep", {"jis": {**JIS_PLAIN, "gamma_a_mhz": 1e-320}})
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
 def test_a_bug_in_compute_code_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(config, f_ghz):
         raise ValueError("bug")
@@ -345,7 +374,6 @@ def with_literal(doc, path, literal):
     return json.dumps(doc).replace('"@literal@"', literal)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on extreme inputs
 @pytest.mark.parametrize("command", FUZZ_CONFIGS)
 def test_extreme_and_non_finite_numbers_exit_by_the_policy(tmp_path, command):
     doc = {"schema": SCHEMA_TAG, **FUZZ_CONFIGS[command]}

@@ -29,6 +29,7 @@ from paramix.schemas import (
     CONFIG_SCHEMAS,
     SCHEMA_TAG,
     validate_artifact,
+    validate_artifact_rows,
     validate_config,
 )
 
@@ -177,16 +178,24 @@ ARTIFACT_RUNS = [
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """(name, document) of every artifact the CLI validates, as it was in memory."""
+    """(name, document) of every artifact the CLI validates, as it was in memory.
+
+    An artifact checked as columns is recorded as its row document.
+    """
     seen = []
 
     def record(name, doc):
         seen.append((name, copy.deepcopy(doc)))
         validate_artifact(name, doc)
 
+    def record_rows(name, envelope, names, columns):
+        seen.append((name, row_document(envelope, names, columns)))
+        validate_artifact_rows(name, envelope, names, columns)
+
     tmp = tmp_path_factory.mktemp("artifacts")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "validate_artifact", record)
+        mp.setattr(cli, "validate_artifact_rows", record_rows)
         for k, (command, fmt, payload) in enumerate(ARTIFACT_RUNS):
             cfg = tmp / f"{k}.json"
             cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **payload}))
@@ -200,6 +209,108 @@ def test_every_single_edit_of_a_cli_artifact_agrees(artifacts):
         assert compiled(validate_artifact, name, doc) is None
         for mutant in mutants(doc):
             assert_agrees("artifact", name, mutant)
+
+
+def row_document(envelope, names, columns):
+    """The document validate_artifact_rows checks without building it."""
+    rows = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
+    return {**envelope, "rows": rows}
+
+
+JPC_KEYS = ["f_ghz", "t_sq", "ra_sq", "arg_t_rad"]
+TAG = {"schema": SCHEMA_TAG}
+
+
+def jpc_columns(rows=40):
+    k = np.arange(rows, dtype=float)
+    return [6.84 + 1e-3 * k, np.sin(k) ** 2, np.cos(k) ** 2, np.sin(3.0 * k)]
+
+
+def edited(edits, columns=None):
+    """jpc_columns() with columns[i][row] = value for each (row, i, value)."""
+    columns = [c.copy() for c in columns or jpc_columns()]
+    for row, i, value in edits:
+        columns[i][row] = value
+    return columns
+
+
+def assert_columns_agree(envelope, names, columns):
+    """The column check reports what validate_artifact and jsonschema report on the rows."""
+    try:
+        validate_artifact_rows("jpc_sweep_rows", envelope, names, columns)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    doc = row_document(envelope, names, columns)
+    assert got == compiled(validate_artifact, "jpc_sweep_rows", doc), (envelope, names)
+    assert got == oracle(ARTIFACT_SCHEMAS["jpc_sweep_rows"], "jpc_sweep_rows", doc)
+    return got
+
+
+COLUMN_CASES = {
+    "valid": (TAG, JPC_KEYS, jpc_columns()),
+    "negative t_sq at row 17": (TAG, JPC_KEYS, edited([(17, 1, -0.5)])),
+    "the first of two bad rows": (TAG, JPC_KEYS, edited([(30, 1, -1.0), (17, 2, -5e-324)])),
+    "two bad keys in one row": (TAG, JPC_KEYS, edited([(9, 1, -1.0), (9, 2, -1.0)])),
+    "bad row 0": (TAG, JPC_KEYS, edited([(0, 2, -1.0)])),
+    "bad last row": (TAG, JPC_KEYS, edited([(39, 1, -np.inf)])),
+    "-0.0 and NaN pass minimum": (TAG, JPC_KEYS, edited([(3, 1, -0.0), (4, 2, np.nan)])),
+    "missing key": (TAG, JPC_KEYS[:3], jpc_columns()[:3]),
+    "extra key": (TAG, [*JPC_KEYS, "x"], [*jpc_columns(), np.zeros(40)]),
+    "missing and extra key": (TAG, ["f_ghz", "t", "ra_sq", "arg_t_rad"], jpc_columns()),
+    "extra key and a bad row": (TAG, [*JPC_KEYS, "x"], [*edited([(5, 1, -1.0)]), np.zeros(40)]),
+    "no rows": (TAG, JPC_KEYS, [c[:0] for c in edited([(0, 1, -1.0)])]),
+    "integer column": (TAG, JPC_KEYS, [jpc_columns()[0], np.arange(40) - 20, *jpc_columns()[2:]]),
+    "wrong tag after a bad row": ({"schema": "paramix/2"}, JPC_KEYS, edited([(17, 1, -0.5)])),
+    "no tag": ({}, JPC_KEYS, edited([(17, 1, -0.5)])),
+    "extra envelope key": ({**TAG, "n": 1}, JPC_KEYS, edited([(17, 1, -0.5)])),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_CASES)
+def test_the_column_check_agrees_with_the_row_document(case):
+    got = assert_columns_agree(*COLUMN_CASES[case])
+    assert (got is None) == (case in ("valid", "-0.0 and NaN pass minimum", "no rows"))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    rows=st.integers(0, 30),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 29),
+            st.integers(0, 3),
+            st.sampled_from([-1.0, -0.0, 0.0, 5e-324, -5e-324, 2.0, math.nan, math.inf, -math.inf]),
+        ),
+        max_size=4,
+    ),
+    names=st.sampled_from([JPC_KEYS, JPC_KEYS[::-1], JPC_KEYS[1:], [*JPC_KEYS[:3], "t"]]),
+)
+def test_random_column_edits_agree(rows, edits, names):
+    columns = jpc_columns(rows)[: len(names)]
+    edits = [(row, i, value) for row, i, value in edits if row < rows and i < len(names)]
+    assert_columns_agree(TAG, names, edited(edits, columns))
+
+
+def test_malformed_columns_and_unchecked_row_rules_are_refused():
+    bad_columns = [
+        [np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3)],
+        [np.zeros((3, 1))] * 4,
+        [np.array(["a", "b"])] * 4,
+        jpc_columns()[:3],
+    ]
+    for columns in bad_columns:
+        with pytest.raises(ValueError, match="one 1-D numeric column per distinct row key"):
+            validate_artifact_rows("jpc_sweep_rows", TAG, JPC_KEYS, columns)
+    row = {"type": "object", "properties": {"x": {"type": "number"}}}
+    for rows in (
+        {"type": "array", "items": row, "minItems": 1},
+        {"type": "array", "items": {**row, "if": {"required": ["x"]}}},
+        {"type": "array", "items": {**row, "properties": {"x": {"enum": ["a"]}}}},
+        {"type": "array", "items": {**row, "properties": {"x": {"type": "integer"}}}},
+    ):
+        with pytest.raises(ValueError, match="column check"):
+            schemas._column_check({"type": "object", "properties": {"rows": rows}})
 
 
 def valid(schema):
