@@ -42,7 +42,7 @@ def to_power_dB(s) -> np.ndarray | float:
 
 def gamma0(gamma_a_mhz: float, gamma_b_mhz: float) -> float:
     """Zero-depth dip linewidth 2 gamma_a gamma_b / (gamma_a + gamma_b), MHz."""
-    if gamma_a_mhz <= 0.0 or gamma_b_mhz <= 0.0:
+    if not (gamma_a_mhz > 0.0 and gamma_b_mhz > 0.0):
         raise ValueError("linewidths must be positive")
     return 2.0 * gamma_a_mhz * gamma_b_mhz / (gamma_a_mhz + gamma_b_mhz)
 
@@ -289,7 +289,7 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
 
 def theta_from_chi_kappa(chi_mhz: float, kappa_mhz: float) -> float:
     """Coherent-state separation angle 2 atan(chi / kappa), in degrees."""
-    if chi_mhz <= 0.0 or kappa_mhz <= 0.0:
+    if not (chi_mhz > 0.0 and kappa_mhz > 0.0):
         raise ValueError("chi_mhz and kappa_mhz must be positive")
     return math.degrees(2.0 * math.atan(chi_mhz / kappa_mhz))
 
@@ -306,11 +306,11 @@ def eta_from_separation(
     eta = (I/sigma)^2 / (2 nbar_m kappa T_m sin^2(theta/2)) with kappa taken
     angular (2 pi x MHz = rad/us) and T_m in us.
     """
-    if min(i_over_sigma, nbar_m, kappa_mhz, t_m_us) <= 0.0:
+    if not all(v > 0.0 for v in (i_over_sigma, nbar_m, kappa_mhz, t_m_us)):
         raise ValueError("all inputs must be positive")
     kappa_ang = 2.0 * np.pi * kappa_mhz
     s = math.sin(math.radians(theta_deg) / 2.0)
-    if s == 0.0:
+    if not abs(s) > 0.0:
         raise ValueError("separation angle must be nonzero")
     return i_over_sigma**2 / (2.0 * nbar_m * kappa_ang * t_m_us * s**2)
 
@@ -321,7 +321,7 @@ def t_phi(t1_us: float, t2e_us: float) -> float:
     T1 may be inf (energy decay negligible), in which case T_phi = T2E.
     T2E at or above the 2 T1 ceiling leaves no dephasing to resolve.
     """
-    if t1_us <= 0.0 or t2e_us <= 0.0:
+    if not (t1_us > 0.0 and t2e_us > 0.0):
         raise ValueError("T1 and T2E must be positive")
     if t2e_us >= 2.0 * t1_us:
         raise NumericalError("no measurable dephasing")
@@ -341,9 +341,9 @@ def nbar_from_dephasing(t_phi_us: float, kappa_mhz: float, chi_mhz: float) -> fl
     kappa and chi; Gamma_phi = 1 / T_phi in 1/us. Raises NumericalError
     when that quotient overflows or underflows to a non-finite occupancy.
     """
-    if t_phi_us <= 0.0:
+    if not t_phi_us > 0.0:
         raise ValueError("t_phi_us must be positive")
-    if kappa_mhz <= 0.0 or chi_mhz <= 0.0:
+    if not (kappa_mhz > 0.0 and chi_mhz > 0.0):
         raise ValueError("kappa_mhz and chi_mhz must be positive")
     kappa_ang = 2.0 * np.pi * kappa_mhz
     chi_ang = 2.0 * np.pi * chi_mhz
@@ -361,7 +361,7 @@ def nbar_from_dephasing(t_phi_us: float, kappa_mhz: float, chi_mhz: float) -> fl
 
 def isolation_estimate_dB(nbar_off_isolator: float, nbar_on_isolator: float) -> float:
     """Backaction suppression 10 log10(nbar_off / nbar_on) in dB."""
-    if nbar_off_isolator <= 0.0 or nbar_on_isolator <= 0.0:
+    if not (nbar_off_isolator > 0.0 and nbar_on_isolator > 0.0):
         raise ValueError("occupancies must be positive")
     return 10.0 * math.log10(nbar_off_isolator / nbar_on_isolator)
 

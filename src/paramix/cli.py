@@ -168,7 +168,7 @@ def cmd_jis_4port(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
     mat = composed_4port(config)
     if fmt == "touchstone":
-        write_touchstone(out_dir / "jis_4port.s4p", [mat.freq_ghz], mat.s[np.newaxis])
+        write_touchstone(out_dir / "jis_4port.s4p", [config.f_a_ghz], mat.s[np.newaxis])
     elif fmt == "csv":
         ports = list(mat.ports)
         out_ports = [p for p in ports for _ in ports]
@@ -177,7 +177,7 @@ def cmd_jis_4port(payload, out_dir: Path, fmt: str) -> int:
     else:
         doc = {
             "schema": SCHEMA_TAG,
-            "freq_ghz": mat.freq_ghz,
+            "freq_ghz": config.f_a_ghz,
             "ports": list(mat.ports),
             "s_real": mat.s.real.tolist(),
             "s_imag": mat.s.imag.tolist(),

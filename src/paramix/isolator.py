@@ -29,10 +29,11 @@ from .mixer import (
 )
 from .network import (
     ConnectionGraph,
-    NetworkElement,
     ScatteringMatrix,
     connect,
     delay_phase_rad,
+    hybrid_90,
+    lossy_coupler,
 )
 
 # Pump feed patterns: per-stage pump phases for each physical pump port.
@@ -40,6 +41,9 @@ _PUMP_PHASES = {"P1": (0.0, np.pi / 2.0), "P2": (np.pi / 2.0, 0.0)}
 
 # Stage-phase difference each feed sets at zero flux: -pi/2 for P1, +pi/2 for P2.
 PUMP_PHI_RAD = {port: ph1 - ph2 for port, (ph1, ph2) in _PUMP_PHASES.items()}
+
+# The ideal quadrature hybrid; read-only, so every composition shares it.
+HYBRID = hybrid_90()
 
 # Clamp for the internal-loop resonance denominator 1 - r_b^2 alpha^2.
 _LOOP_SINGULARITY_TOL = 1e-12
@@ -80,9 +84,9 @@ class JisConfig:
         object.__setattr__(self, "jpc2", JpcParams(*shared, ph2, self.phi_ext2_rad))
         if not 0.0 <= self.alpha_mag <= 1.0:
             raise ValueError("alpha_mag must lie in [0, 1]")
-        if self.delay_length_um < 0.0:
+        if not self.delay_length_um >= 0.0:
             raise ValueError("delay_length_um must be nonnegative")
-        if self.delay_eps_eff < 1.0:
+        if not self.delay_eps_eff >= 1.0:
             raise ValueError("delay_eps_eff must be >= 1")
 
     @property
@@ -172,7 +176,7 @@ def closed_form_4port(
             ],
             dtype=complex,
         )
-        return ScatteringMatrix(0.0, _PORTS_4, s)
+        return ScatteringMatrix(_PORTS_4, s)
     if beta == 0.0:
         raise ValueError("beta = 0 with t > 0 leaves the internal line unloaded")
 
@@ -211,7 +215,7 @@ def closed_form_4port(
         ],
         dtype=complex,
     )
-    return ScatteringMatrix(0.0, _PORTS_4, s)
+    return ScatteringMatrix(_PORTS_4, s)
 
 
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
@@ -234,14 +238,12 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
     t = t_on_resonance(config.rho)
     phi1 = config.jpc1.generalized_pump_phase_rad
     phi2 = config.jpc2.generalized_pump_phase_rad
-    elements = (
-        NetworkElement("hyb", "hybrid90"),
-        NetworkElement("st1", "mixer_2port", {"matrix": mixer_2port(t, phi1)}),
-        NetworkElement("st2", "mixer_2port", {"matrix": mixer_2port(t, phi2)}),
-        NetworkElement(
-            "cpl", "lossy_coupler", {"alpha": config.alpha_mag, "beta": config.beta}
-        ),
-    )
+    elements = {
+        "hyb": HYBRID,
+        "st1": mixer_2port(t, phi1),
+        "st2": mixer_2port(t, phi2),
+        "cpl": lossy_coupler(config.alpha_mag, config.beta),
+    }
     joints = (
         (("hyb", "1p"), ("st1", "a")),
         (("hyb", "2p"), ("st2", "a")),
@@ -249,10 +251,7 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
         (("st2", "b"), ("cpl", "b2")),
     )
     external = (("hyb", "1"), ("hyb", "2"), ("cpl", "3"), ("cpl", "4"))
-    reduced = connect(
-        ConnectionGraph(elements, joints, external), config.f_a_ghz
-    )
-    return reduced.renamed(_PORTS_4)
+    return connect(ConnectionGraph(elements, joints, external)).renamed(_PORTS_4)
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def default_grid(config, span_mhz: float = 300.0, points: int = 2001) -> np.ndar
     """
     if points < 2:
         raise ValueError("points must be at least 2")
-    if config.f_a_ghz - span_mhz / 2.0 * 1e-3 <= 0.0:
+    if not config.f_a_ghz - span_mhz / 2.0 * 1e-3 > 0.0:
         raise ValueError(
             f"grid span {span_mhz:.9g} MHz around {config.f_a_ghz:.9g} GHz reaches f <= 0 "
             f"(span_mhz must be less than {2e3 * config.f_a_ghz:.9g})"

@@ -37,6 +37,11 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
+def _check_flux(phi_ext_rad: float) -> None:
+    if not abs(phi_ext_rad) <= PRIMARY_LOBE_RAD:
+        raise ValueError("phi_ext_rad outside the primary flux lobe")
+
+
 def t_on_resonance(rho: float) -> float:
     """Conversion amplitude 2 rho / (1 + rho^2) at zero detuning."""
     rho = _check_rho(rho)
@@ -56,7 +61,7 @@ def chi_inv(f1_ghz: float, f_a_ghz: float, gamma_mhz: float) -> complex:
     modes of a converter use the signal detuning from the low mode, because
     the pump frequency pins the idler offset to the same value.
     """
-    if gamma_mhz <= 0.0:
+    if not gamma_mhz > 0.0:
         raise ValueError("gamma_mhz must be positive")
     return 1.0 - 2j * (f1_ghz - f_a_ghz) * 1e3 / gamma_mhz
 
@@ -81,11 +86,10 @@ class JpcParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.f_a_ghz < self.f_b_ghz:
             raise ValueError("need 0 < f_a_ghz < f_b_ghz")
-        if self.gamma_a_mhz <= 0.0 or self.gamma_b_mhz <= 0.0:
+        if not (self.gamma_a_mhz > 0.0 and self.gamma_b_mhz > 0.0):
             raise ValueError("linewidths must be positive")
         _check_rho(self.rho)
-        if abs(self.phi_ext_rad) > PRIMARY_LOBE_RAD:
-            raise ValueError("phi_ext_rad outside the primary flux lobe")
+        _check_flux(self.phi_ext_rad)
 
     @property
     def n_g(self) -> int:
@@ -130,8 +134,7 @@ def r_b_of_frequency(f1_ghz: float, params: JpcParams) -> complex:
 
 def n_g(phi_ext_rad: float) -> int:
     """Coupling index of the flux working point: 0 for phi <= 0, 1 for phi > 0."""
-    if abs(phi_ext_rad) > PRIMARY_LOBE_RAD:
-        raise ValueError("phi_ext_rad outside the primary flux lobe")
+    _check_flux(phi_ext_rad)
     return 0 if phi_ext_rad <= 0.0 else 1
 
 
@@ -142,8 +145,7 @@ def generalized_pump_phase(pump_phase_rad: float, phi_ext_rad: float) -> float:
 
 def g3_sign(phi_ext_rad: float) -> int:
     """Sign of the three-wave coupling: -sign(phi_ext), 0 at zero flux."""
-    if abs(phi_ext_rad) > PRIMARY_LOBE_RAD:
-        raise ValueError("phi_ext_rad outside the primary flux lobe")
+    _check_flux(phi_ext_rad)
     if phi_ext_rad == 0.0:
         return 0
     return -1 if phi_ext_rad > 0.0 else 1
@@ -168,9 +170,9 @@ def g3_magnitude(
     for name, val in (("p_a", p_a), ("p_b", p_b), ("p_c", p_c)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
-    if min(f_a_ghz, f_b_ghz, f_c_ghz) <= 0.0:
+    if not all(f > 0.0 for f in (f_a_ghz, f_b_ghz, f_c_ghz)):
         raise ValueError("mode frequencies must be positive")
-    if ej_eff_over_h_ghz <= 0.0:
+    if not ej_eff_over_h_ghz > 0.0:
         raise ValueError("ej_eff_over_h_ghz must be positive")
     return abs(np.sin(phi_ext_rad / 4.0)) * np.sqrt(
         p_a * p_b * p_c * f_a_ghz * f_b_ghz * f_c_ghz / ej_eff_over_h_ghz
@@ -194,9 +196,9 @@ class JrmParams:
     lj0_over_ls: float = 5.0
 
     def __post_init__(self) -> None:
-        if min(self.i0_ua, self.f_max_ghz, self.z_res_ohm) <= 0.0:
+        if not all(v > 0.0 for v in (self.i0_ua, self.f_max_ghz, self.z_res_ohm)):
             raise ValueError("i0_ua, f_max_ghz, z_res_ohm must be positive")
-        if self.lj0_over_l <= 0.0 or self.lj0_over_ls <= 0.0:
+        if not (self.lj0_over_l > 0.0 and self.lj0_over_ls > 0.0):
             raise ValueError("inductance ratios must be positive")
 
 
@@ -250,4 +252,4 @@ def mixer_2port(t: float, generalized_phase_rad: float) -> ScatteringMatrix:
     r = np.sqrt(1.0 - t**2)
     ph = np.exp(1j * generalized_phase_rad)
     s = np.array([[r, -t * np.conj(ph)], [-t * ph, -r]], dtype=complex)
-    return ScatteringMatrix(0.0, ("a", "b"), s)
+    return ScatteringMatrix(("a", "b"), s)

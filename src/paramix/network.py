@@ -2,11 +2,13 @@
 
 Conventions
 -----------
-All frequencies are cyclic and in GHz. A scattering matrix S maps incoming
-wave amplitudes to outgoing ones, S[i, j] being the amplitude out of port i
-per unit amplitude into port j. Port identity is carried by an ordered tuple
-of unique string labels; the row/column index of a label is its position in
-that tuple.
+A scattering matrix S maps incoming wave amplitudes to outgoing ones,
+S[i, j] being the amplitude out of port i per unit amplitude into port j.
+Port identity is carried by an ordered tuple of unique string labels; the
+row/column index of a label is its position in that tuple. A matrix carries
+no frequency: each element of a network is one fixed, read-only matrix, and
+frequency (cyclic, in GHz) is an input only of delay_line, the one element
+whose response depends on it.
 
 Element conventions (pinned jointly so that composed networks reproduce the
 closed-form device responses elsewhere in the package):
@@ -37,21 +39,22 @@ _MAX_INTERNAL_COND = 1e12
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Complex n-port scattering matrix at a single stimulus frequency."""
+    """Complex n-port scattering matrix; s is a read-only copy of the input."""
 
-    freq_ghz: float
     ports: tuple[str, ...]
     s: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        ports = tuple(str(p) for p in self.ports)
         m = np.array(self.s, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("scattering matrix must be square")
-        if m.shape[0] != len(self.ports):
+        if m.shape[0] != len(ports):
             raise ValueError("scattering matrix needs one row per port")
-        if len(set(self.ports)) != len(self.ports):
+        if len(set(ports)) != len(ports):
             raise ValueError("port labels must be unique")
-        object.__setattr__(self, "ports", tuple(str(p) for p in self.ports))
+        m.flags.writeable = False
+        object.__setattr__(self, "ports", ports)
         object.__setattr__(self, "s", m)
 
     @property
@@ -69,10 +72,10 @@ class ScatteringMatrix:
         return complex(self.s[self.index(out_port), self.index(in_port)])
 
     def renamed(self, ports: tuple[str, ...]) -> "ScatteringMatrix":
-        return ScatteringMatrix(self.freq_ghz, ports, self.s)
+        return ScatteringMatrix(ports, self.s)
 
 
-def hybrid_90(phase_imbalance_rad: float = 0.0, freq_ghz: float = 0.0) -> ScatteringMatrix:
+def hybrid_90(phase_imbalance_rad: float = 0.0) -> ScatteringMatrix:
     """Ideal quadrature hybrid on ports (1, 2, 1p, 2p).
 
     Through paths 1<->1p and 2<->2p carry 1/sqrt2; cross paths 1<->2p and
@@ -80,8 +83,10 @@ def hybrid_90(phase_imbalance_rad: float = 0.0, freq_ghz: float = 0.0) -> Scatte
     paths to i*e^{-i delta}/sqrt2 and i*e^{+i delta}/sqrt2 while keeping the
     matrix unitary and reciprocal; delta = 0 is the ideal part.
     """
-    c = 1.0 / np.sqrt(2.0)
     d = float(phase_imbalance_rad)
+    if not np.isfinite(d):
+        raise ValueError("phase_imbalance_rad must be finite")
+    c = 1.0 / np.sqrt(2.0)
     cross_12p = 1j * c * np.exp(-1j * d)
     cross_21p = 1j * c * np.exp(1j * d)
     s = np.array(
@@ -93,7 +98,7 @@ def hybrid_90(phase_imbalance_rad: float = 0.0, freq_ghz: float = 0.0) -> Scatte
         ],
         dtype=complex,
     )
-    return ScatteringMatrix(freq_ghz, ("1", "2", "1p", "2p"), s)
+    return ScatteringMatrix(("1", "2", "1p", "2p"), s)
 
 
 def delay_line(length_um: float, eps_eff: float, freq_ghz: float) -> ScatteringMatrix:
@@ -102,14 +107,16 @@ def delay_line(length_um: float, eps_eff: float, freq_ghz: float) -> ScatteringM
     Both directions carry e^{i theta} with theta = 2 pi f sqrt(eps_eff) l / c,
     evaluated at the actual propagating frequency freq_ghz.
     """
-    if length_um < 0:
+    if not length_um >= 0.0:
         raise ValueError("length_um must be nonnegative")
-    if eps_eff < 1.0:
+    if not eps_eff >= 1.0:
         raise ValueError("eps_eff must be >= 1")
+    if not np.isfinite(freq_ghz):
+        raise ValueError("freq_ghz must be finite")
     theta = delay_phase_rad(length_um, eps_eff, freq_ghz)
     ph = np.exp(1j * theta)
     s = np.array([[0.0, ph], [ph, 0.0]], dtype=complex)
-    return ScatteringMatrix(freq_ghz, ("1", "2"), s)
+    return ScatteringMatrix(("1", "2"), s)
 
 
 def delay_phase_rad(length_um: float, eps_eff: float, freq_ghz: float) -> float:
@@ -124,24 +131,18 @@ def delay_phase_rad(length_um: float, eps_eff: float, freq_ghz: float) -> float:
     )
 
 
-def lossy_coupler(
-    alpha: float, beta: float, freq_ghz: float = 0.0, lossless: bool = True
-) -> ScatteringMatrix:
+def lossy_coupler(alpha: float, beta: float) -> ScatteringMatrix:
     """Directional power tap on ports (b1, b2, 3, 4).
 
     b1 and b2 are the internal line ports, 3 and 4 the external taps. The
     through path b1<->b2 carries -alpha, the branches b1<->3 and b2<->4 carry
-    +beta, and 3<->4 carries +alpha. Real, symmetric, and orthogonal when
-    alpha^2 + beta^2 = 1 (enforced by default); pass lossless=False to allow
-    alpha^2 + beta^2 < 1, modeling leakage loss.
+    +beta, and 3<->4 carries +alpha. Real, symmetric, and orthogonal:
+    alpha^2 + beta^2 must equal 1.
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError("alpha and beta must lie in [0, 1]")
-    if lossless:
-        if abs(alpha**2 + beta**2 - 1.0) > 1e-12:
-            raise ValueError("alpha^2 + beta^2 must equal 1 for a lossless coupler")
-    elif alpha**2 + beta**2 > 1.0 + 1e-12:
-        raise ValueError("alpha^2 + beta^2 must not exceed 1")
+    if not abs(alpha**2 + beta**2 - 1.0) <= 1e-12:
+        raise ValueError("alpha^2 + beta^2 must equal 1 for a lossless coupler")
     s = np.array(
         [
             [0.0, -alpha, beta, 0.0],
@@ -151,42 +152,14 @@ def lossy_coupler(
         ],
         dtype=complex,
     )
-    return ScatteringMatrix(freq_ghz, ("b1", "b2", "3", "4"), s)
+    return ScatteringMatrix(("b1", "b2", "3", "4"), s)
 
 
-def termination(reflection: complex = 0.0, freq_ghz: float = 0.0) -> ScatteringMatrix:
+def termination(reflection: complex = 0.0) -> ScatteringMatrix:
     """One-port load with the given reflection coefficient (0 = matched)."""
-    if abs(reflection) > 1.0 + 1e-9:
+    if not abs(reflection) <= 1.0 + 1e-9:
         raise ValueError("|reflection| must not exceed 1")
-    return ScatteringMatrix(freq_ghz, ("1",), np.array([[reflection]], dtype=complex))
-
-
-@dataclass(frozen=True)
-class NetworkElement:
-    """Named node of a connection graph.
-
-    kind selects a standard builder (hybrid90, delay_line, lossy_coupler,
-    termination) parameterized by params, or a fixed matrix for kinds
-    mixer_2port and custom (params = {"matrix": ScatteringMatrix}), which
-    is returned as is at every frequency.
-    """
-
-    name: str
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def matrix(self, freq_ghz: float) -> ScatteringMatrix:
-        if self.kind == "hybrid90":
-            return hybrid_90(self.params.get("phase_imbalance_rad", 0.0), freq_ghz)
-        if self.kind == "delay_line":
-            return delay_line(self.params["length_um"], self.params["eps_eff"], freq_ghz)
-        if self.kind == "lossy_coupler":
-            return lossy_coupler(self.params["alpha"], self.params["beta"], freq_ghz)
-        if self.kind == "termination":
-            return termination(self.params.get("reflection", 0.0), freq_ghz)
-        if self.kind in ("mixer_2port", "custom"):
-            return self.params["matrix"]
-        raise ValueError(f"unknown element kind {self.kind!r}")
+    return ScatteringMatrix(("1",), np.array([[reflection]], dtype=complex))
 
 
 Joint = tuple[tuple[str, str], tuple[str, str]]
@@ -194,22 +167,17 @@ Joint = tuple[tuple[str, str], tuple[str, str]]
 
 @dataclass(frozen=True)
 class ConnectionGraph:
-    """Elements plus internal joints; unjoined ports are the external ones.
+    """Named element matrices plus internal joints; unjoined ports are the external ones.
 
     Each joint pairs (element_name, port_label) with another such pair. A
     port may appear in at most one joint. external, if given, fixes the
     order of the reduced matrix's ports; otherwise external ports keep
-    element order. External labels are "element.port".
+    element (insertion) order. External labels are "element.port".
     """
 
-    elements: tuple[NetworkElement, ...]
+    elements: dict[str, ScatteringMatrix]
     joints: tuple[Joint, ...]
     external: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        names = [e.name for e in self.elements]
-        if len(set(names)) != len(names):
-            raise ValueError("element names must be unique")
 
 
 @functools.lru_cache(maxsize=128)
@@ -254,12 +222,12 @@ def _plan(elements, joints, external):
     return gather, len(ext), labels
 
 
-def connect(graph: ConnectionGraph, freq_ghz: float) -> ScatteringMatrix:
+def connect(graph: ConnectionGraph) -> ScatteringMatrix:
     """Reduce a connection graph to the scattering matrix of its external ports.
 
-    Builds the block-diagonal matrix of all element responses at freq_ghz,
-    eliminates joined ports through the joint constraints, and returns the
-    response seen from the unjoined ports. Raises
+    Builds the block-diagonal matrix of all element matrices, eliminates
+    joined ports through the joint constraints, and returns the response
+    seen from the unjoined ports. Raises
     NonInvertibleNetworkError("non-invertible internal network") when the
     internal system is singular instead of returning NaNs.
 
@@ -270,9 +238,9 @@ def connect(graph: ConnectionGraph, freq_ghz: float) -> ScatteringMatrix:
     conditioning of the internal system and solves it. A bad graph is never
     cached, so its ValueError is raised on every call.
     """
-    matrices = [e.matrix(freq_ghz) for e in graph.elements]
+    matrices = graph.elements.values()
     gather, n_ext, labels = _plan(
-        tuple((e.name, m.ports) for e, m in zip(graph.elements, matrices)),
+        tuple((name, m.ports) for name, m in graph.elements.items()),
         tuple((tuple(a), tuple(b)) for a, b in graph.joints),
         tuple(tuple(r) for r in graph.external),
     )
@@ -292,7 +260,7 @@ def connect(graph: ConnectionGraph, freq_ghz: float) -> ScatteringMatrix:
             raise NonInvertibleNetworkError("non-invertible internal network")
         a_int = np.linalg.solve(system, s[n_ext:, :n_ext])
         s = s[:n_ext, :n_ext] + s[:n_ext, n_ext:] @ a_int
-    return ScatteringMatrix(freq_ghz, labels, s)
+    return ScatteringMatrix(labels, s)
 
 
 def check_unitarity(matrix: ScatteringMatrix, tol: float = 1e-9) -> tuple[bool, float]:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AmbiguousParityError, NumericalError
-from .isolator import PUMP_PHI_RAD
+from .isolator import HYBRID, PUMP_PHI_RAD
 from .mixer import FLUX_QUANTUM_WB
-from .network import ConnectionGraph, NetworkElement, ScatteringMatrix, connect
+from .network import ConnectionGraph, ScatteringMatrix, connect
 
 _PARITY_BIT = {"even": 0, "odd": 1}
 
@@ -49,6 +49,11 @@ class GyratorSpec:
         return PUMP_PHI_RAD[self.pump_port] + self.parity_bit * np.pi
 
 
+def _two_port(fwd: complex, bwd: complex) -> ScatteringMatrix:
+    """Matched 2-port on ports (1, 2): 1 -> 2 carries fwd, 2 -> 1 carries bwd."""
+    return ScatteringMatrix(("1", "2"), np.array([[0.0, bwd], [fwd, 0.0]], dtype=complex))
+
+
 def gyrator_2port(spec: GyratorSpec) -> ScatteringMatrix:
     """Ideal gyrator [[0, -e^{-i phi}], [-e^{i phi}, 0]] on ports (1, 2).
 
@@ -56,8 +61,7 @@ def gyrator_2port(spec: GyratorSpec) -> ScatteringMatrix:
     e^{2 i phi} = -1 for every parity and pump feed, the gyrator hallmark.
     """
     ph = np.exp(1j * spec.phi_rad)
-    s = np.array([[0.0, -np.conj(ph)], [-ph, 0.0]], dtype=complex)
-    return ScatteringMatrix(0.0, ("1", "2"), s)
+    return _two_port(-ph, -np.conj(ph))
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,6 @@ def _even_forward(pump_port: str) -> complex:
     return -np.exp(1j * PUMP_PHI_RAD[pump_port])
 
 
-def _two_port(name: str, fwd: complex, bwd: complex) -> NetworkElement:
-    m = ScatteringMatrix(0.0, ("1", "2"), np.array([[0.0, bwd], [fwd, 0.0]], dtype=complex))
-    return NetworkElement(name, "custom", {"matrix": m})
-
-
 def chain_transmission(chain: ChainSpec) -> complex:
     """Bright-port amplitude of the interferometer enclosing the chain.
 
@@ -91,30 +90,28 @@ def chain_transmission(chain: ChainSpec) -> complex:
     e^{i calibration_phase}. At calibration phase 0 the magnitude is 0 for
     an even chain and 1 for an odd one.
     """
-    elements = [NetworkElement("hl", "hybrid90")]
+    elements = {"hl": HYBRID}
     joints = []
     prev = ("hl", "1p")
     for k, spec in enumerate(chain.gyrators):
-        gyr = NetworkElement(f"g{k}", "custom", {"matrix": gyrator_2port(spec)})
         comp = np.conj(_even_forward(spec.pump_port))
-        seg = _two_port(f"m{k}", comp, comp)
-        elements.extend([gyr, seg])
+        elements[f"g{k}"] = gyrator_2port(spec)
+        elements[f"m{k}"] = _two_port(comp, comp)
         joints.append((prev, (f"g{k}", "1")))
         joints.append(((f"g{k}", "2"), (f"m{k}", "1")))
         prev = (f"m{k}", "2")
     bot = np.exp(1j * chain.calibration_phase_rad)
-    elements.append(_two_port("bot", bot, bot))
-    elements.append(NetworkElement("hr", "hybrid90"))
+    elements["bot"] = _two_port(bot, bot)
+    elements["hr"] = HYBRID
     joints.append((prev, ("hr", "1p")))
     joints.append((("hl", "2p"), ("bot", "1")))
     joints.append((("bot", "2"), ("hr", "2p")))
     graph = ConnectionGraph(
-        tuple(elements),
+        elements,
         tuple(joints),
         external=(("hl", "1"), ("hl", "2"), ("hr", "1"), ("hr", "2")),
     )
-    reduced = connect(graph, 0.0)
-    return reduced.entry("hr.1", "hl.1")
+    return connect(graph).entry("hr.1", "hl.1")
 
 
 def calibrate(reference: ChainSpec | None = None, tol: float = 1e-9) -> float:
@@ -150,7 +147,7 @@ def infer_parity(magnitudes) -> list[str]:
     out = []
     for m in magnitudes:
         m = float(m)
-        if m < 0.0:
+        if not m >= 0.0:
             raise ValueError("magnitudes must be nonnegative")
         if 0.3 <= m <= 0.7:
             raise AmbiguousParityError(f"ambiguous transmission magnitude {m:g}")
@@ -163,7 +160,7 @@ def field_range(loop_area_um2: float) -> tuple[float, float]:
 
     loop_area_um2 is the gradiometric loop area in square microns.
     """
-    if loop_area_um2 <= 0.0:
+    if not loop_area_um2 > 0.0:
         raise ValueError("loop_area_um2 must be positive")
     area_m2 = loop_area_um2 * 1e-12
     full = FLUX_QUANTUM_WB / area_m2

@@ -1,11 +1,10 @@
 """Acceptance battery: one test per shipped criterion.
 
 The criteria live in paramix.acceptance so `paramix selftest` and this
-module exercise the identical checks; the suite here runs them once and
-reports each verdict as its own pass/fail line.
+module exercise the identical checks; the session's `battery` fixture
+(conftest.py) runs them once and each verdict is its own pass/fail line.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,68 +12,61 @@ from paramix import acceptance
 from paramix.analysis import _refl_conv
 
 
-@pytest.fixture(scope="module")
-def results():
-    out = {r.number: r for r in acceptance.run_all()}
-    assert sorted(out) == list(range(1, 13))
-    return out
-
-
-def _check(results, number):
-    r = results[number]
+def _check(battery, number):
+    r = battery[number]
     assert r.passed, f"criterion {number} ({r.name}) failed: {r.detail}"
 
 
-def test_criterion_01_closed_form_working_point(results):
-    _check(results, 1)
+def test_criterion_01_closed_form_working_point(battery):
+    _check(battery, 1)
 
 
-def test_criterion_02_pump_off_transparency(results):
-    _check(results, 2)
+def test_criterion_02_pump_off_transparency(battery):
+    _check(battery, 2)
 
 
-def test_criterion_03_unitarity_sampling(results):
-    _check(results, 3)
+def test_criterion_03_unitarity_sampling(battery):
+    _check(battery, 3)
 
 
-def test_criterion_04_model_cross_equivalence(results):
-    _check(results, 4)
+def test_criterion_04_model_cross_equivalence(battery):
+    _check(battery, 4)
 
 
-def test_criterion_05_directionality(results):
-    _check(results, 5)
+def test_criterion_05_directionality(battery):
+    _check(battery, 5)
 
 
-def test_criterion_06_added_noise(results):
-    _check(results, 6)
+def test_criterion_06_added_noise(battery):
+    _check(battery, 6)
 
 
-def test_criterion_07_bandwidth_attenuation_law(results):
-    _check(results, 7)
+def test_criterion_07_bandwidth_attenuation_law(battery):
+    _check(battery, 7)
 
 
-def test_criterion_08_fit_round_trip(results):
-    _check(results, 8)
+def test_criterion_08_fit_round_trip(battery):
+    _check(battery, 8)
 
 
-def test_criterion_09_readout_backaction(results):
-    _check(results, 9)
+def test_criterion_09_readout_backaction(battery):
+    _check(battery, 9)
 
 
-def test_criterion_10_parity_chains(results):
-    _check(results, 10)
+def test_criterion_10_parity_chains(battery):
+    _check(battery, 10)
 
 
-def test_criterion_11_sweep_properties(results):
-    _check(results, 11)
+def test_criterion_11_sweep_properties(battery):
+    _check(battery, 11)
 
 
-def test_criterion_12_determinism(results):
-    _check(results, 12)
+def test_criterion_12_determinism(battery):
+    _check(battery, 12)
 
 
-def test_rendered_table_shape(results):
-    text = acceptance.render_table(sorted(results.values(), key=lambda r: r.number))
+def test_rendered_table_shape(battery):
+    text = acceptance.render_table(sorted(battery.values(), key=lambda r: r.number))
     lines = text.splitlines()
     assert lines[0].lstrip().startswith("#")
     assert sum(1 for ln in lines if " PASS " in ln or " FAIL " in ln) == 12
