@@ -1,7 +1,10 @@
-"""paramix: scattering models and analysis for interferometric parametric isolators."""
+"""paramix: scattering models and analysis for interferometric parametric isolators.
+
+The package root re-exports the error classes and the entry points listed in
+the README; everything else is imported from its module.
+"""
 
 from .errors import (
-    AmbiguousParityError,
     ConfigError,
     NoDipError,
     NonFiniteError,
@@ -12,74 +15,26 @@ from .errors import (
     SingularResponseError,
     UnbracketedBandwidthError,
 )
-from .network import (
-    ConnectionGraph,
-    ScatteringMatrix,
-    check_unitarity,
-    connect,
-    delay_line,
-    hybrid_90,
-    lossy_coupler,
-    termination,
-)
-from .mixer import (
-    JpcParams,
-    JrmParams,
-    RHO_5050,
-    amplitudes_of_frequency,
-    chi_inv,
-    flux_tuning_curve,
-    g3_magnitude,
-    g3_sign,
-    generalized_pump_phase,
-    mixer_2port,
-    n_g,
-    r_a_of_frequency,
-    r_b_of_frequency,
-    r_on_resonance,
-    t_of_frequency,
-    t_on_resonance,
-)
+from .network import ConnectionGraph, ScatteringMatrix, connect, delay_line
+from .mixer import JpcParams, flux_tuning_curve, r_a_of_frequency, t_of_frequency
 from .isolator import (
     JisConfig,
-    SweepResult,
-    TwoPort,
-    added_noise,
     closed_form_4port,
     closed_form_from_config,
     composed_4port,
-    default_grid,
     effective_2port_sweep,
     make_jis,
-    on_resonance_2port,
     reference_device,
-    with_rho,
 )
 from .analysis import (
-    BackactionReport,
-    BandwidthResult,
-    FitResult,
-    ReadoutChainRecord,
     backaction_report,
     bandwidth_3dB,
     bandwidth_attenuation_scan,
-    eta_from_separation,
     fit_rho_alpha,
     gamma0,
-    isolation_estimate_dB,
     nbar_from_dephasing,
     t_phi,
-    theta_from_chi_kappa,
     to_power_dB,
-)
-from .parity import (
-    ChainSpec,
-    GyratorSpec,
-    calibrate,
-    chain_transmission,
-    field_range,
-    gyrator_2port,
-    infer_parity,
 )
 
 __version__ = "0.1.0"

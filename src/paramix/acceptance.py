@@ -43,6 +43,7 @@ from .isolator import (
     reference_device,
 )
 from .mixer import RHO_5050
+from .network import check_unitarity
 from .parity import ChainSpec, GyratorSpec, calibrate, chain_transmission, field_range
 
 _SQ2 = math.sqrt(2.0)
@@ -77,12 +78,12 @@ def _random_config(rng, rho_lo: float = 0.0):
 
 
 def crit_closed_form_anchors() -> CriterionResult:
-    closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0)
+    closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0)
     runtime = min(
-        _timed(lambda: closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0))
+        _timed(lambda: closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0))
         for _ in range(5)
     )
-    S = closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0).s
+    S = closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0).s
     dev21 = abs(abs(S[1, 0]) - 2.0 * _SQ2 / 3.0)
     dev0 = max(abs(S[0, 1]), abs(S[0, 0]), abs(S[1, 1]))
     fast = runtime < 1e-3
@@ -105,7 +106,7 @@ def crit_pump_off_transparency() -> CriterionResult:
     expected[0, 1] = expected[1, 0] = 1j
     expected[2, 2] = expected[3, 3] = -1.0
     exact = all(
-        np.array_equal(closed_form_4port(0.0, alpha, math.sqrt(1.0 - alpha**2), phi, phi_s).s, expected)
+        np.array_equal(closed_form_4port(0.0, alpha, phi, phi_s).s, expected)
         for alpha, phi, phi_s in ((0.7, 0.3, 1.1), (0.0, -2.0, 0.4), (1.0 / _SQ2, 0.0, 0.0))
     )
     return CriterionResult(
@@ -115,17 +116,15 @@ def crit_pump_off_transparency() -> CriterionResult:
 
 def crit_unitarity() -> CriterionResult:
     rng = np.random.default_rng(3)
-    eye = np.eye(4)
     worst = 0.0
     for _ in range(1000):
         S = closed_form_4port(
             rng.uniform(0.0, 1.0),
             1.0 / _SQ2,
-            1.0 / _SQ2,
             rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
             rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
-        ).s
-        worst = max(worst, float(np.max(np.abs(S.conj().T @ S - eye))))
+        )
+        worst = max(worst, check_unitarity(S)[1])
     return CriterionResult(
         3, "unitarity sampling", worst < 1e-9, f"max |S^H S - I| = {worst:.2e} over 1000 draws"
     )
@@ -142,7 +141,7 @@ def crit_cross_equivalence() -> CriterionResult:
     for _ in range(100):
         t = rng.uniform(0.0, 1.0)
         phi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
-        S = closed_form_4port(t, 1.0 / _SQ2, 1.0 / _SQ2, phi, rng.uniform(-2.0 * np.pi, 2.0 * np.pi)).s
+        S = closed_form_4port(t, 1.0 / _SQ2, phi, rng.uniform(-2.0 * np.pi, 2.0 * np.pi)).s
         tp = on_resonance_2port(t, phi)
         worst_res = max(
             worst_res,

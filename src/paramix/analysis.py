@@ -9,7 +9,7 @@ are formed internally as 2 pi times a cyclic MHz value; decay rates are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -26,7 +26,6 @@ from .isolator import (
     SweepResult,
     default_grid,
     effective_2port_sweep,
-    with_rho,
 )
 
 
@@ -119,7 +118,7 @@ def bandwidth_attenuation_scan(
     f = default_grid(config) if f_ghz is None else f_ghz
     out = []
     for rho in rho_values:
-        sweep = effective_2port_sweep(with_rho(config, float(rho)), f)
+        sweep = effective_2port_sweep(replace(config, rho=float(rho)), f)
         bw = bandwidth_3dB(sweep, direction)
         out.append((math.sqrt(bw.floor), bw.gamma_mhz))
     return out

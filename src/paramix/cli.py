@@ -259,7 +259,8 @@ def cmd_flux_curve(payload, out_dir: Path, fmt: str) -> int:
     start = float(grid.get("phi_start_rad", -PRIMARY_LOBE_RAD))
     stop = float(grid.get("phi_stop_rad", PRIMARY_LOBE_RAD))
     phis = np.linspace(start, stop, int(grid.get("points", 401)))
-    f = flux_tuning_curve(phis, jrm)
+    # linspace overflows to NaN/inf between huge finite ends: a config error
+    f = _build(flux_tuning_curve, phi_ext_rad=phis, jrm=jrm)
     write_csv(out_dir / "flux_curve.csv", ["phi_ext_rad", "f_ghz"], [phis, f])
     return 0
 

@@ -39,7 +39,3 @@ class UnbracketedBandwidthError(NumericalError):
 
 class NonIdentifiableError(NumericalError):
     """A fit cannot pin down its parameters from the given data."""
-
-
-class AmbiguousParityError(NumericalError):
-    """A transmission magnitude sits too close to the decision threshold."""

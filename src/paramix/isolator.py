@@ -15,7 +15,7 @@ quoted mod 2 pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +28,11 @@ from .mixer import (
     t_on_resonance,
 )
 from .network import (
+    HYBRID,
     ConnectionGraph,
     ScatteringMatrix,
     connect,
     delay_phase_rad,
-    hybrid_90,
     lossy_coupler,
 )
 
@@ -41,9 +41,6 @@ _PUMP_PHASES = {"P1": (0.0, np.pi / 2.0), "P2": (np.pi / 2.0, 0.0)}
 
 # Stage-phase difference each feed sets at zero flux: -pi/2 for P1, +pi/2 for P2.
 PUMP_PHI_RAD = {port: ph1 - ph2 for port, (ph1, ph2) in _PUMP_PHASES.items()}
-
-# The ideal quadrature hybrid; read-only, so every composition shares it.
-HYBRID = hybrid_90()
 
 # Clamp for the internal-loop resonance denominator 1 - r_b^2 alpha^2.
 _LOOP_SINGULARITY_TOL = 1e-12
@@ -94,14 +91,6 @@ class JisConfig:
         return self.f_b_ghz - self.f_a_ghz
 
     @property
-    def beta(self) -> float:
-        return float(np.sqrt(1.0 - self.alpha_mag**2))
-
-    @property
-    def parity(self) -> int:
-        return (self.jpc1.n_g + self.jpc2.n_g) % 2
-
-    @property
     def phi_rad(self) -> float:
         """Exact difference of the generalized stage phases (phi_p + p pi mod 2 pi)."""
         return (
@@ -142,30 +131,28 @@ def reference_device(
     )
 
 
-def with_rho(config: JisConfig, rho: float) -> JisConfig:
-    """Copy of config with the shared pump strength set to rho; both stages follow."""
-    return replace(config, rho=rho)
-
-
 _PORTS_4 = ("1", "2", "3", "4")
 
 
 def closed_form_4port(
-    t: float, alpha: float, beta: float, phi_rad: float, phi_s_rad: float = np.pi / 2.0
+    t: float, alpha: float, phi_rad: float, phi_s_rad: float = np.pi / 2.0
 ) -> ScatteringMatrix:
     """On-resonance 4-port scattering of the device in closed form.
 
-    t is the per-stage conversion amplitude, alpha/beta the internal coupler
-    split, phi and phi_s the difference and sum of the generalized stage
-    phases (reals; their halves appear directly, so values matter mod 4 pi).
-    With no conversion (t = 0) the device is exactly transparent: S21 = S12
-    = i, full reflection -1 at the internal taps.
+    t is the per-stage conversion amplitude, alpha the through amplitude of
+    the lossless internal coupler (its branches carry beta = sqrt(1 -
+    alpha^2)), phi and phi_s the difference and sum of the generalized stage
+    phases (finite reals; their halves appear directly, so values matter
+    mod 4 pi). With no conversion (t = 0) the device is exactly transparent:
+    S21 = S12 = i, full reflection -1 at the internal taps.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("alpha and beta must lie in [0, 1]")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if not (np.isfinite(phi_rad) and np.isfinite(phi_s_rad)):
+        raise ValueError("phi_rad and phi_s_rad must be finite")
     if t == 0.0:
         s = np.array(
             [
@@ -177,8 +164,9 @@ def closed_form_4port(
             dtype=complex,
         )
         return ScatteringMatrix(_PORTS_4, s)
+    beta = np.sqrt(1.0 - alpha**2)
     if beta == 0.0:
-        raise ValueError("beta = 0 with t > 0 leaves the internal line unloaded")
+        raise ValueError("alpha = 1 with t > 0 leaves the internal line unloaded")
 
     r = np.sqrt(1.0 - t**2)
     ab2 = alpha / beta**2
@@ -220,11 +208,7 @@ def closed_form_4port(
 
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     return closed_form_4port(
-        t_on_resonance(config.rho),
-        config.alpha_mag,
-        config.beta,
-        config.phi_rad,
-        config.phi_s_rad,
+        t_on_resonance(config.rho), config.alpha_mag, config.phi_rad, config.phi_s_rad
     )
 
 
@@ -242,7 +226,7 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
         "hyb": HYBRID,
         "st1": mixer_2port(t, phi1),
         "st2": mixer_2port(t, phi2),
-        "cpl": lossy_coupler(config.alpha_mag, config.beta),
+        "cpl": lossy_coupler(config.alpha_mag),
     }
     joints = (
         (("hyb", "1p"), ("st1", "a")),
@@ -273,6 +257,8 @@ def on_resonance_2port(t: float, phi_rad: float) -> TwoPort:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    if not np.isfinite(phi_rad):
+        raise ValueError("phi_rad must be finite")
     r = np.sqrt(1.0 - t**2)
     d = 1.0 + t**2
     s21 = 1j * (r - np.sqrt(2.0) * t**2 * np.sin(phi_rad)) / d
@@ -289,8 +275,11 @@ class SweepResult:
     s11: np.ndarray
     s12: np.ndarray
     s21: np.ndarray
-    s22: np.ndarray
-    config: JisConfig
+
+    @property
+    def s22(self) -> np.ndarray:
+        """S22, which equals S11 for this symmetric device (the same array)."""
+        return self.s11
 
 
 def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
@@ -327,8 +316,6 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
         s11=np.asarray(s11, dtype=complex),
         s12=np.asarray(s12, dtype=complex),
         s21=np.asarray(s21, dtype=complex),
-        s22=np.array(s11, dtype=complex),
-        config=config,
     )
 
 

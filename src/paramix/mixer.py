@@ -48,12 +48,6 @@ def t_on_resonance(rho: float) -> float:
     return 2.0 * rho / (1.0 + rho**2)
 
 
-def r_on_resonance(rho: float) -> float:
-    """Reflection amplitude (1 - rho^2) / (1 + rho^2) at zero detuning."""
-    rho = _check_rho(rho)
-    return (1.0 - rho**2) / (1.0 + rho**2)
-
-
 def chi_inv(f1_ghz: float, f_a_ghz: float, gamma_mhz: float) -> complex:
     """Inverse susceptibility 1 - 2i (f1 - f_a) / gamma of one mode.
 
@@ -90,14 +84,13 @@ class JpcParams:
             raise ValueError("linewidths must be positive")
         _check_rho(self.rho)
         _check_flux(self.phi_ext_rad)
-
-    @property
-    def n_g(self) -> int:
-        return n_g(self.phi_ext_rad)
+        if not np.isfinite(self.pump_phase_rad):
+            raise ValueError("pump_phase_rad must be finite")
 
     @property
     def generalized_pump_phase_rad(self) -> float:
-        return generalized_pump_phase(self.pump_phase_rad, self.phi_ext_rad)
+        """Effective pump phase phi_p + n_g pi seen by the conversion process."""
+        return float(self.pump_phase_rad) + n_g(self.phi_ext_rad) * np.pi
 
 
 def amplitudes_of_frequency(f1_ghz: float, params: JpcParams) -> tuple[complex, complex, complex]:
@@ -127,56 +120,10 @@ def r_a_of_frequency(f1_ghz: float, params: JpcParams) -> complex:
     return amplitudes_of_frequency(f1_ghz, params)[1]
 
 
-def r_b_of_frequency(f1_ghz: float, params: JpcParams) -> complex:
-    """High-mode reflection r_b of `amplitudes_of_frequency`."""
-    return amplitudes_of_frequency(f1_ghz, params)[2]
-
-
 def n_g(phi_ext_rad: float) -> int:
     """Coupling index of the flux working point: 0 for phi <= 0, 1 for phi > 0."""
     _check_flux(phi_ext_rad)
     return 0 if phi_ext_rad <= 0.0 else 1
-
-
-def generalized_pump_phase(pump_phase_rad: float, phi_ext_rad: float) -> float:
-    """Effective pump phase phi_p + n_g pi seen by the conversion process."""
-    return float(pump_phase_rad) + n_g(phi_ext_rad) * np.pi
-
-
-def g3_sign(phi_ext_rad: float) -> int:
-    """Sign of the three-wave coupling: -sign(phi_ext), 0 at zero flux."""
-    _check_flux(phi_ext_rad)
-    if phi_ext_rad == 0.0:
-        return 0
-    return -1 if phi_ext_rad > 0.0 else 1
-
-
-def g3_magnitude(
-    phi_ext_rad: float,
-    p_a: float,
-    p_b: float,
-    p_c: float,
-    f_a_ghz: float,
-    f_b_ghz: float,
-    f_c_ghz: float,
-    ej_eff_over_h_ghz: float,
-) -> float:
-    """Three-wave coupling magnitude in GHz.
-
-    |g3| = |sin(phi_ext / 4)| sqrt(p_a p_b p_c f_a f_b f_c / (E_J^eff / h)).
-    The participation ratios p_x are dimensionless; the effective junction
-    energy is supplied directly as a frequency E_J^eff / h in GHz.
-    """
-    for name, val in (("p_a", p_a), ("p_b", p_b), ("p_c", p_c)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    if not all(f > 0.0 for f in (f_a_ghz, f_b_ghz, f_c_ghz)):
-        raise ValueError("mode frequencies must be positive")
-    if not ej_eff_over_h_ghz > 0.0:
-        raise ValueError("ej_eff_over_h_ghz must be positive")
-    return abs(np.sin(phi_ext_rad / 4.0)) * np.sqrt(
-        p_a * p_b * p_c * f_a_ghz * f_b_ghz * f_c_ghz / ej_eff_over_h_ghz
-    )
 
 
 @dataclass(frozen=True)
@@ -223,9 +170,12 @@ def flux_tuning_curve(phi_ext_rad, jrm: JrmParams = JrmParams()):
     The ring inductance is shunt-limited, L_JRM = L_J0 / (L_J0 / 2L +
     cos(phi/4)), in series with a stray inductance and the geometric
     inductance set by the resonator impedance. The resonance scales as
-    1/sqrt(L_total), normalized to f_max at zero flux. Raises NumericalError
-    if L_J0 or L_JRM diverges at any of the fluxes.
+    1/sqrt(L_total), normalized to f_max at zero flux. Raises ValueError if
+    any flux is not finite, and NumericalError if L_J0 or L_JRM diverges at
+    any of the fluxes.
     """
+    if not np.all(np.isfinite(phi_ext_rad)):
+        raise ValueError("phi_ext_rad must be finite")
     lj0_nh = _lj0_nh(jrm)
     ls_nh = lj0_nh / jrm.lj0_over_ls
     l_jrm0_nh = _l_jrm_nh(0.0, jrm, lj0_nh)
@@ -249,6 +199,8 @@ def mixer_2port(t: float, generalized_phase_rad: float) -> ScatteringMatrix:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
+    if not np.isfinite(generalized_phase_rad):
+        raise ValueError("generalized_phase_rad must be finite")
     r = np.sqrt(1.0 - t**2)
     ph = np.exp(1j * generalized_phase_rad)
     s = np.array([[r, -t * np.conj(ph)], [-t * ph, -r]], dtype=complex)

@@ -13,13 +13,12 @@ whose response depends on it.
 Element conventions (pinned jointly so that composed networks reproduce the
 closed-form device responses elsewhere in the package):
 
-* hybrid_90: through ports 1<->1' and 2<->2' carry 1/sqrt2, cross ports
+* HYBRID: through ports 1<->1' and 2<->2' carry 1/sqrt2, cross ports
   1<->2' and 2<->1' carry i/sqrt2. Two of them back to back with identity
   inner arms give S21 = S12 = i.
 * lossy_coupler: the through path between the internal line ports carries
-  -alpha, each branch to its external port carries +beta, and the path
-  between the two external ports carries +alpha (unitary completion when
-  alpha^2 + beta^2 = 1).
+  -alpha, each branch to its external port carries +beta = sqrt(1 - alpha^2),
+  and the path between the two external ports carries +alpha.
 """
 
 from __future__ import annotations
@@ -75,30 +74,19 @@ class ScatteringMatrix:
         return ScatteringMatrix(ports, self.s)
 
 
-def hybrid_90(phase_imbalance_rad: float = 0.0) -> ScatteringMatrix:
-    """Ideal quadrature hybrid on ports (1, 2, 1p, 2p).
+_C = 1.0 / np.sqrt(2.0)
 
-    Through paths 1<->1p and 2<->2p carry 1/sqrt2; cross paths 1<->2p and
-    2<->1p carry i/sqrt2. The optional phase imbalance skews the two cross
-    paths to i*e^{-i delta}/sqrt2 and i*e^{+i delta}/sqrt2 while keeping the
-    matrix unitary and reciprocal; delta = 0 is the ideal part.
-    """
-    d = float(phase_imbalance_rad)
-    if not np.isfinite(d):
-        raise ValueError("phase_imbalance_rad must be finite")
-    c = 1.0 / np.sqrt(2.0)
-    cross_12p = 1j * c * np.exp(-1j * d)
-    cross_21p = 1j * c * np.exp(1j * d)
-    s = np.array(
-        [
-            [0.0, 0.0, c, cross_12p],
-            [0.0, 0.0, cross_21p, c],
-            [c, cross_21p, 0.0, 0.0],
-            [cross_12p, c, 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
-    return ScatteringMatrix(("1", "2", "1p", "2p"), s)
+# The ideal quadrature hybrid on ports (1, 2, 1p, 2p); read-only, so every
+# composition shares it.
+HYBRID = ScatteringMatrix(
+    ("1", "2", "1p", "2p"),
+    [
+        [0.0, 0.0, _C, 1j * _C],
+        [0.0, 0.0, 1j * _C, _C],
+        [_C, 1j * _C, 0.0, 0.0],
+        [1j * _C, _C, 0.0, 0.0],
+    ],
+)
 
 
 def delay_line(length_um: float, eps_eff: float, freq_ghz: float) -> ScatteringMatrix:
@@ -131,18 +119,17 @@ def delay_phase_rad(length_um: float, eps_eff: float, freq_ghz: float) -> float:
     )
 
 
-def lossy_coupler(alpha: float, beta: float) -> ScatteringMatrix:
+def lossy_coupler(alpha: float) -> ScatteringMatrix:
     """Directional power tap on ports (b1, b2, 3, 4).
 
     b1 and b2 are the internal line ports, 3 and 4 the external taps. The
     through path b1<->b2 carries -alpha, the branches b1<->3 and b2<->4 carry
-    +beta, and 3<->4 carries +alpha. Real, symmetric, and orthogonal:
-    alpha^2 + beta^2 must equal 1.
+    +beta = sqrt(1 - alpha^2), and 3<->4 carries +alpha. Real, symmetric and
+    orthogonal.
     """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("alpha and beta must lie in [0, 1]")
-    if not abs(alpha**2 + beta**2 - 1.0) <= 1e-12:
-        raise ValueError("alpha^2 + beta^2 must equal 1 for a lossless coupler")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    beta = np.sqrt(1.0 - alpha**2)
     s = np.array(
         [
             [0.0, -alpha, beta, 0.0],
@@ -153,13 +140,6 @@ def lossy_coupler(alpha: float, beta: float) -> ScatteringMatrix:
         dtype=complex,
     )
     return ScatteringMatrix(("b1", "b2", "3", "4"), s)
-
-
-def termination(reflection: complex = 0.0) -> ScatteringMatrix:
-    """One-port load with the given reflection coefficient (0 = matched)."""
-    if not abs(reflection) <= 1.0 + 1e-9:
-        raise ValueError("|reflection| must not exceed 1")
-    return ScatteringMatrix(("1",), np.array([[reflection]], dtype=complex))
 
 
 Joint = tuple[tuple[str, str], tuple[str, str]]

@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AmbiguousParityError, NumericalError
-from .isolator import HYBRID, PUMP_PHI_RAD
+from .errors import NumericalError
+from .isolator import PUMP_PHI_RAD
 from .mixer import FLUX_QUANTUM_WB
-from .network import ConnectionGraph, ScatteringMatrix, connect
+from .network import HYBRID, ConnectionGraph, ScatteringMatrix, connect
 
 _PARITY_BIT = {"even": 0, "odd": 1}
 
@@ -136,23 +136,6 @@ def calibrate(reference: ChainSpec | None = None, tol: float = 1e-9) -> float:
         raise NumericalError("no nulling phase exists: arms are imbalanced")
     psi = float(np.angle(z))
     return psi if psi != -np.pi else np.pi
-
-
-def infer_parity(magnitudes) -> list[str]:
-    """Threshold bright-port magnitudes into parities (dark even, bright odd).
-
-    Magnitudes in [0.3, 0.7] are rejected as ambiguous before thresholding
-    at 1/2.
-    """
-    out = []
-    for m in magnitudes:
-        m = float(m)
-        if not m >= 0.0:
-            raise ValueError("magnitudes must be nonnegative")
-        if 0.3 <= m <= 0.7:
-            raise AmbiguousParityError(f"ambiguous transmission magnitude {m:g}")
-        out.append("even" if m < 0.5 else "odd")
-    return out
 
 
 def field_range(loop_area_um2: float) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from paramix.analysis import (
     _on_resonance_powers,
 )
 from paramix.errors import NoDipError, NumericalError, UnbracketedBandwidthError
-from paramix.isolator import SweepResult, default_grid, effective_2port_sweep, with_rho
+from paramix.isolator import SweepResult, default_grid, effective_2port_sweep
 from paramix.mixer import RHO_5050
 
 
@@ -40,35 +41,35 @@ def test_gamma0():
         gamma0(0.0, 50.0)
 
 
-def _synthetic_sweep(config, f, power):
+def _synthetic_sweep(f, power):
     amp = np.sqrt(power)
     one = np.ones_like(amp)
-    return SweepResult(f_ghz=f, s11=one, s12=amp, s21=one, s22=one, config=config)
+    return SweepResult(f_ghz=f, s11=one, s12=amp, s21=one)
 
 
-def test_bandwidth_on_piecewise_linear_dip(reference):
+def test_bandwidth_on_piecewise_linear_dip():
     # power L (1 + |f - f0| / w) crosses 2 L exactly at f0 +/- w, and the
     # linear interpolation reproduces that without discretization error
     f0, w, floor = 5.0, 0.01, 0.04
     f = np.linspace(4.95, 5.05, 101)
     power = floor * (1.0 + np.abs(f - f0) / w)
-    bw = bandwidth_3dB(_synthetic_sweep(reference, f, power), "s12")
+    bw = bandwidth_3dB(_synthetic_sweep(f, power), "s12")
     assert bw.f_dip_ghz == 5.0
     assert bw.floor == pytest.approx(floor, rel=1e-12)
     assert bw.gamma_mhz == pytest.approx(20.0, abs=1e-9)
 
 
-def test_bandwidth_failure_modes(reference):
+def test_bandwidth_failure_modes():
     f = np.linspace(4.95, 5.05, 101)
     with pytest.raises(NoDipError, match="grid too short"):
-        bandwidth_3dB(_synthetic_sweep(reference, f[:2], f[:2]), "s12")
+        bandwidth_3dB(_synthetic_sweep(f[:2], f[:2]), "s12")
     with pytest.raises(NoDipError, match="edge"):
-        bandwidth_3dB(_synthetic_sweep(reference, f, 0.1 + 0.01 * (f - 4.95)), "s12")
+        bandwidth_3dB(_synthetic_sweep(f, 0.1 + 0.01 * (f - 4.95)), "s12")
     shallow = 0.04 * (1.0 + np.abs(f - 5.0) / 1.0)  # never reaches 2 L
     with pytest.raises(UnbracketedBandwidthError, match="not bracketed"):
-        bandwidth_3dB(_synthetic_sweep(reference, f, shallow), "s12")
+        bandwidth_3dB(_synthetic_sweep(f, shallow), "s12")
     with pytest.raises(ValueError, match="direction"):
-        bandwidth_3dB(_synthetic_sweep(reference, f, shallow), "s13")
+        bandwidth_3dB(_synthetic_sweep(f, shallow), "s13")
 
 
 def test_reference_dip_regression(reference):
@@ -84,7 +85,7 @@ def test_scan_matches_single_extractions(reference):
     scan = bandwidth_attenuation_scan(reference, rhos, "s12", default_grid(reference, 300.0, 1001))
     assert len(scan) == 2
     for rho, (sqrt_l, gamma) in zip(rhos, scan):
-        cfg = with_rho(reference, rho)
+        cfg = replace(reference, rho=rho)
         bw = bandwidth_3dB(
             effective_2port_sweep(cfg, default_grid(cfg, 300.0, 1001)), "s12"
         )

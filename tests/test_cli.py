@@ -229,7 +229,12 @@ def test_values_the_models_reject_are_config_errors(tmp_path, capsys):
     assert run(tmp_path, "jpc-sweep", {"jpc": inverted}) == 2
     assert run(tmp_path, "jis-sweep", {"jis": inverted}) == 2
     assert run(tmp_path, "jis-sweep", {"jis": {**JIS_PRESET, "phi_ext1_rad": 9.0}}) == 2
-    assert "config error: need 0 < f_a_ghz < f_b_ghz" in capsys.readouterr().err
+    # linspace between two huge finite ends steps by inf and yields NaN fluxes
+    grid = {"phi_start_rad": -1e308, "phi_stop_rad": 1e308, "points": 5}
+    assert run(tmp_path, "flux-curve", {"grid": grid}) == 2
+    err = capsys.readouterr().err
+    assert "config error: need 0 < f_a_ghz < f_b_ghz" in err
+    assert "config error: phi_ext_rad must be finite" in err
 
 
 @pytest.mark.parametrize(

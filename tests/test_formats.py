@@ -91,7 +91,7 @@ def test_touchstone_two_port(tmp_path):
 
 def test_touchstone_four_port(tmp_path):
     path = tmp_path / "t.s4p"
-    s = closed_form_4port(0.3, 0.51, np.sqrt(1.0 - 0.51**2), -np.pi / 2.0)
+    s = closed_form_4port(0.3, 0.51, -np.pi / 2.0)
     write_touchstone(path, [0.0], s.s[np.newaxis])
     lines = path.read_text().splitlines()
     assert lines[1] == "# GHz S RI R 50"

@@ -15,7 +15,6 @@ from paramix.isolator import (
     make_jis,
     on_resonance_2port,
     reference_device,
-    with_rho,
 )
 from paramix.mixer import JpcParams, RHO_5050, t_on_resonance
 from paramix.network import check_unitarity
@@ -24,7 +23,7 @@ SQ2 = np.sqrt(2.0)
 
 
 def test_fifty_fifty_matrix():
-    s = closed_form_4port(1.0 / SQ2, 1.0 / SQ2, 1.0 / SQ2, -np.pi / 2.0, np.pi / 2.0).s
+    s = closed_form_4port(1.0 / SQ2, 1.0 / SQ2, -np.pi / 2.0, np.pi / 2.0).s
     expected = np.array(
         [
             [0.0, 0.0, -1.0 / SQ2, -1.0 / SQ2],
@@ -42,25 +41,27 @@ def test_pump_off_is_exactly_transparent():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = expected[1, 0] = 1j
     expected[2, 2] = expected[3, 3] = -1.0
-    s = closed_form_4port(0.0, 0.7, np.sqrt(1.0 - 0.49), 0.3, 1.1)
+    s = closed_form_4port(0.0, 0.7, 0.3, 1.1)
     assert np.array_equal(s.s, expected)
 
 
 def test_closed_form_validation():
     with pytest.raises(ValueError, match="t must"):
-        closed_form_4port(1.5, 0.5, np.sqrt(0.75), 0.0)
+        closed_form_4port(1.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match="alpha must"):
+        closed_form_4port(0.5, 1.5, 0.0)
     with pytest.raises(ValueError, match="unloaded"):
-        closed_form_4port(0.5, 1.0, 0.0, 0.0)
-    # beta = 0 is fine when nothing converts
-    assert closed_form_4port(0.0, 1.0, 0.0, 0.0).s[0, 1] == 1j
+        closed_form_4port(0.5, 1.0, 0.0)
+    # alpha = 1 is fine when nothing converts
+    assert closed_form_4port(0.0, 1.0, 0.0).s[0, 1] == 1j
 
 
 def test_phi_s_only_rotates_termination_references(rng):
     for _ in range(20):
         t = rng.uniform(0.05, 0.95)
         phi = rng.uniform(-np.pi, np.pi)
-        a = closed_form_4port(t, 0.51, np.sqrt(1.0 - 0.51**2), phi, 0.4).s
-        b = closed_form_4port(t, 0.51, np.sqrt(1.0 - 0.51**2), phi, 2.9).s
+        a = closed_form_4port(t, 0.51, phi, 0.4).s
+        b = closed_form_4port(t, 0.51, phi, 2.9).s
         assert np.max(np.abs(a[:2, :2] - b[:2, :2])) < 1e-15
         assert np.max(np.abs(a[2:, 2:] - b[2:, 2:])) < 1e-15
         assert np.max(np.abs(np.abs(a) - np.abs(b))) < 1e-12
@@ -71,7 +72,6 @@ def test_closed_form_unitary(rng):
     for _ in range(50):
         s = closed_form_4port(
             rng.uniform(0.0, 1.0),
-            1.0 / SQ2,
             1.0 / SQ2,
             rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
             rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
@@ -101,7 +101,7 @@ def test_on_resonance_2port_is_symmetric_split_restriction(rng):
     for _ in range(30):
         t = rng.uniform(0.0, 1.0)
         phi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
-        s = closed_form_4port(t, 1.0 / SQ2, 1.0 / SQ2, phi, 0.77).s
+        s = closed_form_4port(t, 1.0 / SQ2, phi, 0.77).s
         tp = on_resonance_2port(t, phi)
         assert abs(s[0, 0] - tp.s11) < 1e-12
         assert abs(s[0, 1] - tp.s12) < 1e-12
@@ -114,13 +114,11 @@ def test_make_jis_and_config_properties():
     assert cfg.rho == 0.3
     assert cfg.f_a_ghz == 6.84
     assert cfg.f_p_ghz == pytest.approx(2.727)
-    assert cfg.beta == pytest.approx(np.sqrt(0.75))
-    # P1 feeds (0, pi/2): difference -pi/2, sum +pi/2, parity even at zero flux
+    # P1 feeds (0, pi/2): difference -pi/2, sum +pi/2 at zero flux
     assert cfg.phi_rad == -np.pi / 2.0
     assert cfg.phi_s_rad == np.pi / 2.0
-    assert cfg.parity == 0
+    # odd flux parity shifts the difference by pi
     odd = make_jis(6.84, 9.567, 40.0, 100.0, 0.3, phi_ext1_rad=-1.0, phi_ext2_rad=1.0)
-    assert odd.parity == 1
     assert odd.phi_rad == -np.pi / 2.0 - np.pi
     # the stages are the shared fields plus the feed's pump phase and each flux
     for pump, (ph1, ph2) in (("P1", (0.0, np.pi / 2.0)), ("P2", (np.pi / 2.0, 0.0))):
@@ -146,7 +144,7 @@ def test_jis_config_validation():
 
 
 def test_with_rho_replaces_both_stages():
-    cfg = with_rho(reference_device(), 0.2)
+    cfg = replace(reference_device(), rho=0.2)
     assert cfg.jpc1.rho == 0.2 and cfg.jpc2.rho == 0.2
     assert cfg.alpha_mag == 0.51
     fresh = reference_device(rho=0.2)
@@ -175,7 +173,7 @@ def test_effective_sweep_matches_on_resonance_2port():
 
 
 def test_pump_off_sweep_is_transparent(reference):
-    cfg = with_rho(reference, 0.0)
+    cfg = replace(reference, rho=0.0)
     sw = effective_2port_sweep(cfg, default_grid(cfg))
     assert np.max(np.abs(np.abs(sw.s21) - 1.0)) < 1e-12
     assert np.max(np.abs(sw.s21 - sw.s12)) < 1e-12

@@ -8,16 +8,12 @@ from paramix.mixer import (
     JrmParams,
     PRIMARY_LOBE_RAD,
     RHO_5050,
+    amplitudes_of_frequency,
     chi_inv,
     flux_tuning_curve,
-    g3_magnitude,
-    g3_sign,
-    generalized_pump_phase,
     mixer_2port,
     n_g,
     r_a_of_frequency,
-    r_b_of_frequency,
-    r_on_resonance,
     t_of_frequency,
     t_on_resonance,
 )
@@ -35,17 +31,22 @@ def _params(rho=0.3, phi_ext=0.0, pump_phase=0.0):
     )
 
 
+def _r_on_resonance(rho):
+    """Reflection amplitude (1 - rho^2) / (1 + rho^2) at zero detuning."""
+    return r_a_of_frequency(6.84, _params(rho=rho))
+
+
 def test_on_resonance_extremes():
     assert t_on_resonance(0.0) == 0.0
-    assert r_on_resonance(0.0) == 1.0
+    assert _r_on_resonance(0.0) == 1.0
     assert t_on_resonance(1.0) == 1.0
-    assert r_on_resonance(1.0) == 0.0
+    assert _r_on_resonance(1.0) == 0.0
 
 
 def test_fifty_fifty_point():
     c = 1.0 / np.sqrt(2.0)
     assert abs(t_on_resonance(RHO_5050) - c) < 1e-12
-    assert abs(r_on_resonance(RHO_5050) - c) < 1e-12
+    assert abs(_r_on_resonance(RHO_5050) - c) < 1e-12
     # independent root of t(rho) = 1/sqrt2 on the rising branch
     root = optimize.brentq(lambda r: t_on_resonance(r) - c, 0.0, 0.5, xtol=1e-14)
     assert abs(root - RHO_5050) < 1e-12
@@ -54,8 +55,8 @@ def test_fifty_fifty_point():
 def test_energy_split_on_resonance(rng):
     for rho in rng.uniform(0.0, 1.0, size=50):
         t = t_on_resonance(rho)
-        r = r_on_resonance(rho)
-        assert abs(t**2 + r**2 - 1.0) < 1e-12
+        r = _r_on_resonance(rho)
+        assert abs(t**2 + abs(r) ** 2 - 1.0) < 1e-12
 
 
 def test_rho_bounds():
@@ -78,15 +79,15 @@ def test_frequency_response_reduces_on_resonance(rng):
     for rho in rng.uniform(0.0, 1.0, size=10):
         p = _params(rho=rho)
         assert t_of_frequency(p.f_a_ghz, p) == pytest.approx(t_on_resonance(rho), abs=1e-15)
-        assert r_a_of_frequency(p.f_a_ghz, p) == pytest.approx(r_on_resonance(rho), abs=1e-15)
+        assert r_a_of_frequency(p.f_a_ghz, p) == pytest.approx((1.0 - rho**2) / (1.0 + rho**2), abs=1e-15)
 
 
 def test_frequency_response_is_lossless(rng):
     for _ in range(50):
         p = _params(rho=rng.uniform(0.0, 1.0))
         f1 = p.f_a_ghz + rng.uniform(-0.2, 0.2)
-        t = t_of_frequency(f1, p)
-        for refl in (r_a_of_frequency(f1, p), r_b_of_frequency(f1, p)):
+        t, r_a, r_b = amplitudes_of_frequency(f1, p)
+        for refl in (r_a, r_b):
             assert abs(abs(refl) ** 2 + abs(t) ** 2 - 1.0) < 1e-9
 
 
@@ -105,36 +106,10 @@ def test_n_g_and_pump_phase():
     assert n_g(PRIMARY_LOBE_RAD) == 1
     with pytest.raises(ValueError):
         n_g(PRIMARY_LOBE_RAD + 0.1)
-    assert generalized_pump_phase(0.25, -1.0) == 0.25
-    assert generalized_pump_phase(0.25, 1.0) == 0.25 + np.pi
+    assert _params(phi_ext=-1.0, pump_phase=0.25).generalized_pump_phase_rad == 0.25
+    assert _params(phi_ext=1.0, pump_phase=0.25).generalized_pump_phase_rad == 0.25 + np.pi
     p = _params(phi_ext=2.0, pump_phase=np.pi / 2.0)
-    assert p.n_g == 1
     assert p.generalized_pump_phase_rad == np.pi / 2.0 + np.pi
-
-
-def test_g3_sign():
-    assert g3_sign(0.0) == 0
-    assert g3_sign(1.0) == -1
-    assert g3_sign(-1.0) == 1
-    with pytest.raises(ValueError):
-        g3_sign(100.0)
-
-
-def test_g3_magnitude_scaling():
-    args = dict(p_a=0.1, p_b=0.2, p_c=0.05, f_a_ghz=6.84, f_b_ghz=9.567, f_c_ghz=16.4, ej_eff_over_h_ghz=800.0)
-    assert g3_magnitude(0.0, **args) == 0.0
-    base = g3_magnitude(2.0, **args)
-    assert base > 0.0
-    # |sin(phi/4)| scaling and sqrt participation scaling
-    assert g3_magnitude(4.0, **args) / base == pytest.approx(
-        abs(np.sin(1.0)) / abs(np.sin(0.5))
-    )
-    doubled = g3_magnitude(2.0, **{**args, "p_a": 0.2})
-    assert doubled / base == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(ValueError):
-        g3_magnitude(2.0, **{**args, "p_b": 1.5})
-    with pytest.raises(ValueError):
-        g3_magnitude(2.0, **{**args, "ej_eff_over_h_ghz": 0.0})
 
 
 def test_jpc_params_validation():

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from paramix.errors import NonInvertibleNetworkError
+from paramix.mixer import mixer_2port
 from paramix.network import (
+    HYBRID,
     ConnectionGraph,
     ScatteringMatrix,
     check_unitarity,
     connect,
     delay_line,
     delay_phase_rad,
-    hybrid_90,
     lossy_coupler,
-    termination,
 )
 
 C = 1.0 / np.sqrt(2.0)
@@ -40,7 +40,7 @@ def test_scattering_matrix_entry_and_rename():
 
 
 def test_hybrid_structure():
-    h = hybrid_90()
+    h = HYBRID
     assert h.ports == ("1", "2", "1p", "2p")
     assert h.entry("1p", "1") == pytest.approx(C)
     assert h.entry("2p", "2") == pytest.approx(C)
@@ -51,16 +51,9 @@ def test_hybrid_structure():
     assert ok, dev
 
 
-def test_hybrid_imbalance_stays_unitary():
-    h = hybrid_90(phase_imbalance_rad=0.37)
-    ok, dev = check_unitarity(h, tol=1e-12)
-    assert ok, dev
-    assert h.entry("2p", "1") != h.entry("1p", "2")
-
-
 def test_back_to_back_hybrids_give_transparency():
     graph = ConnectionGraph(
-        elements={"h1": hybrid_90(), "h2": hybrid_90()},
+        elements={"h1": HYBRID, "h2": HYBRID},
         joints=((("h1", "1p"), ("h2", "1p")), (("h1", "2p"), ("h2", "2p"))),
         external=(("h1", "1"), ("h1", "2"), ("h2", "1"), ("h2", "2")),
     )
@@ -89,11 +82,11 @@ def test_delay_line_phase_and_validation():
 
 def test_lossy_coupler_structure():
     alpha = 0.6
-    beta = 0.8
-    c = lossy_coupler(alpha, beta)
+    c = lossy_coupler(alpha)
     assert c.entry("b2", "b1") == -alpha
-    assert c.entry("3", "b1") == beta
-    assert c.entry("4", "b2") == beta
+    # the branches carry beta = sqrt(1 - alpha^2) = 0.8
+    assert c.entry("3", "b1") == pytest.approx(0.8, abs=1e-15)
+    assert c.entry("4", "b2") == c.entry("3", "b1")
     assert c.entry("4", "3") == alpha
     assert c.entry("b1", "b1") == 0.0
     assert np.allclose(c.s, c.s.T)
@@ -102,24 +95,20 @@ def test_lossy_coupler_structure():
 
 
 def test_lossy_coupler_validation():
-    # the split must be lossless: alpha^2 + beta^2 = 1 from either side
-    for alpha, beta in ((0.5, 0.5), (0.9, 0.9)):
-        with pytest.raises(ValueError, match="lossless"):
-            lossy_coupler(alpha, beta)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        lossy_coupler(-0.1, 0.8)
+    for alpha in (-0.1, 1.1):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            lossy_coupler(alpha)
+    # alpha = 1 is the fully reflecting limit: the branches carry nothing
+    assert lossy_coupler(1.0).entry("3", "b1") == 0.0
 
 
-def test_termination():
-    t = termination()
-    assert t.s[0, 0] == 0.0
-    assert termination(-1.0).s[0, 0] == -1.0
-    with pytest.raises(ValueError):
-        termination(1.5)
+def _load(reflection):
+    """One-port load with the given reflection coefficient."""
+    return ScatteringMatrix(("1",), [[reflection]])
 
 
 def test_connect_joint_validation():
-    elems = {"h": hybrid_90(), "t": termination()}
+    elems = {"h": HYBRID, "t": _load(0.0)}
     # a bad graph is never planned: the same call raises every time
     for _ in range(2):
         with pytest.raises(ValueError, match="unknown port"):
@@ -127,7 +116,7 @@ def test_connect_joint_validation():
         with pytest.raises(ValueError, match="at most one joint"):
             connect(
                 ConnectionGraph(
-                    {**elems, "t2": termination()},
+                    {**elems, "t2": _load(0.0)},
                     ((("h", "1p"), ("t", "1")), (("h", "1p"), ("t2", "1"))),
                 )
             )
@@ -166,9 +155,9 @@ def reference_connect(graph):
 def _loaded_line(length_um, reflection, external=()):
     return ConnectionGraph(
         {
-            "h": hybrid_90(),
+            "h": HYBRID,
             "d": delay_line(length_um, 3.3, 4.2),
-            "t": termination(reflection),
+            "t": _load(reflection),
         },
         ((("h", "1p"), ("d", "1")), (("d", "2"), ("t", "1"))),
         external=external,
@@ -205,7 +194,7 @@ def test_a_reduction_leaves_its_element_matrices_bit_identical():
 
 
 def test_a_shared_element_matrix_is_read_only():
-    h = hybrid_90()
+    h = HYBRID
     first = connect(ConnectionGraph({"a": h, "b": h}, ((("a", "1p"), ("b", "1p")),)))
     with pytest.raises(ValueError, match="read-only"):
         h.s[0, 2] = 0.0
@@ -219,7 +208,7 @@ def test_a_shared_element_matrix_is_read_only():
 
 
 def test_connect_no_joints_is_block_diagonal():
-    g = ConnectionGraph({"t": termination(0.25)}, ())
+    g = ConnectionGraph({"t": _load(0.25)}, ())
     s = connect(g)
     assert s.ports == ("t.1",)
     assert s.s[0, 0] == 0.25
@@ -229,10 +218,10 @@ def test_connect_order_invariance(rng):
     # the reduced response must not depend on element order or joint order
     def build(elem_order, joint_order):
         elems = {
-            "h": hybrid_90(),
+            "h": HYBRID,
             "d": delay_line(37.0, 3.3, 4.2),
-            "c": lossy_coupler(0.6, 0.8),
-            "t": termination(0.3j),
+            "c": lossy_coupler(0.6),
+            "t": _load(0.3j),
         }
         joints = {
             "j1": (("h", "1p"), ("d", "1")),
@@ -259,13 +248,15 @@ def test_connect_unitary_composition(rng):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         g = ConnectionGraph(
             {
-                "h1": hybrid_90(rng.uniform(-1, 1)),
+                "h1": HYBRID,
                 "d": delay_line(rng.uniform(0, 50), 2.0, theta),
-                "h2": hybrid_90(),
+                "m": mixer_2port(rng.uniform(0.0, 1.0), rng.uniform(-np.pi, np.pi)),
+                "h2": HYBRID,
             },
             (
                 (("h1", "1p"), ("d", "1")),
                 (("d", "2"), ("h2", "1p")),
+                (("h1", "2p"), ("m", "a")),
             ),
         )
         s = connect(g)
@@ -276,7 +267,7 @@ def test_connect_unitary_composition(rng):
 def test_connect_singular_internal_network():
     # two unit reflectors facing each other have no steady solution
     g = ConnectionGraph(
-        {"t1": termination(1.0), "t2": termination(1.0)},
+        {"t1": _load(1.0), "t2": _load(1.0)},
         ((("t1", "1"), ("t2", "1")),),
     )
     with pytest.raises(NonInvertibleNetworkError, match="non-invertible"):

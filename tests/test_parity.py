@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from paramix.errors import AmbiguousParityError
 from paramix.parity import (
     ChainSpec,
     GyratorSpec,
@@ -11,7 +10,6 @@ from paramix.parity import (
     chain_transmission,
     field_range,
     gyrator_2port,
-    infer_parity,
 )
 
 
@@ -90,17 +88,6 @@ def test_chain_order_does_not_matter():
         for perm in itertools.permutations(specs)
     }
     assert mags == {0.0}
-
-
-def test_infer_parity():
-    assert infer_parity([0.0, 1.0, 0.1, 0.95]) == ["even", "odd", "even", "odd"]
-    assert infer_parity([]) == []
-    with pytest.raises(AmbiguousParityError, match="ambiguous"):
-        infer_parity([0.5])
-    with pytest.raises(AmbiguousParityError):
-        infer_parity([0.0, 0.31])
-    with pytest.raises(ValueError, match="nonnegative"):
-        infer_parity([-0.2])
 
 
 def test_field_range():
