@@ -26,6 +26,7 @@ from .isolator import (
     SweepResult,
     default_grid,
     effective_2port_sweep,
+    grid_chunks,
 )
 
 
@@ -64,18 +65,21 @@ def _crossing(f: np.ndarray, y: np.ndarray, i_lo: int, i_hi: int, target: float)
     return float(f[i_lo] + w * (f[i_hi] - f[i_lo]))
 
 
-def bandwidth_3dB(sweep: SweepResult, direction: str = "s12") -> BandwidthResult:
-    """Width of the isolated-direction dip, 3 dB above its minimum.
+def _check_direction(direction: str) -> None:
+    if direction not in ("s11", "s12", "s21", "s22"):
+        raise ValueError("direction must be one of s11, s12, s21, s22")
 
-    The dip floor L is the minimum of |S|^2 over the grid; the width is the
-    distance between the two interpolated crossings of 2 L. Raises
+
+def dip_bandwidth(f_ghz, power) -> BandwidthResult:
+    """Width of the dip in a power trace |S|^2 over f_ghz, 3 dB above its minimum.
+
+    The dip floor L is the minimum of the power over the grid; the width is
+    the distance between the two interpolated crossings of 2 L. Raises
     NoDipError("no dip") when the minimum sits on a grid edge and
     UnbracketedBandwidthError when either crossing lies outside the grid.
     """
-    if direction not in ("s11", "s12", "s21", "s22"):
-        raise ValueError("direction must be one of s11, s12, s21, s22")
-    f = np.asarray(sweep.f_ghz, dtype=float)
-    y = np.abs(getattr(sweep, direction)) ** 2
+    f = np.asarray(f_ghz, dtype=float)
+    y = np.asarray(power, dtype=float)
     if f.size < 3:
         raise NoDipError("no dip: grid too short")
     i0 = int(np.argmin(y))
@@ -101,6 +105,12 @@ def bandwidth_3dB(sweep: SweepResult, direction: str = "s12") -> BandwidthResult
     )
 
 
+def bandwidth_3dB(sweep: SweepResult, direction: str = "s12") -> BandwidthResult:
+    """The `dip_bandwidth` of one direction of a sweep."""
+    _check_direction(direction)
+    return dip_bandwidth(sweep.f_ghz, np.abs(getattr(sweep, direction)) ** 2)
+
+
 def bandwidth_attenuation_scan(
     config: JisConfig,
     rho_values,
@@ -110,16 +120,21 @@ def bandwidth_attenuation_scan(
     """(sqrt(dip floor), dip width in MHz) for each pump strength.
 
     Each sweep runs on f_ghz, by default `default_grid(config)` (the pump
-    strength does not move it). The extracted width follows
+    strength does not move it), one grid chunk at a time, and keeps only
+    the power of the one direction. The extracted width follows
     gamma = gamma0 sqrt(L): deeper dips are narrower. Every rho supplied must
     produce a dip whose 3 dB points are bracketed by the grid (floor below
     1/2 of the off-dip level).
     """
-    f = default_grid(config) if f_ghz is None else f_ghz
+    _check_direction(direction)
+    f = np.asarray(default_grid(config) if f_ghz is None else f_ghz, dtype=float)
+    power = np.empty_like(f)
     out = []
     for rho in rho_values:
-        sweep = effective_2port_sweep(replace(config, rho=float(rho)), f)
-        bw = bandwidth_3dB(sweep, direction)
+        point = replace(config, rho=float(rho))
+        for part in grid_chunks(f.size):
+            power[part] = np.abs(getattr(effective_2port_sweep(point, f[part]), direction)) ** 2
+        bw = dip_bandwidth(f, power)
         out.append((math.sqrt(bw.floor), bw.gamma_mhz))
     return out
 

@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,19 +28,27 @@ import numpy as np
 from .analysis import (
     ReadoutChainRecord,
     backaction_report,
-    bandwidth_3dB,
     bandwidth_attenuation_scan,
+    dip_bandwidth,
     fit_rho_alpha,
     gamma0,
     to_power_dB,
 )
 from .errors import ConfigError, NoDipError, NumericalError, UnbracketedBandwidthError
-from .formats import write_csv, write_json, write_json_rows, write_touchstone
+from .formats import (
+    csv_stream,
+    touchstone_stream,
+    write_csv,
+    write_json,
+    write_json_rows,
+    write_touchstone,
+)
 from .isolator import (
     JisConfig,
     composed_4port,
     default_grid,
     effective_2port_sweep,
+    grid_chunks,
     make_jis,
     reference_device,
 )
@@ -124,8 +133,11 @@ def _isolated_direction(config: JisConfig) -> str:
 def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
     jpc = _build(JpcParams, **payload["jpc"])
     f = _grid(jpc, payload)
-    t, ra, _ = amplitudes_of_frequency(f, jpc)
-    columns = [f, np.abs(t) ** 2, np.abs(ra) ** 2, np.angle(t)]
+    columns = [f, np.empty_like(f), np.empty_like(f), np.empty_like(f)]
+    for part in grid_chunks(f.size):
+        t, ra, _ = amplitudes_of_frequency(f[part], jpc)
+        for column, values in zip(columns[1:], (np.abs(t) ** 2, np.abs(ra) ** 2, np.angle(t))):
+            column[part] = values
     if fmt == "csv":
         write_csv(out_dir / "jpc_sweep.csv", ["f_GHz", "t_sq", "ra_sq", "arg_t_rad"], columns)
     else:
@@ -138,26 +150,35 @@ def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
 
 def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
-    sweep = effective_2port_sweep(config, _grid(config, payload))
-    write_csv(
-        out_dir / "jis_sweep.csv",
-        ["f_GHz", "S21_dB", "S12_dB", "S11_dB", "S22_dB"],
-        [sweep.f_ghz, *(to_power_dB(s) for s in (sweep.s21, sweep.s12, sweep.s11, sweep.s22))],
-    )
+    f = _grid(config, payload)
     direction = _isolated_direction(config)
-    sidecar = {"schema": SCHEMA_TAG, "direction": direction}
-    extraction_error = None
-    try:
-        bw = bandwidth_3dB(sweep, direction=direction)
-        sidecar.update(dip_f_ghz=bw.f_dip_ghz, gamma_mhz=bw.gamma_mhz, floor=bw.floor)
-    except (NoDipError, UnbracketedBandwidthError) as exc:
-        extraction_error = exc
-        sidecar.update(dip_f_ghz=None, gamma_mhz=None, floor=None, note=str(exc))
-    validate_artifact("jis_sweep_sidecar", sidecar)
-    write_json(out_dir / "jis_sweep.json", sidecar)
-    if fmt == "touchstone":
-        mats = np.array([[sweep.s11, sweep.s12], [sweep.s21, sweep.s22]]).transpose(2, 0, 1)
-        write_touchstone(out_dir / "jis_sweep.s2p", sweep.f_ghz, mats)
+    power = np.empty_like(f)
+    # one kernel pass feeds both files chunk by chunk; an error in any chunk
+    # leaves none of this command's files behind
+    with ExitStack() as files:
+        csv = files.enter_context(
+            csv_stream(out_dir / "jis_sweep.csv", ["f_GHz", "S21_dB", "S12_dB", "S11_dB", "S22_dB"])
+        )
+        s2p = None
+        if fmt == "touchstone":
+            s2p = files.enter_context(touchstone_stream(out_dir / "jis_sweep.s2p", 2))
+        for part in grid_chunks(f.size):
+            sweep = effective_2port_sweep(config, f[part])
+            s11_db = to_power_dB(sweep.s11)  # S22 is S11
+            csv([sweep.f_ghz, to_power_dB(sweep.s21), to_power_dB(sweep.s12), s11_db, s11_db])
+            if s2p is not None:
+                s2p(sweep.f_ghz, [[sweep.s11, sweep.s12], [sweep.s21, sweep.s22]])
+            power[part] = np.abs(getattr(sweep, direction)) ** 2
+        sidecar = {"schema": SCHEMA_TAG, "direction": direction}
+        extraction_error = None
+        try:
+            bw = dip_bandwidth(f, power)
+            sidecar.update(dip_f_ghz=bw.f_dip_ghz, gamma_mhz=bw.gamma_mhz, floor=bw.floor)
+        except (NoDipError, UnbracketedBandwidthError) as exc:
+            extraction_error = exc
+            sidecar.update(dip_f_ghz=None, gamma_mhz=None, floor=None, note=str(exc))
+        validate_artifact("jis_sweep_sidecar", sidecar)
+        write_json(out_dir / "jis_sweep.json", sidecar)
     if extraction_error is not None:
         print(f"numerical error: {extraction_error}", file=sys.stderr)
         return 3

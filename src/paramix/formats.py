@@ -5,21 +5,34 @@ through one fixed 9-significant-digit format ("%.9g", the same text as
 `fmt`), line endings are plain newlines, and JSON keys are sorted. A JSON
 float is the float that text spells (`round9`), printed as `json` prints
 it. Negative infinity (a legitimate dB value for an exact zero) is written
-as the literal -inf in CSV; every other non-finite value is refused. A
-writer raises NonFiniteError("non-finite ...") on one before it opens the
-file. NonFiniteError is a NumericalError (the CLI exits 3) and a ValueError.
+as the literal -inf in CSV; every other non-finite value is refused with
+NonFiniteError("non-finite ..."). NonFiniteError is a NumericalError (the
+CLI exits 3) and a ValueError.
+
+A failed write leaves no file: every writer writes under a temporary name
+beside its target and renames it to the target only on success. On any
+exception the temporary is deleted, and a file already at the target keeps
+its bytes.
 
 Every writer takes columns, not rows: one column per CSV field, one per
 JSON row key, one complex (F, n, n) array per Touchstone file. Each streams
 its file through one precomputed row template, `_CHUNK` rows at a time,
-turning array values into Python floats one chunk at a time. `write_json`
-serializes a whole document and is meant for small ones.
+turning array values into Python floats one chunk at a time. `csv_stream`
+and `touchstone_stream` also take their columns in blocks, so a sweep
+evaluated one grid chunk at a time is written as it goes; `write_csv` and
+`write_touchstone` are one-block uses of them. A sweep written this way
+holds one chunk of values at a time, plus 16 B per point for its grid and
+its isolated-direction power column. `write_json` serializes a whole
+document and is meant for small ones.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -47,31 +60,75 @@ def _round9_all(values: tuple) -> tuple:
     return tuple(map(float, (("%.9g " * len(values)) % values).split()))
 
 
-def _write_rows(path, head, template, columns, sep="", tail="", cast=None) -> None:
-    """Write head, template % row for each row of the columns joined by sep, then tail.
+@contextmanager
+def _staged(path):
+    """A text file opened under a temporary name that becomes path on success.
+
+    The temporary sits beside path, so the final rename stays within one
+    directory. On any exception it is deleted and path is left as it was.
+    """
+    folder, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(folder, f".{name}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_rows(fh, template, columns, sep="", cast=None) -> None:
+    """Write template % row for each row of the columns, joined by sep.
 
     The columns have one length. Array columns become Python values a chunk
     at a time; cast, if given, maps each chunk's values (a flat tuple, row
     after row) before they are formatted.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(head)
-        for start in range(0, len(columns[0]), _CHUNK):
-            part = [c[start : start + _CHUNK] for c in columns]
-            part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
-            values = tuple(chain.from_iterable(zip(*part)))
-            if cast is not None:
-                values = cast(values)
-            if start:
-                fh.write(sep)
-            fh.write(sep.join([template] * len(part[0])) % values)
-        fh.write(tail)
+    for start in range(0, len(columns[0]), _CHUNK):
+        part = [c[start : start + _CHUNK] for c in columns]
+        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+        values = tuple(chain.from_iterable(zip(*part)))
+        if cast is not None:
+            values = cast(values)
+        if start:
+            fh.write(sep)
+        fh.write(sep.join([template] * len(part[0])) % values)
 
 
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
     return "" if value is None else fmt(value)
+
+
+def _csv_block(fh, header, columns) -> None:
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError("need one column per header field, all of one length")
+    arrays = [isinstance(c, np.ndarray) for c in columns]
+    for name, a, c in zip(header, arrays, columns):
+        # NaN and +inf are exactly the values not below +inf
+        if a and not (c < np.inf).all():
+            raise NonFiniteError(f"non-finite value (NaN or +inf) in CSV column {name!r}")
+    template = ",".join("%.9g" if a else "%s" for a in arrays) + "\n"
+    cells = [c if a else [_cell(v) for v in c] for a, c in zip(arrays, columns)]
+    _write_rows(fh, template, cells)
+
+
+@contextmanager
+def csv_stream(path, header):
+    """Write a CSV file block by block: yields write(columns).
+
+    Each call appends the rows of one block, whose columns are as
+    `write_csv` takes them, under the one header line. The file appears at
+    path when the with-block ends without an exception, and not at all
+    otherwise.
+    """
+    header = list(header)
+    with _staged(path) as fh:
+        fh.write(",".join(header) + "\n")
+        yield functools.partial(_csv_block, fh, header)
 
 
 def write_csv(path, header, columns) -> None:
@@ -83,16 +140,8 @@ def write_csv(path, header, columns) -> None:
     an empty field, a number through `fmt`. All columns must have the same
     length.
     """
-    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
-        raise ValueError("need one column per header field, all of one length")
-    arrays = [isinstance(c, np.ndarray) for c in columns]
-    for name, a, c in zip(header, arrays, columns):
-        # NaN and +inf are exactly the values not below +inf
-        if a and not (c < np.inf).all():
-            raise NonFiniteError(f"non-finite value (NaN or +inf) in CSV column {name!r}")
-    template = ",".join("%.9g" if a else "%s" for a in arrays) + "\n"
-    cells = [c if a else [_cell(v) for v in c] for a, c in zip(arrays, columns)]
-    _write_rows(path, ",".join(header) + "\n", template, cells)
+    with csv_stream(path, header) as write:
+        write(columns)
 
 
 def _json_ready(obj):
@@ -117,7 +166,7 @@ def _dumps(payload) -> str:
 def write_json(path, payload) -> str:
     """Serialize with sorted keys and rounded floats; returns the text."""
     text = _dumps(payload)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _staged(path) as fh:
         fh.write(text)
     return text
 
@@ -140,7 +189,7 @@ def write_json_rows(path, envelope, names, columns) -> None:
             raise NonFiniteError(f"non-finite value in JSON column {name!r}")
     text = _dumps({**envelope, "rows": []})
     if not columns[0].size:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with _staged(path) as fh:
             fh.write(text)
         return
     # a top-level key is the only text at indent 2 after a newline (a string
@@ -149,25 +198,57 @@ def write_json_rows(path, envelope, names, columns) -> None:
     order = sorted(range(len(names)), key=names.__getitem__)
     keys = [json.dumps(names[i]).replace("%", "%%") for i in order]
     fields = ",\n".join(f"      {key}: %r" for key in keys)
-    _write_rows(
-        path,
-        head + '\n  "rows": [\n',
-        "    {\n" + fields + "\n    }",
-        [columns[i] for i in order],
-        sep=",\n",
-        tail="\n  ]" + tail,
-        cast=_round9_all,
-    )
+    with _staged(path) as fh:
+        fh.write(head + '\n  "rows": [\n')
+        _write_rows(
+            fh,
+            "    {\n" + fields + "\n    }",
+            [columns[i] for i in order],
+            sep=",\n",
+            cast=_round9_all,
+        )
+        fh.write("\n  ]" + tail)
+
+
+def _touchstone_block(fh, n, template, order, freqs_ghz, s) -> None:
+    freqs = np.asarray(freqs_ghz, dtype=float)
+    s = np.asarray(s, dtype=complex)
+    if freqs.ndim != 1 or s.shape != (n, n, freqs.size):
+        raise ValueError("need one matrix per frequency")
+    if not (np.isfinite(freqs).all() and np.isfinite(s).all()):
+        raise NonFiniteError("non-finite value in Touchstone data")
+    entries = [s[i, j] for i, j in order]
+    _write_rows(fh, template, [freqs, *(part for e in entries for part in (e.real, e.imag))])
+
+
+@contextmanager
+def touchstone_stream(path, n):
+    """Write a Touchstone v1.1 n-port file block by block: yields write(freqs_ghz, s).
+
+    Each call appends one record per frequency of the block. s is an
+    (n, n, F) complex array or n rows of n columns: s[i][j] holds S_ij (i
+    the output port) over the block's F frequencies. The option line is
+    `# GHz S RI R 50`. A record is the n^2 entries as re/im pairs, 8 values
+    to a line, the frequency leading the first line. A 2-port record is the
+    single line S11 S21 S12 S22 (column-major); a 4-port record has one
+    matrix row per line. A NaN or an infinity raises NonFiniteError. The
+    file appears at path when the with-block ends without an exception, and
+    not at all otherwise.
+    """
+    if n not in (2, 4):
+        raise ValueError("only 2-port and 4-port supported")
+    order = [(j, i) if n == 2 else (i, j) for i in range(n) for j in range(n)]
+    line = " ".join(["%.9g"] * 8)
+    template = "%.9g " + "\n".join([line] * (n * n // 4)) + "\n"
+    with _staged(path) as fh:
+        fh.write(f"! {n}-port scattering data\n# GHz S RI R 50\n")
+        yield functools.partial(_touchstone_block, fh, n, template, order)
 
 
 def write_touchstone(path, freqs_ghz, s) -> None:
-    """Touchstone v1.1 file, option line `# GHz S RI R 50`.
+    """Touchstone v1.1 file of one complex (F, n, n) array, n = 2 or 4.
 
-    s is one complex (F, n, n) array, s[k] the matrix at freqs_ghz[k], with
-    n = 2 or 4. Each record is the n^2 entries as re/im pairs, 8 values to a
-    line, the frequency leading the first line. A 2-port record is the
-    single line S11 S21 S12 S22 (column-major); a 4-port record has one
-    matrix row per line. A NaN or an infinity raises NonFiniteError.
+    s[k] is the matrix at freqs_ghz[k]; the layout is `touchstone_stream`'s.
     """
     freqs = np.asarray(freqs_ghz, dtype=float)
     s = np.asarray(s, dtype=complex)
@@ -176,18 +257,5 @@ def write_touchstone(path, freqs_ghz, s) -> None:
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise ValueError("matrices must share one square shape")
     n = s.shape[1]
-    if n not in (2, 4):
-        raise ValueError("only 2-port and 4-port supported")
-    if not (np.isfinite(freqs).all() and np.isfinite(s).all()):
-        raise NonFiniteError("non-finite value in Touchstone data")
-    if n == 2:
-        s = s.transpose(0, 2, 1)
-    entries = [s[:, i, j] for i in range(n) for j in range(n)]
-    line = " ".join(["%.9g"] * 8)
-    template = "%.9g " + "\n".join([line] * (n * n // 4)) + "\n"
-    _write_rows(
-        path,
-        f"! {n}-port scattering data\n# GHz S RI R 50\n",
-        template,
-        [freqs, *(part for e in entries for part in (e.real, e.imag))],
-    )
+    with touchstone_stream(path, n) as write:
+        write(freqs, s.transpose(1, 2, 0))

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from paramix.errors import NonFiniteError, NumericalError
 from paramix.formats import (
     _CHUNK,
+    csv_stream,
     fmt,
     round9,
+    touchstone_stream,
     write_csv,
     write_json,
     write_json_rows,
@@ -233,3 +235,47 @@ def test_json_rows_refuse_non_finite_values_before_the_file_exists(tmp_path, bad
     with pytest.raises(NonFiniteError):
         write_json_rows(tmp_path / "bad.json", {"e": bad}, ["x"], [[1.0]])
     assert not (tmp_path / "bad.json").exists()
+
+
+def stream_blocks(kind, path, blocks):
+    """Write the (f, y) column blocks through one csv_stream or touchstone_stream."""
+    if kind == "csv":
+        with csv_stream(path, ["f", "y"]) as write:
+            for f, y in blocks:
+                write([f, y])
+    else:
+        with touchstone_stream(path, 2) as write:
+            for f, y in blocks:
+                write(f, [[y, 0.5 * y], [-y, f]])
+
+
+@pytest.mark.parametrize("kind", ["csv", "touchstone"])
+def test_streamed_blocks_are_the_bytes_of_one_write(tmp_path, kind):
+    f = np.linspace(6.0, 7.0, 2 * _CHUNK + 3)
+    y = np.sin(40.0 * f)
+    edges = [0, 5, _CHUNK + 1, 2 * _CHUNK + 3]
+    stream_blocks(kind, tmp_path / "blocks", [(f[a:b], y[a:b]) for a, b in zip(edges, edges[1:])])
+    stream_blocks(kind, tmp_path / "whole", [(f, y)])
+    if kind == "csv":
+        write_csv(tmp_path / "one", ["f", "y"], [f, y])
+    else:
+        write_touchstone(tmp_path / "one", f, np.moveaxis(np.array([[y, 0.5 * y], [-y, f]]), 2, 0))
+    assert (tmp_path / "blocks").read_bytes() == (tmp_path / "whole").read_bytes()
+    assert (tmp_path / "blocks").read_bytes() == (tmp_path / "one").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["csv", "touchstone"])
+def test_a_failed_streamed_write_leaves_no_file(tmp_path, kind, bad):
+    f = np.linspace(6.0, 7.0, _CHUNK + 5)
+    y = np.cos(f)
+    y_bad = y.copy()
+    y_bad[-2] = bad
+    old = tmp_path / "old.out"
+    old.write_bytes(b"old bytes\n")
+    for path in (tmp_path / "new.out", old):
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            stream_blocks(kind, path, [(f, y), (f, y_bad)])
+    # neither the new target nor a temporary is left; the old file keeps its bytes
+    assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
+    assert old.read_bytes() == b"old bytes\n"

@@ -52,13 +52,44 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command, fmt, payload, names", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES]
-)
-def test_artifact_bytes_are_pinned(tmp_path, command, fmt, payload, names):
+# Grids above one 16,384-point sweep chunk, so the files are streamed chunk by
+# chunk; the hashes are those of whole-grid evaluation.
+GOLDEN_LARGE = {
+    "jis_sweep.csv": "3867b2b76945eb6e444d254f74d4cbd0c91b1dd990bdfbc7539625be2466603d",
+    "jis_sweep.json": "7a9b5f54e7936ed026f51fb8858ce9f2404d3ce8a891bbc49e58f329c20224f4",
+    "jis_sweep.s2p": "3ba84287a0a90f8b219cd6a7e978f4cec169881558e24c14a5949f14fcd513b7",
+    "jpc_sweep.csv": "e375d8f15b2561636b9844677f2ff9723339c9bba2fd991f88178db32b29d9d6",
+}
+LARGE_CASES = [
+    (
+        "jis-sweep",
+        "touchstone",
+        {"jis": JIS_PRESET, "grid": {"points": 40001}},
+        ["jis_sweep.csv", "jis_sweep.json", "jis_sweep.s2p"],
+    ),
+    ("jpc-sweep", "csv", {"jpc": JIS_PLAIN, "grid": {"points": 40001}}, ["jpc_sweep.csv"]),
+]
+
+
+def artifact_digests(tmp_path, command, fmt, payload):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **payload}))
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "command, fmt, payload, names", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES]
+)
+def test_artifact_bytes_are_pinned(tmp_path, command, fmt, payload, names):
+    digests = artifact_digests(tmp_path, command, fmt, payload)
     assert digests == {name: GOLDEN[name] for name in names}
+
+
+@pytest.mark.parametrize(
+    "command, fmt, payload, names", LARGE_CASES, ids=[f"{c[0]}-{c[1]}-40001" for c in LARGE_CASES]
+)
+def test_streamed_artifact_bytes_are_pinned(tmp_path, command, fmt, payload, names):
+    digests = artifact_digests(tmp_path, command, fmt, payload)
+    assert digests == {name: GOLDEN_LARGE[name] for name in names}
