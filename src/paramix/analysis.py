@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     NoDipError,
@@ -47,6 +46,11 @@ def gamma0(gamma_a_mhz: float, gamma_b_mhz: float) -> float:
     return 2.0 * gamma_a_mhz * gamma_b_mhz / (gamma_a_mhz + gamma_b_mhz)
 
 
+# A trace whose spread is within this many ulps of its maximum holds no dip:
+# with the pump off, |S12|^2 spreads up to 9 ulps around 1 from rounding.
+_FLAT_ULPS = 32
+
+
 @dataclass(frozen=True)
 class BandwidthResult:
     """Dip location, width, and floor of one sweep direction."""
@@ -75,13 +79,17 @@ def dip_bandwidth(f_ghz, power) -> BandwidthResult:
 
     The dip floor L is the minimum of the power over the grid; the width is
     the distance between the two interpolated crossings of 2 L. Raises
-    NoDipError("no dip") when the minimum sits on a grid edge and
-    UnbracketedBandwidthError when either crossing lies outside the grid.
+    NoDipError("no dip") when the trace is flat to rounding or its minimum
+    sits on a grid edge, and UnbracketedBandwidthError when either crossing
+    lies outside the grid.
     """
     f = np.asarray(f_ghz, dtype=float)
     y = np.asarray(power, dtype=float)
     if f.size < 3:
         raise NoDipError("no dip: grid too short")
+    top = float(y.max())
+    if top - float(y.min()) <= _FLAT_ULPS * np.spacing(top):
+        raise NoDipError("no dip: the trace is flat to rounding")
     i0 = int(np.argmin(y))
     if i0 == 0 or i0 == f.size - 1:
         raise NoDipError("no dip: minimum sits on the sweep edge")
@@ -137,6 +145,28 @@ def bandwidth_attenuation_scan(
         bw = dip_bandwidth(f, power)
         out.append((math.sqrt(bw.floor), bw.gamma_mhz))
     return out
+
+
+class _LazyOptimize:
+    """`scipy.optimize`, imported on the first attribute read.
+
+    Only the fit uses scipy, and importing it costs about 0.5 s and 48 MB, so
+    every other command starts without it. Each attribute read is cached on
+    this object, so `optimize.least_squares` can be looked up and replaced
+    like a module attribute (the benchmark's tracer wraps it there). Delete
+    it together with scipy once the fit is solved in closed form (ROADMAP
+    item 2).
+    """
+
+    def __getattr__(self, name):
+        from scipy import optimize as scipy_optimize
+
+        value = getattr(scipy_optimize, name)
+        setattr(self, name, value)
+        return value
+
+
+optimize = _LazyOptimize()
 
 
 # Step of the fit's coarse (rho, |alpha|) start grid, and the residual spread

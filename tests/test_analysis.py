@@ -9,6 +9,7 @@ from paramix.analysis import (
     backaction_report,
     bandwidth_3dB,
     bandwidth_attenuation_scan,
+    dip_bandwidth,
     eta_from_separation,
     fit_rho_alpha,
     gamma0,
@@ -70,6 +71,16 @@ def test_bandwidth_failure_modes():
         bandwidth_3dB(_synthetic_sweep(f, shallow), "s12")
     with pytest.raises(ValueError, match="direction"):
         bandwidth_3dB(_synthetic_sweep(f, shallow), "s13")
+
+
+def test_a_trace_flat_to_rounding_has_no_dip():
+    f = np.linspace(4.95, 5.05, 401)
+    # a constant trace with +-1 ulp noise, its minimum inside the grid
+    ulp = np.spacing(1.0)
+    flat = 1.0 + ulp * np.random.default_rng(7).integers(0, 2, f.size)
+    flat[200] = 1.0 - ulp
+    with pytest.raises(NoDipError, match="no dip: the trace is flat"):
+        dip_bandwidth(f, flat)
 
 
 def test_reference_dip_regression(reference):

@@ -101,6 +101,16 @@ def test_jis_sweep_without_dip_exits_3(tmp_path, capsys):
     assert (tmp_path / "jis_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("points", [401, 40001])
+def test_jis_sweep_with_the_pump_off_reports_no_dip(tmp_path, points):
+    # |S12|^2 is 1 to rounding; its argmin once fell inside the grid and
+    # was reported as an unbracketed width
+    rc = run(tmp_path, "jis-sweep", {"jis": {**JIS_PLAIN, "rho": 0.0}, "grid": {"points": points}})
+    assert rc == 3
+    note = json.loads((tmp_path / "jis_sweep.json").read_text())["note"]
+    assert note.startswith("no dip")
+
+
 def test_jis_4port_formats(tmp_path):
     assert run(tmp_path, "jis-4port", {"jis": JIS_PRESET}) == 0
     s4p = (tmp_path / "jis_4port.s4p").read_text().splitlines()
@@ -369,14 +379,50 @@ def numeric_paths(doc, path=()):
         yield path
 
 
-def with_literal(doc, path, literal):
-    """The JSON text of doc with the number at path spelled as literal."""
+DROP = object()
+
+
+def with_node(doc, path, value):
+    """A copy of doc with the node at path replaced by value, or deleted for DROP."""
     doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = "@literal@"
-    return json.dumps(doc).replace('"@literal@"', literal)
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def with_literal(doc, path, literal):
+    """The JSON text of doc with the number at path spelled as literal."""
+    return json.dumps(with_node(doc, path, "@literal@")).replace('"@literal@"', literal)
+
+
+def policy_breaches(tmp_path, command, text, name, allowed=(0, 2, 3, 4)):
+    """(format, problem) of each run of command on the config text, one per format.
+
+    A run breaks the policy when it raises, exits outside allowed, or leaves
+    a NaN or infinity in an artifact (a CSV may hold -inf dB).
+    """
+    breaches = []
+    for fmt in cli._FORMATS[command]:
+        cfg = tmp_path / f"{name}-{fmt}.json"
+        cfg.write_text(text)
+        out = tmp_path / f"{name}-{fmt}"
+        try:
+            rc = cli.main([command, "--config", str(cfg), "--out", str(out), "--format", fmt])
+        except Exception as exc:
+            breaches.append((fmt, f"raised {exc!r}"))
+            continue
+        if rc not in allowed:
+            breaches.append((fmt, f"exit {rc}"))
+        for artifact in out.iterdir() if out.exists() else ():
+            found = NON_FINITE.findall(artifact.read_text())
+            if any(not (m == "-inf" and artifact.suffix == ".csv") for m in found):
+                breaches.append((fmt, f"{artifact.name} holds {found[:3]}"))
+    return breaches
 
 
 @pytest.mark.parametrize("command", FUZZ_CONFIGS)
@@ -389,20 +435,39 @@ def test_extreme_and_non_finite_numbers_exit_by_the_policy(tmp_path, command):
     ]
     failures = []
     for k, (path, literal) in enumerate(cases):
-        for fmt in cli._FORMATS[command]:
-            cfg = tmp_path / f"{k}-{fmt}.json"
-            cfg.write_text(with_literal(doc, path, literal))
-            out = tmp_path / f"{k}-{fmt}"
-            rc = cli.main([command, "--config", str(cfg), "--out", str(out), "--format", fmt])
-            # no float holds a token, and no grid is that long
-            refused = literal in FUZZ_TOKENS or (path[-1] == "points" and literal in FUZZ_POINTS)
-            if rc not in ((2,) if refused else (0, 2, 3, 4)):
-                failures.append((path, literal, fmt, f"exit {rc}"))
-            for artifact in out.iterdir() if out.exists() else ():
-                found = NON_FINITE.findall(artifact.read_text())
-                if any(not (m == "-inf" and artifact.suffix == ".csv") for m in found):
-                    failures.append((path, literal, fmt, f"{artifact.name} holds {found[:3]}"))
+        # no float holds a token, and no grid is that long
+        refused = literal in FUZZ_TOKENS or (path[-1] == "points" and literal in FUZZ_POINTS)
+        text = with_literal(doc, path, literal)
+        for breach in policy_breaches(tmp_path, command, text, str(k), (2,) if refused else (0, 2, 3, 4)):
+            failures.append((path, literal, *breach))
     assert not failures
+
+
+# Each key or item of a fuzz config in turn is dropped or replaced by a value
+# of each JSON type; as with the numbers, no edit may end in a traceback, an
+# exit code outside the policy, or a NaN or infinity in an artifact.
+FUZZ_VALUES = ["x", 1.5, True, None, [], {}]
+
+
+def node_paths(doc, path=()):
+    """The path of every key and item under doc, parents before children."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from node_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("command", FUZZ_CONFIGS)
+def test_dropped_and_mistyped_nodes_exit_by_the_policy(tmp_path, capsys, command):
+    doc = {"schema": SCHEMA_TAG, **FUZZ_CONFIGS[command]}
+    failures = []
+    for k, path in enumerate(node_paths(doc)):
+        for j, value in enumerate([DROP, *FUZZ_VALUES]):
+            text = json.dumps(with_node(doc, path, value))
+            for breach in policy_breaches(tmp_path, command, text, f"{k}-{j}"):
+                failures.append((path, "drop" if value is DROP else value, *breach))
+    assert not failures
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_numbers_no_float_holds_are_config_errors(tmp_path, capsys):
