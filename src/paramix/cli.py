@@ -62,19 +62,6 @@ from .mixer import (
 from .parity import ChainSpec, GyratorSpec, calibrate, chain_transmission
 from .schemas import SCHEMA_TAG, validate_artifact, validate_artifact_rows, validate_config
 
-_FORMATS = {
-    "jpc-sweep": ("csv", "json"),
-    "jis-sweep": ("csv", "touchstone"),
-    "jis-4port": ("touchstone", "csv", "json"),
-    "fit": ("json",),
-    "parity": ("json",),
-    "readout": ("json", "csv"),
-    "flux-curve": ("csv",),
-    "bandwidth-scan": ("csv",),
-    "selftest": (),
-}
-
-
 def _finite(text: str):
     """The number a JSON literal spells, refused unless it is a finite float."""
     value = float(text)
@@ -124,12 +111,6 @@ def _grid(model, payload) -> np.ndarray:
     return _build(default_grid, config=model, **payload.get("grid", {}))
 
 
-def _isolated_direction(config: JisConfig) -> str:
-    # S21 = i (refl - conv sin phi): positive sin phi darkens the forward
-    # direction, negative darkens the backward one
-    return "s21" if np.sin(config.phi_rad) > 0.0 else "s12"
-
-
 def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
     jpc = _build(JpcParams, **payload["jpc"])
     f = _grid(jpc, payload)
@@ -151,7 +132,7 @@ def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
 def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
     f = _grid(config, payload)
-    direction = _isolated_direction(config)
+    direction = config.isolated_direction
     power = np.empty_like(f)
     # one kernel pass feeds both files chunk by chunk; an error in any chunk
     # leaves none of this command's files behind
@@ -289,7 +270,7 @@ def cmd_flux_curve(payload, out_dir: Path, fmt: str) -> int:
 def cmd_bandwidth_scan(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
     rhos = np.array(payload["rho_values"], dtype=float)
-    direction = _isolated_direction(config)
+    direction = config.isolated_direction
     pairs = bandwidth_attenuation_scan(config, rhos, direction, _grid(config, payload))
     sqrt_l, gamma = np.array(pairs).T
     g0 = gamma0(config.gamma_a_mhz, config.gamma_b_mhz)
@@ -309,16 +290,18 @@ def cmd_selftest(payload, out_dir: Path, fmt: str) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
+# each command's runner and the formats it writes, the first being the
+# default; a command without formats writes no file
 _COMMANDS = {
-    "jpc-sweep": cmd_jpc_sweep,
-    "jis-sweep": cmd_jis_sweep,
-    "jis-4port": cmd_jis_4port,
-    "fit": cmd_fit,
-    "parity": cmd_parity,
-    "readout": cmd_readout,
-    "flux-curve": cmd_flux_curve,
-    "bandwidth-scan": cmd_bandwidth_scan,
-    "selftest": cmd_selftest,
+    "jpc-sweep": (cmd_jpc_sweep, ("csv", "json")),
+    "jis-sweep": (cmd_jis_sweep, ("csv", "touchstone")),
+    "jis-4port": (cmd_jis_4port, ("touchstone", "csv", "json")),
+    "fit": (cmd_fit, ("json",)),
+    "parity": (cmd_parity, ("json",)),
+    "readout": (cmd_readout, ("json",)),
+    "flux-curve": (cmd_flux_curve, ("csv",)),
+    "bandwidth-scan": (cmd_bandwidth_scan, ("csv",)),
+    "selftest": (cmd_selftest, ()),
 }
 
 
@@ -330,11 +313,12 @@ def _parser() -> argparse.ArgumentParser:
         description="Scattering models and analysis for pumped-converter interferometric isolators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every_format = sorted({fmt for _, formats in _COMMANDS.values() for fmt in formats})
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", default=None, choices=["csv", "json", "touchstone"])
+        p.add_argument("--format", default=None, choices=every_format)
     return parser
 
 
@@ -349,18 +333,22 @@ def main(argv=None) -> int:
         else:
             payload = _load_config(args.config)
         validate_config(args.command, payload)
-        allowed = _FORMATS[args.command]
+        runner, formats = _COMMANDS[args.command]
         fmt = args.format
         if fmt is None:
-            fmt = allowed[0] if allowed else None
-        elif fmt not in allowed:
+            fmt = formats[0] if formats else None
+        elif fmt not in formats:
             raise ConfigError(f"format {fmt!r} is not supported by {args.command}")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if formats:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         # a NaN or infinity that reaches a writer is refused there (exit 3);
         # numpy's warnings on the way would only add noise to stderr
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](payload, out_dir, fmt)
+            return runner(payload, out_dir, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

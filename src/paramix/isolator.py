@@ -98,6 +98,15 @@ class JisConfig:
         )
 
     @property
+    def isolated_direction(self) -> str:
+        """The transmission the device suppresses, "s21" or "s12".
+
+        S21 = i (refl - conv sin phi): a positive sin phi darkens the forward
+        direction, a negative one the backward direction.
+        """
+        return "s21" if np.sin(self.phi_rad) > 0.0 else "s12"
+
+    @property
     def phi_s_rad(self) -> float:
         """Exact sum of the generalized stage phases (phi_p1 + phi_p2 + p pi mod 2 pi)."""
         return (
@@ -238,17 +247,7 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
     return connect(ConnectionGraph(elements, joints, external)).renamed(_PORTS_4)
 
 
-@dataclass(frozen=True)
-class TwoPort:
-    """On-resonance signal-side response."""
-
-    s11: complex
-    s12: complex
-    s21: complex
-    s22: complex
-
-
-def on_resonance_2port(t: float, phi_rad: float) -> TwoPort:
+def on_resonance_2port(t: float, phi_rad: float) -> ScatteringMatrix:
     """Signal-side 2-port at zero detuning with a symmetric internal split.
 
     S21 = i (sqrt(1 - t^2) - sqrt2 t^2 sin phi) / (1 + t^2) and S12 with the
@@ -264,7 +263,7 @@ def on_resonance_2port(t: float, phi_rad: float) -> TwoPort:
     s21 = 1j * (r - np.sqrt(2.0) * t**2 * np.sin(phi_rad)) / d
     s12 = 1j * (r + np.sqrt(2.0) * t**2 * np.sin(phi_rad)) / d
     s11 = s22 = -1j * np.sqrt(2.0) * t**2 * np.cos(phi_rad) / d
-    return TwoPort(s11=s11, s12=s12, s21=s21, s22=s22)
+    return ScatteringMatrix(("1", "2"), [[s11, s12], [s21, s22]])
 
 
 @dataclass(frozen=True)

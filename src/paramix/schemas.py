@@ -79,9 +79,7 @@ _BIAS = {
 }
 _DEVICE_REQUIRED = [*_MODES, "rho"]
 
-_JPC = _closed(
-    {**_MODES, "rho": _UNIT, "pump_phase_rad": _NUM, "phi_ext_rad": _NUM}, _DEVICE_REQUIRED
-)
+_JPC = _closed({**_MODES, "rho": _UNIT}, _DEVICE_REQUIRED)
 _JIS_FULL = _closed(
     {
         **_MODES,

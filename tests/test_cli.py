@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +233,34 @@ def test_config_error_paths(tmp_path, capsys):
     assert run(tmp_path, "fit", {"s21_sq": 0.5, "s12_sq": 0.5}, fmt="csv") == 2
     assert "config error" in capsys.readouterr().err
 
+    # an --out that is a file, or lies under one, cannot be a directory
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert run(tmp_path, "fit", {"s21_sq": 0.36, "s12_sq": 0.01}, out=out) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot create output directory {out}: ")
+
+
+def test_options_that_would_change_no_artifact_are_refused(tmp_path, capsys):
+    assert run(tmp_path, "readout", {"records": RECORDS}, fmt="csv") == 2
+    assert "config error: format 'csv' is not supported by readout" in capsys.readouterr().err
+    # a single stage's flux and pump phase never reach its sweep
+    for key in ("pump_phase_rad", "phi_ext_rad"):
+        assert run(tmp_path, "jpc-sweep", {"jpc": {**JIS_PLAIN, key: 0.5}}) == 2
+        err = capsys.readouterr().err
+        assert "invalid config at jpc: Additional properties are not allowed" in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("readout.*"))
+
+
+def test_the_readme_command_table_is_the_cli_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.split("|")[1:-1] for line in readme.splitlines() if line.startswith("| `")]
+    table = {
+        name.strip().strip("`"): tuple(f.strip() for f in formats.split(",") if f.strip())
+        for name, _, formats in rows
+    }
+    assert list(table.items()) == [(name, formats) for name, (_, formats) in cli._COMMANDS.items()]
+
 
 def test_values_the_models_reject_are_config_errors(tmp_path, capsys):
     # schema-valid, but the models need f_a < f_b and a flux inside the primary lobe
@@ -305,7 +334,9 @@ def test_out_directory_is_created(tmp_path):
 
 
 def test_selftest_runs_clean_and_repeats_byte_identically(tmp_path, capsys, battery):
-    assert cli.main(["selftest", "--out", str(tmp_path)]) == 0
+    # selftest writes no file, so it does not create --out either
+    assert cli.main(["selftest", "--out", str(tmp_path / "out")]) == 0
+    assert not (tmp_path / "out").exists()
     out = capsys.readouterr().out
     assert "12/12 criteria passed" in out
     # the session's own battery run is the independent repeat
@@ -349,7 +380,7 @@ JIS_FULL = {
 }
 GRID = {"span_mhz": 300.0, "points": 21}
 FUZZ_CONFIGS = {
-    "jpc-sweep": {"jpc": {**JIS_PLAIN, "pump_phase_rad": 0.5, "phi_ext_rad": -1.0}, "grid": GRID},
+    "jpc-sweep": {"jpc": JIS_PLAIN, "grid": GRID},
     "jis-sweep": {"jis": JIS_FULL, "grid": GRID},
     "jis-4port": {"jis": JIS_FULL},
     "fit": {"s21_sq": 0.36, "s12_sq": 0.01, "pump_port": "P2"},
@@ -407,7 +438,7 @@ def policy_breaches(tmp_path, command, text, name, allowed=(0, 2, 3, 4)):
     a NaN or infinity in an artifact (a CSV may hold -inf dB).
     """
     breaches = []
-    for fmt in cli._FORMATS[command]:
+    for fmt in cli._COMMANDS[command][1]:
         cfg = tmp_path / f"{name}-{fmt}.json"
         cfg.write_text(text)
         out = tmp_path / f"{name}-{fmt}"

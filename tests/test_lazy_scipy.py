@@ -40,12 +40,12 @@ print(json.dumps({"rcs": rcs, **seen}))
 
 
 def test_only_the_fit_loads_scipy(tmp_path):
-    assert sorted(NON_FIT) == sorted(c for c in cli._FORMATS if c not in ("fit", "selftest"))
+    assert sorted(NON_FIT) == sorted(c for c in cli._COMMANDS if c not in ("fit", "selftest"))
     argvs = []
     for command in NON_FIT + ["fit"]:
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **CONFIGS[command]}))
-        for fmt in cli._FORMATS[command]:
+        for fmt in cli._COMMANDS[command][1]:
             argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command / fmt), "--format", fmt])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
