@@ -208,12 +208,15 @@ def cmd_fit(payload, out_dir: Path, fmt: str) -> int:
 
 def cmd_parity(payload, out_dir: Path, fmt: str) -> int:
     phase = calibrate()
+    chains = [
+        ChainSpec(tuple(_build(GyratorSpec, **g) for g in chain_obj), calibration_phase_rad=phase)
+        for chain_obj in payload["chains"]
+    ]
     rows = []
     all_match = True
-    for chain_obj in payload["chains"]:
-        gyrators = tuple(_build(GyratorSpec, **g) for g in chain_obj)
-        chain = ChainSpec(gyrators, calibration_phase_rad=phase)
-        t_mag = abs(chain_transmission(chain))
+    for chain, t in zip(chains, chain_transmission(chains)):
+        gyrators = chain.gyrators
+        t_mag = abs(t)
         odd_count = sum(g.parity == "odd" for g in gyrators)
         xor = "odd" if odd_count % 2 else "even"
         match = abs(t_mag - (1.0 if xor == "odd" else 0.0)) < 1e-12

@@ -6,9 +6,11 @@ A scattering matrix S maps incoming wave amplitudes to outgoing ones,
 S[i, j] being the amplitude out of port i per unit amplitude into port j.
 Port identity is carried by an ordered tuple of unique string labels; the
 row/column index of a label is its position in that tuple. A matrix carries
-no frequency: each element of a network is one fixed, read-only matrix, and
-frequency (cyclic, in GHz) is an input only of delay_line, the one element
-whose response depends on it.
+no frequency: each element of a network is one read-only (n, n) matrix or a
+read-only (B, n, n) stack of B matrices on the same ports, and frequency
+(cyclic, in GHz) is an input only of delay_line, the one element whose
+response depends on it. connect() reduces B graphs of one topology at once
+when some of their elements are stacks.
 
 Element conventions (pinned jointly so that composed networks reproduce the
 closed-form device responses elsewhere in the package):
@@ -38,7 +40,11 @@ _MAX_INTERNAL_COND = 1e12
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Complex n-port scattering matrix; s is a read-only copy of the input."""
+    """Complex n-port scattering matrix; s is a read-only copy of the input.
+
+    s is one (n, n) matrix or a (B, n, n) stack of B matrices on the same
+    ports.
+    """
 
     ports: tuple[str, ...]
     s: np.ndarray = field(repr=False)
@@ -46,9 +52,9 @@ class ScatteringMatrix:
     def __post_init__(self) -> None:
         ports = tuple(str(p) for p in self.ports)
         m = np.array(self.s, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise ValueError("scattering matrix must be square")
-        if m.shape[0] != len(ports):
+        if m.shape[-1] != len(ports):
             raise ValueError("scattering matrix needs one row per port")
         if len(set(ports)) != len(ports):
             raise ValueError("port labels must be unique")
@@ -66,9 +72,13 @@ class ScatteringMatrix:
         except ValueError:
             raise KeyError(f"no port named {port!r}; have {self.ports}") from None
 
-    def entry(self, out_port: str, in_port: str) -> complex:
-        """Amplitude out of out_port per unit drive into in_port."""
-        return complex(self.s[self.index(out_port), self.index(in_port)])
+    def entry(self, out_port: str, in_port: str) -> complex | np.ndarray:
+        """Amplitude out of out_port per unit drive into in_port.
+
+        A complex for one matrix, a read-only (B,) array for a stack.
+        """
+        value = self.s[..., self.index(out_port), self.index(in_port)]
+        return complex(value) if value.ndim == 0 else value
 
     def renamed(self, ports: tuple[str, ...]) -> "ScatteringMatrix":
         return ScatteringMatrix(ports, self.s)
@@ -211,6 +221,14 @@ def connect(graph: ConnectionGraph) -> ScatteringMatrix:
     NonInvertibleNetworkError("non-invertible internal network") when the
     internal system is singular instead of returning NaNs.
 
+    A graph whose elements include (B, n, n) stacks is B graphs of one
+    topology, reduced in one pass: every stack must have the same B
+    (ValueError otherwise), a single-matrix element is shared by all B,
+    and the result is a (B, m, m) stack whose slice k is bit for bit the
+    reduction of graph k alone. A graph with no stack reduces as a stack of
+    one and returns one matrix. If any member's internal system is
+    singular, the whole call raises.
+
     The index bookkeeping (port index, joint partners, internal/external
     split, labels) depends only on the topology: element names with their
     port tuples, the joints and the external order. It is planned once per
@@ -224,27 +242,31 @@ def connect(graph: ConnectionGraph) -> ScatteringMatrix:
         tuple((tuple(a), tuple(b)) for a, b in graph.joints),
         tuple(tuple(r) for r in graph.external),
     )
+    depths = {m.s.shape[0] for m in matrices if m.s.ndim == 3}
+    if len(depths) > 1:
+        raise ValueError(f"stacked elements must share one stack size; got {sorted(depths)}")
+    (depth,) = depths or {1}
 
     n = sum(m.n_ports for m in matrices)
-    s_full = np.zeros((n, n), dtype=complex)
+    s_full = np.zeros((depth, n, n), dtype=complex)
     row = 0
     for m in matrices:
         k = m.n_ports
-        s_full[row : row + k, row : row + k] = m.s
+        s_full[:, row : row + k, row : row + k] = m.s
         row += k
 
-    s = s_full[gather]
+    s = s_full[:, gather[0], gather[1]]
     if n_ext < n:
-        system = np.eye(n - n_ext) - s[n_ext:, n_ext:]
-        if np.linalg.cond(system) > _MAX_INTERNAL_COND:
+        system = np.eye(n - n_ext) - s[:, n_ext:, n_ext:]
+        if (np.linalg.cond(system) > _MAX_INTERNAL_COND).any():
             raise NonInvertibleNetworkError("non-invertible internal network")
-        a_int = np.linalg.solve(system, s[n_ext:, :n_ext])
-        s = s[:n_ext, :n_ext] + s[:n_ext, n_ext:] @ a_int
-    return ScatteringMatrix(labels, s)
+        a_int = np.linalg.solve(system, s[:, n_ext:, :n_ext])
+        s = s[:, :n_ext, :n_ext] + s[:, :n_ext, n_ext:] @ a_int
+    return ScatteringMatrix(labels, s if depths else s[0])
 
 
 def check_unitarity(matrix: ScatteringMatrix, tol: float = 1e-9) -> tuple[bool, float]:
-    """Return (is_unitary, max deviation of S^H S from the identity)."""
+    """Return (is_unitary, max deviation of S^H S from the identity) of one matrix."""
     s = matrix.s
     dev = float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))))
     return dev <= tol, dev

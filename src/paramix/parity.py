@@ -15,6 +15,7 @@ and the bright port reads out the XOR of the parities.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,11 @@ from .mixer import FLUX_QUANTUM_WB
 from .network import HYBRID, ConnectionGraph, ScatteringMatrix, connect
 
 _PARITY_BIT = {"even": 0, "odd": 1}
+
+# Largest B * n^2 of one stack of chain graphs handed to connect(), the way
+# sweeps go in SWEEP_CHUNK points: a call holds a few copies of each stack,
+# so memory stays bounded however many long chains it is given.
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,18 +55,25 @@ class GyratorSpec:
         return PUMP_PHI_RAD[self.pump_port] + self.parity_bit * np.pi
 
 
-def _two_port(fwd: complex, bwd: complex) -> ScatteringMatrix:
-    """Matched 2-port on ports (1, 2): 1 -> 2 carries fwd, 2 -> 1 carries bwd."""
-    return ScatteringMatrix(("1", "2"), np.array([[0.0, bwd], [fwd, 0.0]], dtype=complex))
+def _two_port(fwd, bwd) -> ScatteringMatrix:
+    """Matched 2-port on ports (1, 2): 1 -> 2 carries fwd, 2 -> 1 carries bwd.
+
+    fwd and bwd are complex numbers, or (B,) arrays for a stack of B 2-ports.
+    """
+    s = np.zeros(np.shape(fwd) + (2, 2), dtype=complex)
+    s[..., 0, 1] = bwd
+    s[..., 1, 0] = fwd
+    return ScatteringMatrix(("1", "2"), s)
 
 
-def gyrator_2port(spec: GyratorSpec) -> ScatteringMatrix:
+def gyrator_2port(phi_rad) -> ScatteringMatrix:
     """Ideal gyrator [[0, -e^{-i phi}], [-e^{i phi}, 0]] on ports (1, 2).
 
     Forward (1 -> 2) carries -e^{i phi}, backward -e^{-i phi}; their ratio is
     e^{2 i phi} = -1 for every parity and pump feed, the gyrator hallmark.
+    phi_rad is one phase (GyratorSpec.phi_rad) or a (B,) array of them.
     """
-    ph = np.exp(1j * spec.phi_rad)
+    ph = np.exp(1j * np.asarray(phi_rad))
     return _two_port(-ph, -np.conj(ph))
 
 
@@ -81,26 +94,48 @@ def _even_forward(pump_port: str) -> complex:
     return -np.exp(1j * PUMP_PHI_RAD[pump_port])
 
 
-def chain_transmission(chain: ChainSpec) -> complex:
-    """Bright-port amplitude of the interferometer enclosing the chain.
+def chain_transmission(chains: Sequence[ChainSpec]) -> list[complex]:
+    """Bright-port amplitude of the interferometer enclosing each chain, in order.
 
     Hybrid in, hybrid out; the top arm holds each gyrator with its
     wavelength-matching segment (transmission conj of the cell's even-parity
     forward phase, both directions), the bottom arm a matched line carrying
     e^{i calibration_phase}. At calibration phase 0 the magnitude is 0 for
     an even chain and 1 for an odd one.
+
+    Chains of one length share a topology, so they are reduced together by
+    one connect() per stack of at most _STACK_ENTRIES matrix entries; the
+    stacking changes no bit of any amplitude.
     """
+    out = [0j] * len(chains)
+    by_length: dict[int, list[int]] = {}
+    for i, chain in enumerate(chains):
+        by_length.setdefault(len(chain.gyrators), []).append(i)
+    for length, members in by_length.items():
+        # two hybrids, a gyrator and a segment per cell, the bottom line
+        n_ports = 2 * HYBRID.n_ports + 4 * length + 2
+        step = max(1, _STACK_ENTRIES // n_ports**2)
+        for start in range(0, len(members), step):
+            batch = members[start : start + step]
+            amplitudes = _interferometer([chains[i] for i in batch])
+            for i, t in zip(batch, amplitudes):
+                out[i] = complex(t)
+    return out
+
+
+def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
+    """(B,) bright-port amplitudes of B chains of one length, from one connect()."""
     elements = {"hl": HYBRID}
     joints = []
     prev = ("hl", "1p")
-    for k, spec in enumerate(chain.gyrators):
-        comp = np.conj(_even_forward(spec.pump_port))
-        elements[f"g{k}"] = gyrator_2port(spec)
+    for k, cells in enumerate(zip(*(chain.gyrators for chain in chains))):
+        comp = np.conj([_even_forward(spec.pump_port) for spec in cells])
+        elements[f"g{k}"] = gyrator_2port([spec.phi_rad for spec in cells])
         elements[f"m{k}"] = _two_port(comp, comp)
         joints.append((prev, (f"g{k}", "1")))
         joints.append(((f"g{k}", "2"), (f"m{k}", "1")))
         prev = (f"m{k}", "2")
-    bot = np.exp(1j * chain.calibration_phase_rad)
+    bot = np.exp(1j * np.array([chain.calibration_phase_rad for chain in chains]))
     elements["bot"] = _two_port(bot, bot)
     elements["hr"] = HYBRID
     joints.append((prev, ("hr", "1p")))
@@ -125,8 +160,9 @@ def calibrate(reference: ChainSpec | None = None, tol: float = 1e-9) -> float:
         reference = ChainSpec((GyratorSpec(parity="even", pump_port="P1"),))
     if any(g.parity != "even" for g in reference.gyrators):
         raise ValueError("calibration reference must be all even")
-    t0 = chain_transmission(replace(reference, calibration_phase_rad=0.0))
-    tpi = chain_transmission(replace(reference, calibration_phase_rad=np.pi))
+    t0, tpi = chain_transmission(
+        [replace(reference, calibration_phase_rad=0.0), replace(reference, calibration_phase_rad=np.pi)]
+    )
     a = (t0 + tpi) / 2.0
     b = (t0 - tpi) / 2.0
     if abs(b) < tol:

@@ -242,24 +242,28 @@ def test_connect_order_invariance(rng):
         assert np.max(np.abs(build(eo, jo) - base)) < 1e-12
 
 
+def _random_composition(rng):
+    """Two hybrids joined through a random delay line, a random mixer on a side arm."""
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return ConnectionGraph(
+        {
+            "h1": HYBRID,
+            "d": delay_line(rng.uniform(0, 50), 2.0, theta),
+            "m": mixer_2port(rng.uniform(0.0, 1.0), rng.uniform(-np.pi, np.pi)),
+            "h2": HYBRID,
+        },
+        (
+            (("h1", "1p"), ("d", "1")),
+            (("d", "2"), ("h2", "1p")),
+            (("h1", "2p"), ("m", "a")),
+        ),
+    )
+
+
 def test_connect_unitary_composition(rng):
     # chaining unitary elements through matched joints stays unitary
     for _ in range(20):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        g = ConnectionGraph(
-            {
-                "h1": HYBRID,
-                "d": delay_line(rng.uniform(0, 50), 2.0, theta),
-                "m": mixer_2port(rng.uniform(0.0, 1.0), rng.uniform(-np.pi, np.pi)),
-                "h2": HYBRID,
-            },
-            (
-                (("h1", "1p"), ("d", "1")),
-                (("d", "2"), ("h2", "1p")),
-                (("h1", "2p"), ("m", "a")),
-            ),
-        )
-        s = connect(g)
+        s = connect(_random_composition(rng))
         ok, dev = check_unitarity(s, tol=1e-9)
         assert ok, dev
 
@@ -272,6 +276,84 @@ def test_connect_singular_internal_network():
     )
     with pytest.raises(NonInvertibleNetworkError, match="non-invertible"):
         connect(g)
+
+
+def _stacked(graphs, shared=()):
+    """One graph of the same topology whose elements stack those of graphs.
+
+    The elements named in shared keep the first graph's single matrix.
+    """
+    first = graphs[0]
+    elements = {
+        name: m if name in shared else ScatteringMatrix(m.ports, np.stack([g.elements[name].s for g in graphs]))
+        for name, m in first.elements.items()
+    }
+    return ConnectionGraph(elements, first.joints, first.external)
+
+
+def test_a_stacked_matrix_keeps_its_members_and_reads_entries_as_arrays():
+    raw = np.arange(12.0).reshape(3, 2, 2)
+    m = ScatteringMatrix(("a", "b"), raw)
+    assert m.s.shape == (3, 2, 2) and m.n_ports == 2
+    assert not m.s.flags.writeable
+    got = m.entry("b", "a")
+    assert isinstance(got, np.ndarray) and got.tolist() == [2.0, 6.0, 10.0]
+    assert isinstance(ScatteringMatrix(("a", "b"), raw[0]).entry("b", "a"), complex)
+    with pytest.raises(ValueError, match="square"):
+        ScatteringMatrix(("a", "b"), np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        ScatteringMatrix(("a", "b"), np.zeros((1, 3, 2, 2)))
+
+
+@pytest.mark.parametrize("make", [_random_composition, lambda rng: _loaded_line(rng.uniform(0, 80), rng.uniform(-0.9, 0.9))])
+def test_a_stack_reduces_to_each_of_its_graphs_bit_for_bit(rng, make):
+    graphs = [make(rng) for _ in range(25)]
+    single = [connect(g) for g in graphs]
+    stacked = connect(_stacked(graphs))
+    assert stacked.ports == single[0].ports
+    assert stacked.s.shape == (len(graphs),) + single[0].s.shape
+    for k, one in enumerate(single):
+        assert stacked.s[k].tobytes() == one.s.tobytes()
+    out, inp = stacked.ports[-1], stacked.ports[0]
+    assert stacked.entry(out, inp).tobytes() == np.array([m.entry(out, inp) for m in single]).tobytes()
+    # a stack of one stays a stack and keeps the bits of the single graph
+    alone = connect(_stacked(graphs[:1]))
+    assert alone.s.shape == (1,) + single[0].s.shape
+    assert alone.s[0].tobytes() == single[0].s.tobytes()
+
+
+def test_a_single_matrix_element_broadcasts_over_the_stack(rng):
+    graphs = [_random_composition(rng) for _ in range(8)]
+    everything = connect(_stacked(graphs)).s
+    assert connect(_stacked(graphs, shared=("h1", "h2"))).s.tobytes() == everything.tobytes()
+    # one delay line shared by all eight graphs
+    same_delay = [ConnectionGraph({**g.elements, "d": graphs[0].elements["d"]}, g.joints) for g in graphs]
+    got = connect(_stacked(same_delay, shared=("h1", "d", "h2"))).s
+    for k, g in enumerate(same_delay):
+        assert got[k].tobytes() == connect(g).s.tobytes()
+
+
+def test_one_singular_member_fails_the_whole_stack():
+    def facing(reflections):
+        return ConnectionGraph(
+            {"t1": _load(1.0), "t2": ScatteringMatrix(("1",), np.reshape(reflections, (-1, 1, 1)))},
+            ((("t1", "1"), ("t2", "1")),),
+            external=(),
+        )
+
+    fine = connect(facing([0.5, -0.2j, 0.3]))
+    assert fine.ports == () and fine.s.shape == (3, 0, 0)
+    for _ in range(2):
+        with pytest.raises(NonInvertibleNetworkError, match="non-invertible"):
+            connect(facing([0.5, 1.0, 0.3]))
+
+
+def test_stacks_of_unequal_size_are_refused():
+    two = ScatteringMatrix(("1",), np.zeros((2, 1, 1)))
+    three = ScatteringMatrix(("1",), np.zeros((3, 1, 1)))
+    graph = ConnectionGraph({"h": HYBRID, "a": two, "b": three}, ((("h", "1p"), ("a", "1")), (("h", "2p"), ("b", "1"))))
+    with pytest.raises(ValueError, match="one stack size"):
+        connect(graph)
 
 
 def test_check_unitarity_reports_deviation():

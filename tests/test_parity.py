@@ -1,8 +1,12 @@
 import itertools
+import json
+import sys
 
 import numpy as np
 import pytest
+from test_sweep_chunks import _peak_rss_kb
 
+from paramix import parity
 from paramix.parity import (
     ChainSpec,
     GyratorSpec,
@@ -11,6 +15,7 @@ from paramix.parity import (
     field_range,
     gyrator_2port,
 )
+from paramix.schemas import SCHEMA_TAG
 
 
 def test_gyrator_spec_phases():
@@ -27,14 +32,14 @@ def test_gyrator_spec_phases():
 
 def test_gyrator_matrix_is_nonreciprocal():
     for spec in (GyratorSpec("even", "P1"), GyratorSpec("odd", "P2")):
-        s = gyrator_2port(spec)
+        s = gyrator_2port(spec.phi_rad)
         fwd = s.entry("2", "1")
         bwd = s.entry("1", "2")
         assert abs(fwd) == pytest.approx(1.0, abs=1e-15)
         # forward/backward ratio -1 regardless of parity or feed
         assert fwd / bwd == pytest.approx(-1.0, abs=1e-12)
         assert s.entry("1", "1") == 0.0 and s.entry("2", "2") == 0.0
-    even = gyrator_2port(GyratorSpec("even", "P1"))
+    even = gyrator_2port(GyratorSpec("even", "P1").phi_rad)
     assert even.entry("2", "1") == pytest.approx(1j, abs=1e-15)
 
 
@@ -63,15 +68,14 @@ def test_transmission_reads_parity_xor():
                     calibration_phase_rad=psi,
                 )
                 xor = sum(1 for p in parities if p == "odd") % 2
-                assert abs(chain_transmission(chain)) == pytest.approx(float(xor), abs=1e-12)
+                assert abs(chain_transmission([chain])[0]) == pytest.approx(float(xor), abs=1e-12)
 
 
 def test_even_cells_do_not_change_an_odd_chain():
     psi = calibrate()
     base = (GyratorSpec("odd", "P1"),)
     grown = base + (GyratorSpec("even", "P2"), GyratorSpec("even", "P1"))
-    t_base = chain_transmission(ChainSpec(base, psi))
-    t_grown = chain_transmission(ChainSpec(grown, psi))
+    t_base, t_grown = chain_transmission([ChainSpec(base, psi), ChainSpec(grown, psi)])
     assert abs(abs(t_base) - abs(t_grown)) < 1e-12
 
 
@@ -83,11 +87,62 @@ def test_chain_order_does_not_matter():
         GyratorSpec("odd", "P2"),
         GyratorSpec("even", "P1"),
     )
-    mags = {
-        round(abs(chain_transmission(ChainSpec(perm, psi))), 12)
-        for perm in itertools.permutations(specs)
-    }
+    chains = [ChainSpec(perm, psi) for perm in itertools.permutations(specs)]
+    mags = {round(abs(t), 12) for t in chain_transmission(chains)}
     assert mags == {0.0}
+
+
+def _seeded_chains(seed):
+    """All 126 chains of lengths 1-6 and 4 of length 64, with seeded pump feeds."""
+    rng = np.random.default_rng(seed)
+    bits = [b for n in range(1, 7) for b in itertools.product(("even", "odd"), repeat=n)]
+    bits += [tuple(rng.choice(("even", "odd"), 64)) for _ in range(4)]
+    psi = calibrate()
+    return [
+        ChainSpec(tuple(GyratorSpec(str(p), str(rng.choice(("P1", "P2")))) for p in b), psi)
+        for b in bits
+    ]
+
+
+@pytest.fixture(scope="module")
+def chains_alone():
+    chains = _seeded_chains(7)
+    return chains, [chain_transmission([c])[0] for c in chains]
+
+
+# 1 reduces every chain alone; 1 << 22 puts all chains of one length in one stack
+@pytest.mark.parametrize("entries", [parity._STACK_ENTRIES, 1, 1 << 22])
+def test_the_stack_size_never_changes_the_bits(monkeypatch, chains_alone, entries):
+    chains, alone = chains_alone
+    monkeypatch.setattr(parity, "_STACK_ENTRIES", entries)
+    together = chain_transmission(chains)
+    assert all(isinstance(t, complex) for t in together)
+    assert np.array(together).tobytes() == np.array(alone).tobytes()
+    # the output keeps the order of the input, whatever the lengths' order
+    order = np.random.default_rng(0).permutation(len(chains))
+    shuffled = chain_transmission([chains[i] for i in order])
+    assert np.array(shuffled).tobytes() == np.array(alone)[order].tobytes()
+
+
+def test_no_chains_give_no_amplitudes():
+    assert chain_transmission([]) == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+def test_long_chains_add_no_memory_per_chain(tmp_path):
+    rng = np.random.default_rng(3)
+
+    def peak(count):
+        chains = [[{"parity": str(p)} for p in rng.choice(("even", "odd"), 64)] for _ in range(count)]
+        cfg = tmp_path / f"chains{count}.json"
+        cfg.write_text(json.dumps({"schema": SCHEMA_TAG, "chains": chains}))
+        out = tmp_path / f"out{count}"
+        kb, rc = _peak_rss_kb(tmp_path, ["parity", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        return kb
+
+    # one stack of all eight chains holds several 9 MB copies at once
+    assert (peak(8) - peak(1)) / 1024 < 2.0
 
 
 def test_field_range():

@@ -103,13 +103,19 @@ def test_a_large_sweep_without_a_width_writes_every_file_then_exits_3(tmp_path, 
 
 
 def _peak_rss_kb(tmp_path, argv):
-    """(ru_maxrss, exit code) of a fresh interpreter that imports paramix.cli and runs argv."""
+    """(peak RSS in KiB, exit code) of a fresh interpreter that imports paramix.cli and runs argv.
+
+    The peak is VmHWM, the high-water mark of the interpreter's own memory.
+    ru_maxrss would not do: Linux carries it across exec, so it also holds
+    the peak of the test process that started the interpreter.
+    """
     src = str(Path(paramix.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = (
-        "import resource, sys, paramix.cli\n"
+        "import re, sys, paramix.cli\n"
         "rc = paramix.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, rc)"
+        "status = open('/proc/self/status').read()\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), rc)"
     )
     done = subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, cwd=tmp_path,
@@ -119,7 +125,7 @@ def _peak_rss_kb(tmp_path, argv):
     return int(kb), int(rc)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
 def test_a_large_sweep_adds_little_memory_to_the_import(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"schema": SCHEMA_TAG, "jis": JIS_PRESET, "grid": {"points": 200001}}))
