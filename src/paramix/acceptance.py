@@ -78,12 +78,12 @@ def _random_config(rng, rho_lo: float = 0.0):
 
 
 def crit_closed_form_anchors() -> CriterionResult:
-    closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0)
+    closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0, np.pi / 2.0)
     runtime = min(
-        _timed(lambda: closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0))
+        _timed(lambda: closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0, np.pi / 2.0))
         for _ in range(5)
     )
-    S = closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0).s
+    S = closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0, np.pi / 2.0).s
     dev21 = abs(abs(S[1, 0]) - 2.0 * _SQ2 / 3.0)
     dev0 = max(abs(S[0, 1]), abs(S[0, 0]), abs(S[1, 1]))
     fast = runtime < 1e-3

@@ -4,8 +4,10 @@ Identical inputs must produce byte-identical files, so every float goes
 through one fixed 9-significant-digit format ("%.9g", the same text as
 `fmt`), line endings are plain newlines, and JSON keys are sorted. A JSON
 float is the float that text spells (`round9`), printed as `json` prints
-it. Negative infinity (a legitimate dB value for an exact zero) is written
-as the literal -inf in CSV; every other non-finite value is refused with
+it: a JSON row value is written as its "%.9g" text, and only the texts
+`json` would print differently go through repr(float(text)). Negative
+infinity (a legitimate dB value for an exact zero) is written as the
+literal -inf in CSV; every other non-finite value is refused with
 NonFiniteError("non-finite ..."). NonFiniteError is a NumericalError (the
 CLI exits 3) and a ValueError.
 
@@ -55,11 +57,6 @@ def round9(value) -> float:
     return float(fmt(value))
 
 
-def _round9_all(values: tuple) -> tuple:
-    """round9 of each value, formatted in one pass."""
-    return tuple(map(float, (("%.9g " * len(values)) % values).split()))
-
-
 @contextmanager
 def _staged(path):
     """A text file opened under a temporary name that becomes path on success.
@@ -83,15 +80,17 @@ def _write_rows(fh, template, columns, sep="", cast=None) -> None:
     """Write template % row for each row of the columns, joined by sep.
 
     The columns have one length. Array columns become Python values a chunk
-    at a time; cast, if given, maps each chunk's values (a flat tuple, row
-    after row) before they are formatted.
+    at a time. cast, if given, takes the place of that step: it maps each
+    chunk's columns to the flat tuple of values, row after row, that the
+    template formats.
     """
     for start in range(0, len(columns[0]), _CHUNK):
         part = [c[start : start + _CHUNK] for c in columns]
-        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
-        values = tuple(chain.from_iterable(zip(*part)))
         if cast is not None:
-            values = cast(values)
+            values = cast(part)
+        else:
+            part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+            values = tuple(chain.from_iterable(zip(*part)))
         if start:
             fh.write(sep)
         fh.write(sep.join([template] * len(part[0])) % values)
@@ -171,6 +170,28 @@ def write_json(path, payload) -> str:
     return text
 
 
+def _json_texts(part) -> tuple:
+    """The text json prints for round9 of each value in a chunk, row after row.
+
+    Each value is formatted once with "%.9g". Two distinct decimals of at
+    most 9 significant digits lie more than one ulp of a normal float apart,
+    so the repr that json prints for the float a text spells has the same
+    digits, laid out the same way, except for integral values ("2.0" for
+    "2", "-0.0" for "-0") and exponents e+09 to e+15, which repr writes in
+    fixed notation. For subnormals repr may need fewer digits. The mask
+    picks a superset of those texts: v within 1e-8 |v| of an integer (every
+    integral text, and every |v| >= 5e7) and |v| < 1e-300. Only the texts
+    it picks go through repr(float(text)).
+    """
+    v = np.stack(part, axis=1).ravel()
+    texts = (("%.9g " * v.size) % tuple(v.tolist())).split()
+    a = np.abs(v)
+    odd = (np.abs(v - np.rint(v)) <= 1e-8 * a) | (a < 1e-300)
+    for i in np.flatnonzero(odd).tolist():
+        texts[i] = repr(float(texts[i]))
+    return tuple(texts)
+
+
 def write_json_rows(path, envelope, names, columns) -> None:
     """The bytes of write_json(path, {**envelope, "rows": rows}), streamed from columns.
 
@@ -197,7 +218,7 @@ def write_json_rows(path, envelope, names, columns) -> None:
     head, _, tail = text.partition('\n  "rows": []')
     order = sorted(range(len(names)), key=names.__getitem__)
     keys = [json.dumps(names[i]).replace("%", "%%") for i in order]
-    fields = ",\n".join(f"      {key}: %r" for key in keys)
+    fields = ",\n".join(f"      {key}: %s" for key in keys)
     with _staged(path) as fh:
         fh.write(head + '\n  "rows": [\n')
         _write_rows(
@@ -205,7 +226,7 @@ def write_json_rows(path, envelope, names, columns) -> None:
             "    {\n" + fields + "\n    }",
             [columns[i] for i in order],
             sep=",\n",
-            cast=_round9_all,
+            cast=_json_texts,
         )
         fh.write("\n  ]" + tail)
 

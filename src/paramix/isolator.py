@@ -143,9 +143,7 @@ def reference_device(
 _PORTS_4 = ("1", "2", "3", "4")
 
 
-def closed_form_4port(
-    t: float, alpha: float, phi_rad: float, phi_s_rad: float = np.pi / 2.0
-) -> ScatteringMatrix:
+def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) -> ScatteringMatrix:
     """On-resonance 4-port scattering of the device in closed form.
 
     t is the per-stage conversion amplitude, alpha the through amplitude of

@@ -246,3 +246,9 @@ def test_backaction_report_edge_cases():
     report = backaction_report([bare, bare])
     assert report.isolation_db is None
     assert report.rows[1].jis is None
+    # an amplifier-on row with no excess over the baseline gives no isolation figure
+    base, _, _, full = _chain_records()
+    same = replace(base, label="jda, no excess", jda="on")
+    report = backaction_report([base, same, full])
+    assert report.rows[1].nbar_ba == 0.0
+    assert report.isolation_db is None

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,7 +95,7 @@ def test_touchstone_two_port(tmp_path):
 
 def test_touchstone_four_port(tmp_path):
     path = tmp_path / "t.s4p"
-    s = closed_form_4port(0.3, 0.51, -np.pi / 2.0)
+    s = closed_form_4port(0.3, 0.51, -np.pi / 2.0, np.pi / 2.0)
     write_touchstone(path, [0.0], s.s[np.newaxis])
     lines = path.read_text().splitlines()
     assert lines[1] == "# GHz S RI R 50"
@@ -224,6 +226,47 @@ def test_json_rows_edge_shapes(tmp_path):
     with pytest.raises(ValueError, match="one length"):
         write_json_rows(tmp_path / "bad.json", {}, ["a", "b"], [[1.0], [1.0, 2.0]])
     assert not (tmp_path / "bad.json").exists()
+
+
+def written_values(tmp_path, values):
+    """The text write_json_rows writes for each value, in order."""
+    write_json_rows(tmp_path / "v.json", {}, ["v"], [values])
+    return re.findall(r'"v": (\S+)\n', (tmp_path / "v.json").read_text())
+
+
+def with_ulps(x, steps=3):
+    """x and the floats up to steps ulps below and above it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+INTEGERS = [1, 2, 3, 7, 10, 99, 100, 255, 1000, 12345, 999999, 1234567, 99999999]
+# both sides of each edge of the mask that picks the texts json prints
+# differently: |v| < 1e-300, v within 1e-8 |v| of an integer (the integral
+# texts, rounded at 5e-9 |v| or less), and the exponents e+09 to e+17
+MASK_EDGES = [
+    *with_ulps(1e8), *with_ulps(99999999.95), *with_ulps(5e7),
+    *with_ulps(1e-300), *with_ulps(2.225e-308), *with_ulps(2.2250738585072014e-308),
+    5e-324, 1e-5, *with_ulps(1e-4), 9.99999999e-5, 9.999999995e-5, 0.0,
+    *(n * (1 + e) for n in INTEGERS for e in (0.0, -4e-9, 4e-9, -4.999e-9, 4.999e-9, -2e-8, 2e-8)),
+    *(m * 10.0**k for k in range(9, 18) for m in (1.0, 1.23456789, 9.87654321012)),
+]
+
+
+def test_json_row_text_is_repr_of_round9_on_both_sides_of_every_mask_edge(tmp_path):
+    values = np.array([*MASK_EDGES, *(-v for v in MASK_EDGES)])
+    assert written_values(tmp_path, values) == [repr(round9(v)) for v in values.tolist()]
+
+
+def test_json_row_text_is_repr_of_round9_on_a_log_uniform_draw(tmp_path):
+    rng = np.random.default_rng(20170525)
+    n = 10**5
+    values = np.exp(rng.uniform(np.log(1e-320), np.log(1e300), n)) * rng.choice([-1.0, 1.0], n)
+    want = ("%.9g " * n % tuple(values.tolist())).split()
+    assert written_values(tmp_path, values) == list(map(repr, map(float, want)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -59,6 +59,7 @@ GOLDEN_LARGE = {
     "jis_sweep.json": "7a9b5f54e7936ed026f51fb8858ce9f2404d3ce8a891bbc49e58f329c20224f4",
     "jis_sweep.s2p": "3ba84287a0a90f8b219cd6a7e978f4cec169881558e24c14a5949f14fcd513b7",
     "jpc_sweep.csv": "e375d8f15b2561636b9844677f2ff9723339c9bba2fd991f88178db32b29d9d6",
+    "jpc_sweep.json": "22df82965a1f4a34ea57ffa7e3a9cad2adf1f882ed053a1b6f70e21a90e5ec29",
 }
 LARGE_CASES = [
     (
@@ -68,6 +69,7 @@ LARGE_CASES = [
         ["jis_sweep.csv", "jis_sweep.json", "jis_sweep.s2p"],
     ),
     ("jpc-sweep", "csv", {"jpc": JIS_PLAIN, "grid": {"points": 40001}}, ["jpc_sweep.csv"]),
+    ("jpc-sweep", "json", {"jpc": JIS_PLAIN, "grid": {"points": 40001}}, ["jpc_sweep.json"]),
 ]
 
 

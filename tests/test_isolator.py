@@ -47,13 +47,13 @@ def test_pump_off_is_exactly_transparent():
 
 def test_closed_form_validation():
     with pytest.raises(ValueError, match="t must"):
-        closed_form_4port(1.5, 0.5, 0.0)
+        closed_form_4port(1.5, 0.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="alpha must"):
-        closed_form_4port(0.5, 1.5, 0.0)
+        closed_form_4port(0.5, 1.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="unloaded"):
-        closed_form_4port(0.5, 1.0, 0.0)
+        closed_form_4port(0.5, 1.0, 0.0, 0.0)
     # alpha = 1 is fine when nothing converts
-    assert closed_form_4port(0.0, 1.0, 0.0).s[0, 1] == 1j
+    assert closed_form_4port(0.0, 1.0, 0.0, 0.0).s[0, 1] == 1j
 
 
 def test_phi_s_only_rotates_termination_references(rng):

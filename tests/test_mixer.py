@@ -146,6 +146,9 @@ def test_jrm_defaults_and_validation():
         JrmParams(i0_ua=0.0)
     with pytest.raises(ValueError):
         JrmParams(lj0_over_l=-1.0)
+    for ratio in ("lj0_over_l", "lj0_over_ls"):
+        with pytest.raises(ValueError, match="inductance ratios"):
+            JrmParams(**{ratio: 0.0})
 
 
 def test_flux_tuning_curve_shape():

@@ -31,7 +31,7 @@ CALLS = {
     "flux_tuning_curve": lambda: mixer.flux_tuning_curve(NAN),
     "flux_tuning_curve.array": lambda: mixer.flux_tuning_curve(np.array([0.0, NAN, 1.0])),
     "mixer_2port.generalized_phase_rad": lambda: mixer.mixer_2port(0.5, NAN),
-    "closed_form_4port.phi_rad": lambda: isolator.closed_form_4port(0.5, 0.51, NAN),
+    "closed_form_4port.phi_rad": lambda: isolator.closed_form_4port(0.5, 0.51, NAN, 0.3),
     "closed_form_4port.phi_s_rad": lambda: isolator.closed_form_4port(0.5, 0.51, 0.3, NAN),
     "on_resonance_2port.phi_rad": lambda: isolator.on_resonance_2port(0.5, NAN),
     "gamma0": lambda: analysis.gamma0(NAN, 100.0),
