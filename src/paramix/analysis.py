@@ -70,8 +70,9 @@ def _crossing(f: np.ndarray, y: np.ndarray, i_lo: int, i_hi: int, target: float)
 
 
 def _check_direction(direction: str) -> None:
-    if direction not in ("s11", "s12", "s21", "s22"):
-        raise ValueError("direction must be one of s11, s12, s21, s22")
+    # only a transmission can hold a dip: the sweep's S11 = S22 are exact zeros
+    if direction not in ("s12", "s21"):
+        raise ValueError("direction must be s12 or s21")
 
 
 def dip_bandwidth(f_ghz, power) -> BandwidthResult:

@@ -11,6 +11,12 @@ difference and sum of the per-stage generalized pump phases. They enter the
 closed form through half-angle factors, so a 2 pi shift is observable in
 the signs of the port 3/4 columns; device working points are conventionally
 quoted mod 2 pi.
+
+Every config's phi is an odd number of quarter turns: the pump feeds are
+whole quarter turns and each flux parity adds a half turn. So sin phi = +-1
+and cos phi = 0 exactly. JisConfig keeps the feeds as integer quarter turns
+and gives sin phi as that exact sign (sin_phi); the sweep kernel uses it, so
+its S11 = S22 are exact zeros rather than a difference of two equal terms.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .mixer import (
     RHO_5050,
     amplitudes_of_frequency,
     mixer_2port,
+    n_g,
     t_on_resonance,
 )
 from .network import (
@@ -36,11 +43,13 @@ from .network import (
     lossy_coupler,
 )
 
-# Pump feed patterns: per-stage pump phases for each physical pump port.
-_PUMP_PHASES = {"P1": (0.0, np.pi / 2.0), "P2": (np.pi / 2.0, 0.0)}
+# Pump feed patterns: per-stage pump phases, in quarter turns, for each
+# physical pump port. A stage's pump phase in radians is q pi/2.
+_PUMP_QUARTERS = {"P1": (0, 1), "P2": (1, 0)}
+_QUARTER_TURN_RAD = np.pi / 2.0
 
 # Stage-phase difference each feed sets at zero flux: -pi/2 for P1, +pi/2 for P2.
-PUMP_PHI_RAD = {port: ph1 - ph2 for port, (ph1, ph2) in _PUMP_PHASES.items()}
+PUMP_PHI_RAD = {port: (q1 - q2) * _QUARTER_TURN_RAD for port, (q1, q2) in _PUMP_QUARTERS.items()}
 
 # Clamp for the internal-loop resonance denominator 1 - r_b^2 alpha^2.
 _LOOP_SINGULARITY_TOL = 1e-12
@@ -73,12 +82,12 @@ class JisConfig:
     jpc2: JpcParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.pump_port not in _PUMP_PHASES:
+        if self.pump_port not in _PUMP_QUARTERS:
             raise ValueError("pump_port must be 'P1' or 'P2'")
-        ph1, ph2 = _PUMP_PHASES[self.pump_port]
+        q1, q2 = _PUMP_QUARTERS[self.pump_port]
         shared = (self.f_a_ghz, self.f_b_ghz, self.gamma_a_mhz, self.gamma_b_mhz, self.rho)
-        object.__setattr__(self, "jpc1", JpcParams(*shared, ph1, self.phi_ext1_rad))
-        object.__setattr__(self, "jpc2", JpcParams(*shared, ph2, self.phi_ext2_rad))
+        object.__setattr__(self, "jpc1", JpcParams(*shared, q1 * _QUARTER_TURN_RAD, self.phi_ext1_rad))
+        object.__setattr__(self, "jpc2", JpcParams(*shared, q2 * _QUARTER_TURN_RAD, self.phi_ext2_rad))
         if not 0.0 <= self.alpha_mag <= 1.0:
             raise ValueError("alpha_mag must lie in [0, 1]")
         if not self.delay_length_um >= 0.0:
@@ -98,13 +107,24 @@ class JisConfig:
         )
 
     @property
+    def sin_phi(self) -> int:
+        """sin phi exactly, +1 or -1.
+
+        phi in quarter turns is q1 + 2 n_g1 - q2 - 2 n_g2, odd for every
+        feed and flux parity; mod 4 it is 1 (sin phi = +1) or 3 (-1).
+        """
+        q1, q2 = _PUMP_QUARTERS[self.pump_port]
+        quarter_turns = q1 + 2 * n_g(self.phi_ext1_rad) - q2 - 2 * n_g(self.phi_ext2_rad)
+        return 1 if quarter_turns % 4 == 1 else -1
+
+    @property
     def isolated_direction(self) -> str:
         """The transmission the device suppresses, "s21" or "s12".
 
         S21 = i (refl - conv sin phi): a positive sin phi darkens the forward
         direction, a negative one the backward direction.
         """
-        return "s21" if np.sin(self.phi_rad) > 0.0 else "s12"
+        return "s21" if self.sin_phi > 0 else "s12"
 
     @property
     def phi_s_rad(self) -> float:
@@ -275,7 +295,7 @@ class SweepResult:
 
     @property
     def s22(self) -> np.ndarray:
-        """S22, which equals S11 for this symmetric device (the same array)."""
+        """S22, which equals S11 for this symmetric device (the same zero array)."""
         return self.s11
 
 
@@ -285,8 +305,12 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     The stages see the signal detuning through their susceptibilities; the
     internal line contributes a complex round-trip factor alpha =
     |alpha| e^{i theta_d} evaluated at the up-converted frequency f1 + f_p.
-    Raises SingularResponseError if the internal loop 1 - r_b^2 alpha^2
-    becomes singular on the grid.
+    With conv = alpha t^2 / (1 - r_b^2 alpha^2) and the reflection refl of
+    one stage seen through the line, S21 = i (refl - conv sin phi) and
+    S12 = i (refl + conv sin phi). S11 = S22 = -i conv cos phi is zero,
+    since sin phi is exactly +-1 (JisConfig.sin_phi), and returned as an
+    exact zero array. Raises SingularResponseError if the internal loop
+    1 - r_b^2 alpha^2 becomes singular on the grid.
     """
     f = np.asarray(f_ghz, dtype=float)
     t, r_a, r_b = amplitudes_of_frequency(f, config.jpc1)
@@ -299,20 +323,14 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     if np.min(np.abs(loop)) < _LOOP_SINGULARITY_TOL:
         raise SingularResponseError("internal loop resonance: 1 - r_b^2 alpha^2 vanished")
 
-    phi = config.phi_rad
-    s12_in = -alpha * t**2 * np.exp(-1j * phi) / loop
-    s21_in = -alpha * t**2 * np.exp(1j * phi) / loop
-    s11_in = r_a - r_b * alpha**2 * t**2 / loop
-
-    s21 = 1j * s11_in + (s21_in - s12_in) / 2.0
-    s12 = 1j * s11_in + (s12_in - s21_in) / 2.0
-    s11 = 1j * (s21_in + s12_in) / 2.0
+    refl = r_a - r_b * alpha**2 * t**2 / loop
+    conv_sin_phi = config.sin_phi * alpha * t**2 / loop
 
     return SweepResult(
         f_ghz=f,
-        s11=np.asarray(s11, dtype=complex),
-        s12=np.asarray(s12, dtype=complex),
-        s21=np.asarray(s21, dtype=complex),
+        s11=np.zeros(f.shape, dtype=complex),
+        s12=1j * (refl + conv_sin_phi),
+        s21=1j * (refl - conv_sin_phi),
     )
 
 

@@ -73,6 +73,19 @@ def test_bandwidth_failure_modes():
         bandwidth_3dB(_synthetic_sweep(f, shallow), "s13")
 
 
+def test_only_a_transmission_is_a_direction(reference):
+    # the sweep's reflections are exact zeros, so a reflection "dip" is refused
+    # even where a SweepResult carries one
+    f = np.linspace(4.95, 5.05, 101)
+    dip = np.sqrt(0.04 * (1.0 + np.abs(f - 5.0) / 0.01))
+    sweep = SweepResult(f_ghz=f, s11=dip, s12=dip, s21=dip)
+    for direction in ("s11", "s22"):
+        with pytest.raises(ValueError, match="direction must be s12 or s21"):
+            bandwidth_3dB(sweep, direction)
+        with pytest.raises(ValueError, match="direction must be s12 or s21"):
+            bandwidth_attenuation_scan(reference, [0.3], direction)
+
+
 def test_a_trace_flat_to_rounding_has_no_dip():
     f = np.linspace(4.95, 5.05, 401)
     # a constant trace with +-1 ulp noise, its minimum inside the grid

@@ -2,15 +2,23 @@
 
 The writers are deterministic, so a changed hash here is a change in the
 bytes a user gets. The hashes were taken with numpy 2.4.6 on Python 3.11;
-another numpy may move a last printed digit.
+another numpy may move a last printed digit. The jis-sweep hashes do not
+depend on the SIMD code path numpy dispatches to: the sweep's S11 and S22
+are exact zeros, not rounding noise, and a child process with that dispatch
+switched off must write the same bytes.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_cli import JIS_PLAIN, JIS_PRESET, RECORDS
 
+import paramix
 from paramix import cli
 from paramix.schemas import SCHEMA_TAG
 
@@ -21,9 +29,9 @@ GOLDEN = {
     "jis_4port.csv": "ee424bae74d05e779f12daab0bcd1b5d8b659e845274c5b8626550a6e105b6ce",
     "jis_4port.json": "3f5661c03943deb7702f02647e3f521090ebe5377a5a1d8144745b71223f10b4",
     "jis_4port.s4p": "1894125718e497f44a001d0ce93524cfc4b86377ad6d64fef5d62683030b3a68",
-    "jis_sweep.csv": "59306f699be74661282b51250f75abd0a7143e6fe0e7e314436e02f14eb00a73",
+    "jis_sweep.csv": "834d973e32d8e116e58d5380853d36db8d969c6ec6ca800207f799aa66015df9",
     "jis_sweep.json": "09531a69c6424a51e9207f3a01ff85bf4ce31348d550044643f913bbcf16edcc",
-    "jis_sweep.s2p": "25a02df8d4e8d2988789d0a1e934d84c8cfdd33eb62317b299e66a7f58afa483",
+    "jis_sweep.s2p": "0246f36e596052d026ba24a9ce1af2adf72a0d810482123f56d13351085eb2c7",
     "jpc_sweep.csv": "6412fa217db6e60c47822bc27106a6980cb201fc1fdc46713ee3a41cfc8e3bfa",
     "jpc_sweep.json": "602f4e33584d7488a1a044f5acdff6a782cc1473566b8cd1b8d546eb84909ad1",
     "parity.json": "092279e87bbffd56e4d3966e2927efa3847c736c4c7a8e1798650a736fa7800f",
@@ -55,9 +63,9 @@ CASES = [
 # Grids above one 16,384-point sweep chunk, so the files are streamed chunk by
 # chunk; the hashes are those of whole-grid evaluation.
 GOLDEN_LARGE = {
-    "jis_sweep.csv": "3867b2b76945eb6e444d254f74d4cbd0c91b1dd990bdfbc7539625be2466603d",
+    "jis_sweep.csv": "3f3196400085eea6e39ecf79e5f0c0f8367f02b7e5cf0e0e19dcce0da7bfce6d",
     "jis_sweep.json": "7a9b5f54e7936ed026f51fb8858ce9f2404d3ce8a891bbc49e58f329c20224f4",
-    "jis_sweep.s2p": "3ba84287a0a90f8b219cd6a7e978f4cec169881558e24c14a5949f14fcd513b7",
+    "jis_sweep.s2p": "6fa606ae334911c2cd1a441abf06250a563dda43fa2022ae41747240d250130a",
     "jpc_sweep.csv": "e375d8f15b2561636b9844677f2ff9723339c9bba2fd991f88178db32b29d9d6",
     "jpc_sweep.json": "22df82965a1f4a34ea57ffa7e3a9cad2adf1f882ed053a1b6f70e21a90e5ec29",
 }
@@ -95,3 +103,52 @@ def test_artifact_bytes_are_pinned(tmp_path, command, fmt, payload, names):
 def test_streamed_artifact_bytes_are_pinned(tmp_path, command, fmt, payload, names):
     digests = artifact_digests(tmp_path, command, fmt, payload)
     assert digests == {name: GOLDEN_LARGE[name] for name in names}
+
+
+def dispatched_simd_groups() -> list[str]:
+    """The CPU dispatch groups numpy was built for and uses on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [group for group in umath.__cpu_dispatch__ if umath.__cpu_features__.get(group)]
+
+
+# runs each argv list through cli.main; prints the exit codes and the
+# dispatch groups the child still uses
+SIMD_CHILD = """
+import json, sys
+from paramix import cli
+sys.path.insert(0, sys.argv[1])
+from test_golden import dispatched_simd_groups
+rcs = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"rcs": rcs, "dispatched": dispatched_simd_groups()}))
+"""
+
+
+def test_jis_sweep_bytes_do_not_depend_on_the_simd_path(tmp_path):
+    groups = dispatched_simd_groups()
+    if not groups:
+        pytest.skip("numpy dispatches to no SIMD group beyond its baseline on this CPU")
+    cases = [CASES[0], CASES[1], LARGE_CASES[0]]
+    argvs = []
+    for k, (command, fmt, payload, _) in enumerate(cases):
+        cfg = tmp_path / f"config{k}.json"
+        cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **payload}))
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"out{k}"), "--format", fmt])
+    src = str(Path(paramix.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(groups),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", SIMD_CHILD, str(Path(__file__).parent), json.dumps(argvs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {"rcs": [0, 0, 0], "dispatched": []}
+    for k, (_, _, _, names) in enumerate(cases):
+        golden = GOLDEN if k < 2 else GOLDEN_LARGE
+        out = tmp_path / f"out{k}"
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {name: golden[name] for name in names}

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramix.isolator import default_grid, effective_2port_sweep, make_jis
-from paramix.mixer import PRIMARY_LOBE_RAD
+from paramix.mixer import PRIMARY_LOBE_RAD, amplitudes_of_frequency
+from paramix.network import delay_phase_rad
 
 TOL = 1e-12
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -75,3 +76,30 @@ def test_flipping_both_fluxes_changes_nothing(config):
     flipped = sweep(replace(config, phi_ext1_rad=-config.phi_ext1_rad, phi_ext2_rad=-config.phi_ext2_rad))
     for name in ("s11", "s12", "s21", "s22"):
         np.testing.assert_allclose(getattr(flipped, name), getattr(s, name), rtol=0, atol=TOL)
+
+
+def general_phase_transmissions(config, f):
+    """(S21, S12) of the sweep written for any phase phi, through e^{+-i phi}."""
+    t, r_a, r_b = amplitudes_of_frequency(f, config.jpc1)
+    alpha = config.alpha_mag * np.exp(
+        1j * delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f + config.f_p_ghz)
+    )
+    loop = 1.0 - r_b**2 * alpha**2
+    phi = config.phi_rad
+    s12_in = -alpha * t**2 * np.exp(-1j * phi) / loop
+    s21_in = -alpha * t**2 * np.exp(1j * phi) / loop
+    s11_in = r_a - r_b * alpha**2 * t**2 / loop
+    return 1j * s11_in + (s21_in - s12_in) / 2.0, 1j * s11_in + (s12_in - s21_in) / 2.0
+
+
+@PROPERTY
+@given(devices())
+def test_the_quarter_turn_kernel_is_the_general_phase_form(config):
+    f = default_grid(config, 600.0, 201)
+    s = effective_2port_sweep(config, f)
+    assert np.all(s.s11 == 0.0) and np.all(s.s22 == 0.0)
+    s21, s12 = general_phase_transmissions(config, f)
+    scale = 1e-14 * max(np.max(np.abs(s21)), np.max(np.abs(s12)))
+    np.testing.assert_allclose(s.s21, s21, rtol=0, atol=scale)
+    np.testing.assert_allclose(s.s12, s12, rtol=0, atol=scale)
+    assert config.isolated_direction == ("s21" if np.sin(config.phi_rad) > 0.0 else "s12")
