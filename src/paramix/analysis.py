@@ -20,11 +20,11 @@ from .errors import (
     UnbracketedBandwidthError,
 )
 from .isolator import (
-    PUMP_PHI_RAD,
     JisConfig,
     SweepResult,
     default_grid,
     effective_2port_sweep,
+    feed_sin_phi,
     grid_chunks,
 )
 
@@ -97,18 +97,15 @@ def dip_bandwidth(f_ghz, power) -> BandwidthResult:
     floor = float(y[i0])
     target = 2.0 * floor
 
-    left = None
-    for j in range(i0 - 1, -1, -1):
-        if y[j] >= target:
-            left = _crossing(f, y, j, j + 1, target)
-            break
-    right = None
-    for j in range(i0 + 1, f.size):
-        if y[j] >= target:
-            right = _crossing(f, y, j - 1, j, target)
-            break
-    if left is None or right is None:
+    # the last point at or above 2 L before the minimum, the first one after it
+    above_left = np.flatnonzero(y[:i0] >= target)
+    above_right = np.flatnonzero(y[i0 + 1 :] >= target)
+    if above_left.size == 0 or above_right.size == 0:
         raise UnbracketedBandwidthError("3 dB points not bracketed by the sweep")
+    j = int(above_left[-1])
+    left = _crossing(f, y, j, j + 1, target)
+    j = i0 + 1 + int(above_right[0])
+    right = _crossing(f, y, j - 1, j, target)
     return BandwidthResult(
         f_dip_ghz=float(f[i0]), gamma_mhz=(right - left) * 1e3, floor=floor
     )
@@ -202,11 +199,13 @@ def _refl_conv(rho, alpha):
     return refl, conv
 
 
-def _on_resonance_powers(rho, alpha, phi_rad: float):
-    """Model (|S21|^2, |S12|^2) on resonance, broadcasting over rho/alpha."""
+def _on_resonance_powers(rho, alpha, sin_phi: int):
+    """Model (|S21|^2, |S12|^2) on resonance, broadcasting over rho/alpha.
+
+    sin_phi is the exact +-1 of the pump feed (isolator.feed_sin_phi).
+    """
     refl, conv = _refl_conv(rho, alpha)
-    s = np.sin(phi_rad)
-    return (refl - conv * s) ** 2, (refl + conv * s) ** 2
+    return (refl - conv * sin_phi) ** 2, (refl + conv * sin_phi) ** 2
 
 
 def _signed_amplitude_roots(s21_sq: float, s12_sq: float) -> list:
@@ -257,13 +256,11 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
     for name, val in (("s21_sq", s21_sq), ("s12_sq", s12_sq)):
         if not 0.0 <= val <= 1.0 + 1e-9:
             raise ValueError(f"{name} must lie in [0, 1]")
-    if pump_port not in PUMP_PHI_RAD:
-        raise ValueError("pump_port must be 'P1' or 'P2'")
-    phi = PUMP_PHI_RAD[pump_port]
+    sin_phi = feed_sin_phi(pump_port)
 
     grid = np.arange(0.0, 1.0 + _FIT_GRID_STEP / 2.0, _FIT_GRID_STEP)
     rr, aa = np.meshgrid(grid, grid, indexing="ij")
-    m21, m12 = _on_resonance_powers(rr, aa, phi)
+    m21, m12 = _on_resonance_powers(rr, aa, sin_phi)
     res = (m21 - s21_sq) ** 2 + (m12 - s12_sq) ** 2
     if float(res.max() - res.min()) < _FIT_FLAT_TOL:
         raise NonIdentifiableError("residual surface is flat: working point non-identifiable")
@@ -295,7 +292,7 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
     starts.extend(_signed_amplitude_roots(s21_sq, s12_sq))
 
     def resid_vec(x):
-        p21, p12 = _on_resonance_powers(x[0], x[1], phi)
+        p21, p12 = _on_resonance_powers(x[0], x[1], sin_phi)
         return [p21 - s21_sq, p12 - s12_sq]
 
     polished = []
@@ -317,9 +314,7 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
     )
 
     # flat alpha direction: slide alpha across its full range at fixed rho
-    probe21, probe12 = _on_resonance_powers(
-        np.full_like(grid, rho_fit), grid, phi
-    )
+    probe21, probe12 = _on_resonance_powers(np.full_like(grid, rho_fit), grid, sin_phi)
     probe = (probe21 - s21_sq) ** 2 + (probe12 - s12_sq) ** 2
     alpha_identifiable = bool(probe.max() - probe.min() >= _FIT_FLAT_TOL)
     if not alpha_identifiable:

@@ -6,17 +6,16 @@ taps 3 and 4 end in cold loads. Nonreciprocity is controlled by the phase
 difference phi between the effective pump phases of the two stages; the sum
 phi_s only rotates the references of the internal taps.
 
-Phase bookkeeping: phi and phi_s as carried by JisConfig are the exact real
-difference and sum of the per-stage generalized pump phases. They enter the
-closed form through half-angle factors, so a 2 pi shift is observable in
-the signs of the port 3/4 columns; device working points are conventionally
-quoted mod 2 pi.
-
-Every config's phi is an odd number of quarter turns: the pump feeds are
-whole quarter turns and each flux parity adds a half turn. So sin phi = +-1
-and cos phi = 0 exactly. JisConfig keeps the feeds as integer quarter turns
-and gives sin phi as that exact sign (sin_phi); the sweep kernel uses it, so
-its S11 = S22 are exact zeros rather than a difference of two equal terms.
+Phase bookkeeping: this module alone maps a pump feed and the flux
+parities to the stage phases (stage_quarters). A stage's generalized pump
+phase is k pi/2 with k a whole number of quarter turns: the feed's pump
+phase plus 2 n_g, a half turn per odd flux parity. JisConfig derives the
+pair (k1, k2) once. phi and phi_s are the real difference and sum of the
+stage phases; the closed form uses their halves, so a 2 pi shift shows in
+the signs of the port 3/4 columns (working points are quoted mod 2 pi).
+k1 - k2 is odd for every feed and flux parity, so sin phi = +-1 and cos phi
+= 0 exactly; the sweep kernel takes the exact sign from k1 - k2, and its
+S11 = S22 are exact zeros rather than a difference of two equal terms.
 """
 
 from __future__ import annotations
@@ -44,12 +43,32 @@ from .network import (
 )
 
 # Pump feed patterns: per-stage pump phases, in quarter turns, for each
-# physical pump port. A stage's pump phase in radians is q pi/2.
+# physical pump port.
 _PUMP_QUARTERS = {"P1": (0, 1), "P2": (1, 0)}
-_QUARTER_TURN_RAD = np.pi / 2.0
+QUARTER_TURN_RAD = np.pi / 2.0
 
-# Stage-phase difference each feed sets at zero flux: -pi/2 for P1, +pi/2 for P2.
-PUMP_PHI_RAD = {port: (q1 - q2) * _QUARTER_TURN_RAD for port, (q1, q2) in _PUMP_QUARTERS.items()}
+
+def stage_quarters(pump_port: str, n_g1: int = 0, n_g2: int = 0) -> tuple[int, int]:
+    """Each stage's generalized pump phase in quarter turns, (k1, k2).
+
+    The feed's pump phase plus a half turn per coupling index n_g. Raises
+    ValueError for a pump port other than P1 and P2.
+    """
+    if pump_port not in _PUMP_QUARTERS:
+        raise ValueError("pump_port must be 'P1' or 'P2'")
+    q1, q2 = _PUMP_QUARTERS[pump_port]
+    return q1 + 2 * n_g1, q2 + 2 * n_g2
+
+
+def _sin_phi(k1: int, k2: int) -> int:
+    """sin phi of stage phases in quarter turns, exactly: k1 - k2 is odd, so +-1."""
+    return 1 if (k1 - k2) % 4 == 1 else -1
+
+
+def feed_sin_phi(pump_port: str) -> int:
+    """sin phi a pump feed sets at zero flux: -1 for P1, +1 for P2."""
+    return _sin_phi(*stage_quarters(pump_port))
+
 
 # Clamp for the internal-loop resonance denominator 1 - r_b^2 alpha^2.
 _LOOP_SINGULARITY_TOL = 1e-12
@@ -60,11 +79,11 @@ class JisConfig:
     """Working point of the full two-stage device.
 
     The fields describe one balanced device with two flux biases: both
-    stages share the mode frequencies, linewidths and pump strength rho,
-    and differ only in their reduced fluxes phi_ext1_rad and phi_ext2_rad,
-    whose lobe parity sets the isolation direction. pump_port sets the
-    stage pump phases: P1 drives (0, pi/2), P2 drives (pi/2, 0). The stages
-    jpc1 and jpc2 are derived from these fields and cannot be set.
+    stages share the mode frequencies, linewidths and pump strength rho
+    (the one stage jpc1), and differ only in their reduced fluxes, whose
+    lobe parity sets the isolation direction. pump_port (P1 or P2) picks
+    the stage pump phases. jpc1 and the stage phases in quarter turns,
+    quarter_turns (stage_quarters), are derived and cannot be set.
     """
 
     f_a_ghz: float
@@ -79,15 +98,13 @@ class JisConfig:
     delay_length_um: float = 0.0
     delay_eps_eff: float = 1.0
     jpc1: JpcParams = field(init=False, repr=False, compare=False)
-    jpc2: JpcParams = field(init=False, repr=False, compare=False)
+    quarter_turns: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.pump_port not in _PUMP_QUARTERS:
-            raise ValueError("pump_port must be 'P1' or 'P2'")
-        q1, q2 = _PUMP_QUARTERS[self.pump_port]
         shared = (self.f_a_ghz, self.f_b_ghz, self.gamma_a_mhz, self.gamma_b_mhz, self.rho)
-        object.__setattr__(self, "jpc1", JpcParams(*shared, q1 * _QUARTER_TURN_RAD, self.phi_ext1_rad))
-        object.__setattr__(self, "jpc2", JpcParams(*shared, q2 * _QUARTER_TURN_RAD, self.phi_ext2_rad))
+        object.__setattr__(self, "jpc1", JpcParams(*shared))
+        quarters = stage_quarters(self.pump_port, n_g(self.phi_ext1_rad), n_g(self.phi_ext2_rad))
+        object.__setattr__(self, "quarter_turns", quarters)
         if not 0.0 <= self.alpha_mag <= 1.0:
             raise ValueError("alpha_mag must lie in [0, 1]")
         if not self.delay_length_um >= 0.0:
@@ -100,22 +117,27 @@ class JisConfig:
         return self.f_b_ghz - self.f_a_ghz
 
     @property
+    def stage_phases_rad(self) -> tuple[float, float]:
+        """The generalized pump phase of each stage, k QUARTER_TURN_RAD."""
+        k1, k2 = self.quarter_turns
+        return k1 * QUARTER_TURN_RAD, k2 * QUARTER_TURN_RAD
+
+    @property
     def phi_rad(self) -> float:
-        """Exact difference of the generalized stage phases (phi_p + p pi mod 2 pi)."""
-        return (
-            self.jpc1.generalized_pump_phase_rad - self.jpc2.generalized_pump_phase_rad
-        )
+        """Exact difference of the stage phases (phi_p + p pi mod 2 pi)."""
+        phi1, phi2 = self.stage_phases_rad
+        return phi1 - phi2
+
+    @property
+    def phi_s_rad(self) -> float:
+        """Exact sum of the stage phases (phi_p1 + phi_p2 + p pi mod 2 pi)."""
+        phi1, phi2 = self.stage_phases_rad
+        return phi1 + phi2
 
     @property
     def sin_phi(self) -> int:
-        """sin phi exactly, +1 or -1.
-
-        phi in quarter turns is q1 + 2 n_g1 - q2 - 2 n_g2, odd for every
-        feed and flux parity; mod 4 it is 1 (sin phi = +1) or 3 (-1).
-        """
-        q1, q2 = _PUMP_QUARTERS[self.pump_port]
-        quarter_turns = q1 + 2 * n_g(self.phi_ext1_rad) - q2 - 2 * n_g(self.phi_ext2_rad)
-        return 1 if quarter_turns % 4 == 1 else -1
+        """sin phi exactly, +1 or -1."""
+        return _sin_phi(*self.quarter_turns)
 
     @property
     def isolated_direction(self) -> str:
@@ -125,13 +147,6 @@ class JisConfig:
         direction, a negative one the backward direction.
         """
         return "s21" if self.sin_phi > 0 else "s12"
-
-    @property
-    def phi_s_rad(self) -> float:
-        """Exact sum of the generalized stage phases (phi_p1 + phi_p2 + p pi mod 2 pi)."""
-        return (
-            self.jpc1.generalized_pump_phase_rad + self.jpc2.generalized_pump_phase_rad
-        )
 
 
 make_jis = JisConfig
@@ -247,8 +262,7 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
     entrywise for every working point; kept as an independent construction.
     """
     t = t_on_resonance(config.rho)
-    phi1 = config.jpc1.generalized_pump_phase_rad
-    phi2 = config.jpc2.generalized_pump_phase_rad
+    phi1, phi2 = config.stage_phases_rad
     elements = {
         "hyb": HYBRID,
         "st1": mixer_2port(t, phi1),

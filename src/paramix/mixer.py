@@ -9,7 +9,8 @@ susceptibilities are functions of the signal detuning from the low mode.
 Flux logic: within the primary flux lobe |phi_ext| <= 1.4 * 2 pi, the
 negative-flux half selects coupling index n_g = 0 and the positive-flux half
 selects n_g = 1 (the boundary counts as 0). Crossing zero flips the sign of
-the three-wave coupling and shifts the effective pump phase by pi.
+the three-wave coupling and shifts the effective pump phase by pi; the
+isolator adds that half turn to each stage's phase (isolator.stage_quarters).
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def _check_flux(phi_ext_rad: float) -> None:
-    if not abs(phi_ext_rad) <= PRIMARY_LOBE_RAD:
-        raise ValueError("phi_ext_rad outside the primary flux lobe")
-
-
 def t_on_resonance(rho: float) -> float:
     """Conversion amplitude 2 rho / (1 + rho^2) at zero detuning."""
     rho = _check_rho(rho)
@@ -62,11 +58,11 @@ def chi_inv(f1_ghz: float, f_a_ghz: float, gamma_mhz: float) -> complex:
 
 @dataclass(frozen=True)
 class JpcParams:
-    """Working point of one converter stage.
+    """Working point of one converter stage: frequencies in GHz, linewidths in MHz.
 
-    Frequencies in GHz, linewidths in MHz, phases in radians. phi_ext_rad is
-    the reduced external flux threading the ring modulator and must stay
-    inside the primary lobe.
+    Its line shapes do not depend on the pump phase or the flux bias; the
+    phase a stage's conversion picks up is set by the isolator's feed and
+    flux parity (isolator.stage_quarters).
     """
 
     f_a_ghz: float
@@ -74,8 +70,6 @@ class JpcParams:
     gamma_a_mhz: float
     gamma_b_mhz: float
     rho: float
-    pump_phase_rad: float = 0.0
-    phi_ext_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.f_a_ghz < self.f_b_ghz:
@@ -83,14 +77,6 @@ class JpcParams:
         if not (self.gamma_a_mhz > 0.0 and self.gamma_b_mhz > 0.0):
             raise ValueError("linewidths must be positive")
         _check_rho(self.rho)
-        _check_flux(self.phi_ext_rad)
-        if not np.isfinite(self.pump_phase_rad):
-            raise ValueError("pump_phase_rad must be finite")
-
-    @property
-    def generalized_pump_phase_rad(self) -> float:
-        """Effective pump phase phi_p + n_g pi seen by the conversion process."""
-        return float(self.pump_phase_rad) + n_g(self.phi_ext_rad) * np.pi
 
 
 def amplitudes_of_frequency(f1_ghz: float, params: JpcParams) -> tuple[complex, complex, complex]:
@@ -122,7 +108,8 @@ def r_a_of_frequency(f1_ghz: float, params: JpcParams) -> complex:
 
 def n_g(phi_ext_rad: float) -> int:
     """Coupling index of the flux working point: 0 for phi <= 0, 1 for phi > 0."""
-    _check_flux(phi_ext_rad)
+    if not abs(phi_ext_rad) <= PRIMARY_LOBE_RAD:
+        raise ValueError("phi_ext_rad outside the primary flux lobe")
     return 0 if phi_ext_rad <= 0.0 else 1
 
 
@@ -188,20 +175,29 @@ def flux_tuning_curve(phi_ext_rad, jrm: JrmParams = JrmParams()):
     return jrm.f_max_ghz * np.sqrt(l_tot0 / l_tot)
 
 
-def mixer_2port(t: float, generalized_phase_rad: float) -> ScatteringMatrix:
+def mixer_2port(t: float, generalized_phase_rad) -> ScatteringMatrix:
     """On-resonance 2-port of one converter stage on ports (a, b).
 
     S = [[r, -t e^{-i phi'}], [-t e^{+i phi'}, -r]] with r = sqrt(1 - t^2):
     conversion a->b picks up +phi', b->a picks up -phi', reflection is +r at
     the signal port and -r at the internal port. These signs are pinned
     jointly with lossy_coupler by the pump-off and 50:50 composed matrices.
+    At full conversion (t = 1, r = 0) the stage is an ideal gyrator: the
+    two directions differ by e^{2 i phi'}, which is -1 at every odd
+    quarter-turn phase. generalized_phase_rad is one phase or a (B,) array
+    of them, giving a (B, 2, 2) stack of 2-ports.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if not np.isfinite(generalized_phase_rad):
+    phase = np.asarray(generalized_phase_rad, dtype=float)
+    if not np.isfinite(phase).all():
         raise ValueError("generalized_phase_rad must be finite")
     r = np.sqrt(1.0 - t**2)
-    ph = np.exp(1j * generalized_phase_rad)
-    s = np.array([[r, -t * np.conj(ph)], [-t * ph, -r]], dtype=complex)
+    ph = np.exp(1j * phase)
+    s = np.empty(ph.shape + (2, 2), dtype=complex)
+    s[..., 0, 0] = r
+    s[..., 0, 1] = -t * np.conj(ph)
+    s[..., 1, 0] = -t * ph
+    s[..., 1, 1] = -r
     return ScatteringMatrix(("a", "b"), s)

@@ -1,9 +1,11 @@
 """Joint-parity detection with chained nonreciprocal phase shifters.
 
 Each device in the chain acts on the top arm of a Mach-Zehnder as an ideal
-gyrator whose forward phase encodes its flux parity: for pump feed P1 the
-forward transmission is -e^{i(-pi/2 + p pi)} = i(-1)^p, for P2 the
-conjugate. A chain of N such devices would accumulate a parity-independent
+gyrator: a converter stage at full conversion, mixer_2port(1, phi) with
+r = 0, whose phase phi is the isolator's stage-phase difference for its
+feed and joint flux parity p (isolator.stage_quarters). Its forward
+transmission is -e^{i phi} = i(-1)^p for pump feed P1 and the conjugate for
+P2. A chain of N such devices would accumulate a parity-independent
 i^N (or mixed-feed) reference on top of the (-1)^{sum p} signal; physically
 each unit cell is embedded in a line trimmed to an integer number of
 wavelengths, so the chain builder pairs every gyrator with a matching
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .errors import NumericalError
-from .isolator import PUMP_PHI_RAD
-from .mixer import FLUX_QUANTUM_WB
+from .isolator import QUARTER_TURN_RAD, stage_quarters
+from .mixer import FLUX_QUANTUM_WB, mixer_2port
 from .network import HYBRID, ConnectionGraph, ScatteringMatrix, connect
 
 _PARITY_BIT = {"even": 0, "odd": 1}
@@ -43,8 +46,7 @@ class GyratorSpec:
     def __post_init__(self) -> None:
         if self.parity not in _PARITY_BIT:
             raise ValueError("parity must be 'even' or 'odd'")
-        if self.pump_port not in PUMP_PHI_RAD:
-            raise ValueError("pump_port must be 'P1' or 'P2'")
+        stage_quarters(self.pump_port)  # raises for a pump port other than P1 and P2
 
     @property
     def parity_bit(self) -> int:
@@ -52,7 +54,14 @@ class GyratorSpec:
 
     @property
     def phi_rad(self) -> float:
-        return PUMP_PHI_RAD[self.pump_port] + self.parity_bit * np.pi
+        return _phi_rad(self.pump_port, self.parity_bit)
+
+
+@cache  # four values, read twice per cell of every chain
+def _phi_rad(pump_port: str, parity_bit: int) -> float:
+    """Stage-phase difference of a device whose first stage carries the parity."""
+    k1, k2 = stage_quarters(pump_port, parity_bit)
+    return (k1 - k2) * QUARTER_TURN_RAD
 
 
 def _two_port(fwd, bwd) -> ScatteringMatrix:
@@ -66,17 +75,6 @@ def _two_port(fwd, bwd) -> ScatteringMatrix:
     return ScatteringMatrix(("1", "2"), s)
 
 
-def gyrator_2port(phi_rad) -> ScatteringMatrix:
-    """Ideal gyrator [[0, -e^{-i phi}], [-e^{i phi}, 0]] on ports (1, 2).
-
-    Forward (1 -> 2) carries -e^{i phi}, backward -e^{-i phi}; their ratio is
-    e^{2 i phi} = -1 for every parity and pump feed, the gyrator hallmark.
-    phi_rad is one phase (GyratorSpec.phi_rad) or a (B,) array of them.
-    """
-    ph = np.exp(1j * np.asarray(phi_rad))
-    return _two_port(-ph, -np.conj(ph))
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """Gyrator chain in the top arm plus the bottom-arm trim phase."""
@@ -87,11 +85,6 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not self.gyrators:
             raise ValueError("chain needs at least one gyrator")
-
-
-def _even_forward(pump_port: str) -> complex:
-    """Forward transmission of an even-parity cell before compensation."""
-    return -np.exp(1j * PUMP_PHI_RAD[pump_port])
 
 
 def chain_transmission(chains: Sequence[ChainSpec]) -> list[complex]:
@@ -129,11 +122,13 @@ def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
     joints = []
     prev = ("hl", "1p")
     for k, cells in enumerate(zip(*(chain.gyrators for chain in chains))):
-        comp = np.conj([_even_forward(spec.pump_port) for spec in cells])
-        elements[f"g{k}"] = gyrator_2port([spec.phi_rad for spec in cells])
+        # the segment cancels the forward transmission of an even cell
+        even = np.array([_phi_rad(spec.pump_port, 0) for spec in cells])
+        comp = np.conj(-np.exp(1j * even))
+        elements[f"g{k}"] = mixer_2port(1.0, [spec.phi_rad for spec in cells])
         elements[f"m{k}"] = _two_port(comp, comp)
-        joints.append((prev, (f"g{k}", "1")))
-        joints.append(((f"g{k}", "2"), (f"m{k}", "1")))
+        joints.append((prev, (f"g{k}", "a")))
+        joints.append(((f"g{k}", "b"), (f"m{k}", "1")))
         prev = (f"m{k}", "2")
     bot = np.exp(1j * np.array([chain.calibration_phase_rad for chain in chains]))
     elements["bot"] = _two_port(bot, bot)

@@ -69,6 +69,11 @@ def test_bandwidth_failure_modes():
     shallow = 0.04 * (1.0 + np.abs(f - 5.0) / 1.0)  # never reaches 2 L
     with pytest.raises(UnbracketedBandwidthError, match="not bracketed"):
         bandwidth_3dB(_synthetic_sweep(f, shallow), "s12")
+    # 2 L is reached on one side of the dip only, either side
+    steep_right = 0.04 * (1.0 + np.where(f > 5.0, (f - 5.0) / 0.01, (5.0 - f) / 1.0))
+    for trace in (steep_right, steep_right[::-1]):
+        with pytest.raises(UnbracketedBandwidthError, match="not bracketed"):
+            bandwidth_3dB(_synthetic_sweep(f, trace), "s12")
     with pytest.raises(ValueError, match="direction"):
         bandwidth_3dB(_synthetic_sweep(f, shallow), "s13")
 
@@ -121,7 +126,7 @@ def test_scan_matches_single_extractions(reference):
 
 
 def test_fit_recovers_reference_point():
-    p21, p12 = _on_resonance_powers(RHO_5050, 0.51, -np.pi / 2.0)
+    p21, p12 = _on_resonance_powers(RHO_5050, 0.51, -1)
     fit = fit_rho_alpha(float(p21), float(p12))
     assert fit.rho == pytest.approx(RHO_5050, abs=1e-6)
     assert fit.alpha_mag == pytest.approx(0.51, abs=1e-6)
@@ -132,18 +137,33 @@ def test_fit_recovers_reference_point():
 def test_fit_round_trip_reproduces_measurements(rng):
     for _ in range(10):
         rho, alpha = rng.uniform(0.1, 0.9, size=2)
-        p21, p12 = _on_resonance_powers(rho, alpha, -np.pi / 2.0)
+        p21, p12 = _on_resonance_powers(rho, alpha, -1)
         fit = fit_rho_alpha(float(p21), float(p12))
-        m21, m12 = _on_resonance_powers(fit.rho, fit.alpha_mag, -np.pi / 2.0)
+        m21, m12 = _on_resonance_powers(fit.rho, fit.alpha_mag, -1)
         assert abs(m21 - p21) < 1e-9 and abs(m12 - p12) < 1e-9
         assert fit.residual < 1e-15
 
 
 def test_fit_pump_port_two():
-    p21, p12 = _on_resonance_powers(0.3, 0.6, np.pi / 2.0)
+    p21, p12 = _on_resonance_powers(0.3, 0.6, 1)
     fit = fit_rho_alpha(float(p21), float(p12), pump_port="P2")
     assert fit.rho == pytest.approx(0.3, abs=1e-6)
     assert fit.alpha_mag == pytest.approx(0.6, abs=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_signed_amplitude_roots takes s21 as the pass direction, which holds for "
+    "P1 only: on P2 it skips both sign branches and returns the twin that sorts higher",
+)
+def test_fit_returns_the_canonical_twin_for_both_feeds():
+    # (0.5, 0.9) and its swap twin (0.2294157, 0.6) give the same powers;
+    # the fit returns the twin that sorts lower, whichever feed made them
+    p21, p12 = _on_resonance_powers(0.5, 0.9, -1)
+    fits = [fit_rho_alpha(float(p21), float(p12), "P1"), fit_rho_alpha(float(p12), float(p21), "P2")]
+    for fit in fits:
+        assert fit.rho == pytest.approx(0.2294157, abs=1e-6)
+        assert fit.alpha_mag == pytest.approx(0.6, abs=1e-6)
 
 
 def test_fit_equal_powers_picks_decoupled_line():

@@ -7,6 +7,7 @@ fails here, in tier-1, instead of in a benchmark run. The files are only read.
 """
 
 import ast
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -45,3 +46,47 @@ def test_every_root_name_the_checker_reads_resolves(name):
 @pytest.mark.parametrize("dotted", _bindings_names())
 def test_every_binding_the_benchmark_tests_read_resolves(dotted):
     pkgutil.resolve_name(dotted)
+
+
+def _small_jobs(checks, workloads):
+    """One job per (command, format) the checker knows, on 101-point grids."""
+    jis = {"preset": "reference", "rho": 0.35, "pump_port": "P2", "phi_ext1_rad": 1.0}
+    grid = {"span_mhz": 300.0, "points": 101}
+    configs = {
+        "jis-sweep": {"jis": jis, "grid": grid},
+        "jpc-sweep": {"jpc": workloads._jpc(0.4), "grid": grid},
+        "jis-4port": {"jis": jis},
+        "parity": {"chains": [[{"parity": "odd", "pump_port": "P2"}, {"parity": "even"}]]},
+        "flux-curve": {"grid": {"phi_start_rad": -1.0, "phi_stop_rad": 1.0, "points": 101}},
+        "bandwidth-scan": {"jis": {"preset": "reference"}, "rho_values": [0.3, 0.4]},
+    }
+    tagged = {cmd: {"schema": workloads.SCHEMA, **cfg} for cmd, cfg in configs.items()}
+    jobs = [
+        workloads._job(f"{command}-{fmt}", command, tagged[command], fmt)
+        for command, fmt in checks.ARTIFACTS
+        if command != "fit"
+    ]
+    s21_sq, s12_sq = workloads.forward_powers(0.3, 0.6, "P2")
+    return jobs + [workloads._fit_job("fit", s21_sq, s12_sq, "P2", "exact", {})]
+
+
+def test_the_benchmark_value_checks_pass_on_one_small_job_per_artifact_set(tmp_path, monkeypatch):
+    # check_values turns an unreadable artifact into a problem, but an
+    # AttributeError (a name the checker reads that the package lost) would
+    # end a benchmark run instead; here it fails a test
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import workloads
+
+    from paramix import cli
+
+    jobs = _small_jobs(checks, workloads)
+    assert {(job["command"], job["format"]) for job in jobs} == set(checks.ARTIFACTS)
+    for job in jobs:
+        config = tmp_path / f"{job['id']}.json"
+        config.write_text(json.dumps(job["config"]))
+        out = tmp_path / job["id"]
+        argv = [job["command"], "--config", str(config), "--out", str(out)]
+        rc = cli.main(argv + (["--format", job["format"]] if job["format"] else []))
+        assert checks.check_exit_code(job, rc) == [], job["id"]
+        assert checks.check_values(job, out) == [], job["id"]

@@ -16,7 +16,7 @@ from paramix.isolator import (
     on_resonance_2port,
     reference_device,
 )
-from paramix.mixer import JpcParams, RHO_5050, t_on_resonance
+from paramix.mixer import JpcParams, RHO_5050, n_g, t_on_resonance
 from paramix.network import check_unitarity
 
 SQ2 = np.sqrt(2.0)
@@ -120,12 +120,27 @@ def test_make_jis_and_config_properties():
     odd = make_jis(6.84, 9.567, 40.0, 100.0, 0.3, phi_ext1_rad=-1.0, phi_ext2_rad=1.0)
     assert odd.phi_rad == -np.pi / 2.0 - np.pi
     assert odd.isolated_direction == "s21"
-    # the stages are the shared fields plus the feed's pump phase and each flux
-    for pump, (ph1, ph2) in (("P1", (0.0, np.pi / 2.0)), ("P2", (np.pi / 2.0, 0.0))):
+    # the one stage is the shared fields
+    assert cfg.jpc1 == JpcParams(6.84, 9.567, 40.0, 100.0, 0.3)
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def test_stage_phases_are_the_float_sums_bit_for_bit():
+    # each stage phase is the float sum of its pump phase q pi/2 and n_g pi,
+    # bit for bit, and phi and phi_s are the float difference and sum of the
+    # two, for both feeds and every pair of flux parities
+    for pump, (q1, q2) in (("P1", (0, 1)), ("P2", (1, 0))):
         for fx1, fx2 in ((-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)):
             cfg = make_jis(6.84, 9.567, 40.0, 100.0, 0.3, 0.6, pump, fx1, fx2)
-            assert cfg.jpc1 == JpcParams(6.84, 9.567, 40.0, 100.0, 0.3, ph1, fx1)
-            assert cfg.jpc2 == JpcParams(6.84, 9.567, 40.0, 100.0, 0.3, ph2, fx2)
+            ph1 = float(q1 * (np.pi / 2.0)) + n_g(fx1) * np.pi
+            ph2 = float(q2 * (np.pi / 2.0)) + n_g(fx2) * np.pi
+            assert [_bits(p) for p in cfg.stage_phases_rad] == [_bits(ph1), _bits(ph2)]
+            assert _bits(cfg.phi_rad) == _bits(ph1 - ph2)
+            assert _bits(cfg.phi_s_rad) == _bits(ph1 + ph2)
+            assert cfg.sin_phi == np.sin(ph1 - ph2)
 
 
 def test_jis_config_validation():
@@ -136,19 +151,23 @@ def test_jis_config_validation():
     # a bad stage field is reported before a bad alpha_mag
     with pytest.raises(ValueError, match="rho"):
         JisConfig(6.84, 9.567, 40.0, 100.0, 1.5, alpha_mag=1.5)
+    with pytest.raises(ValueError, match="lobe"):
+        JisConfig(6.84, 9.567, 40.0, 100.0, 0.3, phi_ext2_rad=10.0)
     with pytest.raises(ValueError, match="delay"):
         make_jis(6.84, 9.567, 40.0, 100.0, 0.3, delay_length_um=-1.0)
     # the stages are derived, never set
     with pytest.raises(ValueError, match="jpc1"):
-        replace(reference_device(), jpc1=reference_device().jpc2)
+        replace(reference_device(), jpc1=reference_device().jpc1)
+    with pytest.raises(ValueError, match="quarter_turns"):
+        replace(reference_device(), quarter_turns=(1, 0))
 
 
 def test_with_rho_replaces_both_stages():
     cfg = replace(reference_device(), rho=0.2)
-    assert cfg.jpc1.rho == 0.2 and cfg.jpc2.rho == 0.2
+    assert cfg.jpc1.rho == 0.2
     assert cfg.alpha_mag == 0.51
     fresh = reference_device(rho=0.2)
-    assert (cfg, cfg.jpc1, cfg.jpc2) == (fresh, fresh.jpc1, fresh.jpc2)
+    assert (cfg, cfg.jpc1, cfg.quarter_turns) == (fresh, fresh.jpc1, fresh.quarter_turns)
 
 
 def test_effective_sweep_matches_on_resonance_2port():

@@ -19,16 +19,8 @@ from paramix.mixer import (
 )
 
 
-def _params(rho=0.3, phi_ext=0.0, pump_phase=0.0):
-    return JpcParams(
-        f_a_ghz=6.84,
-        f_b_ghz=9.567,
-        gamma_a_mhz=40.0,
-        gamma_b_mhz=100.0,
-        rho=rho,
-        pump_phase_rad=pump_phase,
-        phi_ext_rad=phi_ext,
-    )
+def _params(rho=0.3):
+    return JpcParams(f_a_ghz=6.84, f_b_ghz=9.567, gamma_a_mhz=40.0, gamma_b_mhz=100.0, rho=rho)
 
 
 def _r_on_resonance(rho):
@@ -106,10 +98,6 @@ def test_n_g_and_pump_phase():
     assert n_g(PRIMARY_LOBE_RAD) == 1
     with pytest.raises(ValueError):
         n_g(PRIMARY_LOBE_RAD + 0.1)
-    assert _params(phi_ext=-1.0, pump_phase=0.25).generalized_pump_phase_rad == 0.25
-    assert _params(phi_ext=1.0, pump_phase=0.25).generalized_pump_phase_rad == 0.25 + np.pi
-    p = _params(phi_ext=2.0, pump_phase=np.pi / 2.0)
-    assert p.generalized_pump_phase_rad == np.pi / 2.0 + np.pi
 
 
 def test_jpc_params_validation():
@@ -119,8 +107,6 @@ def test_jpc_params_validation():
         JpcParams(6.84, 9.567, -1.0, 100.0, 0.3)
     with pytest.raises(ValueError, match="rho"):
         JpcParams(6.84, 9.567, 40.0, 100.0, 1.5)
-    with pytest.raises(ValueError, match="lobe"):
-        JpcParams(6.84, 9.567, 40.0, 100.0, 0.3, phi_ext_rad=10.0)
 
 
 def test_mixer_2port_matrix():
@@ -136,6 +122,17 @@ def test_mixer_2port_matrix():
     assert dev < 1e-12
     with pytest.raises(ValueError):
         mixer_2port(1.2, 0.0)
+
+
+def test_mixer_2port_stacks_a_phase_array():
+    phases = [-np.pi / 2.0, np.pi / 2.0, 3.0 * np.pi / 2.0, 0.7]
+    for t in (0.6, 1.0):
+        stack = mixer_2port(t, phases)
+        assert stack.s.shape == (4, 2, 2) and stack.ports == ("a", "b")
+        for k, phi in enumerate(phases):
+            assert np.array_equal(stack.s[k], mixer_2port(t, phi).s)
+    with pytest.raises(ValueError, match="finite"):
+        mixer_2port(1.0, [0.0, np.nan])
 
 
 def test_jrm_defaults_and_validation():

@@ -19,8 +19,8 @@ JIS = dict(JPC, alpha_mag=0.51)
 
 CALLS = {
     "JpcParams.gamma_a_mhz": lambda: mixer.JpcParams(**{**JPC, "gamma_a_mhz": NAN}),
-    "JpcParams.phi_ext_rad": lambda: mixer.JpcParams(**JPC, phi_ext_rad=NAN),
-    "JpcParams.pump_phase_rad": lambda: mixer.JpcParams(**JPC, pump_phase_rad=NAN),
+    "JisConfig.phi_ext1_rad": lambda: pm.JisConfig(**JIS, phi_ext1_rad=NAN),
+    "JisConfig.phi_ext2_rad": lambda: pm.JisConfig(**JIS, phi_ext2_rad=NAN),
     "JisConfig.delay_length_um": lambda: pm.JisConfig(**JIS, delay_length_um=NAN),
     "JisConfig.delay_eps_eff": lambda: pm.JisConfig(**JIS, delay_eps_eff=NAN),
     "JrmParams.i0_ua": lambda: mixer.JrmParams(i0_ua=NAN),

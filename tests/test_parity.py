@@ -7,13 +7,13 @@ import pytest
 from test_sweep_chunks import _peak_rss_kb
 
 from paramix import parity
+from paramix.mixer import mixer_2port
 from paramix.parity import (
     ChainSpec,
     GyratorSpec,
     calibrate,
     chain_transmission,
     field_range,
-    gyrator_2port,
 )
 from paramix.schemas import SCHEMA_TAG
 
@@ -31,16 +31,17 @@ def test_gyrator_spec_phases():
 
 
 def test_gyrator_matrix_is_nonreciprocal():
+    # a gyrator is a converter stage at full conversion
     for spec in (GyratorSpec("even", "P1"), GyratorSpec("odd", "P2")):
-        s = gyrator_2port(spec.phi_rad)
-        fwd = s.entry("2", "1")
-        bwd = s.entry("1", "2")
+        s = mixer_2port(1.0, spec.phi_rad)
+        fwd = s.entry("b", "a")
+        bwd = s.entry("a", "b")
         assert abs(fwd) == pytest.approx(1.0, abs=1e-15)
         # forward/backward ratio -1 regardless of parity or feed
         assert fwd / bwd == pytest.approx(-1.0, abs=1e-12)
-        assert s.entry("1", "1") == 0.0 and s.entry("2", "2") == 0.0
-    even = gyrator_2port(GyratorSpec("even", "P1").phi_rad)
-    assert even.entry("2", "1") == pytest.approx(1j, abs=1e-15)
+        assert s.entry("a", "a") == 0.0 and s.entry("b", "b") == 0.0
+    even = mixer_2port(1.0, GyratorSpec("even", "P1").phi_rad)
+    assert even.entry("b", "a") == pytest.approx(1j, abs=1e-15)
 
 
 def test_chain_spec_needs_a_gyrator():
