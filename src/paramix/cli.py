@@ -145,11 +145,11 @@ def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
             s2p = files.enter_context(touchstone_stream(out_dir / "jis_sweep.s2p", 2))
         for part in grid_chunks(f.size):
             sweep = effective_2port_sweep(config, f[part])
-            # S11 = S22 are the model's exact zeros: -inf dB here, 0 in the .s2p
-            s11_db = to_power_dB(sweep.s11)
-            csv([sweep.f_ghz, to_power_dB(sweep.s21), to_power_dB(sweep.s12), s11_db, s11_db])
+            # S11 = S22 are the model's exact zeros: constant fields, written
+            # once into each row template as -inf dB and as 0 in the .s2p
+            csv([sweep.f_ghz, to_power_dB(sweep.s21), to_power_dB(sweep.s12), -math.inf, -math.inf])
             if s2p is not None:
-                s2p(sweep.f_ghz, [[sweep.s11, sweep.s12], [sweep.s21, sweep.s22]])
+                s2p(sweep.f_ghz, [[0j, sweep.s12], [sweep.s21, 0j]])
             power[part] = np.abs(getattr(sweep, direction)) ** 2
         sidecar = {"schema": SCHEMA_TAG, "direction": direction}
         extraction_error = None

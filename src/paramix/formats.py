@@ -26,6 +26,15 @@ evaluated one grid chunk at a time is written as it goes; `write_csv` and
 holds one chunk of values at a time, plus 16 B per point for its grid and
 its isolated-direction power column. `write_json` serializes a whole
 document and is meant for small ones.
+
+A CSV column given as one float, or a Touchstone entry given as one complex
+or float, holds that value on every row of its block. It is a constant
+field: its text (`fmt` of the value, or of its real and imaginary parts) is
+checked once and put into the block's row template in place of "%.9g", so
+only the array columns are formatted row by row. The non-finite rule is the
+same as for an array: a CSV constant may be -inf, and NaN, +inf or any
+non-finite Touchstone constant raises NonFiniteError. A block needs at
+least one array or cell column to give its row count.
 """
 
 from __future__ import annotations
@@ -84,8 +93,11 @@ def _write_rows(fh, template, columns, sep="", cast=None) -> None:
     chunk's columns to the flat tuple of values, row after row, that the
     template formats.
     """
-    for start in range(0, len(columns[0]), _CHUNK):
-        part = [c[start : start + _CHUNK] for c in columns]
+    rows = len(columns[0])
+    # a block of one chunk is formatted from its columns as they are: on the
+    # one-row 4-port files, slicing every column costs more than the row
+    for start in range(0, rows, _CHUNK):
+        part = columns if rows <= _CHUNK else [c[start : start + _CHUNK] for c in columns]
         if cast is not None:
             values = cast(part)
         else:
@@ -103,16 +115,28 @@ def _cell(value) -> str:
 
 
 def _csv_block(fh, header, columns) -> None:
-    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+    if len(columns) != len(header):
         raise ValueError("need one column per header field, all of one length")
-    arrays = [isinstance(c, np.ndarray) for c in columns]
-    for name, a, c in zip(header, arrays, columns):
+    # a float column is one value on every row; its text goes into the template
+    fields, cells = [], []
+    for name, c in zip(header, columns):
+        constant = isinstance(c, float)
         # NaN and +inf are exactly the values not below +inf
-        if a and not (c < np.inf).all():
+        if (constant or isinstance(c, np.ndarray)) and not np.all(c < np.inf):
             raise NonFiniteError(f"non-finite value (NaN or +inf) in CSV column {name!r}")
-    template = ",".join("%.9g" if a else "%s" for a in arrays) + "\n"
-    cells = [c if a else [_cell(v) for v in c] for a, c in zip(arrays, columns)]
-    _write_rows(fh, template, cells)
+        if constant:
+            fields.append(fmt(c))
+        elif isinstance(c, np.ndarray):
+            fields.append("%.9g")
+            cells.append(c)
+        else:
+            fields.append("%s")
+            cells.append([_cell(v) for v in c])
+    if not cells:
+        raise ValueError("a block of constant columns has no row count")
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError("need one column per header field, all of one length")
+    _write_rows(fh, ",".join(fields) + "\n", cells)
 
 
 @contextmanager
@@ -135,9 +159,11 @@ def write_csv(path, header, columns) -> None:
 
     An np.ndarray column holds numbers, each written as "%.9g"; NaN or +inf
     in one raises NonFiniteError (-inf, the dB value of an exact zero, is
-    written). Any other column is a sequence of cells: a str as is, None as
-    an empty field, a number through `fmt`. All columns must have the same
-    length.
+    written). A float column is a constant: its `fmt` text is on every row,
+    under the same non-finite rule. Any other column is a sequence of cells:
+    a str as is, None as an empty field, a number through `fmt`. All array
+    and cell columns must have the same length, and there must be one; a
+    block of constants alone raises ValueError.
     """
     with csv_stream(path, header) as write:
         write(columns)
@@ -231,15 +257,42 @@ def write_json_rows(path, envelope, names, columns) -> None:
         fh.write("\n  ]" + tail)
 
 
-def _touchstone_block(fh, n, template, order, freqs_ghz, s) -> None:
+@functools.lru_cache(maxsize=16)
+def _touchstone_template(texts) -> str:
+    """The template of one record: the frequency, then one field per text.
+
+    texts holds the record's re/im fields in order: a constant's text, or
+    None where the field is an array value, formatted as "%.9g".
+    """
+    fields = ["%.9g" if t is None else t for t in texts]
+    lines = [" ".join(fields[k : k + 8]) for k in range(0, len(fields), 8)]
+    return "%.9g " + "\n".join(lines) + "\n"
+
+
+def _touchstone_block(fh, n, order, freqs_ghz, s) -> None:
     freqs = np.asarray(freqs_ghz, dtype=float)
-    s = np.asarray(s, dtype=complex)
-    if freqs.ndim != 1 or s.shape != (n, n, freqs.size):
+    entries = [e for row in s for e in row]
+    if len(s) != n or len(entries) != n * n or isinstance(s, np.ndarray) and s.ndim != 3:
         raise ValueError("need one matrix per frequency")
-    if not (np.isfinite(freqs).all() and np.isfinite(s).all()):
+    # a complex or float entry holds one value on every record: its re/im
+    # texts go into the template, and only the array entries are formatted
+    texts, constants, arrays = [], [], [freqs]
+    for k in order:
+        e = entries[k]
+        if isinstance(e, (complex, float)):
+            texts += fmt(e.real), fmt(e.imag)
+            constants += e.real, e.imag
+        else:
+            texts += None, None
+            arrays.append(e)
+    data = np.asarray(arrays, dtype=complex)
+    if data.shape != (len(arrays), freqs.size):
+        raise ValueError("need one matrix per frequency")
+    if not (np.isfinite(data).all() and all(map(math.isfinite, constants))):
         raise NonFiniteError("non-finite value in Touchstone data")
-    entries = [s[i, j] for i, j in order]
-    _write_rows(fh, template, [freqs, *(part for e in entries for part in (e.real, e.imag))])
+    values = data[1:]
+    columns = [freqs, *chain.from_iterable(zip(values.real, values.imag))]
+    _write_rows(fh, _touchstone_template(tuple(texts)), columns)
 
 
 @contextmanager
@@ -247,8 +300,10 @@ def touchstone_stream(path, n):
     """Write a Touchstone v1.1 n-port file block by block: yields write(freqs_ghz, s).
 
     Each call appends one record per frequency of the block. s is an
-    (n, n, F) complex array or n rows of n columns: s[i][j] holds S_ij (i
-    the output port) over the block's F frequencies. The option line is
+    (n, n, F) complex array or n rows of n entries: s[i][j] holds S_ij (i
+    the output port) over the block's F frequencies, as an array, or as one
+    complex or float that is the same on every record (a constant field,
+    formatted once for the block). The option line is
     `# GHz S RI R 50`. A record is the n^2 entries as re/im pairs, 8 values
     to a line, the frequency leading the first line. A 2-port record is the
     single line S11 S21 S12 S22 (column-major); a 4-port record has one
@@ -258,12 +313,10 @@ def touchstone_stream(path, n):
     """
     if n not in (2, 4):
         raise ValueError("only 2-port and 4-port supported")
-    order = [(j, i) if n == 2 else (i, j) for i in range(n) for j in range(n)]
-    line = " ".join(["%.9g"] * 8)
-    template = "%.9g " + "\n".join([line] * (n * n // 4)) + "\n"
+    order = [j * n + i if n == 2 else i * n + j for i in range(n) for j in range(n)]
     with _staged(path) as fh:
         fh.write(f"! {n}-port scattering data\n# GHz S RI R 50\n")
-        yield functools.partial(_touchstone_block, fh, n, template, order)
+        yield functools.partial(_touchstone_block, fh, n, order)
 
 
 def write_touchstone(path, freqs_ghz, s) -> None:

@@ -322,3 +322,89 @@ def test_a_failed_streamed_write_leaves_no_file(tmp_path, kind, bad):
     # neither the new target nor a temporary is left; the old file keeps its bytes
     assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
     assert old.read_bytes() == b"old bytes\n"
+
+
+CSV_CONSTANTS = [0.0, -0.0, -np.inf, 5e-324, 2.0, 1e16]
+
+
+@pytest.mark.parametrize("value", CSV_CONSTANTS)
+def test_a_constant_csv_column_is_the_bytes_of_a_full_column(tmp_path, value):
+    rows = _CHUNK + 1
+    x = np.linspace(-1.0, 1.0, rows) ** 3
+    labels = [f"r{k}" for k in range(rows)]
+    full = np.full(rows, value)
+    write_csv(tmp_path / "const", ["c", "x", "label", "d"], [value, x, labels, value])
+    write_csv(tmp_path / "full", ["c", "x", "label", "d"], [full, x, labels, full])
+    assert (tmp_path / "const").read_bytes() == (tmp_path / "full").read_bytes()
+
+
+TOUCHSTONE_CONSTANTS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 2j, -0.0, 2.5]
+
+
+@pytest.mark.parametrize("value", TOUCHSTONE_CONSTANTS)
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_constant_touchstone_entry_is_the_bytes_of_a_full_entry(tmp_path, n, value):
+    rows = _CHUNK + 1
+    rng = np.random.default_rng(n)
+    f = np.linspace(1.0, 9.0, rows)
+    s = rng.standard_normal((n, n, rows)) + 1j * rng.standard_normal((n, n, rows))
+    # the diagonal, which is S11 and S22 in a 2-port's column-major record,
+    # and one entry off it
+    places = [(k, k) for k in range(n)] + [(n - 1, 0)]
+    const = [list(row) for row in s]
+    full = [list(row) for row in s]
+    for i, j in places:
+        const[i][j] = value
+        full[i][j] = np.full(rows, value, dtype=complex)
+    for name, entries in (("const", const), ("full", full)):
+        with touchstone_stream(tmp_path / name, n) as write:
+            write(f, entries)
+    assert (tmp_path / "const").read_bytes() == (tmp_path / "full").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_constant_raises_and_leaves_no_file(tmp_path, bad):
+    f = np.linspace(6.0, 7.0, 5)
+    with pytest.raises(NonFiniteError, match="non-finite value \\(NaN or \\+inf\\) in CSV column 'y'"):
+        write_csv(tmp_path / "bad.csv", ["f", "y"], [f, bad])
+    for value in (bad, complex(bad, 0.0), complex(0.0, bad), complex(0.0, -bad)):
+        with pytest.raises(NonFiniteError, match="non-finite value in Touchstone data"):
+            with touchstone_stream(tmp_path / "bad.s2p", 2) as write:
+                write(f, [[value, f], [f, f]])
+    with pytest.raises(NonFiniteError):
+        with touchstone_stream(tmp_path / "bad.s2p", 2) as write:
+            write(f, [[0j, f], [f, -np.inf]])
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_block_of_constants_alone_has_no_row_count(tmp_path):
+    with pytest.raises(ValueError, match="no row count"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [1.0, -np.inf])
+    with pytest.raises(ValueError, match="one column per header field"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [1.0])
+    assert not list(tmp_path.iterdir())
+
+
+def stream_with_a_constant(kind, path, f, y, edges, constant_blocks):
+    """Stream f in the blocks between edges, with a constant column (CSV) or
+    constant S11 and S22 (Touchstone): one value in the blocks numbered in
+    constant_blocks, a full array in the others."""
+    value = -np.inf if kind == "csv" else 0j
+    with (csv_stream(path, ["f", "c", "y"]) if kind == "csv" else touchstone_stream(path, 2)) as write:
+        for k, (a, b) in enumerate(zip(edges, edges[1:])):
+            c = value if k in constant_blocks else np.full(b - a, value)
+            if kind == "csv":
+                write([f[a:b], c, y[a:b]])
+            else:
+                write(f[a:b], [[c, y[a:b]], [-y[a:b], c]])
+
+
+@pytest.mark.parametrize("kind", ["csv", "touchstone"])
+def test_a_stream_of_array_and_constant_blocks_is_the_bytes_of_one_array_block(tmp_path, kind):
+    f = np.linspace(6.0, 7.0, 2 * _CHUNK + 3)
+    y = np.sin(40.0 * f)
+    stream_with_a_constant(kind, tmp_path / "one", f, y, [0, f.size], constant_blocks=())
+    edges = [0, 5, _CHUNK + 1, _CHUNK + 9, f.size]
+    for blocks in ((0, 2), (1, 3), (0, 1, 2, 3)):
+        stream_with_a_constant(kind, tmp_path / "mixed", f, y, edges, constant_blocks=blocks)
+        assert (tmp_path / "mixed").read_bytes() == (tmp_path / "one").read_bytes()

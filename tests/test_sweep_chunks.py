@@ -11,8 +11,10 @@ import pytest
 from test_cli import JIS_PLAIN, JIS_PRESET, run
 
 import paramix
-from paramix import cli
+from paramix import cli, formats
+from paramix.analysis import to_power_dB
 from paramix.errors import SingularResponseError
+from paramix.formats import csv_stream, touchstone_stream
 from paramix.isolator import (
     SWEEP_CHUNK,
     SweepResult,
@@ -100,6 +102,58 @@ def test_a_large_sweep_without_a_width_writes_every_file_then_exits_3(tmp_path, 
     assert capsys.readouterr().err.startswith("numerical error: ")
     assert sorted(p.name for p in out.iterdir()) == ["jis_sweep.csv", "jis_sweep.json", "jis_sweep.s2p"]
     assert json.loads((out / "jis_sweep.json").read_text())["gamma_mhz"] is None
+
+
+# both pump feeds, both flux parities of the pair (the odd one with n_g = 1
+# on stage 1), with and without a delay line
+ZERO_CONFIGS = {
+    f"{port}-{parity}-{line}": {
+        **JIS_PLAIN, "alpha_mag": 0.6, "pump_port": port, "phi_ext1_rad": phi1,
+        "phi_ext2_rad": -1.5, **delay,
+    }
+    for port in ("P1", "P2")
+    for parity, phi1 in (("even", -2.0), ("odd", 1.0))
+    for line, delay in (("bare", {}), ("delay", {"delay_length_um": 23.5, "delay_eps_eff": 11.7}))
+}
+
+
+@pytest.mark.parametrize("name", ZERO_CONFIGS)
+def test_constant_reflections_are_the_bytes_of_the_kernel_zeros(tmp_path, name):
+    jis = ZERO_CONFIGS[name]
+    # jis-sweep writes S11 and S22 as constant fields; writing the kernel's
+    # own S11 and S22 arrays through the same streams gives the same bytes
+    payload = {"jis": jis, "grid": {"points": 40001}}
+    assert run(tmp_path, "jis-sweep", payload, fmt="touchstone", out=tmp_path / "cli") == 0
+    config = cli._build_jis(jis)
+    f = cli._grid(config, payload)
+    assert len(grid_chunks(f.size)) == 2
+    header = ["f_GHz", "S21_dB", "S12_dB", "S11_dB", "S22_dB"]
+    with csv_stream(tmp_path / "jis_sweep.csv", header) as csv, touchstone_stream(
+        tmp_path / "jis_sweep.s2p", 2
+    ) as s2p:
+        for part in grid_chunks(f.size):
+            sweep = effective_2port_sweep(config, f[part])
+            db = [to_power_dB(getattr(sweep, e)) for e in ("s21", "s12", "s11", "s22")]
+            csv([sweep.f_ghz, *db])
+            s2p(sweep.f_ghz, [[sweep.s11, sweep.s12], [sweep.s21, sweep.s22]])
+    for name in ("jis_sweep.csv", "jis_sweep.s2p"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_jis_sweep_formats_only_its_array_columns(tmp_path, monkeypatch):
+    widths = []
+    write_rows = formats._write_rows
+
+    def counting(fh, template, columns, *args, **kwargs):
+        widths.append(len(columns))
+        return write_rows(fh, template, columns, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "_write_rows", counting)
+    payload = {"jis": JIS_PRESET, "grid": {"points": 401}}
+    assert run(tmp_path, "jis-sweep", payload, fmt="touchstone") == 0
+    # the CSV block formats f, S21_dB and S12_dB; the .s2p block f and the
+    # re/im pairs of S21 and S12
+    assert widths == [3, 5]
 
 
 def _peak_rss_kb(tmp_path, argv):
