@@ -10,6 +10,8 @@ numerical error, 4 check failure (self-test criteria or parity mismatch).
 Any other failure is a bug and surfaces as a traceback (exit 1).
 
 All outputs are deterministic: identical configs yield byte-identical files.
+jis-4port writes the closed form (isolator.closed_form_from_config), model
+zeros as 0; the network construction isolator.composed_4port only checks it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .formats import (
 )
 from .isolator import (
     JisConfig,
-    composed_4port,
+    closed_form_from_config,
     default_grid,
     effective_2port_sweep,
     grid_chunks,
@@ -169,7 +171,7 @@ def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
 
 def cmd_jis_4port(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
-    mat = composed_4port(config)
+    mat = closed_form_from_config(config)
     if fmt == "touchstone":
         write_touchstone(out_dir / "jis_4port.s4p", [config.f_a_ghz], mat.s[np.newaxis])
     elif fmt == "csv":

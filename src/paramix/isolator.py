@@ -16,10 +16,14 @@ the signs of the port 3/4 columns (working points are quoted mod 2 pi).
 k1 - k2 is odd for every feed and flux parity, so sin phi = +-1 and cos phi
 = 0 exactly; the sweep kernel takes the exact sign from k1 - k2, and its
 S11 = S22 are exact zeros rather than a difference of two equal terms.
+The on-resonance 4-port is written once (_closed_form): closed_form_from_config
+feeds it exact turn phasors, and composed_4port (via connect()) checks it.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +182,69 @@ def reference_device(
 _PORTS_4 = ("1", "2", "3", "4")
 
 
+# e^{i k pi/2} for k = 0..3, each part an exact float with no -0.0
+_QUARTER_PHASORS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
+_EIGHTH_PHASOR = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, correctly rounded
+
+
+def turn_phasor(k: int, per_turn: int) -> complex:
+    """e^{2 pi i k / per_turn} for k quarter turns (per_turn 4) or eighth turns (8).
+
+    A whole number of quarter turns is exact: 1, i, -1 or -i. An odd number
+    of eighth turns is e^{i pi/4} (one correctly rounded constant) turned by
+    an exact quarter-turn rotation, so every eighth-turn phasor is within
+    one ulp of the true value and the odd ones share their rounding.
+    """
+    if per_turn == 4:
+        return _QUARTER_PHASORS[k % 4]
+    if per_turn == 8:
+        quarter = _QUARTER_PHASORS[(k // 2) % 4]
+        return quarter if k % 2 == 0 else quarter * _EIGHTH_PHASOR
+    raise ValueError("per_turn must be 4 or 8")
+
+
+def _closed_form(t, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> ScatteringMatrix:
+    """closed_form_4port from up, um = e^{i (phi/2 +- pi/4)} and w_lo, w_hi =
+    e^{i (pi/4 -+ phi_s/2)}. Exact phasors give exact zeros; -0.0 is written 0.0.
+    """
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if t == 0.0:
+        s = np.diag(np.array([0, 0, -1, -1], dtype=complex))
+        s[0, 1] = s[1, 0] = 1j
+        return ScatteringMatrix(_PORTS_4, s)
+    beta = math.sqrt(1.0 - alpha**2)
+    if beta == 0.0:
+        raise ValueError("alpha = 1 with t > 0 leaves the internal line unloaded")
+
+    r = math.sqrt(1.0 - t**2)
+    ab2 = alpha / beta**2
+    d = 1.0 + (alpha**2 / beta**2) * t**2
+    conv = ab2 * t**2 / d
+    s11 = complex(0.0, -conv * cos_phi)  # = S22
+    s21 = complex(0.0, (r - ab2 * t**2 * sin_phi) / d)
+    s12 = complex(0.0, (r + ab2 * t**2 * sin_phi) / d)
+
+    ra = r * alpha
+    a_p, b_p = ra * up + up.conjugate(), up + ra * up.conjugate()
+    a_m, b_m = ra * um + um.conjugate(), um + ra * um.conjugate()
+    pre = -t / (math.sqrt(2.0) * beta * d)
+    lo, hi = pre * w_lo, pre * w_hi
+    s = np.array(
+        [
+            [s11, s12, lo * a_p, lo * b_p],
+            [s21, s11, lo * a_m, lo * b_m],
+            [hi * b_m, hi * b_p, -r / d, conv],
+            [hi * a_m, hi * a_p, conv, -r / d],
+        ],
+        dtype=complex,
+    )
+    return ScatteringMatrix(_PORTS_4, s + 0.0)
+
+
 def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) -> ScatteringMatrix:
     """On-resonance 4-port scattering of the device in closed form.
 
@@ -188,70 +255,26 @@ def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) 
     mod 4 pi). With no conversion (t = 0) the device is exactly transparent:
     S21 = S12 = i, full reflection -1 at the internal taps.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not (np.isfinite(phi_rad) and np.isfinite(phi_s_rad)):
+    if not (math.isfinite(phi_rad) and math.isfinite(phi_s_rad)):
         raise ValueError("phi_rad and phi_s_rad must be finite")
-    if t == 0.0:
-        s = np.array(
-            [
-                [0, 1j, 0, 0],
-                [1j, 0, 0, 0],
-                [0, 0, -1, 0],
-                [0, 0, 0, -1],
-            ],
-            dtype=complex,
-        )
-        return ScatteringMatrix(_PORTS_4, s)
-    beta = np.sqrt(1.0 - alpha**2)
-    if beta == 0.0:
-        raise ValueError("alpha = 1 with t > 0 leaves the internal line unloaded")
-
-    r = np.sqrt(1.0 - t**2)
-    ab2 = alpha / beta**2
-    d = 1.0 + (alpha**2 / beta**2) * t**2
-    phi = float(phi_rad)
-    phi_s = float(phi_s_rad)
-
-    s21 = (1j / d) * (r - ab2 * t**2 * np.sin(phi))
-    s12 = (1j / d) * (r + ab2 * t**2 * np.sin(phi))
-    s11 = s22 = -1j * ab2 * (t**2 / d) * np.cos(phi)
-    s33 = s44 = -r / d
-    s34 = s43 = ab2 * t**2 / d
-
-    q = np.exp(1j * np.pi / 4.0)  # e^{i pi/4}
-    eh = np.exp(1j * phi / 2.0)  # e^{i phi/2}
-    pre_lo = -t * np.exp(-1j * phi_s / 2.0) * q / (np.sqrt(2.0) * beta * d)
-    pre_hi = -t * np.exp(1j * phi_s / 2.0) * q / (np.sqrt(2.0) * beta * d)
-
-    s13 = pre_lo * (r * alpha * eh * q + np.conj(eh) * np.conj(q))
-    s14 = pre_lo * (eh * q + r * alpha * np.conj(eh) * np.conj(q))
-    s23 = pre_lo * (r * alpha * eh * np.conj(q) + np.conj(eh) * q)
-    s24 = pre_lo * (eh * np.conj(q) + r * alpha * np.conj(eh) * q)
-    s31 = pre_hi * (r * alpha * np.conj(eh) * q + eh * np.conj(q))
-    s32 = pre_hi * (r * alpha * np.conj(eh) * np.conj(q) + eh * q)
-    s41 = pre_hi * (np.conj(eh) * q + r * alpha * eh * np.conj(q))
-    s42 = pre_hi * (np.conj(eh) * np.conj(q) + r * alpha * eh * q)
-
-    s = np.array(
-        [
-            [s11, s12, s13, s14],
-            [s21, s22, s23, s24],
-            [s31, s32, s33, s34],
-            [s41, s42, s43, s44],
-        ],
-        dtype=complex,
-    )
-    return ScatteringMatrix(_PORTS_4, s)
+    q, eh = turn_phasor(1, 8), cmath.exp(0.5j * phi_rad)
+    up, um = eh * q, eh * q.conjugate()
+    w_lo, w_hi = cmath.exp(-0.5j * phi_s_rad) * q, cmath.exp(0.5j * phi_s_rad) * q
+    return _closed_form(t, alpha, math.sin(phi_rad), math.cos(phi_rad), up, um, w_lo, w_hi)
 
 
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
-    return closed_form_4port(
-        t_on_resonance(config.rho), config.alpha_mag, config.phi_rad, config.phi_s_rad
-    )
+    """closed_form_4port at the config's working point, from exact phasors.
+
+    phi/2 = (k1 - k2) and phi_s/2 = (k1 + k2) eighth turns (quarter_turns)
+    are odd, so every phasor is a whole quarter turn and cos phi is 0: the
+    model's zeros come out exact. jis-4port writes this matrix.
+    """
+    k1, k2 = config.quarter_turns
+    dk, sk = k1 - k2, k1 + k2
+    up, um, w_lo, w_hi = (turn_phasor(k, 8) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
+    t = t_on_resonance(config.rho)
+    return _closed_form(t, config.alpha_mag, config.sin_phi, 0.0, up, um, w_lo, w_hi)
 
 
 def composed_4port(config: JisConfig) -> ScatteringMatrix:
@@ -259,7 +282,7 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
 
     Hybrid on the signal side, one 2-port converter per stage, and the
     internal coupler with its two taps. Agrees with closed_form_4port
-    entrywise for every working point; kept as an independent construction.
+    entrywise for every working point; the independent check of criterion 4.
     """
     t = t_on_resonance(config.rho)
     phi1, phi2 = config.stage_phases_rad

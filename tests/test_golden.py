@@ -2,10 +2,11 @@
 
 The writers are deterministic, so a changed hash here is a change in the
 bytes a user gets. The hashes were taken with numpy 2.4.6 on Python 3.11;
-another numpy may move a last printed digit. The jis-sweep hashes do not
-depend on the SIMD code path numpy dispatches to: the sweep's S11 and S22
-are exact zeros, not rounding noise, and a child process with that dispatch
-switched off must write the same bytes.
+another numpy may move a last printed digit. The jis-sweep and jis-4port
+hashes do not depend on the SIMD code path numpy dispatches to: the model's
+zeros (the sweep's S11 and S22; the 4-port's S11, S22 and one part of
+every other entry) are exact zeros, not rounding noise, and a child process
+with that dispatch switched off must write the same bytes.
 """
 
 import hashlib
@@ -26,9 +27,9 @@ GOLDEN = {
     "bandwidth_scan.csv": "dfdc80f04669349daaa4db12cb1832453276e82ae47a2685e18f2eb44d9f6293",
     "fit.json": "512eff7bffe82e540a9bacacda8b2c40597b1ff2d742d28eeeaf94e24c93668d",
     "flux_curve.csv": "479d21fb8a26ac1a781a0febd78d49d18593211042f49b1af829be487bc68672",
-    "jis_4port.csv": "ee424bae74d05e779f12daab0bcd1b5d8b659e845274c5b8626550a6e105b6ce",
-    "jis_4port.json": "3f5661c03943deb7702f02647e3f521090ebe5377a5a1d8144745b71223f10b4",
-    "jis_4port.s4p": "1894125718e497f44a001d0ce93524cfc4b86377ad6d64fef5d62683030b3a68",
+    "jis_4port.csv": "5b82174c5930b499f36e084fbf9271bf36d1c2e48caba9e9f8928920fb875c18",
+    "jis_4port.json": "726c2637dd7321c5ffa7ac608b65b17b10dbbc22a1a6561fa8795b1a0122501e",
+    "jis_4port.s4p": "da4a4f0eb5ce52e245a05eee038bceef7d7516b05bb509f7384d91ee9a82d520",
     "jis_sweep.csv": "834d973e32d8e116e58d5380853d36db8d969c6ec6ca800207f799aa66015df9",
     "jis_sweep.json": "09531a69c6424a51e9207f3a01ff85bf4ce31348d550044643f913bbcf16edcc",
     "jis_sweep.s2p": "0246f36e596052d026ba24a9ce1af2adf72a0d810482123f56d13351085eb2c7",
@@ -130,9 +131,10 @@ def test_jis_sweep_bytes_do_not_depend_on_the_simd_path(tmp_path):
     groups = dispatched_simd_groups()
     if not groups:
         pytest.skip("numpy dispatches to no SIMD group beyond its baseline on this CPU")
-    cases = [CASES[0], CASES[1], LARGE_CASES[0]]
+    # both jis-sweep formats, the three jis-4port formats, the streamed sweep
+    cases = [(case, GOLDEN) for case in CASES[:2] + CASES[4:7]] + [(LARGE_CASES[0], GOLDEN_LARGE)]
     argvs = []
-    for k, (command, fmt, payload, _) in enumerate(cases):
+    for k, ((command, fmt, payload, _), _) in enumerate(cases):
         cfg = tmp_path / f"config{k}.json"
         cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **payload}))
         argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"out{k}"), "--format", fmt])
@@ -146,9 +148,8 @@ def test_jis_sweep_bytes_do_not_depend_on_the_simd_path(tmp_path):
         [sys.executable, "-c", SIMD_CHILD, str(Path(__file__).parent), json.dumps(argvs)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
     )
-    assert json.loads(done.stdout.splitlines()[-1]) == {"rcs": [0, 0, 0], "dispatched": []}
-    for k, (_, _, _, names) in enumerate(cases):
-        golden = GOLDEN if k < 2 else GOLDEN_LARGE
+    assert json.loads(done.stdout.splitlines()[-1]) == {"rcs": [0] * len(cases), "dispatched": []}
+    for k, ((_, _, _, names), golden) in enumerate(cases):
         out = tmp_path / f"out{k}"
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {name: golden[name] for name in names}

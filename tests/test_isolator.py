@@ -1,3 +1,5 @@
+import cmath
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +17,38 @@ from paramix.isolator import (
     make_jis,
     on_resonance_2port,
     reference_device,
+    turn_phasor,
 )
 from paramix.mixer import JpcParams, RHO_5050, n_g, t_on_resonance
 from paramix.network import check_unitarity
 
 SQ2 = np.sqrt(2.0)
+
+
+def test_turn_phasor_quarter_turns_are_exact():
+    exact = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0)]
+    for k in range(-9, 10):
+        for phasor in (turn_phasor(k, 4), turn_phasor(2 * k, 8)):
+            # repr tells -0.0 from 0.0: equal parts and no -0.0 part
+            assert repr(phasor) == repr(exact[k % 4])
+
+
+def test_turn_phasor_eighth_turns():
+    h = turn_phasor(1, 8).real
+    assert turn_phasor(1, 8) == complex(h, h)
+    # (h, h) turned by 0, 1, 2 and 3 quarter turns, exactly
+    rotated = [complex(h, h), complex(-h, h), complex(-h, -h), complex(h, -h)]
+    for k in range(-9, 10):
+        phasor = turn_phasor(k, 8)
+        # reduced to one turn first: the float angle k pi/4 alone puts
+        # cmath's phasor 1.1 ulp off at k = +-8
+        want = cmath.exp(1j * (k % 8) * math.pi / 4.0)
+        assert abs(phasor.real - want.real) <= math.ulp(1.0)
+        assert abs(phasor.imag - want.imag) <= math.ulp(1.0)
+        if k % 2:
+            assert phasor == rotated[(k // 2) % 4]
+    with pytest.raises(ValueError, match="per_turn"):
+        turn_phasor(1, 6)
 
 
 def test_fifty_fifty_matrix():

@@ -1,4 +1,5 @@
-"""Invariants of the swept signal 2-port over the whole device config space.
+"""Invariants of the swept signal 2-port and the on-resonance 4-port over
+the whole device config space.
 
 Hypothesis draws full `jis` devices over the ranges the benchmark draws
 from (delay 0-20 um, eps_eff 1-10, |alpha| 0.05-0.95, any rho, both pump
@@ -7,15 +8,27 @@ spanning 600 MHz around f_a. The draws are derandomized, so every run sees
 the same configs.
 """
 
+import json
+import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramix.isolator import default_grid, effective_2port_sweep, make_jis
+from paramix import cli
+from paramix.isolator import (
+    closed_form_from_config,
+    composed_4port,
+    default_grid,
+    effective_2port_sweep,
+    make_jis,
+)
 from paramix.mixer import PRIMARY_LOBE_RAD, amplitudes_of_frequency
 from paramix.network import delay_phase_rad
+from paramix.schemas import SCHEMA_TAG
 
 TOL = 1e-12
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -30,9 +43,10 @@ FLUX = st.builds(
 
 
 @st.composite
-def devices(draw):
+def device_fields(draw):
+    """The fields of a full `jis` config, as make_jis and the CLI take them."""
     f_a = draw(st.floats(5.0, 8.0))
-    return make_jis(
+    return dict(
         f_a_ghz=f_a,
         f_b_ghz=f_a + draw(st.floats(1.5, 4.0)),
         gamma_a_mhz=draw(st.floats(20.0, 80.0)),
@@ -45,6 +59,10 @@ def devices(draw):
         delay_length_um=draw(st.floats(0.0, 20.0)),
         delay_eps_eff=draw(st.floats(1.0, 10.0)),
     )
+
+
+def devices():
+    return device_fields().map(lambda fields: make_jis(**fields))
 
 
 def sweep(config):
@@ -103,3 +121,55 @@ def test_the_quarter_turn_kernel_is_the_general_phase_form(config):
     np.testing.assert_allclose(s.s21, s21, rtol=0, atol=scale)
     np.testing.assert_allclose(s.s12, s12, rtol=0, atol=scale)
     assert config.isolated_direction == ("s21" if np.sin(config.phi_rad) > 0.0 else "s12")
+
+
+def model_zero_parts(s):
+    """The parts of the on-resonance 4-port that are zero in the model.
+
+    S11 and S22 whole, the real parts of S21 and S12, the imaginary parts of
+    the port 3/4 block, and of each cross entry between the signal ports and
+    ports 3/4 the smaller part (the larger one is checked against
+    composed_4port).
+    """
+    cross = [s[i, j] for i in range(4) for j in range(4) if (i < 2) != (j < 2)]
+    return (
+        [s[0, 0].real, s[0, 0].imag, s[1, 1].real, s[1, 1].imag, s[1, 0].real, s[0, 1].real]
+        + [s[i, j].imag for i in (2, 3) for j in (2, 3)]
+        + [min(z.real, z.imag, key=abs) for z in cross]
+    )
+
+
+@PROPERTY
+@given(devices(), st.booleans())
+def test_the_closed_form_4port_has_exact_model_zeros(config, delay):
+    if not delay:
+        config = replace(config, delay_length_um=0.0)
+    s = closed_form_from_config(config).s
+    np.testing.assert_allclose(s, composed_4port(config).s, rtol=0, atol=1e-12)
+    zeros = model_zero_parts(s)
+    assert zeros == [0.0] * len(zeros)
+    parts = np.concatenate([s.real.ravel(), s.imag.ravel()])
+    assert not np.any(np.signbit(parts[parts == 0.0])), "a model zero is -0.0"
+
+
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+# rho 0 or at least 1e-6: a smaller rho gives entries of order t ~ 2 rho
+# that the model does not zero and that print below 1e-15; the matrix test
+# above draws every rho
+@settings(PROPERTY, max_examples=25)
+@given(device_fields(), st.just(0.0) | st.floats(1e-6, 1.0), st.booleans())
+def test_the_4port_files_print_model_zeros_as_zero(fields, rho, delay):
+    fields["rho"] = rho
+    if not delay:
+        fields["delay_length_um"] = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({"schema": SCHEMA_TAG, "jis": fields}))
+        for fmt in ("touchstone", "csv", "json"):
+            assert cli.main(["jis-4port", "--config", str(cfg), "--out", tmp, "--format", fmt]) == 0
+        for name in ("jis_4port.s4p", "jis_4port.csv", "jis_4port.json"):
+            for text in NUMBER.findall((Path(tmp) / name).read_text()):
+                value = float(text)
+                assert (value == 0.0 and not text.startswith("-")) or abs(value) >= 1e-15, (name, text)
