@@ -10,14 +10,16 @@ Phase bookkeeping: this module alone maps a pump feed and the flux
 parities to the stage phases (stage_quarters). A stage's generalized pump
 phase is k pi/2 with k a whole number of quarter turns: the feed's pump
 phase plus 2 n_g, a half turn per odd flux parity. JisConfig derives the
-pair (k1, k2) once. phi and phi_s are the real difference and sum of the
-stage phases; the closed form uses their halves, so a 2 pi shift shows in
-the signs of the port 3/4 columns (working points are quoted mod 2 pi).
-k1 - k2 is odd for every feed and flux parity, so sin phi = +-1 and cos phi
-= 0 exactly; the sweep kernel takes the exact sign from k1 - k2, and its
-S11 = S22 are exact zeros rather than a difference of two equal terms.
-The on-resonance 4-port is written once (_closed_form): closed_form_from_config
-feeds it exact turn phasors, and composed_4port (via connect()) checks it.
+pair (k1, k2) once; every phasor comes from these integers through the
+exact table of mixer.turn_phasor. phi and phi_s are the difference and sum
+of the stage phases; the closed form uses their halves, (k1 -+ k2) eighth
+turns, so a 2 pi shift shows in the signs of the port 3/4 columns (working
+points are quoted mod 2 pi). k1 - k2 is odd for every feed and flux parity,
+so sin phi = +-1 and cos phi = 0 exactly; the sweep kernel takes the exact
+sign from k1 - k2, and its S11 = S22 are exact zeros rather than a
+difference of two equal terms. The on-resonance 4-port is written once
+(_closed_form): closed_form_from_config feeds it exact turn phasors, and
+composed_4port (via connect(), stages mixer_2port(t, k1) and (t, k2)) checks it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .mixer import (
     mixer_2port,
     n_g,
     t_on_resonance,
+    turn_phasor,
 )
 from .network import (
     HYBRID,
@@ -121,22 +124,10 @@ class JisConfig:
         return self.f_b_ghz - self.f_a_ghz
 
     @property
-    def stage_phases_rad(self) -> tuple[float, float]:
-        """The generalized pump phase of each stage, k QUARTER_TURN_RAD."""
-        k1, k2 = self.quarter_turns
-        return k1 * QUARTER_TURN_RAD, k2 * QUARTER_TURN_RAD
-
-    @property
     def phi_rad(self) -> float:
         """Exact difference of the stage phases (phi_p + p pi mod 2 pi)."""
-        phi1, phi2 = self.stage_phases_rad
-        return phi1 - phi2
-
-    @property
-    def phi_s_rad(self) -> float:
-        """Exact sum of the stage phases (phi_p1 + phi_p2 + p pi mod 2 pi)."""
-        phi1, phi2 = self.stage_phases_rad
-        return phi1 + phi2
+        k1, k2 = self.quarter_turns
+        return (k1 - k2) * QUARTER_TURN_RAD
 
     @property
     def sin_phi(self) -> int:
@@ -180,27 +171,6 @@ def reference_device(
 
 
 _PORTS_4 = ("1", "2", "3", "4")
-
-
-# e^{i k pi/2} for k = 0..3, each part an exact float with no -0.0
-_QUARTER_PHASORS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
-_EIGHTH_PHASOR = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, correctly rounded
-
-
-def turn_phasor(k: int, per_turn: int) -> complex:
-    """e^{2 pi i k / per_turn} for k quarter turns (per_turn 4) or eighth turns (8).
-
-    A whole number of quarter turns is exact: 1, i, -1 or -i. An odd number
-    of eighth turns is e^{i pi/4} (one correctly rounded constant) turned by
-    an exact quarter-turn rotation, so every eighth-turn phasor is within
-    one ulp of the true value and the odd ones share their rounding.
-    """
-    if per_turn == 4:
-        return _QUARTER_PHASORS[k % 4]
-    if per_turn == 8:
-        quarter = _QUARTER_PHASORS[(k // 2) % 4]
-        return quarter if k % 2 == 0 else quarter * _EIGHTH_PHASOR
-    raise ValueError("per_turn must be 4 or 8")
 
 
 def _closed_form(t, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> ScatteringMatrix:
@@ -285,11 +255,11 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
     entrywise for every working point; the independent check of criterion 4.
     """
     t = t_on_resonance(config.rho)
-    phi1, phi2 = config.stage_phases_rad
+    k1, k2 = config.quarter_turns
     elements = {
         "hyb": HYBRID,
-        "st1": mixer_2port(t, phi1),
-        "st2": mixer_2port(t, phi2),
+        "st1": mixer_2port(t, k1),
+        "st2": mixer_2port(t, k2),
         "cpl": lossy_coupler(config.alpha_mag),
     }
     joints = (

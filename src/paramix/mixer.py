@@ -15,6 +15,7 @@ isolator adds that half turn to each stage's phase (isolator.stage_quarters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,29 +176,49 @@ def flux_tuning_curve(phi_ext_rad, jrm: JrmParams = JrmParams()):
     return jrm.f_max_ghz * np.sqrt(l_tot0 / l_tot)
 
 
-def mixer_2port(t: float, generalized_phase_rad) -> ScatteringMatrix:
+# e^{i k pi/2} for k = 0..3, each part an exact float with no -0.0
+_QUARTER_PHASORS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
+_EIGHTH_PHASOR = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, correctly rounded
+
+
+def turn_phasor(k: int, per_turn: int) -> complex:
+    """e^{2 pi i k / per_turn} for k quarter turns (per_turn 4) or eighth turns (8).
+
+    A whole number of quarter turns is exact: 1, i, -1 or -i. An odd number
+    of eighth turns is e^{i pi/4} (one correctly rounded constant) turned by
+    an exact quarter-turn rotation, so every eighth-turn phasor is within
+    one ulp of the true value and the odd ones share their rounding.
+    """
+    if per_turn == 4:
+        return _QUARTER_PHASORS[k % 4]
+    if per_turn == 8:
+        quarter = _QUARTER_PHASORS[(k // 2) % 4]
+        return quarter if k % 2 == 0 else quarter * _EIGHTH_PHASOR
+    raise ValueError("per_turn must be 4 or 8")
+
+
+# mixer_2port's parts: conversion at t = 1 for k = 0..3 quarter turns, reflection at r = 1
+_CONVERSION = np.array([[[0.0, -q.conjugate()], [-q, 0.0]] for q in _QUARTER_PHASORS])
+_REFLECTION = np.diag([1.0, -1.0])
+
+
+def mixer_2port(t: float, quarter_turns) -> ScatteringMatrix:
     """On-resonance 2-port of one converter stage on ports (a, b).
 
-    S = [[r, -t e^{-i phi'}], [-t e^{+i phi'}, -r]] with r = sqrt(1 - t^2):
-    conversion a->b picks up +phi', b->a picks up -phi', reflection is +r at
-    the signal port and -r at the internal port. These signs are pinned
-    jointly with lossy_coupler by the pump-off and 50:50 composed matrices.
-    At full conversion (t = 1, r = 0) the stage is an ideal gyrator: the
-    two directions differ by e^{2 i phi'}, which is -1 at every odd
-    quarter-turn phase. generalized_phase_rad is one phase or a (B,) array
-    of them, giving a (B, 2, 2) stack of 2-ports.
+    S = [[r, -t e^{-i phi'}], [-t e^{+i phi'}, -r]] with r = sqrt(1 - t^2)
+    and phi' = k pi/2, k quarter_turns: conversion a->b picks up +phi', b->a
+    picks up -phi', reflection is +r at the signal port and -r at the
+    internal port. These signs are pinned jointly with lossy_coupler by the
+    pump-off and 50:50 composed matrices. At full conversion (t = 1, r = 0)
+    the stage is an ideal gyrator whose two directions differ by -1 at every
+    odd k. k is one int or a (B,) int array, giving a (B, 2, 2) stack; any
+    other phase (a float or a bool) raises ValueError. Phasors are exact.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    phase = np.asarray(generalized_phase_rad, dtype=float)
-    if not np.isfinite(phase).all():
-        raise ValueError("generalized_phase_rad must be finite")
-    r = np.sqrt(1.0 - t**2)
-    ph = np.exp(1j * phase)
-    s = np.empty(ph.shape + (2, 2), dtype=complex)
-    s[..., 0, 0] = r
-    s[..., 0, 1] = -t * np.conj(ph)
-    s[..., 1, 0] = -t * ph
-    s[..., 1, 1] = -r
-    return ScatteringMatrix(("a", "b"), s)
+    k = np.asarray(quarter_turns)
+    if k.dtype.kind not in "iu":
+        raise ValueError("quarter_turns must be an int or an array of ints")
+    r = math.sqrt(1.0 - t**2)
+    return ScatteringMatrix(("a", "b"), (t * _CONVERSION + r * _REFLECTION)[k % 4])

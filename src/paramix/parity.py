@@ -1,31 +1,33 @@
 """Joint-parity detection with chained nonreciprocal phase shifters.
 
 Each device in the chain acts on the top arm of a Mach-Zehnder as an ideal
-gyrator: a converter stage at full conversion, mixer_2port(1, phi) with
-r = 0, whose phase phi is the isolator's stage-phase difference for its
-feed and joint flux parity p (isolator.stage_quarters). Its forward
-transmission is -e^{i phi} = i(-1)^p for pump feed P1 and the conjugate for
-P2. A chain of N such devices would accumulate a parity-independent
-i^N (or mixed-feed) reference on top of the (-1)^{sum p} signal; physically
-each unit cell is embedded in a line trimmed to an integer number of
-wavelengths, so the chain builder pairs every gyrator with a matching
-segment that cancels its even-parity transmission. The compensated cell
+gyrator: a converter stage at full conversion, mixer_2port(1, k) with r = 0,
+whose phase k (GyratorSpec.quarter_turns) is the isolator's stage-phase
+difference in quarter turns for its feed and joint flux parity p
+(isolator.stage_quarters). Its forward transmission is -i^k = i(-1)^p for
+pump feed P1 and the conjugate for P2. A chain of N such devices would
+accumulate a parity-independent i^N (or mixed-feed) reference on top of the
+(-1)^{sum p} signal; physically each unit cell is embedded in a line trimmed
+to an integer number of wavelengths, so the chain builder pairs every
+gyrator with a matching segment that cancels its even-parity transmission.
+Both are exact quarter-turn phasors (mixer.turn_phasor), so the cell
 contributes exactly +1 (even) or -1 (odd), a single interferometer
-calibration then nulls the dark port for every chain length and pump mix,
-and the bright port reads out the XOR of the parities.
+calibration then nulls the dark port exactly for every chain length and
+pump mix, and the bright port reads out the XOR of the parities.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
 from .errors import NumericalError
 from .isolator import QUARTER_TURN_RAD, stage_quarters
-from .mixer import FLUX_QUANTUM_WB, mixer_2port
+from .mixer import FLUX_QUANTUM_WB, mixer_2port, turn_phasor
 from .network import HYBRID, ConnectionGraph, ScatteringMatrix, connect
 
 _PARITY_BIT = {"even": 0, "odd": 1}
@@ -34,6 +36,8 @@ _PARITY_BIT = {"even": 0, "odd": 1}
 # sweeps go in SWEEP_CHUNK points: a call holds a few copies of each stack,
 # so memory stays bounded however many long chains it is given.
 _STACK_ENTRIES = 1 << 16
+
+_NULL_TOL = 1e-9  # calibrate(): the weakest trim arm and largest imbalance it accepts
 
 
 @dataclass(frozen=True)
@@ -53,15 +57,10 @@ class GyratorSpec:
         return _PARITY_BIT[self.parity]
 
     @property
-    def phi_rad(self) -> float:
-        return _phi_rad(self.pump_port, self.parity_bit)
-
-
-@cache  # four values, read twice per cell of every chain
-def _phi_rad(pump_port: str, parity_bit: int) -> float:
-    """Stage-phase difference of a device whose first stage carries the parity."""
-    k1, k2 = stage_quarters(pump_port, parity_bit)
-    return (k1 - k2) * QUARTER_TURN_RAD
+    def quarter_turns(self) -> int:
+        """Stage-phase difference k1 - k2 of the device; its first stage carries the parity."""
+        k1, k2 = stage_quarters(self.pump_port, self.parity_bit)
+        return k1 - k2
 
 
 def _two_port(fwd, bwd) -> ScatteringMatrix:
@@ -85,6 +84,14 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not self.gyrators:
             raise ValueError("chain needs at least one gyrator")
+        if not math.isfinite(self.calibration_phase_rad):
+            raise ValueError("calibration_phase_rad must be finite")
+
+
+def _trim_phasor(psi: float) -> complex:
+    """e^{i psi} as the nearest whole quarter turn k turned by psi - k pi/2: exact at k pi/2."""
+    k = round(psi / QUARTER_TURN_RAD)
+    return turn_phasor(k, 4) * cmath.exp(1j * (psi - k * QUARTER_TURN_RAD))
 
 
 def chain_transmission(chains: Sequence[ChainSpec]) -> list[complex]:
@@ -122,15 +129,16 @@ def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
     joints = []
     prev = ("hl", "1p")
     for k, cells in enumerate(zip(*(chain.gyrators for chain in chains))):
-        # the segment cancels the forward transmission of an even cell
-        even = np.array([_phi_rad(spec.pump_port, 0) for spec in cells])
-        comp = np.conj(-np.exp(1j * even))
-        elements[f"g{k}"] = mixer_2port(1.0, [spec.phi_rad for spec in cells])
+        turns = [spec.quarter_turns for spec in cells]
+        # the segment carries, both ways, the conjugate of an even cell's
+        # forward transmission -i^(q - 2p) = i^(q - 2p + 2): i^(2p - q - 2)
+        comp = [turn_phasor(2 * spec.parity_bit - q - 2, 4) for q, spec in zip(turns, cells)]
+        elements[f"g{k}"] = mixer_2port(1.0, turns)
         elements[f"m{k}"] = _two_port(comp, comp)
         joints.append((prev, (f"g{k}", "a")))
         joints.append(((f"g{k}", "b"), (f"m{k}", "1")))
         prev = (f"m{k}", "2")
-    bot = np.exp(1j * np.array([chain.calibration_phase_rad for chain in chains]))
+    bot = [_trim_phasor(chain.calibration_phase_rad) for chain in chains]
     elements["bot"] = _two_port(bot, bot)
     elements["hr"] = HYBRID
     joints.append((prev, ("hr", "1p")))
@@ -144,7 +152,7 @@ def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
     return connect(graph).entry("hr.1", "hl.1")
 
 
-def calibrate(reference: ChainSpec | None = None, tol: float = 1e-9) -> float:
+def calibrate(reference: ChainSpec | None = None) -> float:
     """Bottom-arm phase that nulls the bright port for an even reference.
 
     Measures the reference interferometer at trim phases 0 and pi, solves
@@ -156,17 +164,17 @@ def calibrate(reference: ChainSpec | None = None, tol: float = 1e-9) -> float:
     if any(g.parity != "even" for g in reference.gyrators):
         raise ValueError("calibration reference must be all even")
     t0, tpi = chain_transmission(
-        [replace(reference, calibration_phase_rad=0.0), replace(reference, calibration_phase_rad=np.pi)]
+        [replace(reference, calibration_phase_rad=0.0), replace(reference, calibration_phase_rad=math.pi)]
     )
     a = (t0 + tpi) / 2.0
     b = (t0 - tpi) / 2.0
-    if abs(b) < tol:
+    if abs(b) < _NULL_TOL:
         raise NumericalError("no nulling phase exists: trim arm does not reach the output")
     z = -a / b
-    if abs(abs(z) - 1.0) > tol:
+    if abs(abs(z) - 1.0) > _NULL_TOL:
         raise NumericalError("no nulling phase exists: arms are imbalanced")
-    psi = float(np.angle(z))
-    return psi if psi != -np.pi else np.pi
+    psi = cmath.phase(z)
+    return psi if psi != -math.pi else math.pi
 
 
 def field_range(loop_area_um2: float) -> tuple[float, float]:

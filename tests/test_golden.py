@@ -3,10 +3,12 @@
 The writers are deterministic, so a changed hash here is a change in the
 bytes a user gets. The hashes were taken with numpy 2.4.6 on Python 3.11;
 another numpy may move a last printed digit. The jis-sweep and jis-4port
-hashes do not depend on the SIMD code path numpy dispatches to: the model's
-zeros (the sweep's S11 and S22; the 4-port's S11, S22 and one part of
-every other entry) are exact zeros, not rounding noise, and a child process
-with that dispatch switched off must write the same bytes.
+and parity hashes do not depend on the SIMD code path numpy dispatches to:
+the model's zeros (the sweep's S11 and S22; the 4-port's S11, S22 and one
+part of every other entry; a dark parity port) are exact zeros, not
+rounding noise, and a child process with that dispatch switched off must
+write the same bytes. The parity bytes also hold under OpenBLAS's oldest
+x86-64 kernels.
 """
 
 import hashlib
@@ -35,7 +37,7 @@ GOLDEN = {
     "jis_sweep.s2p": "0246f36e596052d026ba24a9ce1af2adf72a0d810482123f56d13351085eb2c7",
     "jpc_sweep.csv": "6412fa217db6e60c47822bc27106a6980cb201fc1fdc46713ee3a41cfc8e3bfa",
     "jpc_sweep.json": "602f4e33584d7488a1a044f5acdff6a782cc1473566b8cd1b8d546eb84909ad1",
-    "parity.json": "092279e87bbffd56e4d3966e2927efa3847c736c4c7a8e1798650a736fa7800f",
+    "parity.json": "3f4d5b36b5e636f4421794be3d3b725ffadfea3bb61208cf51a39c648a890a8c",
     "readout.csv": "7fd851c15c6d920619a9e580687cf2fa893559cb57e0a2def78d59f0f7b8a480",
     "readout.json": "bf57865418931159b74d7ebd697a6b580b868b7b839999088bae14f0abf8ba0c",
 }
@@ -59,6 +61,7 @@ CASES = [
     ("flux-curve", "csv", {"jrm": {}, "grid": {"points": 41}}, ["flux_curve.csv"]),
     ("bandwidth-scan", "csv", SCAN, ["bandwidth_scan.csv"]),
 ]
+PARITY_CASE = next(case for case in CASES if case[0] == "parity")
 
 
 # Grids above one 16,384-point sweep chunk, so the files are streamed chunk by
@@ -127,12 +130,9 @@ print(json.dumps({"rcs": rcs, "dispatched": dispatched_simd_groups()}))
 """
 
 
-def test_jis_sweep_bytes_do_not_depend_on_the_simd_path(tmp_path):
-    groups = dispatched_simd_groups()
-    if not groups:
-        pytest.skip("numpy dispatches to no SIMD group beyond its baseline on this CPU")
-    # both jis-sweep formats, the three jis-4port formats, the streamed sweep
-    cases = [(case, GOLDEN) for case in CASES[:2] + CASES[4:7]] + [(LARGE_CASES[0], GOLDEN_LARGE)]
+def _child_run(tmp_path, cases, env):
+    """Run each (case, golden) through cli.main in one child process with env
+    added; assert every file matches its golden hash and return the child's report."""
     argvs = []
     for k, ((command, fmt, payload, _), _) in enumerate(cases):
         cfg = tmp_path / f"config{k}.json"
@@ -142,14 +142,32 @@ def test_jis_sweep_bytes_do_not_depend_on_the_simd_path(tmp_path):
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        "NPY_DISABLE_CPU_FEATURES": " ".join(groups),
+        **env,
     }
     done = subprocess.run(
         [sys.executable, "-c", SIMD_CHILD, str(Path(__file__).parent), json.dumps(argvs)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
     )
-    assert json.loads(done.stdout.splitlines()[-1]) == {"rcs": [0] * len(cases), "dispatched": []}
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["rcs"] == [0] * len(cases)
     for k, ((_, _, _, names), golden) in enumerate(cases):
         out = tmp_path / f"out{k}"
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == {name: golden[name] for name in names}
+    return report
+
+
+def test_jis_sweep_bytes_do_not_depend_on_the_simd_path(tmp_path):
+    groups = dispatched_simd_groups()
+    if not groups:
+        pytest.skip("numpy dispatches to no SIMD group beyond its baseline on this CPU")
+    # both jis-sweep formats, the three jis-4port formats, parity, the streamed sweep
+    cases = [(case, GOLDEN) for case in CASES[:2] + CASES[4:7] + [PARITY_CASE]] + [(LARGE_CASES[0], GOLDEN_LARGE)]
+    report = _child_run(tmp_path, cases, {"NPY_DISABLE_CPU_FEATURES": " ".join(groups)})
+    assert report["dispatched"] == []
+
+
+def test_parity_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the chains are reduced by LAPACK; OpenBLAS's oldest x86-64 kernel set
+    # (a variable other BLAS builds ignore) must write the same bytes
+    _child_run(tmp_path, [(PARITY_CASE, GOLDEN)], {"OPENBLAS_CORETYPE": "Prescott"})

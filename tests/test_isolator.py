@@ -141,9 +141,9 @@ def test_make_jis_and_config_properties():
     assert cfg.rho == 0.3
     assert cfg.f_a_ghz == 6.84
     assert cfg.f_p_ghz == pytest.approx(2.727)
-    # P1 feeds (0, pi/2): difference -pi/2, sum +pi/2 at zero flux
+    # P1 feeds (0, pi/2): quarter turns (0, 1), difference -pi/2 at zero flux
+    assert cfg.quarter_turns == (0, 1)
     assert cfg.phi_rad == -np.pi / 2.0
-    assert cfg.phi_s_rad == np.pi / 2.0
     assert cfg.isolated_direction == "s12"
     # odd flux parity shifts the difference by pi, and so turns the isolation around
     odd = make_jis(6.84, 9.567, 40.0, 100.0, 0.3, phi_ext1_rad=-1.0, phi_ext2_rad=1.0)
@@ -158,17 +158,16 @@ def _bits(x: float) -> str:
 
 
 def test_stage_phases_are_the_float_sums_bit_for_bit():
-    # each stage phase is the float sum of its pump phase q pi/2 and n_g pi,
-    # bit for bit, and phi and phi_s are the float difference and sum of the
-    # two, for both feeds and every pair of flux parities
+    # each stage phase is its pump phase q plus 2 n_g quarter turns, and phi
+    # is, bit for bit, the float difference of the two stage phases q pi/2 +
+    # n_g pi, for both feeds and every pair of flux parities
     for pump, (q1, q2) in (("P1", (0, 1)), ("P2", (1, 0))):
         for fx1, fx2 in ((-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)):
             cfg = make_jis(6.84, 9.567, 40.0, 100.0, 0.3, 0.6, pump, fx1, fx2)
             ph1 = float(q1 * (np.pi / 2.0)) + n_g(fx1) * np.pi
             ph2 = float(q2 * (np.pi / 2.0)) + n_g(fx2) * np.pi
-            assert [_bits(p) for p in cfg.stage_phases_rad] == [_bits(ph1), _bits(ph2)]
+            assert cfg.quarter_turns == (q1 + 2 * n_g(fx1), q2 + 2 * n_g(fx2))
             assert _bits(cfg.phi_rad) == _bits(ph1 - ph2)
-            assert _bits(cfg.phi_s_rad) == _bits(ph1 + ph2)
             assert cfg.sin_phi == np.sin(ph1 - ph2)
 
 

@@ -16,6 +16,7 @@ from paramix.mixer import (
     r_a_of_frequency,
     t_of_frequency,
     t_on_resonance,
+    turn_phasor,
 )
 
 
@@ -111,27 +112,37 @@ def test_jpc_params_validation():
 
 def test_mixer_2port_matrix():
     t = 0.6
-    phi = 0.7
-    m = mixer_2port(t, phi)
     r = np.sqrt(1.0 - t**2)
-    assert m.entry("a", "a") == pytest.approx(r)
-    assert m.entry("b", "b") == pytest.approx(-r)
-    assert m.entry("b", "a") == pytest.approx(-t * np.exp(1j * phi))
-    assert m.entry("a", "b") == pytest.approx(-t * np.exp(-1j * phi))
-    dev = np.max(np.abs(m.s.conj().T @ m.s - np.eye(2)))
-    assert dev < 1e-12
-    with pytest.raises(ValueError):
-        mixer_2port(1.2, 0.0)
+    for k in range(-5, 6):
+        m = mixer_2port(t, k)
+        phi = k * np.pi / 2.0
+        assert m.entry("a", "a") == r
+        assert m.entry("b", "b") == -r
+        assert m.entry("b", "a") == pytest.approx(-t * np.exp(1j * phi), abs=1e-15)
+        assert m.entry("a", "b") == pytest.approx(-t * np.exp(-1j * phi), abs=1e-15)
+        # the phasor is exact: each entry has a part that is exactly zero
+        assert m.entry("b", "a") == -t * turn_phasor(k, 4)
+        assert m.entry("a", "b") == -t * turn_phasor(-k, 4)
+        dev = np.max(np.abs(m.s.conj().T @ m.s - np.eye(2)))
+        assert dev < 1e-15
+    with pytest.raises(ValueError, match="t must"):
+        mixer_2port(1.2, 0)
+    # a phase is a whole number of quarter turns, nothing else
+    for bad in (0.5, 1.0, np.nan, np.inf, True, np.array([True]), [1, 0.5], "1"):
+        with pytest.raises(ValueError, match="quarter_turns"):
+            mixer_2port(0.5, bad)
 
 
 def test_mixer_2port_stacks_a_phase_array():
-    phases = [-np.pi / 2.0, np.pi / 2.0, 3.0 * np.pi / 2.0, 0.7]
+    turns = np.random.default_rng(11).integers(-9, 10, 16)
     for t in (0.6, 1.0):
-        stack = mixer_2port(t, phases)
-        assert stack.s.shape == (4, 2, 2) and stack.ports == ("a", "b")
-        for k, phi in enumerate(phases):
-            assert np.array_equal(stack.s[k], mixer_2port(t, phi).s)
-    with pytest.raises(ValueError, match="finite"):
+        for stacked in (turns, turns.astype(np.int32), list(map(int, turns))):
+            stack = mixer_2port(t, stacked)
+            assert stack.s.shape == (16, 2, 2) and stack.ports == ("a", "b")
+            for k, q in enumerate(turns):
+                assert np.array_equal(stack.s[k], mixer_2port(t, q).s)
+    assert mixer_2port(1.0, np.array([1], dtype=np.uint8)).entry("b", "a") == [-1j]
+    with pytest.raises(ValueError, match="quarter_turns"):
         mixer_2port(1.0, [0.0, np.nan])
 
 

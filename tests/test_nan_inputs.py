@@ -3,8 +3,8 @@
 A check written as `x <= 0` or `abs(x) > limit` is false for NaN, so the
 value slips through and comes back as a number (or as `n_g = 1`); an input
 with no check at all, such as a phase, carries NaN into the result. Each
-call below passes NaN to one input and must raise ValueError instead of
-returning.
+call below passes NaN (or, where noted, inf) to one input and must raise
+ValueError instead of returning.
 """
 
 import numpy as np
@@ -30,12 +30,14 @@ CALLS = {
     "chi_inv.gamma_mhz": lambda: mixer.chi_inv(6.9, 6.84, NAN),
     "flux_tuning_curve": lambda: mixer.flux_tuning_curve(NAN),
     "flux_tuning_curve.array": lambda: mixer.flux_tuning_curve(np.array([0.0, NAN, 1.0])),
-    "mixer_2port.generalized_phase_rad": lambda: mixer.mixer_2port(0.5, NAN),
+    "mixer_2port.quarter_turns": lambda: mixer.mixer_2port(0.5, NAN),
     "closed_form_4port.phi_rad": lambda: isolator.closed_form_4port(0.5, 0.51, NAN, 0.3),
     "closed_form_4port.phi_s_rad": lambda: isolator.closed_form_4port(0.5, 0.51, 0.3, NAN),
     "on_resonance_2port.phi_rad": lambda: isolator.on_resonance_2port(0.5, NAN),
     "gamma0": lambda: analysis.gamma0(NAN, 100.0),
     "field_range": lambda: parity.field_range(NAN),
+    "ChainSpec.calibration_phase_rad": lambda: parity.ChainSpec((parity.GyratorSpec(),), NAN),
+    "ChainSpec.calibration_phase_rad.inf": lambda: parity.ChainSpec((parity.GyratorSpec(),), float("inf")),
     "theta_from_chi_kappa": lambda: analysis.theta_from_chi_kappa(1.0, NAN),
     "eta_from_separation": lambda: analysis.eta_from_separation(3.0, NAN, 1.0, 1.0, 90.0),
     "eta_from_separation.theta_deg": lambda: analysis.eta_from_separation(3.0, 1.0, 1.0, 1.0, NAN),

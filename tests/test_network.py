@@ -243,13 +243,14 @@ def test_connect_order_invariance(rng):
 
 
 def _random_composition(rng):
-    """Two hybrids joined through a random delay line, a random mixer on a side arm."""
+    """Two hybrids joined through a random delay line, a random nonreciprocal mixer on a side arm."""
     theta = rng.uniform(0.0, 2.0 * np.pi)
     return ConnectionGraph(
         {
             "h1": HYBRID,
             "d": delay_line(rng.uniform(0, 50), 2.0, theta),
-            "m": mixer_2port(rng.uniform(0.0, 1.0), rng.uniform(-np.pi, np.pi)),
+            # an odd number of quarter turns: nonreciprocal whenever t > 0
+            "m": mixer_2port(rng.uniform(0.0, 1.0), 2 * rng.integers(-4, 4) + 1),
             "h2": HYBRID,
         },
         (

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from test_sweep_chunks import _peak_rss_kb
 
 from paramix import parity
-from paramix.mixer import mixer_2port
+from paramix.mixer import mixer_2port, turn_phasor
+from paramix.network import HYBRID
 from paramix.parity import (
     ChainSpec,
     GyratorSpec,
@@ -19,10 +22,11 @@ from paramix.schemas import SCHEMA_TAG
 
 
 def test_gyrator_spec_phases():
-    assert GyratorSpec("even", "P1").phi_rad == -np.pi / 2.0
-    assert GyratorSpec("odd", "P1").phi_rad == np.pi / 2.0
-    assert GyratorSpec("even", "P2").phi_rad == np.pi / 2.0
-    assert GyratorSpec("odd", "P2").phi_rad == 3.0 * np.pi / 2.0
+    # the stage-phase difference k1 - k2, in quarter turns
+    assert GyratorSpec("even", "P1").quarter_turns == -1
+    assert GyratorSpec("odd", "P1").quarter_turns == 1
+    assert GyratorSpec("even", "P2").quarter_turns == 1
+    assert GyratorSpec("odd", "P2").quarter_turns == 3
     assert GyratorSpec("odd").parity_bit == 1
     with pytest.raises(ValueError, match="parity"):
         GyratorSpec("mixed", "P1")
@@ -33,15 +37,15 @@ def test_gyrator_spec_phases():
 def test_gyrator_matrix_is_nonreciprocal():
     # a gyrator is a converter stage at full conversion
     for spec in (GyratorSpec("even", "P1"), GyratorSpec("odd", "P2")):
-        s = mixer_2port(1.0, spec.phi_rad)
+        s = mixer_2port(1.0, spec.quarter_turns)
         fwd = s.entry("b", "a")
         bwd = s.entry("a", "b")
-        assert abs(fwd) == pytest.approx(1.0, abs=1e-15)
-        # forward/backward ratio -1 regardless of parity or feed
-        assert fwd / bwd == pytest.approx(-1.0, abs=1e-12)
+        assert abs(fwd) == 1.0
+        # forward/backward ratio exactly -1 regardless of parity or feed
+        assert fwd / bwd == -1.0
         assert s.entry("a", "a") == 0.0 and s.entry("b", "b") == 0.0
-    even = mixer_2port(1.0, GyratorSpec("even", "P1").phi_rad)
-    assert even.entry("b", "a") == pytest.approx(1j, abs=1e-15)
+    even = mixer_2port(1.0, GyratorSpec("even", "P1").quarter_turns)
+    assert even.entry("b", "a") == 1j
 
 
 def test_chain_spec_needs_a_gyrator():
@@ -57,6 +61,14 @@ def test_calibration_phase_is_zero():
     assert calibrate(ref) == pytest.approx(psi, abs=1e-12)
     with pytest.raises(ValueError, match="all even"):
         calibrate(ChainSpec((GyratorSpec("odd", "P1"),)))
+
+
+def test_the_trim_phasor_is_exact_at_every_quarter_turn():
+    # calibrate() measures at trim pi: that phasor is exactly -1, not (-1, 1.2e-16)
+    for k in range(-8, 9):
+        assert repr(parity._trim_phasor(k * (math.pi / 2.0))) == repr(turn_phasor(k, 4))
+    for psi in (0.3, -2.0, 3.0, 10.0):
+        assert abs(parity._trim_phasor(psi) - cmath.exp(1j * psi)) < 1e-15
 
 
 def test_transmission_reads_parity_xor():
@@ -109,6 +121,20 @@ def _seeded_chains(seed):
 def chains_alone():
     chains = _seeded_chains(7)
     return chains, [chain_transmission([c])[0] for c in chains]
+
+
+def test_every_amplitude_is_exactly_the_parity(chains_alone):
+    # whole quarter turns from the exact table leave no rounding noise: an
+    # even chain is exactly dark, and every odd chain gives the same float,
+    # the two hybrid paths 2 c^2 with c the hybrid's rounded 1/sqrt2 (one ulp
+    # below 1; artifacts print it as 1.0)
+    c = HYBRID.s[0, 2].real
+    chains, alone = chains_alone
+    for chain, t in zip(chains, alone):
+        odd = sum(g.parity_bit for g in chain.gyrators) % 2
+        assert abs(t) == (2.0 * c * c if odd else 0.0)
+    psi = calibrate()
+    assert psi == 0.0 and math.copysign(1.0, psi) == 1.0
 
 
 # 1 reduces every chain alone; 1 << 22 puts all chains of one length in one stack
