@@ -15,7 +15,7 @@ from .errors import (
     SingularResponseError,
     UnbracketedBandwidthError,
 )
-from .network import ConnectionGraph, ScatteringMatrix, connect, delay_line
+from .network import ConnectionGraph, ScatteringMatrix, connect
 from .mixer import JpcParams, flux_tuning_curve, r_a_of_frequency, t_of_frequency
 from .isolator import (
     JisConfig,

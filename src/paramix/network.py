@@ -7,10 +7,9 @@ S[i, j] being the amplitude out of port i per unit amplitude into port j.
 Port identity is carried by an ordered tuple of unique string labels; the
 row/column index of a label is its position in that tuple. A matrix carries
 no frequency: each element of a network is one read-only (n, n) matrix or a
-read-only (B, n, n) stack of B matrices on the same ports, and frequency
-(cyclic, in GHz) is an input only of delay_line, the one element whose
-response depends on it. connect() reduces B graphs of one topology at once
-when some of their elements are stacks.
+read-only (B, n, n) stack of B matrices on the same ports, so a swept
+element is a stack with one matrix per frequency. connect() reduces B graphs
+of one topology at once when some of their elements are stacks.
 
 Element conventions (pinned jointly so that composed networks reproduce the
 closed-form device responses elsewhere in the package):
@@ -97,24 +96,6 @@ HYBRID = ScatteringMatrix(
         [1j * _C, _C, 0.0, 0.0],
     ],
 )
-
-
-def delay_line(length_um: float, eps_eff: float, freq_ghz: float) -> ScatteringMatrix:
-    """Matched transmission line of physical length length_um.
-
-    Both directions carry e^{i theta} with theta = 2 pi f sqrt(eps_eff) l / c,
-    evaluated at the actual propagating frequency freq_ghz.
-    """
-    if not length_um >= 0.0:
-        raise ValueError("length_um must be nonnegative")
-    if not eps_eff >= 1.0:
-        raise ValueError("eps_eff must be >= 1")
-    if not np.isfinite(freq_ghz):
-        raise ValueError("freq_ghz must be finite")
-    theta = delay_phase_rad(length_um, eps_eff, freq_ghz)
-    ph = np.exp(1j * theta)
-    s = np.array([[0.0, ph], [ph, 0.0]], dtype=complex)
-    return ScatteringMatrix(("1", "2"), s)
 
 
 def delay_phase_rad(length_um: float, eps_eff: float, freq_ghz: float) -> float:
@@ -265,8 +246,7 @@ def connect(graph: ConnectionGraph) -> ScatteringMatrix:
     return ScatteringMatrix(labels, s if depths else s[0])
 
 
-def check_unitarity(matrix: ScatteringMatrix, tol: float = 1e-9) -> tuple[bool, float]:
-    """Return (is_unitary, max deviation of S^H S from the identity) of one matrix."""
+def check_unitarity(matrix: ScatteringMatrix) -> float:
+    """Largest deviation of S^H S from the identity, of one matrix."""
     s = matrix.s
-    dev = float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))))
-    return dev <= tol, dev
+    return float(np.max(np.abs(s.conj().T @ s - np.eye(s.shape[0]))))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,25 +42,25 @@ _NULL_TOL = 1e-9  # calibrate(): the weakest trim arm and largest imbalance it a
 
 @dataclass(frozen=True)
 class GyratorSpec:
-    """One chained device: joint flux parity and its pump feed."""
+    """One chained device: joint flux parity and its pump feed.
+
+    parity_bit (0 even, 1 odd) and quarter_turns, the stage-phase difference
+    k1 - k2 whose first stage carries the parity, are derived once and
+    cannot be set.
+    """
 
     parity: str = "even"
     pump_port: str = "P1"
+    parity_bit: int = field(init=False, repr=False, compare=False)
+    quarter_turns: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.parity not in _PARITY_BIT:
             raise ValueError("parity must be 'even' or 'odd'")
-        stage_quarters(self.pump_port)  # raises for a pump port other than P1 and P2
-
-    @property
-    def parity_bit(self) -> int:
-        return _PARITY_BIT[self.parity]
-
-    @property
-    def quarter_turns(self) -> int:
-        """Stage-phase difference k1 - k2 of the device; its first stage carries the parity."""
-        k1, k2 = stage_quarters(self.pump_port, self.parity_bit)
-        return k1 - k2
+        bit = _PARITY_BIT[self.parity]
+        k1, k2 = stage_quarters(self.pump_port, bit)  # raises for a pump port other than P1 and P2
+        object.__setattr__(self, "parity_bit", bit)
+        object.__setattr__(self, "quarter_turns", k1 - k2)
 
 
 def _two_port(fwd, bwd) -> ScatteringMatrix:
@@ -152,20 +152,15 @@ def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
     return connect(graph).entry("hr.1", "hl.1")
 
 
-def calibrate(reference: ChainSpec | None = None) -> float:
-    """Bottom-arm phase that nulls the bright port for an even reference.
+def calibrate() -> float:
+    """Bottom-arm phase that nulls the bright port for one even P1 cell.
 
-    Measures the reference interferometer at trim phases 0 and pi, solves
+    Measures that interferometer at trim phases 0 and pi, solves
     T(psi) = A + B e^{i psi} for the nulling phase, and raises if no unit
     e^{i psi} can null the output. Unique modulo 2 pi; returned in (-pi, pi].
     """
-    if reference is None:
-        reference = ChainSpec((GyratorSpec(parity="even", pump_port="P1"),))
-    if any(g.parity != "even" for g in reference.gyrators):
-        raise ValueError("calibration reference must be all even")
-    t0, tpi = chain_transmission(
-        [replace(reference, calibration_phase_rad=0.0), replace(reference, calibration_phase_rad=math.pi)]
-    )
+    cell = (GyratorSpec(parity="even", pump_port="P1"),)
+    t0, tpi = chain_transmission([ChainSpec(cell, 0.0), ChainSpec(cell, math.pi)])
     a = (t0 + tpi) / 2.0
     b = (t0 - tpi) / 2.0
     if abs(b) < _NULL_TOL:

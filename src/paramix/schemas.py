@@ -8,8 +8,8 @@ schemas of their own so a written file can be re-validated round-trip.
 Each schema is compiled once, at import, into a plain-Python checker that
 follows JSON Schema Draft 2020-12 for exactly the keywords these schemas
 use: type, const, enum, minimum, maximum, exclusiveMinimum, properties,
-required, additionalProperties (false only), items, minItems and
-if/then/else. Any other keyword, or an enum/const literal other than a
+required, additionalProperties (false only), items, minItems, maxItems
+and if/then/else. Any other keyword, or an enum/const literal other than a
 string or null, raises at import, so a later schema edit cannot go
 silently unchecked. As in Draft 2020-12, a bool is not a number, "number"
 is any numbers.Number (so np.float64 counts), "integer" also accepts an
@@ -140,7 +140,8 @@ CONFIG_SCHEMAS = {
             "chains": {
                 "type": "array",
                 "minItems": 1,
-                "items": {"type": "array", "minItems": 1, "items": _GYRATOR},
+                # one chain of L cells is one dense system of 4L + 10 ports
+                "items": {"type": "array", "minItems": 1, "maxItems": 256, "items": _GYRATOR},
             }
         },
         ["chains"],
@@ -370,6 +371,14 @@ def _min_items(least, schema):
     return check
 
 
+def _max_items(most, schema):
+    def check(v, path, errors):
+        if isinstance(v, list) and len(v) > most:
+            errors.append((path, f"{v!r} is too long"))
+
+    return check
+
+
 def _if(condition, schema):
     test = _compile(condition)
     then, otherwise = (_compile(schema[key]) if key in schema else None for key in ("then", "else"))
@@ -397,6 +406,7 @@ _KEYWORDS = {
     "additionalProperties": _additional_properties,
     "items": _items,
     "minItems": _min_items,
+    "maxItems": _max_items,
     "if": _if,
     "then": _in_if,
     "else": _in_if,

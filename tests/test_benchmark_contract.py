@@ -1,12 +1,15 @@
 """The names the benchmark reads from the package all resolve.
 
 `perfbench/checks.py` reads its references as `pm.<name>` from the package
-root, and `perfbench/tests/test_perfbench.py::_bindings` reads
-`paramix.<dotted.name>` module attributes. A name deleted from the package
-fails here, in tier-1, instead of in a benchmark run. The files are only read.
+root, `perfbench/tests/test_perfbench.py::_bindings` reads
+`paramix.<dotted.name>` module attributes, and `perfbench/tracing.py` wraps
+the functions its TARGETS name and counts what its count functions read
+from their arguments and results. A name deleted from the package fails
+here, in tier-1, instead of in a benchmark run. The files are only read.
 """
 
 import ast
+import hashlib
 import json
 import pkgutil
 import re
@@ -70,6 +73,23 @@ def _small_jobs(checks, workloads):
     return jobs + [workloads._fit_job("fit", s21_sq, s12_sq, "P2", "exact", {})]
 
 
+def _run(jobs, root):
+    """Run each job through cli.main under root; {id: (exit code, {artifact: SHA-256})}."""
+    from paramix import cli
+
+    root.mkdir(exist_ok=True)
+    results = {}
+    for job in jobs:
+        config = root / f"{job['id']}.json"
+        config.write_text(json.dumps(job["config"]))
+        out = root / job["id"]
+        argv = [job["command"], "--config", str(config), "--out", str(out)]
+        rc = cli.main(argv + (["--format", job["format"]] if job["format"] else []))
+        hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+        results[job["id"]] = (rc, hashes)
+    return results
+
+
 def test_the_benchmark_value_checks_pass_on_one_small_job_per_artifact_set(tmp_path, monkeypatch):
     # check_values turns an unreadable artifact into a problem, but an
     # AttributeError (a name the checker reads that the package lost) would
@@ -78,15 +98,41 @@ def test_the_benchmark_value_checks_pass_on_one_small_job_per_artifact_set(tmp_p
     import checks
     import workloads
 
-    from paramix import cli
-
     jobs = _small_jobs(checks, workloads)
     assert {(job["command"], job["format"]) for job in jobs} == set(checks.ARTIFACTS)
+    results = _run(jobs, tmp_path)
     for job in jobs:
-        config = tmp_path / f"{job['id']}.json"
-        config.write_text(json.dumps(job["config"]))
-        out = tmp_path / job["id"]
-        argv = [job["command"], "--config", str(config), "--out", str(out)]
-        rc = cli.main(argv + (["--format", job["format"]] if job["format"] else []))
+        rc, _ = results[job["id"]]
         assert checks.check_exit_code(job, rc) == [], job["id"]
-        assert checks.check_values(job, out) == [], job["id"]
+        assert checks.check_values(job, tmp_path / job["id"]) == [], job["id"]
+
+
+COUNTERS = {
+    "network.connect.ports",
+    "formats.write_csv.bytes",
+    "formats.write_json.bytes",
+    "formats.write_touchstone.bytes",
+    "isolator.effective_2port_sweep.points",
+    "analysis.fit_rho_alpha.not_identifiable",
+}
+
+
+def test_the_tracer_finds_every_target_and_changes_no_artifact(tmp_path, monkeypatch):
+    # a target the package lost is listed in missing, and a count function
+    # that reads an attribute the package renamed raises inside the traced call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import tracing
+    import workloads
+
+    jobs = _small_jobs(checks, workloads)
+    plain = _run(jobs, tmp_path / "plain")  # also loads every module the tracer patches
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = _run(jobs, tmp_path / "traced")
+    finally:
+        tracer.restore()
+    assert tracer.missing == []
+    assert traced == plain
+    assert COUNTERS <= set(tracer.counters)

@@ -8,7 +8,7 @@ import pytest
 
 from paramix import acceptance, cli
 from paramix.analysis import FitResult
-from paramix.schemas import SCHEMA_TAG, validate_artifact
+from paramix.schemas import SCHEMA_TAG, validate_artifact, validate_config
 
 JIS_PRESET = {"preset": "reference"}
 JIS_PLAIN = {
@@ -161,6 +161,25 @@ def test_parity_command(tmp_path):
     assert doc["all_match"] is True
     assert [r["xor"] for r in doc["rows"]] == ["odd", "even", "odd"]
     assert doc["calibration_phase_rad"] == 0.0
+
+
+def test_a_chain_that_disagrees_with_its_xor_exits_4(tmp_path, monkeypatch):
+    # the second chain is odd but reads dark: the report is still written
+    monkeypatch.setattr(cli, "chain_transmission", lambda chains: [0.0, 0.0, 1.0][: len(chains)])
+    chains = [[{"parity": "even"}], [{"parity": "odd"}], [{"parity": "odd"}, {"parity": "even"}]]
+    assert run(tmp_path, "parity", {"chains": chains}) == 4
+    doc = json.loads((tmp_path / "parity.json").read_text())
+    validate_artifact("parity_report", doc)
+    assert doc["all_match"] is False
+    assert [r["match"] for r in doc["rows"]] == [True, False, True]
+    assert [r["t_mag"] for r in doc["rows"]] == [0.0, 0.0, 1.0]
+
+
+def test_a_parity_chain_of_more_than_256_cells_is_a_config_error(tmp_path, capsys):
+    validate_config("parity", {"schema": SCHEMA_TAG, "chains": [[{"parity": "odd"}] * 256]})
+    assert run(tmp_path, "parity", {"chains": [[{"parity": "odd"}] * 257]}, out=tmp_path / "long") == 2
+    assert capsys.readouterr().err.rstrip().endswith("is too long")
+    assert not (tmp_path / "long").exists()
 
 
 def test_readout_writes_both_artifacts(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import paramix as pm
-from paramix import analysis, isolator, mixer, network, parity
+from paramix import analysis, isolator, mixer, parity
 
 NAN = float("nan")
 JPC = dict(f_a_ghz=6.84, f_b_ghz=9.567, gamma_a_mhz=40.0, gamma_b_mhz=100.0, rho=0.4)
@@ -24,8 +24,6 @@ CALLS = {
     "JisConfig.delay_length_um": lambda: pm.JisConfig(**JIS, delay_length_um=NAN),
     "JisConfig.delay_eps_eff": lambda: pm.JisConfig(**JIS, delay_eps_eff=NAN),
     "JrmParams.i0_ua": lambda: mixer.JrmParams(i0_ua=NAN),
-    "delay_line.length_um": lambda: network.delay_line(NAN, 2.0, 5.0),
-    "delay_line.freq_ghz": lambda: network.delay_line(10.0, 2.0, NAN),
     "n_g": lambda: mixer.n_g(NAN),
     "chi_inv.gamma_mhz": lambda: mixer.chi_inv(6.9, 6.84, NAN),
     "flux_tuning_curve": lambda: mixer.flux_tuning_curve(NAN),

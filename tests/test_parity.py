@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,12 @@ def test_gyrator_spec_phases():
     assert GyratorSpec("even", "P2").quarter_turns == 1
     assert GyratorSpec("odd", "P2").quarter_turns == 3
     assert GyratorSpec("odd").parity_bit == 1
+    # both are derived once: not set, not compared, not printed
+    with pytest.raises(ValueError, match="quarter_turns"):
+        replace(GyratorSpec(), quarter_turns=1)
+    assert replace(GyratorSpec("odd", "P1"), pump_port="P2").quarter_turns == 3
+    assert GyratorSpec("odd", "P2") == GyratorSpec("odd", "P2")
+    assert repr(GyratorSpec("odd", "P2")) == "GyratorSpec(parity='odd', pump_port='P2')"
     with pytest.raises(ValueError, match="parity"):
         GyratorSpec("mixed", "P1")
     with pytest.raises(ValueError, match="pump_port"):
@@ -54,13 +61,7 @@ def test_chain_spec_needs_a_gyrator():
 
 
 def test_calibration_phase_is_zero():
-    psi = calibrate()
-    assert psi == pytest.approx(0.0, abs=1e-12)
-    # idempotent and independent of the (even) reference chain chosen
-    ref = ChainSpec(tuple(GyratorSpec("even", p) for p in ("P1", "P2", "P1")))
-    assert calibrate(ref) == pytest.approx(psi, abs=1e-12)
-    with pytest.raises(ValueError, match="all even"):
-        calibrate(ChainSpec((GyratorSpec("odd", "P1"),)))
+    assert calibrate() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_the_trim_phasor_is_exact_at_every_quarter_turn():

@@ -24,10 +24,11 @@ from paramix.isolator import (
     composed_4port,
     default_grid,
     effective_2port_sweep,
+    grid_chunks,
     make_jis,
 )
-from paramix.mixer import PRIMARY_LOBE_RAD, amplitudes_of_frequency
-from paramix.network import delay_phase_rad
+from paramix.mixer import PRIMARY_LOBE_RAD, amplitudes_of_frequency, turn_phasor
+from paramix.network import HYBRID, ConnectionGraph, ScatteringMatrix, connect, delay_phase_rad, lossy_coupler
 from paramix.schemas import SCHEMA_TAG
 
 TOL = 1e-12
@@ -121,6 +122,59 @@ def test_the_quarter_turn_kernel_is_the_general_phase_form(config):
     np.testing.assert_allclose(s.s21, s21, rtol=0, atol=scale)
     np.testing.assert_allclose(s.s12, s12, rtol=0, atol=scale)
     assert config.isolated_direction == ("s21" if np.sin(config.phi_rad) > 0.0 else "s12")
+
+
+def _stack_2port(ports, s11, s12, s21, s22):
+    """(F, 2, 2) stack of 2-ports on ports from (F,) arrays or scalars."""
+    s = np.empty(np.shape(s21) + (2, 2), dtype=complex)
+    s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1] = s11, s12, s21, s22
+    return ScatteringMatrix(ports, s)
+
+
+def composed_sweep(config, f):
+    """(S11, S12, S21, S22) of the sweep, reduced by connect from its elements.
+
+    One graph per grid chunk, each element a stack over the chunk's points:
+    the hybrid, one converter per stage with its quarter turns, a matched
+    line carrying the delay phase at f + f_p between stage 1 and the coupler
+    (only the total phase around the loop matters), and the coupler.
+    """
+    out = np.empty((4, f.size), dtype=complex)
+    for part in grid_chunks(f.size):
+        t, r_a, r_b = amplitudes_of_frequency(f[part], config.jpc1)
+        stages = {
+            f"st{n}": _stack_2port(("a", "b"), r_a, -t * turn_phasor(k, 4).conjugate(), -t * turn_phasor(k, 4), -r_b)
+            for n, k in enumerate(config.quarter_turns, start=1)
+        }
+        line = np.exp(1j * delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f[part] + config.f_p_ghz))
+        graph = ConnectionGraph(
+            {"hyb": HYBRID, **stages, "line": _stack_2port(("1", "2"), 0.0, line, line, 0.0), "cpl": lossy_coupler(config.alpha_mag)},
+            (
+                (("hyb", "1p"), ("st1", "a")),
+                (("hyb", "2p"), ("st2", "a")),
+                (("st1", "b"), ("line", "1")),
+                (("line", "2"), ("cpl", "b1")),
+                (("st2", "b"), ("cpl", "b2")),
+            ),
+            external=(("hyb", "1"), ("hyb", "2"), ("cpl", "3"), ("cpl", "4")),
+        )
+        s = connect(graph).s
+        out[:, part] = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+    return out
+
+
+# |alpha| up to 0.99 and delays up to 5 mm, so the line turns the loop by
+# several radians: the kernel is checked away from resonance and zero delay
+@settings(PROPERTY, max_examples=50)
+@given(device_fields(), st.floats(0.0, 0.99), st.just(0.0) | st.floats(0.0, 5000.0))
+def test_the_sweep_kernel_is_the_network_composed_sweep(fields, alpha, delay_um):
+    config = make_jis(**{**fields, "alpha_mag": alpha, "delay_length_um": delay_um})
+    f = default_grid(config, 600.0, 201)
+    s = effective_2port_sweep(config, f)
+    s11, s12, s21, s22 = composed_sweep(config, f)
+    np.testing.assert_allclose(s21, s.s21, rtol=0, atol=TOL)
+    np.testing.assert_allclose(s12, s.s12, rtol=0, atol=TOL)
+    assert np.max(np.abs(s11)) < TOL and np.max(np.abs(s22)) < TOL
 
 
 def model_zero_parts(s):

@@ -378,6 +378,7 @@ KEYWORD_CASES = [
     ({"type": "integer", "minimum": 3}, [3.0, 2.0, 3.5, True, np.int64(4), np.float64(3.0)]),
     ({"enum": ["on", None]}, [None, "on", "off", 0, False, ["on"]]),
     ({"type": "array", "minItems": 2, "items": {"const": "a"}}, [[], ["a"], ["a", "b", 1], "a"]),
+    ({"type": "array", "maxItems": 2, "items": {"const": "a"}}, [[], ["a", "a"], ["a", "a", "a"], ["a", "b", 1], "a"]),
     ({"properties": {"b": {"type": "string"}}, "additionalProperties": False,
       "required": ["a"]}, [{}, {"b": 1}, {"c": 1, 2: 0, "a": 0}, []]),
 ]
