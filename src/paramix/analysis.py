@@ -120,18 +120,21 @@ def bandwidth_3dB(sweep: SweepResult, direction: str = "s12") -> BandwidthResult
 def bandwidth_attenuation_scan(
     config: JisConfig,
     rho_values,
-    direction: str = "s12",
+    direction: str | None = None,
     f_ghz=None,
 ) -> list[tuple[float, float]]:
     """(sqrt(dip floor), dip width in MHz) for each pump strength.
 
     Each sweep runs on f_ghz, by default `default_grid(config)` (the pump
     strength does not move it), one grid chunk at a time, and keeps only
-    the power of the one direction. The extracted width follows
+    the power of the one direction, by default the isolated one
+    (`config.isolated_direction`). The extracted width follows
     gamma = gamma0 sqrt(L): deeper dips are narrower. Every rho supplied must
     produce a dip whose 3 dB points are bracketed by the grid (floor below
     1/2 of the off-dip level).
     """
+    if direction is None:
+        direction = config.isolated_direction
     _check_direction(direction)
     f = np.asarray(default_grid(config) if f_ghz is None else f_ghz, dtype=float)
     power = np.empty_like(f)

@@ -276,8 +276,7 @@ def cmd_flux_curve(payload, out_dir: Path, fmt: str) -> int:
 def cmd_bandwidth_scan(payload, out_dir: Path, fmt: str) -> int:
     config = _build_jis(payload["jis"])
     rhos = np.array(payload["rho_values"], dtype=float)
-    direction = config.isolated_direction
-    pairs = bandwidth_attenuation_scan(config, rhos, direction, _grid(config, payload))
+    pairs = bandwidth_attenuation_scan(config, rhos, f_ghz=_grid(config, payload))
     sqrt_l, gamma = np.array(pairs).T
     g0 = gamma0(config.gamma_a_mhz, config.gamma_b_mhz)
     write_csv(

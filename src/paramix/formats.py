@@ -108,10 +108,14 @@ def _write_rows(fh, template, columns, sep="", cast=None) -> None:
         fh.write(sep.join([template] * len(part[0])) % values)
 
 
-def _cell(value) -> str:
+def _cell(value, name) -> str:
     if isinstance(value, str):
         return value
-    return "" if value is None else fmt(value)
+    if value is None:
+        return ""
+    if not value < math.inf:
+        raise NonFiniteError(f"non-finite value (NaN or +inf) in CSV column {name!r}")
+    return fmt(value)
 
 
 def _csv_block(fh, header, columns) -> None:
@@ -131,7 +135,7 @@ def _csv_block(fh, header, columns) -> None:
             cells.append(c)
         else:
             fields.append("%s")
-            cells.append([_cell(v) for v in c])
+            cells.append([_cell(v, name) for v in c])
     if not cells:
         raise ValueError("a block of constant columns has no row count")
     if len({len(c) for c in cells}) > 1:
@@ -161,9 +165,9 @@ def write_csv(path, header, columns) -> None:
     in one raises NonFiniteError (-inf, the dB value of an exact zero, is
     written). A float column is a constant: its `fmt` text is on every row,
     under the same non-finite rule. Any other column is a sequence of cells:
-    a str as is, None as an empty field, a number through `fmt`. All array
-    and cell columns must have the same length, and there must be one; a
-    block of constants alone raises ValueError.
+    a str as is, None as an empty field, a number through `fmt` under that
+    rule too. All array and cell columns must have the same length, and
+    there must be one; a block of constants alone raises ValueError.
     """
     with csv_stream(path, header) as write:
         write(columns)

@@ -11,11 +11,11 @@ parities to the stage phases (stage_quarters). A stage's generalized pump
 phase is k pi/2 with k a whole number of quarter turns: the feed's pump
 phase plus 2 n_g, a half turn per odd flux parity. JisConfig derives the
 pair (k1, k2) once; every phasor comes from these integers through the
-exact table of mixer.turn_phasor. phi and phi_s are the difference and sum
-of the stage phases; the closed form uses their halves, (k1 -+ k2) eighth
-turns, so a 2 pi shift shows in the signs of the port 3/4 columns (working
-points are quoted mod 2 pi). k1 - k2 is odd for every feed and flux parity,
-so sin phi = +-1 and cos phi = 0 exactly; the sweep kernel takes the exact
+exact quarter-turn table of mixer.turn_phasor. phi and phi_s are the
+difference and sum of the stage phases; the closed form uses their halves,
+so a 2 pi shift shows in the signs of the port 3/4 columns (working points
+are quoted mod 2 pi). k1 - k2 is odd for every feed and flux parity, so
+sin phi = +-1 and cos phi = 0 exactly; the sweep kernel takes the exact
 sign from k1 - k2, and its S11 = S22 are exact zeros rather than a
 difference of two equal terms. The on-resonance 4-port is written once
 (_closed_form): closed_form_from_config feeds it exact turn phasors, and
@@ -215,6 +215,10 @@ def _closed_form(t, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> ScatteringMa
     return ScatteringMatrix(_PORTS_4, s + 0.0)
 
 
+# e^{i pi/4}, correctly rounded: closed_form_4port's one phasor off the quarter turns
+_EIGHTH_PHASOR = complex(math.sqrt(0.5), math.sqrt(0.5))
+
+
 def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) -> ScatteringMatrix:
     """On-resonance 4-port scattering of the device in closed form.
 
@@ -227,7 +231,7 @@ def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) 
     """
     if not (math.isfinite(phi_rad) and math.isfinite(phi_s_rad)):
         raise ValueError("phi_rad and phi_s_rad must be finite")
-    q, eh = turn_phasor(1, 8), cmath.exp(0.5j * phi_rad)
+    q, eh = _EIGHTH_PHASOR, cmath.exp(0.5j * phi_rad)
     up, um = eh * q, eh * q.conjugate()
     w_lo, w_hi = cmath.exp(-0.5j * phi_s_rad) * q, cmath.exp(0.5j * phi_s_rad) * q
     return _closed_form(t, alpha, math.sin(phi_rad), math.cos(phi_rad), up, um, w_lo, w_hi)
@@ -236,13 +240,14 @@ def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) 
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     """closed_form_4port at the config's working point, from exact phasors.
 
-    phi/2 = (k1 - k2) and phi_s/2 = (k1 + k2) eighth turns (quarter_turns)
-    are odd, so every phasor is a whole quarter turn and cos phi is 0: the
-    model's zeros come out exact. jis-4port writes this matrix.
+    dk = k1 - k2 and sk = k1 + k2 (quarter_turns) are odd, so the half phases
+    phi/2 +- pi/4 and pi/4 -+ phi_s/2 are (dk +- 1)/2 and (1 -+ sk)/2 whole
+    quarter turns and cos phi is 0: the model's zeros come out exact.
+    jis-4port writes this matrix; it reads no delay line or linewidth.
     """
     k1, k2 = config.quarter_turns
     dk, sk = k1 - k2, k1 + k2
-    up, um, w_lo, w_hi = (turn_phasor(k, 8) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
+    up, um, w_lo, w_hi = (turn_phasor(k // 2) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
     t = t_on_resonance(config.rho)
     return _closed_form(t, config.alpha_mag, config.sin_phi, 0.0, up, um, w_lo, w_hi)
 

@@ -178,23 +178,11 @@ def flux_tuning_curve(phi_ext_rad, jrm: JrmParams = JrmParams()):
 
 # e^{i k pi/2} for k = 0..3, each part an exact float with no -0.0
 _QUARTER_PHASORS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
-_EIGHTH_PHASOR = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, correctly rounded
 
 
-def turn_phasor(k: int, per_turn: int) -> complex:
-    """e^{2 pi i k / per_turn} for k quarter turns (per_turn 4) or eighth turns (8).
-
-    A whole number of quarter turns is exact: 1, i, -1 or -i. An odd number
-    of eighth turns is e^{i pi/4} (one correctly rounded constant) turned by
-    an exact quarter-turn rotation, so every eighth-turn phasor is within
-    one ulp of the true value and the odd ones share their rounding.
-    """
-    if per_turn == 4:
-        return _QUARTER_PHASORS[k % 4]
-    if per_turn == 8:
-        quarter = _QUARTER_PHASORS[(k // 2) % 4]
-        return quarter if k % 2 == 0 else quarter * _EIGHTH_PHASOR
-    raise ValueError("per_turn must be 4 or 8")
+def turn_phasor(k: int) -> complex:
+    """e^{i k pi/2} for k quarter turns, exactly: 1, i, -1 or -i."""
+    return _QUARTER_PHASORS[k % 4]
 
 
 # mixer_2port's parts: conversion at t = 1 for k = 0..3 quarter turns, reflection at r = 1

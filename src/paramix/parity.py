@@ -63,14 +63,13 @@ class GyratorSpec:
         object.__setattr__(self, "quarter_turns", k1 - k2)
 
 
-def _two_port(fwd, bwd) -> ScatteringMatrix:
-    """Matched 2-port on ports (1, 2): 1 -> 2 carries fwd, 2 -> 1 carries bwd.
+def _two_port(t) -> ScatteringMatrix:
+    """Matched line on ports (1, 2) carrying t both ways.
 
-    fwd and bwd are complex numbers, or (B,) arrays for a stack of B 2-ports.
+    t is a complex number, or a (B,) array for a stack of B lines.
     """
-    s = np.zeros(np.shape(fwd) + (2, 2), dtype=complex)
-    s[..., 0, 1] = bwd
-    s[..., 1, 0] = fwd
+    s = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+    s[..., 0, 1] = s[..., 1, 0] = t
     return ScatteringMatrix(("1", "2"), s)
 
 
@@ -91,7 +90,7 @@ class ChainSpec:
 def _trim_phasor(psi: float) -> complex:
     """e^{i psi} as the nearest whole quarter turn k turned by psi - k pi/2: exact at k pi/2."""
     k = round(psi / QUARTER_TURN_RAD)
-    return turn_phasor(k, 4) * cmath.exp(1j * (psi - k * QUARTER_TURN_RAD))
+    return turn_phasor(k) * cmath.exp(1j * (psi - k * QUARTER_TURN_RAD))
 
 
 def chain_transmission(chains: Sequence[ChainSpec]) -> list[complex]:
@@ -132,14 +131,14 @@ def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
         turns = [spec.quarter_turns for spec in cells]
         # the segment carries, both ways, the conjugate of an even cell's
         # forward transmission -i^(q - 2p) = i^(q - 2p + 2): i^(2p - q - 2)
-        comp = [turn_phasor(2 * spec.parity_bit - q - 2, 4) for q, spec in zip(turns, cells)]
+        comp = [turn_phasor(2 * spec.parity_bit - q - 2) for q, spec in zip(turns, cells)]
         elements[f"g{k}"] = mixer_2port(1.0, turns)
-        elements[f"m{k}"] = _two_port(comp, comp)
+        elements[f"m{k}"] = _two_port(comp)
         joints.append((prev, (f"g{k}", "a")))
         joints.append(((f"g{k}", "b"), (f"m{k}", "1")))
         prev = (f"m{k}", "2")
     bot = [_trim_phasor(chain.calibration_phase_rad) for chain in chains]
-    elements["bot"] = _two_port(bot, bot)
+    elements["bot"] = _two_port(bot)
     elements["hr"] = HYBRID
     joints.append((prev, ("hr", "1p")))
     joints.append((("hl", "2p"), ("bot", "1")))

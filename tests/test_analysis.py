@@ -21,7 +21,7 @@ from paramix.analysis import (
     _on_resonance_powers,
 )
 from paramix.errors import NoDipError, NumericalError, UnbracketedBandwidthError
-from paramix.isolator import SweepResult, default_grid, effective_2port_sweep
+from paramix.isolator import SweepResult, default_grid, effective_2port_sweep, reference_device
 from paramix.mixer import RHO_5050
 
 
@@ -123,6 +123,16 @@ def test_scan_matches_single_extractions(reference):
     # deeper dip (larger rho here) is narrower
     assert scan[1][0] < scan[0][0]
     assert scan[1][1] < scan[0][1]
+
+
+def test_scan_defaults_to_the_isolated_direction():
+    # the P2 feed isolates S21; its S12 has no dip to bracket
+    device = reference_device(pump_port="P2")
+    f = default_grid(device, 300.0, 1001)
+    scan = bandwidth_attenuation_scan(device, [0.3, 0.4], f_ghz=f)
+    assert scan == bandwidth_attenuation_scan(device, [0.3, 0.4], "s21", f)
+    with pytest.raises(UnbracketedBandwidthError):
+        bandwidth_attenuation_scan(device, [0.3], "s12", f)
 
 
 def test_fit_recovers_reference_point():

@@ -2,10 +2,12 @@ import copy
 import hashlib
 import json
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import paramix
 from paramix import acceptance, cli
 from paramix.analysis import FitResult
 from paramix.schemas import SCHEMA_TAG, validate_artifact, validate_config
@@ -127,6 +129,26 @@ def test_jis_4port_formats(tmp_path):
     doc = json.loads((tmp_path / "jis_4port.json").read_text())
     validate_artifact("four_port", doc)
     assert doc["ports"] == ["1", "2", "3", "4"]
+
+
+def test_jis_4port_bytes_read_no_delay_line_linewidth_or_idler(tmp_path):
+    # jis-4port is the delay-free on-resonance model: it reads rho, |alpha|,
+    # the stage quarter turns and f_a, so these keys move none of its bytes
+    base = {**JIS_PLAIN, "alpha_mag": 0.51, "delay_length_um": 0.0}
+    variants = [
+        {"delay_length_um": 5000.0},
+        {"delay_length_um": 11.283, "delay_eps_eff": 7.418},
+        {"gamma_a_mhz": 3.0, "gamma_b_mhz": 700.0},
+        {"f_b_ghz": 50.0},
+    ]
+    for fmt in ("touchstone", "csv", "json"):
+        want = None
+        for n, change in enumerate([{}] + variants):
+            out = tmp_path / f"{fmt}{n}"
+            assert run(tmp_path, "jis-4port", {"jis": {**base, **change}}, fmt=fmt, out=out) == 0
+            (artifact,) = out.iterdir()
+            want = want or artifact.read_bytes()
+            assert artifact.read_bytes() == want, (fmt, change)
 
 
 def test_fit_command(tmp_path):
@@ -279,6 +301,20 @@ def test_the_readme_command_table_is_the_cli_table():
         for name, _, formats in rows
     }
     assert list(table.items()) == [(name, formats) for name, (_, formats) in cli._COMMANDS.items()]
+
+
+def test_the_readme_export_list_is_the_package_root():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"re-exports only (.*?)\. Everything else", readme, re.DOTALL).group(1)
+    listed = re.findall(r"`([^`]+)`", sentence.split("these entry points:")[1])
+    public = [
+        name
+        for name, value in vars(paramix).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and not (isinstance(value, type) and issubclass(value, Exception))
+    ]
+    assert sorted(listed) == sorted(public)
 
 
 def test_values_the_models_reject_are_config_errors(tmp_path, capsys):

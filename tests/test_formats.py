@@ -45,11 +45,12 @@ def test_write_csv(tmp_path):
     for columns in ([np.zeros(2)], [np.zeros(2), np.zeros(3)]):
         with pytest.raises(ValueError, match="one column per header field"):
             write_csv(path, ["a", "b"], columns)
-    # NaN and +inf in an array column raise before the file is opened; -inf is written
+    # NaN and +inf in an array or cell column raise and leave no file; -inf is written
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            write_csv(tmp_path / "bad.csv", ["a"], [np.array([1.0, bad])])
-        assert not (tmp_path / "bad.csv").exists()
+        for column in (np.array([1.0, bad]), [1.0, bad], [None, np.float64(bad)]):
+            with pytest.raises(NonFiniteError, match="non-finite value \\(NaN or \\+inf\\) in CSV column 'x'"):
+                write_csv(tmp_path / "bad.csv", ["label", "x"], [["a", "b"], column])
+            assert not (tmp_path / "bad.csv").exists()
     write_csv(path, ["a"], [np.array([-np.inf, 0.5])])
     assert path.read_bytes() == b"a\n-inf\n0.5\n"
 

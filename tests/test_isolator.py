@@ -1,5 +1,3 @@
-import cmath
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,27 +26,8 @@ SQ2 = np.sqrt(2.0)
 def test_turn_phasor_quarter_turns_are_exact():
     exact = [complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0)]
     for k in range(-9, 10):
-        for phasor in (turn_phasor(k, 4), turn_phasor(2 * k, 8)):
-            # repr tells -0.0 from 0.0: equal parts and no -0.0 part
-            assert repr(phasor) == repr(exact[k % 4])
-
-
-def test_turn_phasor_eighth_turns():
-    h = turn_phasor(1, 8).real
-    assert turn_phasor(1, 8) == complex(h, h)
-    # (h, h) turned by 0, 1, 2 and 3 quarter turns, exactly
-    rotated = [complex(h, h), complex(-h, h), complex(-h, -h), complex(h, -h)]
-    for k in range(-9, 10):
-        phasor = turn_phasor(k, 8)
-        # reduced to one turn first: the float angle k pi/4 alone puts
-        # cmath's phasor 1.1 ulp off at k = +-8
-        want = cmath.exp(1j * (k % 8) * math.pi / 4.0)
-        assert abs(phasor.real - want.real) <= math.ulp(1.0)
-        assert abs(phasor.imag - want.imag) <= math.ulp(1.0)
-        if k % 2:
-            assert phasor == rotated[(k // 2) % 4]
-    with pytest.raises(ValueError, match="per_turn"):
-        turn_phasor(1, 6)
+        # repr tells -0.0 from 0.0: equal parts and no -0.0 part
+        assert repr(turn_phasor(k)) == repr(exact[k % 4])
 
 
 def test_fifty_fifty_matrix():
@@ -214,6 +193,27 @@ def test_effective_sweep_matches_on_resonance_2port():
             tp = on_resonance_2port(t_on_resonance(rho), cfg.phi_rad)
             swept = np.array([[sw.s11[0], sw.s12[0]], [sw.s21[0], sw.s22[0]]])
             assert np.max(np.abs(swept - tp.s)) < 1e-12
+
+
+def test_the_4port_is_the_delay_free_sweep_at_f_a(reference):
+    # closed_form_from_config reads no delay line: at zero delay its S21 and
+    # S12 are the sweep's at f = f_a. Off the preset, r = sqrt(1 - t^2)
+    # cancels as rho -> 1 and alpha / beta^2 grows as alpha -> 1, which
+    # puts the two formulas up to 4.9e-15 apart over this grid.
+    f_a = np.array([reference.f_a_ghz])
+    for pump in ("P1", "P2"):
+        for fx in (-1.0, 1.0):
+            device = replace(reference, pump_port=pump, phi_ext1_rad=fx, delay_length_um=0.0)
+            points = [(device, 1e-15)] + [
+                (replace(device, rho=rho, alpha_mag=alpha), 1e-14)
+                for rho in np.linspace(0.0, 1.0, 21)
+                for alpha in (0.0, 0.3, 0.51, 0.9, 0.99)
+            ]
+            for cfg, tol in points:
+                four = closed_form_from_config(cfg)
+                sw = effective_2port_sweep(cfg, f_a)
+                assert abs(four.entry("2", "1") - sw.s21[0]) <= tol
+                assert abs(four.entry("1", "2") - sw.s12[0]) <= tol
 
 
 def test_pump_off_sweep_is_transparent(reference):

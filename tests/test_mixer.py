@@ -121,8 +121,8 @@ def test_mixer_2port_matrix():
         assert m.entry("b", "a") == pytest.approx(-t * np.exp(1j * phi), abs=1e-15)
         assert m.entry("a", "b") == pytest.approx(-t * np.exp(-1j * phi), abs=1e-15)
         # the phasor is exact: each entry has a part that is exactly zero
-        assert m.entry("b", "a") == -t * turn_phasor(k, 4)
-        assert m.entry("a", "b") == -t * turn_phasor(-k, 4)
+        assert m.entry("b", "a") == -t * turn_phasor(k)
+        assert m.entry("a", "b") == -t * turn_phasor(-k)
         dev = np.max(np.abs(m.s.conj().T @ m.s - np.eye(2)))
         assert dev < 1e-15
     with pytest.raises(ValueError, match="t must"):

@@ -67,7 +67,7 @@ def test_calibration_phase_is_zero():
 def test_the_trim_phasor_is_exact_at_every_quarter_turn():
     # calibrate() measures at trim pi: that phasor is exactly -1, not (-1, 1.2e-16)
     for k in range(-8, 9):
-        assert repr(parity._trim_phasor(k * (math.pi / 2.0))) == repr(turn_phasor(k, 4))
+        assert repr(parity._trim_phasor(k * (math.pi / 2.0))) == repr(turn_phasor(k))
     for psi in (0.3, -2.0, 3.0, 10.0):
         assert abs(parity._trim_phasor(psi) - cmath.exp(1j * psi)) < 1e-15
 

@@ -143,7 +143,7 @@ def composed_sweep(config, f):
     for part in grid_chunks(f.size):
         t, r_a, r_b = amplitudes_of_frequency(f[part], config.jpc1)
         stages = {
-            f"st{n}": _stack_2port(("a", "b"), r_a, -t * turn_phasor(k, 4).conjugate(), -t * turn_phasor(k, 4), -r_b)
+            f"st{n}": _stack_2port(("a", "b"), r_a, -t * turn_phasor(k).conjugate(), -t * turn_phasor(k), -r_b)
             for n, k in enumerate(config.quarter_turns, start=1)
         }
         line = np.exp(1j * delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f[part] + config.f_p_ghz))
