@@ -61,7 +61,7 @@ from .mixer import (
     amplitudes_of_frequency,
     flux_tuning_curve,
 )
-from .parity import ChainSpec, GyratorSpec, calibrate, chain_transmission
+from .parity import GyratorSpec, calibrate, chain_transmission
 from .schemas import SCHEMA_TAG, validate_artifact, validate_artifact_rows, validate_config
 
 def _finite(text: str):
@@ -211,17 +211,12 @@ def cmd_fit(payload, out_dir: Path, fmt: str) -> int:
 
 def cmd_parity(payload, out_dir: Path, fmt: str) -> int:
     phase = calibrate()
-    chains = [
-        ChainSpec(tuple(_build(GyratorSpec, **g) for g in chain_obj), calibration_phase_rad=phase)
-        for chain_obj in payload["chains"]
-    ]
+    chains = [tuple(_build(GyratorSpec, **g) for g in chain_obj) for chain_obj in payload["chains"]]
     rows = []
     all_match = True
-    for chain, t in zip(chains, chain_transmission(chains)):
-        gyrators = chain.gyrators
+    for gyrators, t in zip(chains, chain_transmission(chains)):
         t_mag = abs(t)
-        odd_count = sum(g.parity == "odd" for g in gyrators)
-        xor = "odd" if odd_count % 2 else "even"
+        xor = "odd" if sum(g.parity_bit for g in gyrators) % 2 else "even"
         match = abs(t_mag - (1.0 if xor == "odd" else 0.0)) < 1e-12
         all_match = all_match and match
         rows.append(

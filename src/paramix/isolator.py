@@ -173,24 +173,19 @@ def reference_device(
 _PORTS_4 = ("1", "2", "3", "4")
 
 
-def _closed_form(t, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> ScatteringMatrix:
-    """closed_form_4port from up, um = e^{i (phi/2 +- pi/4)} and w_lo, w_hi =
+def _closed_form(t, r, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> ScatteringMatrix:
+    """closed_form_4port from the stage's conversion t and reflection r
+    (t^2 + r^2 = 1), up, um = e^{i (phi/2 +- pi/4)} and w_lo, w_hi =
     e^{i (pi/4 -+ phi_s/2)}. Exact phasors give exact zeros; -0.0 is written 0.0.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
     if t == 0.0:
         s = np.diag(np.array([0, 0, -1, -1], dtype=complex))
         s[0, 1] = s[1, 0] = 1j
         return ScatteringMatrix(_PORTS_4, s)
     beta = math.sqrt(1.0 - alpha**2)
     if beta == 0.0:
-        raise ValueError("alpha = 1 with t > 0 leaves the internal line unloaded")
+        raise SingularResponseError("alpha = 1 with t > 0 leaves the internal line unloaded")
 
-    r = math.sqrt(1.0 - t**2)
     ab2 = alpha / beta**2
     d = 1.0 + (alpha**2 / beta**2) * t**2
     conv = ab2 * t**2 / d
@@ -227,14 +222,21 @@ def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) 
     alpha^2)), phi and phi_s the difference and sum of the generalized stage
     phases (finite reals; their halves appear directly, so values matter
     mod 4 pi). With no conversion (t = 0) the device is exactly transparent:
-    S21 = S12 = i, full reflection -1 at the internal taps.
+    S21 = S12 = i, full reflection -1 at the internal taps. alpha = 1 with
+    t > 0 raises SingularResponseError.
     """
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     if not (math.isfinite(phi_rad) and math.isfinite(phi_s_rad)):
         raise ValueError("phi_rad and phi_s_rad must be finite")
     q, eh = _EIGHTH_PHASOR, cmath.exp(0.5j * phi_rad)
     up, um = eh * q, eh * q.conjugate()
     w_lo, w_hi = cmath.exp(-0.5j * phi_s_rad) * q, cmath.exp(0.5j * phi_s_rad) * q
-    return _closed_form(t, alpha, math.sin(phi_rad), math.cos(phi_rad), up, um, w_lo, w_hi)
+    r = math.sqrt(1.0 - t**2)
+    return _closed_form(t, r, alpha, math.sin(phi_rad), math.cos(phi_rad), up, um, w_lo, w_hi)
 
 
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
@@ -242,14 +244,17 @@ def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
 
     dk = k1 - k2 and sk = k1 + k2 (quarter_turns) are odd, so the half phases
     phi/2 +- pi/4 and pi/4 -+ phi_s/2 are (dk +- 1)/2 and (1 -+ sk)/2 whole
-    quarter turns and cos phi is 0: the model's zeros come out exact.
-    jis-4port writes this matrix; it reads no delay line or linewidth.
+    quarter turns and cos phi is 0: the model's zeros come out exact. r is
+    (1 - rho^2) / (1 + rho^2), which does not cancel as rho -> 1 the way
+    sqrt(1 - t^2) does. jis-4port writes this matrix; it reads no delay
+    line or linewidth.
     """
     k1, k2 = config.quarter_turns
     dk, sk = k1 - k2, k1 + k2
     up, um, w_lo, w_hi = (turn_phasor(k // 2) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
-    t = t_on_resonance(config.rho)
-    return _closed_form(t, config.alpha_mag, config.sin_phi, 0.0, up, um, w_lo, w_hi)
+    rho = config.rho
+    t, r = t_on_resonance(rho), (1.0 - rho) * (1.0 + rho) / (1.0 + rho**2)
+    return _closed_form(t, r, config.alpha_mag, config.sin_phi, 0.0, up, um, w_lo, w_hi)
 
 
 def composed_4port(config: JisConfig) -> ScatteringMatrix:
@@ -274,7 +279,7 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
         (("st2", "b"), ("cpl", "b2")),
     )
     external = (("hyb", "1"), ("hyb", "2"), ("cpl", "3"), ("cpl", "4"))
-    return connect(ConnectionGraph(elements, joints, external)).renamed(_PORTS_4)
+    return ScatteringMatrix(_PORTS_4, connect(ConnectionGraph(elements, joints, external)).s)
 
 
 def on_resonance_2port(t: float, phi_rad: float) -> ScatteringMatrix:

@@ -24,7 +24,6 @@ closed-form device responses elsewhere in the package):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +77,6 @@ class ScatteringMatrix:
         """
         value = self.s[..., self.index(out_port), self.index(in_port)]
         return complex(value) if value.ndim == 0 else value
-
-    def renamed(self, ports: tuple[str, ...]) -> "ScatteringMatrix":
-        return ScatteringMatrix(ports, self.s)
 
 
 _C = 1.0 / np.sqrt(2.0)
@@ -151,25 +147,21 @@ class ConnectionGraph:
     external: tuple[tuple[str, str], ...] = ()
 
 
-@functools.lru_cache(maxsize=128)
-def _plan(elements, joints, external):
-    """Port bookkeeping of one topology, shared by every graph that has it.
+def _plan(graph: ConnectionGraph):
+    """Port bookkeeping of a graph's topology.
 
-    elements is ((name, ports), ...) in graph order, joints the joined
-    (element, port) pairs and external the requested external order (or
-    ()). Returns (gather, n_ext, labels): s_full[gather] puts the external
-    ports first and the internal ones after them, each internal row
-    replaced by its joint partner's, so that block is the permuted system
-    P S of the joint constraints. Raises ValueError for a bad graph
-    (lru_cache stores no exception).
+    Returns (gather, n_ext, labels): s_full[gather] puts the external ports
+    first and the internal ones after them, each internal row replaced by
+    its joint partner's, so that block is the permuted system P S of the
+    joint constraints. Raises ValueError for a bad graph.
     """
     index: dict[tuple[str, str], int] = {}
-    for name, ports in elements:
-        for p in ports:
+    for name, m in graph.elements.items():
+        for p in m.ports:
             index[(name, p)] = len(index)
 
     partner: dict[int, int] = {}
-    for (a, b) in joints:
+    for (a, b) in graph.joints:
         for ref in (a, b):
             if ref not in index:
                 raise ValueError(f"joint references unknown port {ref!r}")
@@ -180,15 +172,13 @@ def _plan(elements, joints, external):
         partner[ib] = ia
 
     ext_refs = [ref for ref, i in index.items() if i not in partner]
-    if external:
-        if sorted(external) != sorted(ext_refs):
+    if graph.external:
+        if sorted(graph.external) != sorted(ext_refs):
             raise ValueError("external list must name exactly the unjoined ports")
-        ext_refs = list(external)
+        ext_refs = list(graph.external)
     ext = [index[r] for r in ext_refs]
     internal = sorted(partner)
     gather = np.ix_(ext + [partner[g] for g in internal], ext + internal)
-    for a in gather:
-        a.flags.writeable = False
     labels = tuple(f"{name}.{port}" for name, port in ext_refs)
     return gather, len(ext), labels
 
@@ -209,20 +199,9 @@ def connect(graph: ConnectionGraph) -> ScatteringMatrix:
     reduction of graph k alone. A graph with no stack reduces as a stack of
     one and returns one matrix. If any member's internal system is
     singular, the whole call raises.
-
-    The index bookkeeping (port index, joint partners, internal/external
-    split, labels) depends only on the topology: element names with their
-    port tuples, the joints and the external order. It is planned once per
-    topology and cached; each call then fills the blocks, checks the
-    conditioning of the internal system and solves it. A bad graph is never
-    cached, so its ValueError is raised on every call.
     """
     matrices = graph.elements.values()
-    gather, n_ext, labels = _plan(
-        tuple((name, m.ports) for name, m in graph.elements.items()),
-        tuple((tuple(a), tuple(b)) for a, b in graph.joints),
-        tuple(tuple(r) for r in graph.external),
-    )
+    gather, n_ext, labels = _plan(graph)
     depths = {m.s.shape[0] for m in matrices if m.s.ndim == 3}
     if len(depths) > 1:
         raise ValueError(f"stacked elements must share one stack size; got {sorted(depths)}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .isolator import QUARTER_TURN_RAD, stage_quarters
+from .isolator import stage_quarters
 from .mixer import FLUX_QUANTUM_WB, mixer_2port, turn_phasor
 from .network import HYBRID, ConnectionGraph, ScatteringMatrix, connect
 
@@ -73,34 +73,15 @@ def _two_port(t) -> ScatteringMatrix:
     return ScatteringMatrix(("1", "2"), s)
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """Gyrator chain in the top arm plus the bottom-arm trim phase."""
-
-    gyrators: tuple[GyratorSpec, ...]
-    calibration_phase_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.gyrators:
-            raise ValueError("chain needs at least one gyrator")
-        if not math.isfinite(self.calibration_phase_rad):
-            raise ValueError("calibration_phase_rad must be finite")
-
-
-def _trim_phasor(psi: float) -> complex:
-    """e^{i psi} as the nearest whole quarter turn k turned by psi - k pi/2: exact at k pi/2."""
-    k = round(psi / QUARTER_TURN_RAD)
-    return turn_phasor(k) * cmath.exp(1j * (psi - k * QUARTER_TURN_RAD))
-
-
-def chain_transmission(chains: Sequence[ChainSpec]) -> list[complex]:
+def chain_transmission(chains: Sequence[Sequence[GyratorSpec]]) -> list[complex]:
     """Bright-port amplitude of the interferometer enclosing each chain, in order.
 
-    Hybrid in, hybrid out; the top arm holds each gyrator with its
-    wavelength-matching segment (transmission conj of the cell's even-parity
-    forward phase, both directions), the bottom arm a matched line carrying
-    e^{i calibration_phase}. At calibration phase 0 the magnitude is 0 for
-    an even chain and 1 for an odd one.
+    A chain is a non-empty sequence of GyratorSpec. Hybrid in, hybrid out;
+    the top arm holds each gyrator with its wavelength-matching segment
+    (transmission conj of the cell's even-parity forward phase, both
+    directions), the bottom arm a matched line carrying exactly +1, the
+    phasor of the phase calibrate() measures. The magnitude is 0 for an
+    even chain and 1 for an odd one.
 
     Chains of one length share a topology, so they are reduced together by
     one connect() per stack of at most _STACK_ENTRIES matrix entries; the
@@ -109,25 +90,31 @@ def chain_transmission(chains: Sequence[ChainSpec]) -> list[complex]:
     out = [0j] * len(chains)
     by_length: dict[int, list[int]] = {}
     for i, chain in enumerate(chains):
-        by_length.setdefault(len(chain.gyrators), []).append(i)
+        if not chain:
+            raise ValueError("chain needs at least one gyrator")
+        by_length.setdefault(len(chain), []).append(i)
     for length, members in by_length.items():
         # two hybrids, a gyrator and a segment per cell, the bottom line
         n_ports = 2 * HYBRID.n_ports + 4 * length + 2
         step = max(1, _STACK_ENTRIES // n_ports**2)
         for start in range(0, len(members), step):
             batch = members[start : start + step]
-            amplitudes = _interferometer([chains[i] for i in batch])
+            amplitudes = _interferometer([chains[i] for i in batch], 1.0)
             for i, t in zip(batch, amplitudes):
                 out[i] = complex(t)
     return out
 
 
-def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
-    """(B,) bright-port amplitudes of B chains of one length, from one connect()."""
+def _interferometer(chains: list[Sequence[GyratorSpec]], bottom) -> np.ndarray:
+    """(B,) bright-port amplitudes of B chains of one length, from one connect().
+
+    bottom is the bottom arm's transmission: one complex shared by all B,
+    or one per chain.
+    """
     elements = {"hl": HYBRID}
     joints = []
     prev = ("hl", "1p")
-    for k, cells in enumerate(zip(*(chain.gyrators for chain in chains))):
+    for k, cells in enumerate(zip(*chains)):
         turns = [spec.quarter_turns for spec in cells]
         # the segment carries, both ways, the conjugate of an even cell's
         # forward transmission -i^(q - 2p) = i^(q - 2p + 2): i^(2p - q - 2)
@@ -137,8 +124,7 @@ def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
         joints.append((prev, (f"g{k}", "a")))
         joints.append(((f"g{k}", "b"), (f"m{k}", "1")))
         prev = (f"m{k}", "2")
-    bot = [_trim_phasor(chain.calibration_phase_rad) for chain in chains]
-    elements["bot"] = _two_port(bot)
+    elements["bot"] = _two_port(bottom)
     elements["hr"] = HYBRID
     joints.append((prev, ("hr", "1p")))
     joints.append((("hl", "2p"), ("bot", "1")))
@@ -154,12 +140,14 @@ def _interferometer(chains: list[ChainSpec]) -> np.ndarray:
 def calibrate() -> float:
     """Bottom-arm phase that nulls the bright port for one even P1 cell.
 
-    Measures that interferometer at trim phases 0 and pi, solves
-    T(psi) = A + B e^{i psi} for the nulling phase, and raises if no unit
-    e^{i psi} can null the output. Unique modulo 2 pi; returned in (-pi, pi].
+    Measures that interferometer with the bottom arm at +1 and -1 (phases 0
+    and pi) in one stack, solves T(psi) = A + B e^{i psi} for the nulling
+    phase, and raises if no unit e^{i psi} can null the output. Unique
+    modulo 2 pi; returned in (-pi, pi]. It is +0.0, the phase whose exact
+    phasor chain_transmission puts in the bottom arm.
     """
     cell = (GyratorSpec(parity="even", pump_port="P1"),)
-    t0, tpi = chain_transmission([ChainSpec(cell, 0.0), ChainSpec(cell, math.pi)])
+    t0, tpi = _interferometer([cell, cell], (1.0, -1.0))
     a = (t0 + tpi) / 2.0
     b = (t0 - tpi) / 2.0
     if abs(b) < _NULL_TOL:

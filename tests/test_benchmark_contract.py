@@ -136,3 +136,30 @@ def test_the_tracer_finds_every_target_and_changes_no_artifact(tmp_path, monkeyp
     assert tracer.missing == []
     assert traced == plain
     assert COUNTERS <= set(tracer.counters)
+
+
+def test_the_tracer_counts_one_call_per_parity_layer_on_a_parity_job(tmp_path, monkeypatch):
+    # what network-batch's parity jobs record per job: one chain_transmission
+    # for all chains, one calibrate, and one connect per stack of chains of
+    # one length plus the calibration's
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import tracing
+    import workloads
+
+    (job,) = [job for job in _small_jobs(checks, workloads) if job["command"] == "parity"]
+    # three chains of two lengths: two stacks, so per-chain calls would show
+    chains = [[{"parity": "odd"}], [{"parity": "even", "pump_port": "P2"}], *job["config"]["chains"]]
+    job = {**job, "config": {**job["config"], "chains": chains}}
+    lengths = {len(chain) for chain in chains}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ((rc, _),) = _run([job], tmp_path).values()
+    finally:
+        tracer.restore()
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counters, passes=1)
+    assert metrics["parity.chain_transmission.calls"] == 1
+    assert metrics["parity.calibrate.calls"] == 1
+    assert metrics["network.connect.calls"] == len(lengths) + 1

@@ -151,6 +151,19 @@ def test_jis_4port_bytes_read_no_delay_line_linewidth_or_idler(tmp_path):
             assert artifact.read_bytes() == want, (fmt, change)
 
 
+@pytest.mark.parametrize("fmt", ["touchstone", "csv", "json"])
+def test_jis_4port_at_alpha_one_exits_3_and_writes_nothing(tmp_path, capsys, fmt):
+    # with conversion, alpha = 1 leaves the internal line unloaded
+    out = tmp_path / "out"
+    assert run(tmp_path, "jis-4port", {"jis": {**JIS_PRESET, "alpha_mag": 1.0}}, fmt=fmt, out=out) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: alpha = 1 with t > 0 leaves the internal line unloaded\n"
+    assert not out.exists() or not any(out.iterdir())
+    # with the pump off the device is exactly transparent
+    assert run(tmp_path, "jis-4port", {"jis": {**JIS_PRESET, "alpha_mag": 1.0, "rho": 0.0}}, fmt=fmt, out=out) == 0
+    assert len(list(out.iterdir())) == 1
+
+
 def test_fit_command(tmp_path):
     rc = run(tmp_path, "fit", {"s21_sq": 0.36, "s12_sq": 0.01})
     assert rc == 0

@@ -58,10 +58,14 @@ def test_closed_form_validation():
         closed_form_4port(1.5, 0.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="alpha must"):
         closed_form_4port(0.5, 1.5, 0.0, 0.0)
-    with pytest.raises(ValueError, match="unloaded"):
+    # alpha = 1 with conversion is a numerical error (CLI exit 3), not a bad argument
+    with pytest.raises(SingularResponseError, match="unloaded"):
         closed_form_4port(0.5, 1.0, 0.0, 0.0)
+    with pytest.raises(SingularResponseError, match="unloaded"):
+        closed_form_from_config(reference_device(alpha_mag=1.0))
     # alpha = 1 is fine when nothing converts
     assert closed_form_4port(0.0, 1.0, 0.0, 0.0).s[0, 1] == 1j
+    assert closed_form_from_config(reference_device(rho=0.0, alpha_mag=1.0)).s[0, 1] == 1j
 
 
 def test_phi_s_only_rotates_termination_references(rng):

@@ -34,8 +34,6 @@ CALLS = {
     "on_resonance_2port.phi_rad": lambda: isolator.on_resonance_2port(0.5, NAN),
     "gamma0": lambda: analysis.gamma0(NAN, 100.0),
     "field_range": lambda: parity.field_range(NAN),
-    "ChainSpec.calibration_phase_rad": lambda: parity.ChainSpec((parity.GyratorSpec(),), NAN),
-    "ChainSpec.calibration_phase_rad.inf": lambda: parity.ChainSpec((parity.GyratorSpec(),), float("inf")),
     "theta_from_chi_kappa": lambda: analysis.theta_from_chi_kappa(1.0, NAN),
     "eta_from_separation": lambda: analysis.eta_from_separation(3.0, NAN, 1.0, 1.0, 90.0),
     "eta_from_separation.theta_deg": lambda: analysis.eta_from_separation(3.0, 1.0, 1.0, 1.0, NAN),

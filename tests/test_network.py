@@ -33,15 +33,13 @@ def test_scattering_matrix_validation():
             ScatteringMatrix(ports, np.eye(2))
 
 
-def test_scattering_matrix_entry_and_rename():
+def test_scattering_matrix_entry():
     m = ScatteringMatrix(("a", "b"), np.array([[0.0, 2.0], [3.0, 0.0]]))
     assert m.n_ports == 2
     assert m.entry("b", "a") == 3.0
     assert m.entry("a", "b") == 2.0
     with pytest.raises(KeyError):
         m.index("c")
-    renamed = m.renamed(("x", "y"))
-    assert renamed.entry("y", "x") == 3.0
 
 
 def test_hybrid_structure():

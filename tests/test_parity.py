@@ -1,4 +1,3 @@
-import cmath
 import itertools
 import json
 import math
@@ -10,15 +9,9 @@ import pytest
 from test_sweep_chunks import _peak_rss_kb
 
 from paramix import parity
-from paramix.mixer import mixer_2port, turn_phasor
+from paramix.mixer import mixer_2port
 from paramix.network import HYBRID
-from paramix.parity import (
-    ChainSpec,
-    GyratorSpec,
-    calibrate,
-    chain_transmission,
-    field_range,
-)
+from paramix.parity import GyratorSpec, calibrate, chain_transmission, field_range
 from paramix.schemas import SCHEMA_TAG
 
 
@@ -56,52 +49,41 @@ def test_gyrator_matrix_is_nonreciprocal():
 
 
 def test_chain_spec_needs_a_gyrator():
-    with pytest.raises(ValueError, match="at least one"):
-        ChainSpec(())
+    # an empty chain is refused before any chain is reduced
+    for chains in ([()], [(GyratorSpec(),), []]):
+        with pytest.raises(ValueError, match="chain needs at least one gyrator"):
+            chain_transmission(chains)
 
 
 def test_calibration_phase_is_zero():
     assert calibrate() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_the_trim_phasor_is_exact_at_every_quarter_turn():
-    # calibrate() measures at trim pi: that phasor is exactly -1, not (-1, 1.2e-16)
-    for k in range(-8, 9):
-        assert repr(parity._trim_phasor(k * (math.pi / 2.0))) == repr(turn_phasor(k))
-    for psi in (0.3, -2.0, 3.0, 10.0):
-        assert abs(parity._trim_phasor(psi) - cmath.exp(1j * psi)) < 1e-15
-
-
 def test_transmission_reads_parity_xor():
-    psi = calibrate()
     for n in (1, 2, 3):
         for parities in itertools.product(("even", "odd"), repeat=n):
             for pumps in (("P1",) * n, ("P2",) * n, tuple("P1" if k % 2 else "P2" for k in range(n))):
-                chain = ChainSpec(
-                    tuple(GyratorSpec(p, q) for p, q in zip(parities, pumps)),
-                    calibration_phase_rad=psi,
-                )
+                chain = tuple(GyratorSpec(p, q) for p, q in zip(parities, pumps))
                 xor = sum(1 for p in parities if p == "odd") % 2
                 assert abs(chain_transmission([chain])[0]) == pytest.approx(float(xor), abs=1e-12)
 
 
 def test_even_cells_do_not_change_an_odd_chain():
-    psi = calibrate()
     base = (GyratorSpec("odd", "P1"),)
     grown = base + (GyratorSpec("even", "P2"), GyratorSpec("even", "P1"))
-    t_base, t_grown = chain_transmission([ChainSpec(base, psi), ChainSpec(grown, psi)])
+    t_base, t_grown = chain_transmission([base, grown])
     assert abs(abs(t_base) - abs(t_grown)) < 1e-12
 
 
 def test_chain_order_does_not_matter():
-    psi = calibrate()
     specs = (
         GyratorSpec("odd", "P1"),
         GyratorSpec("even", "P2"),
         GyratorSpec("odd", "P2"),
         GyratorSpec("even", "P1"),
     )
-    chains = [ChainSpec(perm, psi) for perm in itertools.permutations(specs)]
+    # a chain may be any sequence of specs
+    chains = [list(perm) for perm in itertools.permutations(specs)]
     mags = {round(abs(t), 12) for t in chain_transmission(chains)}
     assert mags == {0.0}
 
@@ -111,11 +93,7 @@ def _seeded_chains(seed):
     rng = np.random.default_rng(seed)
     bits = [b for n in range(1, 7) for b in itertools.product(("even", "odd"), repeat=n)]
     bits += [tuple(rng.choice(("even", "odd"), 64)) for _ in range(4)]
-    psi = calibrate()
-    return [
-        ChainSpec(tuple(GyratorSpec(str(p), str(rng.choice(("P1", "P2")))) for p in b), psi)
-        for b in bits
-    ]
+    return [tuple(GyratorSpec(str(p), str(rng.choice(("P1", "P2")))) for p in b) for b in bits]
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +110,7 @@ def test_every_amplitude_is_exactly_the_parity(chains_alone):
     c = HYBRID.s[0, 2].real
     chains, alone = chains_alone
     for chain, t in zip(chains, alone):
-        odd = sum(g.parity_bit for g in chain.gyrators) % 2
+        odd = sum(g.parity_bit for g in chain) % 2
         assert abs(t) == (2.0 * c * c if odd else 0.0)
     psi = calibrate()
     assert psi == 0.0 and math.copysign(1.0, psi) == 1.0
