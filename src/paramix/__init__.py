@@ -19,7 +19,6 @@ from .network import ConnectionGraph, ScatteringMatrix, connect
 from .mixer import JpcParams, flux_tuning_curve, r_a_of_frequency, t_of_frequency
 from .isolator import (
     JisConfig,
-    closed_form_4port,
     closed_form_from_config,
     composed_4port,
     effective_2port_sweep,

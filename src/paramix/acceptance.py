@@ -32,14 +32,12 @@ from .analysis import (
 )
 from .isolator import (
     added_noise,
-    closed_form_4port,
     closed_form_from_config,
     composed_4port,
     default_grid,
     effective_2port_sweep,
     feed_sin_phi,
     make_jis,
-    on_resonance_2port,
     reference_device,
 )
 from .mixer import RHO_5050
@@ -78,12 +76,11 @@ def _random_config(rng):
 
 
 def crit_closed_form_anchors() -> CriterionResult:
-    closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0, np.pi / 2.0)
-    runtime = min(
-        _timed(lambda: closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0, np.pi / 2.0))
-        for _ in range(5)
-    )
-    S = closed_form_4port(1.0 / _SQ2, 1.0 / _SQ2, -np.pi / 2.0, np.pi / 2.0).s
+    # t = r = 1/sqrt2 and alpha = 1/sqrt2; P1 at zero flux is phi = -pi/2, phi_s = pi/2
+    cfg = make_jis(6.84, 9.567, 40.0, 100.0, rho=RHO_5050, alpha_mag=1.0 / _SQ2)
+    closed_form_from_config(cfg)
+    runtime = min(_timed(lambda: closed_form_from_config(cfg)) for _ in range(5))
+    S = closed_form_from_config(cfg).s
     dev21 = abs(abs(S[1, 0]) - 2.0 * _SQ2 / 3.0)
     dev0 = max(abs(S[0, 1]), abs(S[0, 0]), abs(S[1, 1]))
     fast = runtime < 1e-3
@@ -105,9 +102,11 @@ def crit_pump_off_transparency() -> CriterionResult:
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = expected[1, 0] = 1j
     expected[2, 2] = expected[3, 3] = -1.0
+    # every |alpha|, 1 included, both feeds and all four flux-parity pairs
+    points = itertools.product((0.0, 0.7, 1.0 / _SQ2, 1.0), ("P1", "P2"), (-1.0, 1.0), (-1.0, 1.0))
     exact = all(
-        np.array_equal(closed_form_4port(0.0, alpha, phi, phi_s).s, expected)
-        for alpha, phi, phi_s in ((0.7, 0.3, 1.1), (0.0, -2.0, 0.4), (1.0 / _SQ2, 0.0, 0.0))
+        np.array_equal(closed_form_from_config(make_jis(6.84, 9.567, 40.0, 100.0, 0.0, *point)).s, expected)
+        for point in points
     )
     return CriterionResult(
         2, "pump-off transparency", exact, "matrix equals transparency literal exactly" if exact else "NOT exact"
@@ -116,15 +115,7 @@ def crit_pump_off_transparency() -> CriterionResult:
 
 def crit_unitarity() -> CriterionResult:
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(1000):
-        S = closed_form_4port(
-            rng.uniform(0.0, 1.0),
-            1.0 / _SQ2,
-            rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
-            rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
-        )
-        worst = max(worst, check_unitarity(S))
+    worst = max(check_unitarity(closed_form_from_config(_random_config(rng))) for _ in range(1000))
     return CriterionResult(
         3, "unitarity sampling", worst < 1e-9, f"max |S^H S - I| = {worst:.2e} over 1000 draws"
     )
@@ -133,17 +124,15 @@ def crit_unitarity() -> CriterionResult:
 def crit_cross_equivalence() -> CriterionResult:
     rng = np.random.default_rng(4)
     worst_pair = 0.0
+    worst_res = 0.0
     for _ in range(1000):
         cfg = _random_config(rng)
-        dev = np.max(np.abs(composed_4port(cfg).s - closed_form_from_config(cfg).s))
-        worst_pair = max(worst_pair, float(dev))
-    worst_res = 0.0
-    for _ in range(100):
-        t = rng.uniform(0.0, 1.0)
-        phi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
-        S = closed_form_4port(t, 1.0 / _SQ2, phi, rng.uniform(-2.0 * np.pi, 2.0 * np.pi)).s
-        tp = on_resonance_2port(t, phi)
-        worst_res = max(worst_res, float(np.max(np.abs(S[:2, :2] - tp.s))))
+        S = closed_form_from_config(cfg).s
+        worst_pair = max(worst_pair, float(np.max(np.abs(composed_4port(cfg).s - S))))
+        # the signal block is the delay-free sweep at f_a
+        sw = effective_2port_sweep(cfg, np.array([cfg.f_a_ghz]))
+        swept = np.array([[sw.s11[0], sw.s12[0]], [sw.s21[0], sw.s22[0]]])
+        worst_res = max(worst_res, float(np.max(np.abs(S[:2, :2] - swept))))
     passed = worst_pair < 1e-9 and worst_res < 1e-12
     detail = f"composed vs closed {worst_pair:.2e}; 2-port restriction {worst_res:.2e}"
     return CriterionResult(4, "model cross-equivalence", passed, detail)

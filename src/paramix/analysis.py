@@ -361,6 +361,9 @@ def eta_from_separation(
 def t_phi(t1_us: float, t2e_us: float) -> float:
     """Pure dephasing time from 1/T_phi = 1/T2E - 1/(2 T1), in us.
 
+    Evaluated as T2E (T1 / (T1 - T2E/2)): the difference is exact where the
+    rates would cancel (T2E near 2 T1), and no product of the two times can
+    overflow.
     T1 may be inf (energy decay negligible), in which case T_phi = T2E.
     T2E at or above the 2 T1 ceiling leaves no dephasing to resolve.
     """
@@ -368,13 +371,15 @@ def t_phi(t1_us: float, t2e_us: float) -> float:
         raise ValueError("T1 and T2E must be positive")
     if t2e_us >= 2.0 * t1_us:
         raise NumericalError("no measurable dephasing")
-    rate = 1.0 / t2e_us - 1.0 / (2.0 * t1_us)
-    if not 0.0 < rate < math.inf:
-        # times near the smallest floats overflow the rates
+    if math.isinf(t1_us):
+        return t2e_us
+    tp = t2e_us * (t1_us / (t1_us - 0.5 * t2e_us))
+    if not 0.0 < 1.0 / tp < math.inf:
+        # times near the smallest floats overflow the rate 1 / T_phi
         raise NumericalError(
             f"dephasing rate is out of range for t1_us={t1_us:g}, t2e_us={t2e_us:g}"
         )
-    return 1.0 / rate
+    return tp
 
 
 def nbar_from_dephasing(t_phi_us: float, kappa_mhz: float, chi_mhz: float) -> float:

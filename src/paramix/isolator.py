@@ -12,19 +12,18 @@ phase is k pi/2 with k a whole number of quarter turns: the feed's pump
 phase plus 2 n_g, a half turn per odd flux parity. JisConfig derives the
 pair (k1, k2) once; every phasor comes from these integers through the
 exact quarter-turn table of mixer.turn_phasor. phi and phi_s are the
-difference and sum of the stage phases; the closed form uses their halves,
-so a 2 pi shift shows in the signs of the port 3/4 columns (working points
-are quoted mod 2 pi). k1 - k2 is odd for every feed and flux parity, so
-sin phi = +-1 and cos phi = 0 exactly; the sweep kernel takes the exact
-sign from k1 - k2, and its S11 = S22 are exact zeros rather than a
-difference of two equal terms. The on-resonance 4-port is written once
-(_closed_form): closed_form_from_config feeds it exact turn phasors, and
-composed_4port (via connect(), stages mixer_2port(t, k1) and (t, k2)) checks it.
+difference and sum of the stage phases. k1 - k2 is odd for every feed and
+flux parity, so sin phi = +-1 and cos phi = 0 exactly: both the sweep
+kernel and the on-resonance 4-port take the exact sign from k1 - k2 and
+write S11 = S22 as exact zeros rather than a difference of two equal
+terms. The on-resonance 4-port is written once (closed_form_from_config);
+composed_4port (via connect(), stages mixer_2port(rho, k1) and
+(rho, k2)) checks it. Both read the stage's t and r from rho
+(mixer.amplitudes_on_resonance).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -35,9 +34,9 @@ from .mixer import (
     JpcParams,
     RHO_5050,
     amplitudes_of_frequency,
+    amplitudes_on_resonance,
     mixer_2port,
     n_g,
-    t_on_resonance,
     turn_phasor,
 )
 from .network import (
@@ -173,25 +172,38 @@ def reference_device(
 _PORTS_4 = ("1", "2", "3", "4")
 
 
-def _closed_form(t, r, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> ScatteringMatrix:
-    """closed_form_4port from the stage's conversion t and reflection r
-    (t^2 + r^2 = 1), up, um = e^{i (phi/2 +- pi/4)} and w_lo, w_hi =
-    e^{i (pi/4 -+ phi_s/2)}. Exact phasors give exact zeros; -0.0 is written 0.0.
+def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
+    """On-resonance 4-port scattering of the device in closed form.
+
+    The stage's (t, r) come from rho (amplitudes_on_resonance); the
+    internal coupler has through amplitude alpha = alpha_mag and branches
+    beta = sqrt(1 - alpha^2). dk = k1 - k2 and sk = k1 + k2 (quarter_turns)
+    are odd, so sin phi = +-1, cos phi = 0 and S11 = S22 are exact zeros,
+    and the half phases phi/2 +- pi/4 and pi/4 -+ phi_s/2 are (dk +- 1)/2
+    and (1 -+ sk)/2 whole quarter turns: every phasor is exact, and so are
+    the model's zeros (-0.0 is written 0.0). With no conversion (rho = 0)
+    the device is exactly transparent: S21 = S12 = i, full reflection -1 at
+    the internal taps. alpha = 1 with rho > 0 raises SingularResponseError.
+    jis-4port writes this matrix; it reads no delay line or linewidth.
     """
+    t, r = amplitudes_on_resonance(config.rho)
     if t == 0.0:
         s = np.diag(np.array([0, 0, -1, -1], dtype=complex))
         s[0, 1] = s[1, 0] = 1j
         return ScatteringMatrix(_PORTS_4, s)
+    alpha = config.alpha_mag
     beta = math.sqrt(1.0 - alpha**2)
     if beta == 0.0:
         raise SingularResponseError("alpha = 1 with t > 0 leaves the internal line unloaded")
 
+    k1, k2 = config.quarter_turns
+    dk, sk = k1 - k2, k1 + k2
+    up, um, w_lo, w_hi = (turn_phasor(k // 2) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
     ab2 = alpha / beta**2
     d = 1.0 + (alpha**2 / beta**2) * t**2
     conv = ab2 * t**2 / d
-    s11 = complex(0.0, -conv * cos_phi)  # = S22
-    s21 = complex(0.0, (r - ab2 * t**2 * sin_phi) / d)
-    s12 = complex(0.0, (r + ab2 * t**2 * sin_phi) / d)
+    s21 = complex(0.0, (r - ab2 * t**2 * config.sin_phi) / d)
+    s12 = complex(0.0, (r + ab2 * t**2 * config.sin_phi) / d)
 
     ra = r * alpha
     a_p, b_p = ra * up + up.conjugate(), up + ra * up.conjugate()
@@ -200,8 +212,8 @@ def _closed_form(t, r, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> Scatterin
     lo, hi = pre * w_lo, pre * w_hi
     s = np.array(
         [
-            [s11, s12, lo * a_p, lo * b_p],
-            [s21, s11, lo * a_m, lo * b_m],
+            [0.0, s12, lo * a_p, lo * b_p],
+            [s21, 0.0, lo * a_m, lo * b_m],
             [hi * b_m, hi * b_p, -r / d, conv],
             [hi * a_m, hi * a_p, conv, -r / d],
         ],
@@ -210,66 +222,18 @@ def _closed_form(t, r, alpha, sin_phi, cos_phi, up, um, w_lo, w_hi) -> Scatterin
     return ScatteringMatrix(_PORTS_4, s + 0.0)
 
 
-# e^{i pi/4}, correctly rounded: closed_form_4port's one phasor off the quarter turns
-_EIGHTH_PHASOR = complex(math.sqrt(0.5), math.sqrt(0.5))
-
-
-def closed_form_4port(t: float, alpha: float, phi_rad: float, phi_s_rad: float) -> ScatteringMatrix:
-    """On-resonance 4-port scattering of the device in closed form.
-
-    t is the per-stage conversion amplitude, alpha the through amplitude of
-    the lossless internal coupler (its branches carry beta = sqrt(1 -
-    alpha^2)), phi and phi_s the difference and sum of the generalized stage
-    phases (finite reals; their halves appear directly, so values matter
-    mod 4 pi). With no conversion (t = 0) the device is exactly transparent:
-    S21 = S12 = i, full reflection -1 at the internal taps. alpha = 1 with
-    t > 0 raises SingularResponseError.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not (math.isfinite(phi_rad) and math.isfinite(phi_s_rad)):
-        raise ValueError("phi_rad and phi_s_rad must be finite")
-    q, eh = _EIGHTH_PHASOR, cmath.exp(0.5j * phi_rad)
-    up, um = eh * q, eh * q.conjugate()
-    w_lo, w_hi = cmath.exp(-0.5j * phi_s_rad) * q, cmath.exp(0.5j * phi_s_rad) * q
-    r = math.sqrt(1.0 - t**2)
-    return _closed_form(t, r, alpha, math.sin(phi_rad), math.cos(phi_rad), up, um, w_lo, w_hi)
-
-
-def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
-    """closed_form_4port at the config's working point, from exact phasors.
-
-    dk = k1 - k2 and sk = k1 + k2 (quarter_turns) are odd, so the half phases
-    phi/2 +- pi/4 and pi/4 -+ phi_s/2 are (dk +- 1)/2 and (1 -+ sk)/2 whole
-    quarter turns and cos phi is 0: the model's zeros come out exact. r is
-    (1 - rho^2) / (1 + rho^2), which does not cancel as rho -> 1 the way
-    sqrt(1 - t^2) does. jis-4port writes this matrix; it reads no delay
-    line or linewidth.
-    """
-    k1, k2 = config.quarter_turns
-    dk, sk = k1 - k2, k1 + k2
-    up, um, w_lo, w_hi = (turn_phasor(k // 2) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
-    rho = config.rho
-    t, r = t_on_resonance(rho), (1.0 - rho) * (1.0 + rho) / (1.0 + rho**2)
-    return _closed_form(t, r, config.alpha_mag, config.sin_phi, 0.0, up, um, w_lo, w_hi)
-
-
 def composed_4port(config: JisConfig) -> ScatteringMatrix:
     """Same on-resonance 4-port, built by joining the constituent elements.
 
     Hybrid on the signal side, one 2-port converter per stage, and the
-    internal coupler with its two taps. Agrees with closed_form_4port
+    internal coupler with its two taps. Agrees with closed_form_from_config
     entrywise for every working point; the independent check of criterion 4.
     """
-    t = t_on_resonance(config.rho)
     k1, k2 = config.quarter_turns
     elements = {
         "hyb": HYBRID,
-        "st1": mixer_2port(t, k1),
-        "st2": mixer_2port(t, k2),
+        "st1": mixer_2port(config.rho, k1),
+        "st2": mixer_2port(config.rho, k2),
         "cpl": lossy_coupler(config.alpha_mag),
     }
     joints = (
@@ -280,25 +244,6 @@ def composed_4port(config: JisConfig) -> ScatteringMatrix:
     )
     external = (("hyb", "1"), ("hyb", "2"), ("cpl", "3"), ("cpl", "4"))
     return ScatteringMatrix(_PORTS_4, connect(ConnectionGraph(elements, joints, external)).s)
-
-
-def on_resonance_2port(t: float, phi_rad: float) -> ScatteringMatrix:
-    """Signal-side 2-port at zero detuning with a symmetric internal split.
-
-    S21 = i (sqrt(1 - t^2) - sqrt2 t^2 sin phi) / (1 + t^2) and S12 with the
-    opposite sign of the sin term; reflections share the cos phi quadrature.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    if not np.isfinite(phi_rad):
-        raise ValueError("phi_rad must be finite")
-    r = np.sqrt(1.0 - t**2)
-    d = 1.0 + t**2
-    s21 = 1j * (r - np.sqrt(2.0) * t**2 * np.sin(phi_rad)) / d
-    s12 = 1j * (r + np.sqrt(2.0) * t**2 * np.sin(phi_rad)) / d
-    s11 = s22 = -1j * np.sqrt(2.0) * t**2 * np.cos(phi_rad) / d
-    return ScatteringMatrix(("1", "2"), [[s11, s12], [s21, s22]])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ isolator adds that half turn to each stage's phase (isolator.stage_quarters).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +38,15 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def t_on_resonance(rho: float) -> float:
-    """Conversion amplitude 2 rho / (1 + rho^2) at zero detuning."""
+def amplitudes_on_resonance(rho: float) -> tuple[float, float]:
+    """Conversion t = 2 rho / (1 + rho^2) and reflection r of one stage at zero detuning.
+
+    r = (1 - rho)(1 + rho) / (1 + rho^2) keeps its digits as rho -> 1, where
+    sqrt(1 - t^2) cancels; rho = 1 gives exactly t = 1 and r = 0.
+    """
     rho = _check_rho(rho)
-    return 2.0 * rho / (1.0 + rho**2)
+    den = 1.0 + rho**2
+    return 2.0 * rho / den, (1.0 - rho) * (1.0 + rho) / den
 
 
 def chi_inv(f1_ghz: float, f_a_ghz: float, gamma_mhz: float) -> complex:
@@ -190,23 +194,21 @@ _CONVERSION = np.array([[[0.0, -q.conjugate()], [-q, 0.0]] for q in _QUARTER_PHA
 _REFLECTION = np.diag([1.0, -1.0])
 
 
-def mixer_2port(t: float, quarter_turns) -> ScatteringMatrix:
-    """On-resonance 2-port of one converter stage on ports (a, b).
+def mixer_2port(rho: float, quarter_turns) -> ScatteringMatrix:
+    """On-resonance 2-port of one converter stage, pump strength rho, on ports (a, b).
 
-    S = [[r, -t e^{-i phi'}], [-t e^{+i phi'}, -r]] with r = sqrt(1 - t^2)
-    and phi' = k pi/2, k quarter_turns: conversion a->b picks up +phi', b->a
-    picks up -phi', reflection is +r at the signal port and -r at the
-    internal port. These signs are pinned jointly with lossy_coupler by the
-    pump-off and 50:50 composed matrices. At full conversion (t = 1, r = 0)
-    the stage is an ideal gyrator whose two directions differ by -1 at every
-    odd k. k is one int or a (B,) int array, giving a (B, 2, 2) stack; any
-    other phase (a float or a bool) raises ValueError. Phasors are exact.
+    S = [[r, -t e^{-i phi'}], [-t e^{+i phi'}, -r]] with (t, r) =
+    amplitudes_on_resonance(rho) and phi' = k pi/2, k quarter_turns:
+    conversion a->b picks up +phi', b->a picks up -phi', reflection is +r at
+    the signal port and -r at the internal port. These signs are pinned
+    jointly with lossy_coupler by the pump-off and 50:50 composed matrices.
+    At rho = 1 (exactly t = 1, r = 0) the stage is an ideal gyrator whose two
+    directions differ by -1 at every odd k. k is one int or a (B,) int
+    array, giving a (B, 2, 2) stack; any other phase (a float or a bool)
+    raises ValueError. Phasors are exact.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+    t, r = amplitudes_on_resonance(rho)
     k = np.asarray(quarter_turns)
     if k.dtype.kind not in "iu":
         raise ValueError("quarter_turns must be an int or an array of ints")
-    r = math.sqrt(1.0 - t**2)
     return ScatteringMatrix(("a", "b"), (t * _CONVERSION + r * _REFLECTION)[k % 4])

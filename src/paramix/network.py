@@ -137,14 +137,14 @@ class ConnectionGraph:
     """Named element matrices plus internal joints; unjoined ports are the external ones.
 
     Each joint pairs (element_name, port_label) with another such pair. A
-    port may appear in at most one joint. external, if given, fixes the
-    order of the reduced matrix's ports; otherwise external ports keep
-    element (insertion) order. External labels are "element.port".
+    port may appear in at most one joint. external names every unjoined
+    port once, in the order of the reduced matrix's ports. External labels
+    are "element.port".
     """
 
     elements: dict[str, ScatteringMatrix]
     joints: tuple[Joint, ...]
-    external: tuple[tuple[str, str], ...] = ()
+    external: tuple[tuple[str, str], ...]
 
 
 def _plan(graph: ConnectionGraph):
@@ -171,15 +171,13 @@ def _plan(graph: ConnectionGraph):
         partner[ia] = ib
         partner[ib] = ia
 
-    ext_refs = [ref for ref, i in index.items() if i not in partner]
-    if graph.external:
-        if sorted(graph.external) != sorted(ext_refs):
-            raise ValueError("external list must name exactly the unjoined ports")
-        ext_refs = list(graph.external)
-    ext = [index[r] for r in ext_refs]
+    unjoined = [ref for ref, i in index.items() if i not in partner]
+    if sorted(graph.external) != sorted(unjoined):
+        raise ValueError("external list must name exactly the unjoined ports")
+    ext = [index[r] for r in graph.external]
     internal = sorted(partner)
     gather = np.ix_(ext + [partner[g] for g in internal], ext + internal)
-    labels = tuple(f"{name}.{port}" for name, port in ext_refs)
+    labels = tuple(f"{name}.{port}" for name, port in graph.external)
     return gather, len(ext), labels
 
 

@@ -1,19 +1,20 @@
 """Joint-parity detection with chained nonreciprocal phase shifters.
 
 Each device in the chain acts on the top arm of a Mach-Zehnder as an ideal
-gyrator: a converter stage at full conversion, mixer_2port(1, k) with r = 0,
-whose phase k (GyratorSpec.quarter_turns) is the isolator's stage-phase
-difference in quarter turns for its feed and joint flux parity p
-(isolator.stage_quarters). Its forward transmission is -i^k = i(-1)^p for
-pump feed P1 and the conjugate for P2. A chain of N such devices would
-accumulate a parity-independent i^N (or mixed-feed) reference on top of the
-(-1)^{sum p} signal; physically each unit cell is embedded in a line trimmed
-to an integer number of wavelengths, so the chain builder pairs every
-gyrator with a matching segment that cancels its even-parity transmission.
-Both are exact quarter-turn phasors (mixer.turn_phasor), so the cell
-contributes exactly +1 (even) or -1 (odd), a single interferometer
-calibration then nulls the dark port exactly for every chain length and
-pump mix, and the bright port reads out the XOR of the parities.
+gyrator: a converter stage at rho = 1, mixer_2port(1, k) with exactly
+t = 1 and r = 0, whose phase k (GyratorSpec.quarter_turns) is the
+isolator's stage-phase difference in quarter turns for its feed and joint
+flux parity p (isolator.stage_quarters). Its forward transmission is
+-i^k = i(-1)^p for pump feed P1 and the conjugate for P2. A chain of N
+such devices would accumulate a parity-independent i^N (or mixed-feed)
+reference on top of the (-1)^{sum p} signal; physically each unit cell is
+embedded in a line trimmed to an integer number of wavelengths, so the
+chain builder pairs every gyrator with a matching segment that cancels
+its even-parity transmission. Both are exact quarter-turn phasors
+(mixer.turn_phasor), so the cell contributes exactly +1 (even) or -1
+(odd), a single interferometer calibration then nulls the dark port
+exactly for every chain length and pump mix, and the bright port reads out
+the XOR of the parities.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from paramix.analysis import gamma0, to_power_dB
-from paramix.isolator import _EIGHTH_PHASOR, JisConfig, closed_form_from_config
-from paramix.mixer import RHO_5050, JpcParams, amplitudes_of_frequency, t_on_resonance, turn_phasor
+from paramix.analysis import gamma0, nbar_from_dephasing, t_phi, to_power_dB
+from paramix.isolator import JisConfig, closed_form_from_config
+from paramix.mixer import RHO_5050, JpcParams, amplitudes_of_frequency, amplitudes_on_resonance, turn_phasor
 from paramix.network import HYBRID, delay_phase_rad
 from paramix.parity import GyratorSpec, chain_transmission
 
@@ -35,19 +35,14 @@ def test_the_quarter_table_is_exact():
                 assert part == mpmath.nint(value) and abs(value - part) < mpmath.mpf("1e-35")
 
 
-def test_the_oracle_eighth_turn_is_root_half_correctly_rounded():
-    with mp.workdps(40):
-        root_half = mpmath.sqrt(mpmath.mpf(1) / 2)
-        assert _EIGHTH_PHASOR.real == _EIGHTH_PHASOR.imag
-        assert _ulps(_EIGHTH_PHASOR.real, root_half) < 0.5
-
-
 def test_the_hybrid_entry_is_one_ulp_below_root_half():
     with mp.workdps(40):
+        root_half = mpmath.sqrt(mpmath.mpf(1) / 2)
         c = float(HYBRID.s[0, 2].real)
         assert np.all(np.abs(HYBRID.s[HYBRID.s != 0]) == c)
-        assert mpmath.mpf(c) < mpmath.sqrt(mpmath.mpf(1) / 2)
-        assert math.nextafter(c, 1.0) == _EIGHTH_PHASOR.real
+        # the float above c is root half correctly rounded
+        assert mpmath.mpf(c) < root_half
+        assert _ulps(math.nextafter(c, 1.0), root_half) < 0.5
     # so an odd chain, which carries 2 c^2, has |t| = 1 - 2^-52 and not 1
     assert 2.0 * c * c == 1.0 - 2.0**-52
     odd = chain_transmission([(GyratorSpec("odd"),)])[0]
@@ -59,7 +54,19 @@ def test_the_hybrid_entry_is_one_ulp_below_root_half():
 def test_t_on_resonance_is_within_two_ulp(rho):
     with mp.workdps(40):
         r = mpmath.mpf(rho)
-        assert _ulps(t_on_resonance(rho), 2 * r / (1 + r * r)) <= 2.0
+        assert _ulps(amplitudes_on_resonance(rho)[0], 2 * r / (1 + r * r)) <= 2.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from((0.975, 0.9999999, 1.0 - 2.0**-40, 1.0)) | st.floats(0.0, 1.0))
+def test_the_stage_reflection_is_within_3_ulp(rho):
+    # (1 - rho)(1 + rho) keeps its digits as rho -> 1, where sqrt(1 - t^2)
+    # is 4e-4 off at rho = 0.9999999; rho = 1 gives exactly r = 0
+    r = amplitudes_on_resonance(rho)[1]
+    with mp.workdps(40):
+        x = mpmath.mpf(rho)
+        exact = (1 - x * x) / (1 + x * x)
+        assert r == 0.0 if exact == 0 else _ulps(r, exact) <= 3.0
 
 
 CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -173,3 +180,24 @@ def test_the_power_in_dB_is_within_5e_15_plus_2_ulp(log10_mag, angle):
         exact = 10 * mpmath.log10(abs(mpmath.mpc(s)) ** 2)
         assert abs(mpmath.mpf(got) - exact) <= 5e-15 + 2 * math.ulp(got)
     assert to_power_dB(0j) == -math.inf
+
+
+@settings(CONTRACT)
+@given(_weighted(1e-3, 1e6, 60.0), _weighted(1e-6, 1.0, 0.45, 0.5, 1.0 - 1e-9))
+def test_t_phi_is_within_3_ulp(t1_us, fraction):
+    # T2E from 1e-6 of the 2 T1 ceiling up to the float just below it, where
+    # 1/T2E - 1/(2 T1) cancels to nothing
+    t2e_us = min(2.0 * t1_us * fraction, math.nextafter(2.0 * t1_us, 0.0))
+    with mp.workdps(40):
+        t1, t2e = mpmath.mpf(t1_us), mpmath.mpf(t2e_us)
+        assert _ulps(t_phi(t1_us, t2e_us), 2 * t1 * t2e / (2 * t1 - t2e)) <= 3.0
+    assert t_phi(math.inf, t2e_us) == t2e_us
+
+
+@settings(CONTRACT)
+@given(_weighted(1e-3, 1e6, 98.0), _weighted(1e-3, 1e3, 1.1), _weighted(1e-3, 1e3, 0.94))
+def test_nbar_from_dephasing_is_within_8_ulp(t_phi_us, kappa_mhz, chi_mhz):
+    with mp.workdps(40):
+        kappa, chi = 2 * mpmath.pi * mpmath.mpf(kappa_mhz), 2 * mpmath.pi * mpmath.mpf(chi_mhz)
+        exact = (kappa**2 + chi**2) / (mpmath.mpf(t_phi_us) * kappa * chi**2)
+        assert _ulps(nbar_from_dephasing(t_phi_us, kappa_mhz, chi_mhz), exact) <= 8.0

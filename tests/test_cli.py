@@ -414,7 +414,8 @@ def test_selftest_runs_clean_and_repeats_byte_identically(tmp_path, capsys, batt
 def test_one_process_runs_every_command_to_the_golden_bytes(tmp_path):
     from test_golden import CASES, GOLDEN
 
-    # the parser and the network plans are built once and reused by every call
+    # the parser is built once and reused by every call; connect plans each
+    # graph afresh
     for round_ in range(2):
         for k, (command, fmt, payload, names) in enumerate(CASES):
             out = tmp_path / f"{round_}-{k}"

@@ -17,7 +17,7 @@ from paramix.formats import (
     write_json_rows,
     write_touchstone,
 )
-from paramix.isolator import closed_form_4port, default_grid
+from paramix.isolator import closed_form_from_config, default_grid, make_jis
 from paramix.mixer import JpcParams, amplitudes_of_frequency
 from paramix.schemas import SCHEMA_TAG
 
@@ -96,7 +96,7 @@ def test_touchstone_two_port(tmp_path):
 
 def test_touchstone_four_port(tmp_path):
     path = tmp_path / "t.s4p"
-    s = closed_form_4port(0.3, 0.51, -np.pi / 2.0, np.pi / 2.0)
+    s = closed_form_from_config(make_jis(6.84, 9.567, 40.0, 100.0, rho=0.15, alpha_mag=0.51))
     write_touchstone(path, [0.0], s.s[np.newaxis])
     lines = path.read_text().splitlines()
     assert lines[1] == "# GHz S RI R 50"

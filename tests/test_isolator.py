@@ -2,22 +2,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramix.errors import SingularResponseError
 from paramix.isolator import (
     JisConfig,
     added_noise,
-    closed_form_4port,
     closed_form_from_config,
     composed_4port,
     default_grid,
     effective_2port_sweep,
     make_jis,
-    on_resonance_2port,
     reference_device,
     turn_phasor,
 )
-from paramix.mixer import JpcParams, RHO_5050, n_g, t_on_resonance
+from paramix.mixer import JpcParams, RHO_5050, n_g
 from paramix.network import check_unitarity
 
 SQ2 = np.sqrt(2.0)
@@ -31,7 +31,8 @@ def test_turn_phasor_quarter_turns_are_exact():
 
 
 def test_fifty_fifty_matrix():
-    s = closed_form_4port(1.0 / SQ2, 1.0 / SQ2, -np.pi / 2.0, np.pi / 2.0).s
+    # t = r = 1/sqrt2, alpha = 1/sqrt2, P1 at zero flux: phi = -pi/2, phi_s = pi/2
+    s = closed_form_from_config(make_jis(6.84, 9.567, 40.0, 100.0, RHO_5050, 1.0 / SQ2)).s
     expected = np.array(
         [
             [0.0, 0.0, -1.0 / SQ2, -1.0 / SQ2],
@@ -49,46 +50,55 @@ def test_pump_off_is_exactly_transparent():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 1] = expected[1, 0] = 1j
     expected[2, 2] = expected[3, 3] = -1.0
-    s = closed_form_4port(0.0, 0.7, 0.3, 1.1)
-    assert np.array_equal(s.s, expected)
+    for alpha in (0.0, 0.3, 0.7, 1.0):
+        for pump in ("P1", "P2"):
+            for fx1, fx2 in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
+                cfg = make_jis(6.84, 9.567, 40.0, 100.0, 0.0, alpha, pump, fx1, fx2)
+                assert np.array_equal(closed_form_from_config(cfg).s, expected)
 
 
 def test_closed_form_validation():
-    with pytest.raises(ValueError, match="t must"):
-        closed_form_4port(1.5, 0.5, 0.0, 0.0)
-    with pytest.raises(ValueError, match="alpha must"):
-        closed_form_4port(0.5, 1.5, 0.0, 0.0)
-    # alpha = 1 with conversion is a numerical error (CLI exit 3), not a bad argument
-    with pytest.raises(SingularResponseError, match="unloaded"):
-        closed_form_4port(0.5, 1.0, 0.0, 0.0)
+    # the config checks rho and alpha_mag (test_jis_config_validation);
+    # alpha = 1 with conversion is a numerical error (CLI exit 3), not a bad
+    # argument
     with pytest.raises(SingularResponseError, match="unloaded"):
         closed_form_from_config(reference_device(alpha_mag=1.0))
     # alpha = 1 is fine when nothing converts
-    assert closed_form_4port(0.0, 1.0, 0.0, 0.0).s[0, 1] == 1j
     assert closed_form_from_config(reference_device(rho=0.0, alpha_mag=1.0)).s[0, 1] == 1j
 
 
-def test_phi_s_only_rotates_termination_references(rng):
-    for _ in range(20):
-        t = rng.uniform(0.05, 0.95)
-        phi = rng.uniform(-np.pi, np.pi)
-        a = closed_form_4port(t, 0.51, phi, 0.4).s
-        b = closed_form_4port(t, 0.51, phi, 2.9).s
-        assert np.max(np.abs(a[:2, :2] - b[:2, :2])) < 1e-15
-        assert np.max(np.abs(a[2:, 2:] - b[2:, 2:])) < 1e-15
-        assert np.max(np.abs(np.abs(a) - np.abs(b))) < 1e-12
-        assert np.max(np.abs(a[:2, 2:] - b[:2, 2:])) > 1e-3
+# the on-resonance config space: both feeds, all four flux-parity pairs (only
+# a flux's sign sets its parity), rho in [0, 1] and |alpha| in [0, 1), with
+# a share of the draws on the edges
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+ON_RESONANCE = st.builds(
+    lambda rho, alpha, pump, fx1, fx2: make_jis(6.84, 9.567, 40.0, 100.0, rho, alpha, pump, fx1, fx2),
+    st.sampled_from((0.0, RHO_5050, 1.0 - 2.0**-40, 1.0)) | st.floats(0.0, 1.0),
+    st.sampled_from((0.0, 1.0 / SQ2, 1.0 - 2.0**-27, 1.0 - 2.0**-53)) | st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from(("P1", "P2")),
+    st.sampled_from((-1.0, 1.0)),
+    st.sampled_from((-1.0, 1.0)),
+)
 
 
-def test_closed_form_unitary(rng):
-    for _ in range(50):
-        s = closed_form_4port(
-            rng.uniform(0.0, 1.0),
-            1.0 / SQ2,
-            rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
-            rng.uniform(-2.0 * np.pi, 2.0 * np.pi),
-        )
-        assert check_unitarity(s) <= 1e-12
+@PROPERTY
+@given(ON_RESONANCE)
+def test_closed_form_unitary(config):
+    assert check_unitarity(closed_form_from_config(config)) <= 1e-12
+
+
+@PROPERTY
+@given(ON_RESONANCE)
+def test_a_double_flux_flip_negates_only_the_cross_entries(config):
+    # flipping both fluxes turns phi_s or phi by a whole turn, and sin phi
+    # stays: only the half phases in the cross entries turn, by a half turn
+    s = closed_form_from_config(config).s
+    flipped = replace(config, phi_ext1_rad=-config.phi_ext1_rad, phi_ext2_rad=-config.phi_ext2_rad)
+    f = closed_form_from_config(flipped).s
+    assert f[:2, :2].tobytes() == s[:2, :2].tobytes()
+    assert f[2:, 2:].tobytes() == s[2:, 2:].tobytes()
+    # array_equal, as a model zero is written 0.0 either way
+    assert np.array_equal(f[:2, 2:], -s[:2, 2:]) and np.array_equal(f[2:, :2], -s[2:, :2])
 
 
 def test_composed_matches_closed_form(rng):
@@ -108,14 +118,18 @@ def test_composed_matches_closed_form(rng):
         assert dev < 1e-9
 
 
-def test_on_resonance_2port_is_symmetric_split_restriction(rng):
-    for _ in range(30):
-        t = rng.uniform(0.0, 1.0)
-        phi = rng.uniform(-2.0 * np.pi, 2.0 * np.pi)
-        s = closed_form_4port(t, 1.0 / SQ2, phi, 0.77).s
-        tp = on_resonance_2port(t, phi)
-        assert tp.ports == ("1", "2")
-        assert np.max(np.abs(s[:2, :2] - tp.s)) < 1e-12
+def test_composed_matches_closed_form_as_rho_goes_to_1():
+    # both take the stage's r = (1 - rho)(1 + rho) / (1 + rho^2) from rho;
+    # sqrt(1 - t^2) cancels here, 6e-14 relative at rho = 0.975 and 4e-4 at
+    # 0.9999999, and S33 = S44 = -r/d is that small
+    for rho in (0.975, 0.9999999, 1.0 - 2.0**-40):
+        for alpha in (0.3, 0.51, 0.9):
+            for pump in ("P1", "P2"):
+                cfg = make_jis(6.84, 9.567, 40.0, 100.0, rho, alpha, pump)
+                closed, composed = closed_form_from_config(cfg).s, composed_4port(cfg).s
+                assert np.max(np.abs(composed - closed)) < 2e-15
+                for k in (2, 3):
+                    assert abs(composed[k, k] / closed[k, k] - 1.0) < 1e-15
 
 
 def test_make_jis_and_config_properties():
@@ -182,7 +196,8 @@ def test_with_rho_replaces_both_stages():
 
 def test_effective_sweep_matches_on_resonance_2port():
     # symmetric split and no delay: the sweep restricted to resonance must
-    # reproduce the closed-form signal 2-port for every parity sector
+    # reproduce the signal 2-port of the on-resonance 4-port for every
+    # parity sector
     for rho in (0.0, 0.2, RHO_5050, 0.7, 1.0):
         for pump, (fx1, fx2) in (
             ("P1", (-1.0, -1.0)),
@@ -194,16 +209,15 @@ def test_effective_sweep_matches_on_resonance_2port():
                 phi_ext1_rad=fx1, phi_ext2_rad=fx2,
             )
             sw = effective_2port_sweep(cfg, np.array([6.84]))
-            tp = on_resonance_2port(t_on_resonance(rho), cfg.phi_rad)
             swept = np.array([[sw.s11[0], sw.s12[0]], [sw.s21[0], sw.s22[0]]])
-            assert np.max(np.abs(swept - tp.s)) < 1e-12
+            assert np.max(np.abs(swept - closed_form_from_config(cfg).s[:2, :2])) < 1e-12
 
 
 def test_the_4port_is_the_delay_free_sweep_at_f_a(reference):
-    # closed_form_from_config reads no delay line: at zero delay its S21 and
-    # S12 are the sweep's at f = f_a. Off the preset, r = sqrt(1 - t^2)
-    # cancels as rho -> 1 and alpha / beta^2 grows as alpha -> 1, which
-    # puts the two formulas up to 4.9e-15 apart over this grid.
+    # closed_form_from_config reads no delay line: at zero delay its signal
+    # block is the sweep's at f = f_a, with S11 = S22 exact zeros in both.
+    # Off the preset, alpha / beta^2 grows as alpha -> 1, which puts the two
+    # formulas up to 4.9e-15 apart over this grid.
     f_a = np.array([reference.f_a_ghz])
     for pump in ("P1", "P2"):
         for fx in (-1.0, 1.0):
@@ -218,6 +232,7 @@ def test_the_4port_is_the_delay_free_sweep_at_f_a(reference):
                 sw = effective_2port_sweep(cfg, f_a)
                 assert abs(four.entry("2", "1") - sw.s21[0]) <= tol
                 assert abs(four.entry("1", "2") - sw.s12[0]) <= tol
+                assert four.entry("1", "1") == four.entry("2", "2") == sw.s11[0] == sw.s22[0] == 0.0
 
 
 def test_pump_off_sweep_is_transparent(reference):

@@ -9,13 +9,13 @@ from paramix.mixer import (
     PRIMARY_LOBE_RAD,
     RHO_5050,
     amplitudes_of_frequency,
+    amplitudes_on_resonance,
     chi_inv,
     flux_tuning_curve,
     mixer_2port,
     n_g,
     r_a_of_frequency,
     t_of_frequency,
-    t_on_resonance,
     turn_phasor,
 )
 
@@ -30,32 +30,33 @@ def _r_on_resonance(rho):
 
 
 def test_on_resonance_extremes():
-    assert t_on_resonance(0.0) == 0.0
+    assert amplitudes_on_resonance(0.0) == (0.0, 1.0)
     assert _r_on_resonance(0.0) == 1.0
-    assert t_on_resonance(1.0) == 1.0
+    assert amplitudes_on_resonance(1.0) == (1.0, 0.0)
     assert _r_on_resonance(1.0) == 0.0
 
 
 def test_fifty_fifty_point():
     c = 1.0 / np.sqrt(2.0)
-    assert abs(t_on_resonance(RHO_5050) - c) < 1e-12
+    t, r = amplitudes_on_resonance(RHO_5050)
+    assert abs(t - c) < 1e-12 and abs(r - c) < 1e-12
     assert abs(_r_on_resonance(RHO_5050) - c) < 1e-12
     # independent root of t(rho) = 1/sqrt2 on the rising branch
-    root = optimize.brentq(lambda r: t_on_resonance(r) - c, 0.0, 0.5, xtol=1e-14)
+    root = optimize.brentq(lambda rho: amplitudes_on_resonance(rho)[0] - c, 0.0, 0.5, xtol=1e-14)
     assert abs(root - RHO_5050) < 1e-12
 
 
 def test_energy_split_on_resonance(rng):
     for rho in rng.uniform(0.0, 1.0, size=50):
-        t = t_on_resonance(rho)
-        r = _r_on_resonance(rho)
-        assert abs(t**2 + abs(r) ** 2 - 1.0) < 1e-12
+        t, r = amplitudes_on_resonance(rho)
+        assert abs(t**2 + r**2 - 1.0) < 1e-12
+        assert abs(_r_on_resonance(rho) - r) < 1e-15
 
 
 def test_rho_bounds():
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError):
-            t_on_resonance(bad)
+            amplitudes_on_resonance(bad)
 
 
 def test_chi_inv_halfwidth_points():
@@ -71,7 +72,7 @@ def test_chi_inv_halfwidth_points():
 def test_frequency_response_reduces_on_resonance(rng):
     for rho in rng.uniform(0.0, 1.0, size=10):
         p = _params(rho=rho)
-        assert t_of_frequency(p.f_a_ghz, p) == pytest.approx(t_on_resonance(rho), abs=1e-15)
+        assert t_of_frequency(p.f_a_ghz, p) == pytest.approx(amplitudes_on_resonance(rho)[0], abs=1e-15)
         assert r_a_of_frequency(p.f_a_ghz, p) == pytest.approx((1.0 - rho**2) / (1.0 + rho**2), abs=1e-15)
 
 
@@ -111,10 +112,11 @@ def test_jpc_params_validation():
 
 
 def test_mixer_2port_matrix():
-    t = 0.6
-    r = np.sqrt(1.0 - t**2)
+    # rho = 1/3: t = 0.6 and r = 0.8
+    t, r = amplitudes_on_resonance(1.0 / 3.0)
+    assert (t, r) == pytest.approx((0.6, 0.8), abs=1e-15)
     for k in range(-5, 6):
-        m = mixer_2port(t, k)
+        m = mixer_2port(1.0 / 3.0, k)
         phi = k * np.pi / 2.0
         assert m.entry("a", "a") == r
         assert m.entry("b", "b") == -r
@@ -125,7 +127,7 @@ def test_mixer_2port_matrix():
         assert m.entry("a", "b") == -t * turn_phasor(-k)
         dev = np.max(np.abs(m.s.conj().T @ m.s - np.eye(2)))
         assert dev < 1e-15
-    with pytest.raises(ValueError, match="t must"):
+    with pytest.raises(ValueError, match="rho must"):
         mixer_2port(1.2, 0)
     # a phase is a whole number of quarter turns, nothing else
     for bad in (0.5, 1.0, np.nan, np.inf, True, np.array([True]), [1, 0.5], "1"):
@@ -135,12 +137,12 @@ def test_mixer_2port_matrix():
 
 def test_mixer_2port_stacks_a_phase_array():
     turns = np.random.default_rng(11).integers(-9, 10, 16)
-    for t in (0.6, 1.0):
+    for rho in (1.0 / 3.0, 1.0):
         for stacked in (turns, turns.astype(np.int32), list(map(int, turns))):
-            stack = mixer_2port(t, stacked)
+            stack = mixer_2port(rho, stacked)
             assert stack.s.shape == (16, 2, 2) and stack.ports == ("a", "b")
             for k, q in enumerate(turns):
-                assert np.array_equal(stack.s[k], mixer_2port(t, q).s)
+                assert np.array_equal(stack.s[k], mixer_2port(rho, q).s)
     assert mixer_2port(1.0, np.array([1], dtype=np.uint8)).entry("b", "a") == [-1j]
     with pytest.raises(ValueError, match="quarter_turns"):
         mixer_2port(1.0, [0.0, np.nan])

@@ -28,10 +28,8 @@ CALLS = {
     "chi_inv.gamma_mhz": lambda: mixer.chi_inv(6.9, 6.84, NAN),
     "flux_tuning_curve": lambda: mixer.flux_tuning_curve(NAN),
     "flux_tuning_curve.array": lambda: mixer.flux_tuning_curve(np.array([0.0, NAN, 1.0])),
+    "mixer_2port.rho": lambda: mixer.mixer_2port(NAN, 1),
     "mixer_2port.quarter_turns": lambda: mixer.mixer_2port(0.5, NAN),
-    "closed_form_4port.phi_rad": lambda: isolator.closed_form_4port(0.5, 0.51, NAN, 0.3),
-    "closed_form_4port.phi_s_rad": lambda: isolator.closed_form_4port(0.5, 0.51, 0.3, NAN),
-    "on_resonance_2port.phi_rad": lambda: isolator.on_resonance_2port(0.5, NAN),
     "gamma0": lambda: analysis.gamma0(NAN, 100.0),
     "field_range": lambda: parity.field_range(NAN),
     "theta_from_chi_kappa": lambda: analysis.theta_from_chi_kappa(1.0, NAN),
@@ -39,6 +37,7 @@ CALLS = {
     "eta_from_separation.theta_deg": lambda: analysis.eta_from_separation(3.0, 1.0, 1.0, 1.0, NAN),
     "isolation_estimate_dB": lambda: analysis.isolation_estimate_dB(NAN, 1.0),
     "t_phi": lambda: analysis.t_phi(NAN, 10.0),
+    "t_phi.t2e_us": lambda: analysis.t_phi(10.0, NAN),
     "nbar_from_dephasing": lambda: analysis.nbar_from_dephasing(NAN, 1.0, 1.0),
     "default_grid.span_mhz": lambda: isolator.default_grid(pm.reference_device(), NAN),
 }

@@ -110,12 +110,13 @@ def test_connect_joint_validation():
     # a bad graph is never planned: the same call raises every time
     for _ in range(2):
         with pytest.raises(ValueError, match="unknown port"):
-            connect(ConnectionGraph(elems, ((("h", "9"), ("t", "1")),)))
+            connect(ConnectionGraph(elems, ((("h", "9"), ("t", "1")),), (("h", "1"),)))
         with pytest.raises(ValueError, match="at most one joint"):
             connect(
                 ConnectionGraph(
                     {**elems, "t2": _load(0.0)},
                     ((("h", "1p"), ("t", "1")), (("h", "1p"), ("t2", "1"))),
+                    (("h", "1"), ("h", "2"), ("h", "2p")),
                 )
             )
         with pytest.raises(ValueError, match="external list"):
@@ -138,8 +139,7 @@ def reference_connect(graph):
         partner[index[a]] = index[b]
         partner[index[b]] = index[a]
     internal = sorted(partner)
-    ext_refs = list(graph.external) or [r for r in refs if index[r] not in partner]
-    ext = [index[r] for r in ext_refs]
+    ext = [index[r] for r in graph.external]
     s_ee = s_full[np.ix_(ext, ext)]
     perm = np.zeros((len(internal), len(internal)))
     for k, g in enumerate(internal):
@@ -147,10 +147,10 @@ def reference_connect(graph):
     system = np.eye(len(internal)) - perm @ s_full[np.ix_(internal, internal)]
     a_int = np.linalg.solve(system, perm @ s_full[np.ix_(internal, ext)])
     s_red = s_ee + s_full[np.ix_(ext, internal)] @ a_int
-    return tuple(f"{name}.{port}" for name, port in ext_refs), s_red
+    return tuple(f"{name}.{port}" for name, port in graph.external), s_red
 
 
-def _loaded_line(length_um, reflection, external=()):
+def _loaded_line(length_um, reflection, external=(("h", "1"), ("h", "2"), ("h", "2p"))):
     return ConnectionGraph(
         {
             "h": HYBRID,
@@ -193,7 +193,12 @@ def test_a_reduction_leaves_its_element_matrices_bit_identical():
 
 def test_a_shared_element_matrix_is_read_only():
     h = HYBRID
-    first = connect(ConnectionGraph({"a": h, "b": h}, ((("a", "1p"), ("b", "1p")),)))
+    graph = ConnectionGraph(
+        {"a": h, "b": h},
+        ((("a", "1p"), ("b", "1p")),),
+        tuple((name, p) for name in "ab" for p in ("1", "2", "2p")),
+    )
+    first = connect(graph)
     with pytest.raises(ValueError, match="read-only"):
         h.s[0, 2] = 0.0
     # the input array stays the caller's: the matrix holds its own copy
@@ -201,12 +206,12 @@ def test_a_shared_element_matrix_is_read_only():
     m = ScatteringMatrix(("1", "2"), raw)
     raw[0, 0] = 5.0
     assert m.s[0, 0] == 1.0
-    again = connect(ConnectionGraph({"a": h, "b": h}, ((("a", "1p"), ("b", "1p")),)))
+    again = connect(graph)
     assert np.array_equal(again.s, first.s)
 
 
 def test_connect_no_joints_is_block_diagonal():
-    g = ConnectionGraph({"t": _load(0.25)}, ())
+    g = ConnectionGraph({"t": _load(0.25)}, (), (("t", "1"),))
     s = connect(g)
     assert s.ports == ("t.1",)
     assert s.s[0, 0] == 0.25
@@ -256,6 +261,7 @@ def _random_composition(rng):
             (("d", "2"), ("h2", "1p")),
             (("h1", "2p"), ("m", "a")),
         ),
+        (("h1", "1"), ("h1", "2"), ("m", "b"), ("h2", "1"), ("h2", "2"), ("h2", "2p")),
     )
 
 
@@ -271,6 +277,7 @@ def test_connect_singular_internal_network():
     g = ConnectionGraph(
         {"t1": _load(1.0), "t2": _load(1.0)},
         ((("t1", "1"), ("t2", "1")),),
+        (),
     )
     with pytest.raises(NonInvertibleNetworkError, match="non-invertible"):
         connect(g)
@@ -325,7 +332,7 @@ def test_a_single_matrix_element_broadcasts_over_the_stack(rng):
     everything = connect(_stacked(graphs)).s
     assert connect(_stacked(graphs, shared=("h1", "h2"))).s.tobytes() == everything.tobytes()
     # one delay line shared by all eight graphs
-    same_delay = [ConnectionGraph({**g.elements, "d": graphs[0].elements["d"]}, g.joints) for g in graphs]
+    same_delay = [ConnectionGraph({**g.elements, "d": graphs[0].elements["d"]}, g.joints, g.external) for g in graphs]
     got = connect(_stacked(same_delay, shared=("h1", "d", "h2"))).s
     for k, g in enumerate(same_delay):
         assert got[k].tobytes() == connect(g).s.tobytes()
@@ -349,7 +356,11 @@ def test_one_singular_member_fails_the_whole_stack():
 def test_stacks_of_unequal_size_are_refused():
     two = ScatteringMatrix(("1",), np.zeros((2, 1, 1)))
     three = ScatteringMatrix(("1",), np.zeros((3, 1, 1)))
-    graph = ConnectionGraph({"h": HYBRID, "a": two, "b": three}, ((("h", "1p"), ("a", "1")), (("h", "2p"), ("b", "1"))))
+    graph = ConnectionGraph(
+        {"h": HYBRID, "a": two, "b": three},
+        ((("h", "1p"), ("a", "1")), (("h", "2p"), ("b", "1"))),
+        (("h", "1"), ("h", "2")),
+    )
     with pytest.raises(ValueError, match="one stack size"):
         connect(graph)
 
