@@ -151,11 +151,13 @@ def bandwidth_attenuation_scan(
 class _LazyOptimize:
     """`scipy.optimize`, imported on the first attribute read.
 
-    Only the fit uses scipy, and importing it costs about 0.5 s and 48 MB, so
-    every other command starts without it. Each attribute read is cached on
-    this object, so `optimize.least_squares` can be looked up and replaced
-    like a module attribute (the benchmark's tracer wraps it there). Delete
-    it together with scipy once the fit is solved in closed form (ROADMAP
+    Only the fit's search uses scipy, and a fit runs it only for a pair with
+    no exact root (`_exact_roots`). Importing it costs about 0.5 s and 48 MB,
+    so every other command, and a fit of a pair on the model's image, runs
+    without it. Each attribute read is cached on this object, so
+    `optimize.least_squares` can be looked up and replaced like a module
+    attribute (the benchmark's tracer wraps it there). Delete it together
+    with scipy once off-image pairs are fitted in closed form too (ROADMAP
     item 2).
     """
 
@@ -170,10 +172,13 @@ class _LazyOptimize:
 optimize = _LazyOptimize()
 
 
-# Step of the fit's coarse (rho, |alpha|) start grid, and the residual spread
-# below which a surface counts as flat (non-identifiable).
+# Step of the fit's coarse (rho, |alpha|) grid, the residual spread below
+# which a surface counts as flat (non-identifiable), and the squared power
+# residual below which a point reproduces its pair exactly.
 _FIT_GRID_STEP = 0.005
+_FIT_GRID = np.arange(0.0, 1.0 + _FIT_GRID_STEP / 2.0, _FIT_GRID_STEP)
 _FIT_FLAT_TOL = 1e-12
+_FIT_EXACT_TOL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -211,60 +216,47 @@ def _on_resonance_powers(rho, alpha, sin_phi: int):
     return (refl - conv * sin_phi) ** 2, (refl + conv * sin_phi) ** 2
 
 
-def _signed_amplitude_roots(s21_sq: float, s12_sq: float) -> list:
-    """Solve for (rho, alpha) matching the amplitude pair under both signs
-    of the matched-direction amplitude; the power data cannot tell the two
-    apart, so both roots are fed to the final tie-break."""
-    u = math.sqrt(max(s21_sq, 0.0))
-    v = math.sqrt(max(s12_sq, 0.0))
-    roots = []
-    coarse = np.linspace(0.0, 1.0, 21)
-    cr, ca = np.meshgrid(coarse, coarse, indexing="ij")
-    for sign in (1.0, -1.0):
-        refl_t = (u + sign * v) / 2.0
-        conv_t = (u - sign * v) / 2.0
-        if conv_t < -1e-12 or refl_t < -1e-12:
-            continue
-
-        def fvec(x, rt=refl_t, ct=conv_t):
-            refl, conv = _refl_conv(x[0], x[1])
-            return [refl - rt, conv - ct]
-
-        gr, gc = _refl_conv(cr, ca)
-        gres = (gr - refl_t) ** 2 + (gc - conv_t) ** 2
-        flat_order = np.argsort(gres, axis=None, kind="stable")[:3]
-        for idx in flat_order:
-            sol = optimize.least_squares(
-                fvec,
-                x0=[float(cr.flat[idx]), float(ca.flat[idx])],
-                bounds=([0.0, 0.0], [1.0, 1.0]),
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-            )
-            if float(sol.fun[0] ** 2 + sol.fun[1] ** 2) < 1e-18:
-                roots.append((float(sol.x[0]), float(sol.x[1])))
-    return roots
+def _residuals(rho, alpha, s21_sq: float, s12_sq: float, sin_phi: int):
+    """Summed squared power residual of (rho, alpha) against the pair."""
+    m21, m12 = _on_resonance_powers(rho, alpha, sin_phi)
+    return (m21 - s21_sq) ** 2 + (m12 - s12_sq) ** 2
 
 
-def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitResult:
-    """Recover (rho, |alpha|) from on-resonance |S21|^2 and |S12|^2.
+def _exact_roots(s21_sq: float, s12_sq: float, sin_phi: int) -> list:
+    """Every (residual, rho, alpha) in [0, 1]^2 that reproduces the pair exactly.
 
-    Coarse grid search over [0, 1]^2 followed by bounded refinement of the
-    summed squared residual. Ties resolve to the smallest rho, then the
-    smallest |alpha|. When the residual is flat along |alpha| at the fitted
-    rho (e.g. both measurements equal 1, so rho = 0 and the internal line is
-    never probed), alpha_identifiable is False and |alpha| is reported as 0.
+    The pass amplitude u = refl + conv and the isolated one v = |refl - conv|
+    leave the sign of refl - conv open, so both branches refl, conv =
+    (u +- v)/2, (u -+ v)/2 are solved. With refl = r (1 - a^2) / (1 - r^2 a^2)
+    and conv = (1 - r^2) a / (1 - r^2 a^2), eliminating r leaves
+    conv a^2 - (1 + conv^2 - refl^2) a + conv = 0, whose roots multiply to 1,
+    so only the smaller can lie in [0, 1]; then r = refl / (1 - conv a). A
+    root is kept when its squared power residual is below _FIT_EXACT_TOL.
     """
-    for name, val in (("s21_sq", s21_sq), ("s12_sq", s12_sq)):
-        if not 0.0 <= val <= 1.0 + 1e-9:
-            raise ValueError(f"{name} must lie in [0, 1]")
-    sin_phi = feed_sin_phi(pump_port)
+    p_pass, p_iso = (s12_sq, s21_sq) if sin_phi > 0 else (s21_sq, s12_sq)
+    u, v = math.sqrt(p_pass), math.sqrt(p_iso)
+    refl = np.array([u + v, u - v]) / 2.0
+    conv = np.array([u - v, u + v]) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the discriminant (1 + conv^2 - refl^2)^2 - 4 conv^2, factored
+        disc = (1.0 - conv - refl) * (1.0 - conv + refl) * (1.0 + conv - refl) * (1.0 + conv + refl)
+        alpha = 2.0 * conv / (1.0 + conv**2 - refl**2 + np.sqrt(disc))
+        r = refl / (1.0 - conv * alpha)
+        rho = np.sqrt((1.0 - r) / (1.0 + r))
+        residual = _residuals(rho, alpha, s21_sq, s12_sq, sin_phi)
+    keep = (0.0 <= rho) & (rho <= 1.0) & (0.0 <= alpha) & (alpha <= 1.0) & (residual < _FIT_EXACT_TOL)
+    return [(float(residual[k]), float(rho[k]), float(alpha[k])) for k in np.flatnonzero(keep)]
 
-    grid = np.arange(0.0, 1.0 + _FIT_GRID_STEP / 2.0, _FIT_GRID_STEP)
-    rr, aa = np.meshgrid(grid, grid, indexing="ij")
-    m21, m12 = _on_resonance_powers(rr, aa, sin_phi)
-    res = (m21 - s21_sq) ** 2 + (m12 - s12_sq) ** 2
+
+def _search(s21_sq: float, s12_sq: float, sin_phi: int) -> tuple[float, float, float]:
+    """(residual, rho, alpha) of the least-squares fit of the pair over [0, 1]^2.
+
+    A coarse grid over [0, 1]^2, then bounded refinement of the summed squared
+    residual from every candidate basin. Raises NonIdentifiableError when the
+    residual surface is flat.
+    """
+    rr, aa = np.meshgrid(_FIT_GRID, _FIT_GRID, indexing="ij")
+    res = _residuals(rr, aa, s21_sq, s12_sq, sin_phi)
     if float(res.max() - res.min()) < _FIT_FLAT_TOL:
         raise NonIdentifiableError("residual surface is flat: working point non-identifiable")
 
@@ -292,7 +284,6 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
             starts.append(cand)
         if len(starts) >= 12:
             break
-    starts.extend(_signed_amplitude_roots(s21_sq, s12_sq))
 
     def resid_vec(x):
         p21, p12 = _on_resonance_powers(x[0], x[1], sin_phi)
@@ -312,13 +303,32 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
         polished.append((fun, float(sol.x[0]), float(sol.x[1])))
     best = min(p[0] for p in polished)
     tie = best * (1.0 + 1e-6) + 1e-18
-    residual, rho_fit, alpha_fit = min(
-        (p for p in polished if p[0] <= tie), key=lambda p: (p[1], p[2])
-    )
+    return min((p for p in polished if p[0] <= tie), key=lambda p: (p[1], p[2]))
+
+
+def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitResult:
+    """Recover (rho, |alpha|) from on-resonance |S21|^2 and |S12|^2.
+
+    A pair on the model's image is solved in closed form (`_exact_roots`);
+    only a pair with no exact root, such as a noisy pair off the image, goes
+    to the least-squares search (`_search`). Ties between power-equivalent
+    points resolve to the smallest rho, then the smallest |alpha|. When the
+    residual is flat along |alpha| at the fitted rho (e.g. both measurements
+    equal 1, so rho = 0 and the internal line is never probed),
+    alpha_identifiable is False and |alpha| is reported as 0.
+    """
+    for name, val in (("s21_sq", s21_sq), ("s12_sq", s12_sq)):
+        if not 0.0 <= val <= 1.0 + 1e-9:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    sin_phi = feed_sin_phi(pump_port)
+    roots = _exact_roots(s21_sq, s12_sq, sin_phi)
+    if roots:
+        residual, rho_fit, alpha_fit = min(roots, key=lambda p: (p[1], p[2]))
+    else:
+        residual, rho_fit, alpha_fit = _search(s21_sq, s12_sq, sin_phi)
 
     # flat alpha direction: slide alpha across its full range at fixed rho
-    probe21, probe12 = _on_resonance_powers(np.full_like(grid, rho_fit), grid, sin_phi)
-    probe = (probe21 - s21_sq) ** 2 + (probe12 - s12_sq) ** 2
+    probe = _residuals(np.full_like(_FIT_GRID, rho_fit), _FIT_GRID, s21_sq, s12_sq, sin_phi)
     alpha_identifiable = bool(probe.max() - probe.min() >= _FIT_FLAT_TOL)
     if not alpha_identifiable:
         alpha_fit = 0.0

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from paramix import analysis
+from paramix.acceptance import _swap_twin
 from paramix.analysis import (
     ReadoutChainRecord,
     backaction_report,
@@ -21,7 +23,7 @@ from paramix.analysis import (
     _on_resonance_powers,
 )
 from paramix.errors import NoDipError, NumericalError, UnbracketedBandwidthError
-from paramix.isolator import SweepResult, default_grid, effective_2port_sweep, reference_device
+from paramix.isolator import SweepResult, default_grid, effective_2port_sweep, feed_sin_phi, reference_device
 from paramix.mixer import RHO_5050
 
 
@@ -161,11 +163,6 @@ def test_fit_pump_port_two():
     assert fit.alpha_mag == pytest.approx(0.6, abs=1e-6)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_signed_amplitude_roots takes s21 as the pass direction, which holds for "
-    "P1 only: on P2 it skips both sign branches and returns the twin that sorts higher",
-)
 def test_fit_returns_the_canonical_twin_for_both_feeds():
     # (0.5, 0.9) and its swap twin (0.2294157, 0.6) give the same powers;
     # the fit returns the twin that sorts lower, whichever feed made them
@@ -174,6 +171,87 @@ def test_fit_returns_the_canonical_twin_for_both_feeds():
     for fit in fits:
         assert fit.rho == pytest.approx(0.2294157, abs=1e-6)
         assert fit.alpha_mag == pytest.approx(0.6, abs=1e-6)
+
+
+class _NoSearch:
+    """Stands in for `analysis.optimize`: any use of the search fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the fit searched: optimize.{name}")
+
+
+def _edge_weighted(rng, n):
+    """n draws from [0, 1]: uniform, log-uniform toward 0, toward 1, and 0 or 1 exactly."""
+    kind = rng.integers(0, 4, n)
+    near = 10.0 ** rng.uniform(-12.0, 0.0, n)
+    return np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [rng.uniform(0.0, 1.0, n), near, 1.0 - near],
+        rng.choice([0.0, 1.0], n),
+    )
+
+
+# Pairs whose pass power lies within this of 1 sit next to the pair (1, 1),
+# onto which the whole rho = 0 and |alpha| = 1 edges map and where
+# _refl_conv cancels: what the fit returns there is one of ROADMAP item 2's
+# "contracts to decide on purpose".
+_CORNER = 1e-12
+
+
+def test_fit_inverts_the_forward_model_in_closed_form(monkeypatch):
+    # fit(forward(rho, alpha)) is (rho, alpha) or its swap twin, whichever
+    # sorts lower, and reproduces the pair, without the search
+    monkeypatch.setattr(analysis, "optimize", _NoSearch())
+    rng = np.random.default_rng(27)
+    rho, alpha = _edge_weighted(rng, 1600), _edge_weighted(rng, 1600)
+    for port in ("P1", "P2"):
+        p21, p12 = _on_resonance_powers(rho, alpha, feed_sin_phi(port))
+        deficit = 1.0 - np.maximum(p21, p12)
+        kept = np.flatnonzero(deficit >= _CORNER)
+        assert kept.size >= 1000
+        for k in kept:
+            fit = fit_rho_alpha(float(p21[k]), float(p12[k]), port)
+            want = min((rho[k], alpha[k]), _swap_twin(rho[k], alpha[k]))
+            # the inverse's condition number grows as 1 / deficit toward (1, 1)
+            tol = 4.0 * np.finfo(float).eps / deficit[k]
+            assert fit.residual < 1e-18
+            assert abs(fit.rho - want[0]) <= tol
+            if fit.alpha_identifiable:
+                assert abs(fit.alpha_mag - want[1]) <= tol
+            else:
+                # the residual can be flat along |alpha| only within 1e-6 of
+                # (1, 1), since the probe's |alpha| = 1 gives the pair (1, 1)
+                assert fit.alpha_mag == 0.0 and deficit[k] < 1e-6
+
+
+def test_the_search_agrees_with_the_closed_form():
+    rng = np.random.default_rng(2027)
+    points = [(0.5, 0.9)] + [tuple(rng.uniform(0.02, 0.98, 2)) for _ in range(19)]
+    for k, (rho, alpha) in enumerate(points):
+        port = ("P1", "P2")[k % 2]
+        sin_phi = feed_sin_phi(port)
+        p21, p12 = (float(p) for p in _on_resonance_powers(rho, alpha, sin_phi))
+        fit = fit_rho_alpha(p21, p12, port)
+        _, rho_s, alpha_s = analysis._search(p21, p12, sin_phi)
+        if k == 0:
+            # named twin case: the grid holds only the basin of the twin
+            # that sorts higher, (0.5, 0.9), so the search returns that one
+            rho_s, alpha_s = _swap_twin(rho_s, alpha_s)
+        assert (rho_s, alpha_s) == pytest.approx((fit.rho, fit.alpha_mag), abs=1e-9), (rho, alpha, port)
+
+
+def test_a_pair_on_the_pass_power_edge_keeps_the_search():
+    # on P2, (0.5, 1.0) puts the pass power at 1, whose only root is the
+    # singular corner (rho, |alpha|) = (0, 1), where _refl_conv cancels; no
+    # root passes there, so the pair keeps the search and its result (what
+    # the fit should return here is one of ROADMAP item 2's "contracts to
+    # decide on purpose")
+    assert analysis._exact_roots(0.5, 1.0, feed_sin_phi("P2")) == []
+    fit = fit_rho_alpha(0.5, 1.0, "P2")
+    assert fit.rho == pytest.approx(0.0755325463, abs=1e-10)
+    assert fit.alpha_mag == pytest.approx(0.998044213, abs=1e-9)
+    assert fit.residual == pytest.approx(4.99087500e-10, rel=1e-8)
+    assert fit.alpha_identifiable
 
 
 def test_fit_equal_powers_picks_decoupled_line():

@@ -27,7 +27,7 @@ from paramix.schemas import SCHEMA_TAG
 
 GOLDEN = {
     "bandwidth_scan.csv": "dfdc80f04669349daaa4db12cb1832453276e82ae47a2685e18f2eb44d9f6293",
-    "fit.json": "512eff7bffe82e540a9bacacda8b2c40597b1ff2d742d28eeeaf94e24c93668d",
+    "fit.json": "83d55554ef853627f34ccd432a2b49940d038305c2ef8e105a35896d6967f4c8",
     "flux_curve.csv": "479d21fb8a26ac1a781a0febd78d49d18593211042f49b1af829be487bc68672",
     "jis_4port.csv": "5b82174c5930b499f36e084fbf9271bf36d1c2e48caba9e9f8928920fb875c18",
     "jis_4port.json": "726c2637dd7321c5ffa7ac608b65b17b10dbbc22a1a6561fa8795b1a0122501e",

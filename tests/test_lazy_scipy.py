@@ -1,7 +1,9 @@
-"""scipy is loaded by the first fit, not by importing paramix.
+"""scipy is loaded by the first fit that searches, not by importing paramix.
 
-Only the fit calls scipy (`analysis.optimize`), and `scipy.optimize` costs
-about 0.5 s and 48 MB to import, so every other command runs without it.
+Only the fit's least-squares search calls scipy (`analysis.optimize`), and a
+fit searches only for a pair with no exact root, such as a pair off the
+model's image. `scipy.optimize` costs about 0.5 s and 48 MB to import, so
+every other command, and a fit of a pair on the image, runs without it.
 """
 
 import ast
@@ -21,39 +23,58 @@ PACKAGE = Path(paramix.__file__).resolve().parent
 NON_FIT = ["jis-sweep", "jpc-sweep", "jis-4port", "parity", "flux-curve", "bandwidth-scan", "readout"]
 CONFIGS = {**FUZZ_CONFIGS, "parity": {"chains": [[{"parity": "odd"}], [{"parity": "even"}, {"parity": "odd"}]]}}
 
-# argv lists as JSON: the non-fit runs, then the fit
+# argv lists as JSON: the non-fit runs, an on-image fit, then an off-image fit
 SCRIPT = """
 import json, sys
 import paramix, paramix.cli
 seen = {"import": "scipy" in sys.modules}
-runs, fit = json.loads(sys.argv[1])
+runs, on_image, off_image = json.loads(sys.argv[1])
 rcs = [paramix.cli.main(argv) for argv in runs]
 seen["commands"] = "scipy" in sys.modules
-rcs.append(paramix.cli.main(fit))
-seen["fit"] = "scipy" in sys.modules
+
+
+class NoSearch:
+    def __getattr__(self, name):
+        raise AssertionError("an on-image fit read analysis.optimize." + name)
+
+
+lazy, paramix.analysis.optimize = paramix.analysis.optimize, NoSearch()
+rcs.append(paramix.cli.main(on_image))
+paramix.analysis.optimize = lazy
+seen["on_image_fit"] = "scipy" in sys.modules
+rcs.append(paramix.cli.main(off_image))
+seen["off_image_fit"] = "scipy" in sys.modules
 import scipy.optimize
 seen["bound"] = paramix.analysis.optimize.least_squares is scipy.optimize.least_squares
 # cached where a tracer that patches vars() of analysis.optimize finds it
 seen["cached"] = vars(paramix.analysis.optimize).get("least_squares") is scipy.optimize.least_squares
 print(json.dumps({"rcs": rcs, **seen}))
 """
+# (0.36, 0.01) is on the image for P1, whose pass direction is s21; for P2
+# (FUZZ_CONFIGS) the isolated power exceeds the pass power, so no exact root exists
+ON_IMAGE_FIT = {"s21_sq": 0.36, "s12_sq": 0.01, "pump_port": "P1"}
 
 
 def test_only_the_fit_loads_scipy(tmp_path):
     assert sorted(NON_FIT) == sorted(c for c in cli._COMMANDS if c not in ("fit", "selftest"))
+    assert FUZZ_CONFIGS["fit"] == {**ON_IMAGE_FIT, "pump_port": "P2"}
     argvs = []
-    for command in NON_FIT + ["fit"]:
-        cfg = tmp_path / f"{command}.json"
-        cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **CONFIGS[command]}))
+    for command, payload in [(c, CONFIGS[c]) for c in NON_FIT] + [("fit", ON_IMAGE_FIT), ("fit", CONFIGS["fit"])]:
+        cfg = tmp_path / f"{command}-{len(argvs)}.json"
+        cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **payload}))
         for fmt in cli._COMMANDS[command][1]:
-            argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / command / fmt), "--format", fmt])
+            out = tmp_path / f"{command}-{len(argvs)}" / fmt
+            argvs.append([command, "--config", str(cfg), "--out", str(out), "--format", fmt])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps([argvs[:-1], argvs[-1]])], env=env, cwd=tmp_path,
+        [sys.executable, "-c", SCRIPT, json.dumps([argvs[:-2], argvs[-2], argvs[-1]])], env=env, cwd=tmp_path,
         capture_output=True, text=True, timeout=300, check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"rcs": [0] * len(argvs), "import": False, "commands": False, "fit": True, "bound": True, "cached": True}
+    assert seen == {
+        "rcs": [0] * len(argvs), "import": False, "commands": False, "on_image_fit": False, "off_image_fit": True,
+        "bound": True, "cached": True,
+    }
 
 
 def scipy_imports(source):
