@@ -16,10 +16,10 @@ difference and sum of the stage phases. k1 - k2 is odd for every feed and
 flux parity, so sin phi = +-1 and cos phi = 0 exactly: both the sweep
 kernel and the on-resonance 4-port take the exact sign from k1 - k2 and
 write S11 = S22 as exact zeros rather than a difference of two equal
-terms. The on-resonance 4-port is written once (closed_form_from_config);
-composed_4port (via connect(), stages mixer_2port(rho, k1) and
-(rho, k2)) checks it. Both read the stage's t and r from rho
-(mixer.amplitudes_on_resonance).
+terms. The on-resonance 4-port is written once (closed_form_from_config).
+_composed joins the device's elements (stages mixer_2port(t, r_a, r_b, k)
+and a matched delay line) into the network that checks it: composed_4port
+on resonance with no delay, and the tests' sweep oracle off resonance.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .network import (
     connect,
     delay_phase_rad,
     lossy_coupler,
+    matched_line,
 )
 
 # Pump feed patterns: per-stage pump phases, in quarter turns, for each
@@ -222,28 +223,35 @@ def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     return ScatteringMatrix(_PORTS_4, s + 0.0)
 
 
-def composed_4port(config: JisConfig) -> ScatteringMatrix:
-    """Same on-resonance 4-port, built by joining the constituent elements.
+def _composed(config: JisConfig, t, r_a, r_b, line) -> ScatteringMatrix:
+    """The device's 4-port joined by connect(); (B,) arrays give a (B, 4, 4) stack.
 
-    Hybrid on the signal side, one 2-port converter per stage, and the
-    internal coupler with its two taps. Agrees with closed_form_from_config
-    entrywise for every working point; the independent check of criterion 4.
+    A stage mixer_2port(t, r_a, r_b, k) per stage phase k behind the hybrid,
+    and matched_line(line) from stage 1 to the coupler.
     """
     k1, k2 = config.quarter_turns
     elements = {
         "hyb": HYBRID,
-        "st1": mixer_2port(config.rho, k1),
-        "st2": mixer_2port(config.rho, k2),
+        "st1": mixer_2port(t, r_a, r_b, k1),
+        "st2": mixer_2port(t, r_a, r_b, k2),
+        "line": matched_line(line),
         "cpl": lossy_coupler(config.alpha_mag),
     }
     joints = (
         (("hyb", "1p"), ("st1", "a")),
         (("hyb", "2p"), ("st2", "a")),
-        (("st1", "b"), ("cpl", "b1")),
+        (("st1", "b"), ("line", "1")),
+        (("line", "2"), ("cpl", "b1")),
         (("st2", "b"), ("cpl", "b2")),
     )
     external = (("hyb", "1"), ("hyb", "2"), ("cpl", "3"), ("cpl", "4"))
     return ScatteringMatrix(_PORTS_4, connect(ConnectionGraph(elements, joints, external)).s)
+
+
+def composed_4port(config: JisConfig) -> ScatteringMatrix:
+    """closed_form_from_config's 4-port rebuilt by _composed: criterion 4's independent check."""
+    t, r = amplitudes_on_resonance(config.rho)
+    return _composed(config, t, r, r, 1.0)
 
 
 @dataclass(frozen=True)

@@ -189,26 +189,20 @@ def turn_phasor(k: int) -> complex:
     return _QUARTER_PHASORS[k % 4]
 
 
-# mixer_2port's parts: conversion at t = 1 for k = 0..3 quarter turns, reflection at r = 1
-_CONVERSION = np.array([[[0.0, -q.conjugate()], [-q, 0.0]] for q in _QUARTER_PHASORS])
-_REFLECTION = np.diag([1.0, -1.0])
+def mixer_2port(t, r_a, r_b, quarter_turns) -> ScatteringMatrix:
+    """2-port of one converter stage on ports (a, b).
 
-
-def mixer_2port(rho: float, quarter_turns) -> ScatteringMatrix:
-    """On-resonance 2-port of one converter stage, pump strength rho, on ports (a, b).
-
-    S = [[r, -t e^{-i phi'}], [-t e^{+i phi'}, -r]] with (t, r) =
-    amplitudes_on_resonance(rho) and phi' = k pi/2, k quarter_turns:
-    conversion a->b picks up +phi', b->a picks up -phi', reflection is +r at
-    the signal port and -r at the internal port. These signs are pinned
-    jointly with lossy_coupler by the pump-off and 50:50 composed matrices.
-    At rho = 1 (exactly t = 1, r = 0) the stage is an ideal gyrator whose two
-    directions differ by -1 at every odd k. k is one int or a (B,) int
-    array, giving a (B, 2, 2) stack; any other phase (a float or a bool)
-    raises ValueError. Phasors are exact.
+    S = [[r_a, -t e^{-i phi'}], [-t e^{+i phi'}, -r_b]] with phi' = k pi/2 for
+    k quarter_turns, signs pinned jointly with lossy_coupler by the pump-off
+    and 50:50 composed matrices; t = 1, r_a = r_b = 0 is an ideal gyrator.
+    Each argument is a scalar or a (B,) array, and any array gives a (B, 2, 2)
+    stack. k must be ints (else ValueError). Phasors are exact, zeros +0.0.
     """
-    t, r = amplitudes_on_resonance(rho)
     k = np.asarray(quarter_turns)
     if k.dtype.kind not in "iu":
         raise ValueError("quarter_turns must be an int or an array of ints")
-    return ScatteringMatrix(("a", "b"), (t * _CONVERSION + r * _REFLECTION)[k % 4])
+    q = np.array(_QUARTER_PHASORS)[k % 4]
+    shape = np.broadcast(t, r_a, r_b, k).shape
+    s = np.empty(shape + (2, 2), dtype=complex)
+    s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1] = r_a, -t * q.conjugate(), -t * q, -r_b
+    return ScatteringMatrix(("a", "b"), s + 0.0)

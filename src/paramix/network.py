@@ -129,6 +129,13 @@ def lossy_coupler(alpha: float) -> ScatteringMatrix:
     return ScatteringMatrix(("b1", "b2", "3", "4"), s)
 
 
+def matched_line(t) -> ScatteringMatrix:
+    """Matched line on ports (1, 2) carrying t both ways; a (B,) array t gives B lines."""
+    s = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+    s[..., 0, 1] = s[..., 1, 0] = t
+    return ScatteringMatrix(("1", "2"), s)
+
+
 Joint = tuple[tuple[str, str], tuple[str, str]]
 
 

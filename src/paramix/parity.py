@@ -1,20 +1,20 @@
 """Joint-parity detection with chained nonreciprocal phase shifters.
 
 Each device in the chain acts on the top arm of a Mach-Zehnder as an ideal
-gyrator: a converter stage at rho = 1, mixer_2port(1, k) with exactly
-t = 1 and r = 0, whose phase k (GyratorSpec.quarter_turns) is the
+gyrator: a converter stage at full conversion, mixer_2port(1, 0, 0, k)
+with t = 1 and r = 0, whose phase k (GyratorSpec.quarter_turns) is the
 isolator's stage-phase difference in quarter turns for its feed and joint
 flux parity p (isolator.stage_quarters). Its forward transmission is
 -i^k = i(-1)^p for pump feed P1 and the conjugate for P2. A chain of N
 such devices would accumulate a parity-independent i^N (or mixed-feed)
 reference on top of the (-1)^{sum p} signal; physically each unit cell is
 embedded in a line trimmed to an integer number of wavelengths, so the
-chain builder pairs every gyrator with a matching segment that cancels
-its even-parity transmission. Both are exact quarter-turn phasors
-(mixer.turn_phasor), so the cell contributes exactly +1 (even) or -1
-(odd), a single interferometer calibration then nulls the dark port
-exactly for every chain length and pump mix, and the bright port reads out
-the XOR of the parities.
+chain builder pairs every gyrator with a matching segment
+(network.matched_line) that cancels its even-parity transmission. Both
+are exact quarter-turn phasors (mixer.turn_phasor), so the cell
+contributes exactly +1 (even) or -1 (odd), a single interferometer
+calibration then nulls the dark port exactly for every chain length and
+pump mix, and the bright port reads out the XOR of the parities.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NumericalError
 from .isolator import stage_quarters
 from .mixer import FLUX_QUANTUM_WB, mixer_2port, turn_phasor
-from .network import HYBRID, ConnectionGraph, ScatteringMatrix, connect
+from .network import HYBRID, ConnectionGraph, connect, matched_line
 
 _PARITY_BIT = {"even": 0, "odd": 1}
 
@@ -62,16 +62,6 @@ class GyratorSpec:
         k1, k2 = stage_quarters(self.pump_port, bit)  # raises for a pump port other than P1 and P2
         object.__setattr__(self, "parity_bit", bit)
         object.__setattr__(self, "quarter_turns", k1 - k2)
-
-
-def _two_port(t) -> ScatteringMatrix:
-    """Matched line on ports (1, 2) carrying t both ways.
-
-    t is a complex number, or a (B,) array for a stack of B lines.
-    """
-    s = np.zeros(np.shape(t) + (2, 2), dtype=complex)
-    s[..., 0, 1] = s[..., 1, 0] = t
-    return ScatteringMatrix(("1", "2"), s)
 
 
 def chain_transmission(chains: Sequence[Sequence[GyratorSpec]]) -> list[complex]:
@@ -120,12 +110,12 @@ def _interferometer(chains: list[Sequence[GyratorSpec]], bottom) -> np.ndarray:
         # the segment carries, both ways, the conjugate of an even cell's
         # forward transmission -i^(q - 2p) = i^(q - 2p + 2): i^(2p - q - 2)
         comp = [turn_phasor(2 * spec.parity_bit - q - 2) for q, spec in zip(turns, cells)]
-        elements[f"g{k}"] = mixer_2port(1.0, turns)
-        elements[f"m{k}"] = _two_port(comp)
+        elements[f"g{k}"] = mixer_2port(1.0, 0.0, 0.0, turns)
+        elements[f"m{k}"] = matched_line(comp)
         joints.append((prev, (f"g{k}", "a")))
         joints.append(((f"g{k}", "b"), (f"m{k}", "1")))
         prev = (f"m{k}", "2")
-    elements["bot"] = _two_port(bottom)
+    elements["bot"] = matched_line(bottom)
     elements["hr"] = HYBRID
     joints.append((prev, ("hr", "1p")))
     joints.append((("hl", "2p"), ("bot", "1")))

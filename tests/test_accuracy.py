@@ -16,7 +16,8 @@ from mpmath import mp
 
 from paramix.analysis import gamma0, nbar_from_dephasing, t_phi, to_power_dB
 from paramix.isolator import JisConfig, closed_form_from_config
-from paramix.mixer import RHO_5050, JpcParams, amplitudes_of_frequency, amplitudes_on_resonance, turn_phasor
+from paramix.errors import NumericalError
+from paramix.mixer import RHO_5050, JpcParams, JrmParams, amplitudes_of_frequency, amplitudes_on_resonance, flux_tuning_curve, turn_phasor
 from paramix.network import HYBRID, delay_phase_rad
 from paramix.parity import GyratorSpec, chain_transmission
 
@@ -160,6 +161,31 @@ def test_the_delay_phase_is_within_6_ulp(length_um, eps_eff, freq_ghz):
         f, l = mpmath.mpf(freq_ghz) * 10**9, mpmath.mpf(length_um) / 10**6
         exact = 2 * mpmath.pi * f * mpmath.sqrt(mpmath.mpf(eps_eff)) * l / 299792458
         assert abs(mpmath.mpf(got) - exact) <= 6 * math.ulp(got) + 1e-300
+
+
+@settings(CONTRACT, max_examples=120)
+@given(_weighted(1e-3, 1.999, 1.0), _weighted(-16.0, 0.0, -15.0), st.sampled_from((1.0, -1.0)), _weighted(0.05, 10.0, 0.1))
+def test_the_flux_tuning_curve_near_its_divergence(lj0_over_l, log_gap, sign, i0_ua):
+    # phi where d = lj0_over_l / 2 + cos(phi / 4) is about 10^log_gap: within eps (1 + 1/d)
+    # relative, raising only for d < 4 eps; below i0_ua ~ 0.18 no geometric inductance
+    jrm, eps = JrmParams(i0_ua=i0_ua, lj0_over_l=lj0_over_l), np.finfo(float).eps
+    phi = sign * 4.0 * math.acos(10.0**log_gap - lj0_over_l / 2.0)
+    with mp.workdps(40):
+        half, i0 = mpmath.mpf(lj0_over_l) / 2, mpmath.mpf(jrm.i0_ua) / 10**6
+        lj0 = mpmath.mpf("2.067833848e-15") / (2 * mpmath.pi * i0) * 10**9
+        # the loop's inductance at zero flux: geometric (at least 0), stray and ring
+        l_ring0 = lj0 / (half + 1)
+        l_zero = max(lj0 / mpmath.mpf(jrm.lj0_over_ls) + l_ring0, jrm.z_res_ohm / (4 * mpmath.mpf(jrm.f_max_ghz)))
+        d = half + mpmath.cos(mpmath.mpf(phi) / 4)
+        try:
+            got = flux_tuning_curve(phi, jrm)
+        except NumericalError:
+            assert d < 4 * eps
+            return
+        assert d > -4 * eps
+        if d > 0:
+            exact = jrm.f_max_ghz * mpmath.sqrt(l_zero / (l_zero - l_ring0 + lj0 / d))
+            assert abs(mpmath.mpf(got) - exact) <= eps * (1 + 1 / d) * exact
 
 
 @settings(CONTRACT)

@@ -224,6 +224,18 @@ def test_fit_inverts_the_forward_model_in_closed_form(monkeypatch):
                 assert fit.alpha_mag == 0.0 and deficit[k] < 1e-6
 
 
+def test_pairs_by_the_pass_power_edge_are_solved_on_the_second_branch(monkeypatch):
+    # seeded edge-weighted draws by (rho, |alpha|) = (0, 1), 1 - p_pass < 1e-15,
+    # whose only exact root is on the second branch, refl < conv
+    monkeypatch.setattr(analysis, "optimize", _NoSearch())
+    pairs = [("P1", 1.0, 0.9663575655807035), ("P1", 0.9999999999999998, 0.0755473370882725)]
+    pairs += [("P2", 0.9533972704226127, 0.9999999999999998), ("P2", 0.9842407301038207, 1.0)]
+    for port, p21, p12 in pairs:
+        fit = fit_rho_alpha(p21, p12, port)
+        refl, conv = analysis._refl_conv(fit.rho, fit.alpha_mag)
+        assert fit.residual < 1e-18 and refl < conv, (port, p21, p12)
+
+
 def test_the_search_agrees_with_the_closed_form():
     rng = np.random.default_rng(2027)
     points = [(0.5, 0.9)] + [tuple(rng.uniform(0.02, 0.98, 2)) for _ in range(19)]

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -101,23 +102,6 @@ def test_a_double_flux_flip_negates_only_the_cross_entries(config):
     assert np.array_equal(f[:2, 2:], -s[:2, 2:]) and np.array_equal(f[2:, :2], -s[2:, :2])
 
 
-def test_composed_matches_closed_form(rng):
-    for _ in range(50):
-        cfg = make_jis(
-            6.84,
-            9.567,
-            40.0,
-            100.0,
-            rho=rng.uniform(0.0, 1.0),
-            alpha_mag=rng.uniform(0.05, 0.95),
-            pump_port=("P1", "P2")[rng.integers(2)],
-            phi_ext1_rad=rng.uniform(-8.0, 8.0),
-            phi_ext2_rad=rng.uniform(-8.0, 8.0),
-        )
-        dev = np.max(np.abs(composed_4port(cfg).s - closed_form_from_config(cfg).s))
-        assert dev < 1e-9
-
-
 def test_composed_matches_closed_form_as_rho_goes_to_1():
     # both take the stage's r = (1 - rho)(1 + rho) / (1 + rho^2) from rho;
     # sqrt(1 - t^2) cancels here, 6e-14 relative at rho = 0.975 and 4e-4 at
@@ -194,45 +178,25 @@ def test_with_rho_replaces_both_stages():
     assert (cfg, cfg.jpc1, cfg.quarter_turns) == (fresh, fresh.jpc1, fresh.quarter_turns)
 
 
-def test_effective_sweep_matches_on_resonance_2port():
-    # symmetric split and no delay: the sweep restricted to resonance must
-    # reproduce the signal 2-port of the on-resonance 4-port for every
-    # parity sector
-    for rho in (0.0, 0.2, RHO_5050, 0.7, 1.0):
-        for pump, (fx1, fx2) in (
-            ("P1", (-1.0, -1.0)),
-            ("P2", (-1.0, 1.0)),
-            ("P1", (1.0, 1.0)),
-        ):
-            cfg = make_jis(
-                6.84, 9.567, 40.0, 100.0, rho, 1.0 / SQ2, pump,
-                phi_ext1_rad=fx1, phi_ext2_rad=fx2,
-            )
-            sw = effective_2port_sweep(cfg, np.array([6.84]))
-            swept = np.array([[sw.s11[0], sw.s12[0]], [sw.s21[0], sw.s22[0]]])
-            assert np.max(np.abs(swept - closed_form_from_config(cfg).s[:2, :2])) < 1e-12
-
-
 def test_the_4port_is_the_delay_free_sweep_at_f_a(reference):
     # closed_form_from_config reads no delay line: at zero delay its signal
     # block is the sweep's at f = f_a, with S11 = S22 exact zeros in both.
     # Off the preset, alpha / beta^2 grows as alpha -> 1, which puts the two
     # formulas up to 4.9e-15 apart over this grid.
     f_a = np.array([reference.f_a_ghz])
-    for pump in ("P1", "P2"):
-        for fx in (-1.0, 1.0):
-            device = replace(reference, pump_port=pump, phi_ext1_rad=fx, delay_length_um=0.0)
-            points = [(device, 1e-15)] + [
-                (replace(device, rho=rho, alpha_mag=alpha), 1e-14)
-                for rho in np.linspace(0.0, 1.0, 21)
-                for alpha in (0.0, 0.3, 0.51, 0.9, 0.99)
-            ]
-            for cfg, tol in points:
-                four = closed_form_from_config(cfg)
-                sw = effective_2port_sweep(cfg, f_a)
-                assert abs(four.entry("2", "1") - sw.s21[0]) <= tol
-                assert abs(four.entry("1", "2") - sw.s12[0]) <= tol
-                assert four.entry("1", "1") == four.entry("2", "2") == sw.s11[0] == sw.s22[0] == 0.0
+    for pump, fx1, fx2 in itertools.product(("P1", "P2"), (-1.0, 1.0), (-1.0, 1.0)):
+        device = replace(reference, pump_port=pump, phi_ext1_rad=fx1, phi_ext2_rad=fx2, delay_length_um=0.0)
+        points = [(device, 1e-15)] + [
+            (replace(device, rho=rho, alpha_mag=alpha), 1e-14)
+            for rho in np.linspace(0.0, 1.0, 21)
+            for alpha in (0.0, 0.3, 0.51, 0.9, 0.99)
+        ]
+        for cfg, tol in points:
+            four = closed_form_from_config(cfg)
+            sw = effective_2port_sweep(cfg, f_a)
+            assert abs(four.entry("2", "1") - sw.s21[0]) <= tol
+            assert abs(four.entry("1", "2") - sw.s12[0]) <= tol
+            assert four.entry("1", "1") == four.entry("2", "2") == sw.s11[0] == sw.s22[0] == 0.0
 
 
 def test_pump_off_sweep_is_transparent(reference):
@@ -271,8 +235,11 @@ def test_default_grid():
     assert g[0] == pytest.approx(6.79)
     assert g[-1] == pytest.approx(6.89)
     assert g[5] == pytest.approx(6.84)
+    assert default_grid(cfg, points=2).shape == (2,)
     with pytest.raises(ValueError):
         default_grid(cfg, points=1)
+    with pytest.raises(ValueError, match=r"less than 13680\)"):
+        default_grid(cfg, span_mhz=13680.0)
 
 
 def test_added_noise_values():

@@ -18,6 +18,7 @@ from paramix.mixer import (
     t_of_frequency,
     turn_phasor,
 )
+from paramix.network import check_unitarity
 
 
 def _params(rho=0.3):
@@ -103,49 +104,49 @@ def test_n_g_and_pump_phase():
 
 
 def test_jpc_params_validation():
-    with pytest.raises(ValueError, match="f_a"):
-        JpcParams(9.567, 6.84, 40.0, 100.0, 0.3)
-    with pytest.raises(ValueError, match="linewidths"):
-        JpcParams(6.84, 9.567, -1.0, 100.0, 0.3)
+    # both bounds are strict: a zero frequency or linewidth, or equal modes, is refused
+    for f_a, f_b in ((9.567, 6.84), (0.0, 9.567), (6.84, 6.84)):
+        with pytest.raises(ValueError, match="f_a"):
+            JpcParams(f_a, f_b, 40.0, 100.0, 0.3)
+    for gamma_a, gamma_b in ((-1.0, 100.0), (0.0, 100.0), (40.0, 0.0)):
+        with pytest.raises(ValueError, match="linewidths"):
+            JpcParams(6.84, 9.567, gamma_a, gamma_b, 0.3)
     with pytest.raises(ValueError, match="rho"):
         JpcParams(6.84, 9.567, 40.0, 100.0, 1.5)
 
 
 def test_mixer_2port_matrix():
-    # rho = 1/3: t = 0.6 and r = 0.8
-    t, r = amplitudes_on_resonance(1.0 / 3.0)
-    assert (t, r) == pytest.approx((0.6, 0.8), abs=1e-15)
+    # off resonance r_a != r_b, so each reflection must sit at its own port
+    t, r_a, r_b = amplitudes_of_frequency(6.86, _params(rho=1.0 / 3.0))
     for k in range(-5, 6):
-        m = mixer_2port(1.0 / 3.0, k)
-        phi = k * np.pi / 2.0
-        assert m.entry("a", "a") == r
-        assert m.entry("b", "b") == -r
-        assert m.entry("b", "a") == pytest.approx(-t * np.exp(1j * phi), abs=1e-15)
-        assert m.entry("a", "b") == pytest.approx(-t * np.exp(-1j * phi), abs=1e-15)
-        # the phasor is exact: each entry has a part that is exactly zero
-        assert m.entry("b", "a") == -t * turn_phasor(k)
-        assert m.entry("a", "b") == -t * turn_phasor(-k)
-        dev = np.max(np.abs(m.s.conj().T @ m.s - np.eye(2)))
-        assert dev < 1e-15
-    with pytest.raises(ValueError, match="rho must"):
-        mixer_2port(1.2, 0)
+        m = mixer_2port(t, r_a, r_b, k)
+        assert m.entry("a", "a") == r_a and m.entry("b", "b") == -r_b
+        # conversion a->b picks up +k quarter turns, b->a -k, each exactly
+        assert m.entry("b", "a") == -t * turn_phasor(k) and m.entry("a", "b") == -t * turn_phasor(-k)
+        assert check_unitarity(m) < 1e-15
+        # a gyrator's zeros are +0.0, as calibrate() reads its phase
+        parts = mixer_2port(1.0, 0.0, 0.0, k).s.view(float)
+        assert not np.any(np.signbit(parts[parts == 0.0]))
     # a phase is a whole number of quarter turns, nothing else
     for bad in (0.5, 1.0, np.nan, np.inf, True, np.array([True]), [1, 0.5], "1"):
         with pytest.raises(ValueError, match="quarter_turns"):
-            mixer_2port(0.5, bad)
+            mixer_2port(0.6, 0.8, 0.8, bad)
 
 
 def test_mixer_2port_stacks_a_phase_array():
-    turns = np.random.default_rng(11).integers(-9, 10, 16)
-    for rho in (1.0 / 3.0, 1.0):
-        for stacked in (turns, turns.astype(np.int32), list(map(int, turns))):
-            stack = mixer_2port(rho, stacked)
-            assert stack.s.shape == (16, 2, 2) and stack.ports == ("a", "b")
-            for k, q in enumerate(turns):
-                assert np.array_equal(stack.s[k], mixer_2port(rho, q).s)
-    assert mixer_2port(1.0, np.array([1], dtype=np.uint8)).entry("b", "a") == [-1j]
+    # any argument may be a stack; each member is the matrix of its own arguments
+    rng = np.random.default_rng(11)
+    turns = rng.integers(-9, 10, 16)
+    t, r_a, r_b = amplitudes_of_frequency(6.84 + rng.uniform(-0.3, 0.3, 16), _params(rho=0.6))
+    stacks = [(t, r_a, r_b, turns), (t, r_a, r_b, 3), (1.0, 0.0, 0.0, turns.astype(np.int32))]
+    for args in stacks + [(t[0], r_a, r_b[0], list(map(int, turns)))]:
+        stack = mixer_2port(*args)
+        assert stack.s.shape == (16, 2, 2) and stack.ports == ("a", "b")
+        for n in range(16):
+            assert np.array_equal(stack.s[n], mixer_2port(*(a[n] if np.ndim(a) else a for a in args)).s)
+    assert mixer_2port(1.0, 0.0, 0.0, np.array([1], dtype=np.uint8)).entry("b", "a") == [-1j]
     with pytest.raises(ValueError, match="quarter_turns"):
-        mixer_2port(1.0, [0.0, np.nan])
+        mixer_2port(1.0, 0.0, 0.0, [0.0, np.nan])
 
 
 def test_jrm_defaults_and_validation():

@@ -28,8 +28,7 @@ CALLS = {
     "chi_inv.gamma_mhz": lambda: mixer.chi_inv(6.9, 6.84, NAN),
     "flux_tuning_curve": lambda: mixer.flux_tuning_curve(NAN),
     "flux_tuning_curve.array": lambda: mixer.flux_tuning_curve(np.array([0.0, NAN, 1.0])),
-    "mixer_2port.rho": lambda: mixer.mixer_2port(NAN, 1),
-    "mixer_2port.quarter_turns": lambda: mixer.mixer_2port(0.5, NAN),
+    "mixer_2port.quarter_turns": lambda: mixer.mixer_2port(0.6, 0.8, 0.8, NAN),
     "gamma0": lambda: analysis.gamma0(NAN, 100.0),
     "field_range": lambda: parity.field_range(NAN),
     "theta_from_chi_kappa": lambda: analysis.theta_from_chi_kappa(1.0, NAN),

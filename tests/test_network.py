@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paramix.errors import NonInvertibleNetworkError
-from paramix.mixer import mixer_2port
+from paramix.mixer import amplitudes_on_resonance, mixer_2port
 from paramix.network import (
     HYBRID,
     ConnectionGraph,
@@ -11,15 +11,15 @@ from paramix.network import (
     connect,
     delay_phase_rad,
     lossy_coupler,
+    matched_line,
 )
 
 C = 1.0 / np.sqrt(2.0)
 
 
 def _line(length_um, eps_eff, freq_ghz):
-    """Matched line on ports (1, 2): both directions carry e^{i theta}, theta from delay_phase_rad."""
-    ph = np.exp(1j * delay_phase_rad(length_um, eps_eff, freq_ghz))
-    return ScatteringMatrix(("1", "2"), [[0.0, ph], [ph, 0.0]])
+    """Matched line whose both directions carry e^{i theta}, theta from delay_phase_rad."""
+    return matched_line(np.exp(1j * delay_phase_rad(length_um, eps_eff, freq_ghz)))
 
 
 def test_scattering_matrix_validation():
@@ -248,12 +248,13 @@ def test_connect_order_invariance(rng):
 def _random_composition(rng):
     """Two hybrids joined through a random delay line, a random nonreciprocal mixer on a side arm."""
     theta = rng.uniform(0.0, 2.0 * np.pi)
+    t, r = amplitudes_on_resonance(rng.uniform(0.0, 1.0))
     return ConnectionGraph(
         {
             "h1": HYBRID,
             "d": _line(rng.uniform(0, 50), 2.0, theta),
             # an odd number of quarter turns: nonreciprocal whenever t > 0
-            "m": mixer_2port(rng.uniform(0.0, 1.0), 2 * rng.integers(-4, 4) + 1),
+            "m": mixer_2port(t, r, r, 2 * rng.integers(-4, 4) + 1),
             "h2": HYBRID,
         },
         (

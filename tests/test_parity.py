@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_sweep_chunks import _peak_rss_kb
 
-from paramix import parity
+from paramix import network, parity
 from paramix.mixer import mixer_2port
 from paramix.network import HYBRID
 from paramix.parity import GyratorSpec, calibrate, chain_transmission, field_range
@@ -35,17 +35,14 @@ def test_gyrator_spec_phases():
 
 
 def test_gyrator_matrix_is_nonreciprocal():
-    # a gyrator is a converter stage at full conversion
+    # a gyrator is a converter stage at full conversion; its forward and
+    # backward transmissions differ by exactly -1 regardless of parity or feed
     for spec in (GyratorSpec("even", "P1"), GyratorSpec("odd", "P2")):
-        s = mixer_2port(1.0, spec.quarter_turns)
-        fwd = s.entry("b", "a")
-        bwd = s.entry("a", "b")
-        assert abs(fwd) == 1.0
-        # forward/backward ratio exactly -1 regardless of parity or feed
-        assert fwd / bwd == -1.0
+        s = mixer_2port(1.0, 0.0, 0.0, spec.quarter_turns)
+        fwd, bwd = s.entry("b", "a"), s.entry("a", "b")
+        assert abs(fwd) == 1.0 and fwd / bwd == -1.0
         assert s.entry("a", "a") == 0.0 and s.entry("b", "b") == 0.0
-    even = mixer_2port(1.0, GyratorSpec("even", "P1").quarter_turns)
-    assert even.entry("b", "a") == 1j
+    assert mixer_2port(1.0, 0.0, 0.0, GyratorSpec("even", "P1").quarter_turns).entry("b", "a") == 1j
 
 
 def test_chain_spec_needs_a_gyrator():
@@ -121,7 +118,16 @@ def test_every_amplitude_is_exactly_the_parity(chains_alone):
 def test_the_stack_size_never_changes_the_bits(monkeypatch, chains_alone, entries):
     chains, alone = chains_alone
     monkeypatch.setattr(parity, "_STACK_ENTRIES", entries)
+    stacks = []  # (B, n) of each connect(): B graphs of n ports
+
+    def connect(graph):
+        stacks.append((len(graph.elements["g0"].s), sum(m.n_ports for m in graph.elements.values())))
+        return network.connect(graph)
+
+    monkeypatch.setattr(parity, "connect", connect)
     together = chain_transmission(chains)
+    # a stack holds at most the entry budget, unless one chain alone exceeds it
+    assert all(b == 1 or b * n * n <= entries for b, n in stacks)
     assert all(isinstance(t, complex) for t in together)
     assert np.array(together).tobytes() == np.array(alone).tobytes()
     # the output keeps the order of the input, whatever the lengths' order

@@ -1,13 +1,12 @@
 """Invariants of the swept signal 2-port and the on-resonance 4-port over
-the whole device config space.
-
-Hypothesis draws full `jis` devices over the ranges the benchmark draws
-from (delay 0-20 um, eps_eff 1-10, |alpha| 0.05-0.95, any rho, both pump
-feeds, either flux sign in each stage) and sweeps each on a 201-point grid
-spanning 600 MHz around f_a. The draws are derandomized, so every run sees
-the same configs.
+the whole device config space, on derandomized hypothesis draws of full
+`jis` devices swept on 201 points over 600 MHz around f_a: the benchmark's
+ranges (delay 0-20 um, eps_eff 1-10, |alpha| 0.05-0.95, any rho, both
+feeds, either flux sign per stage), and for the network-composed checks
+|alpha| up to 0.99 and delays up to 5 mm.
 """
 
+import itertools
 import json
 import re
 import tempfile
@@ -15,20 +14,23 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramix import cli
 from paramix.isolator import (
+    _composed,
     closed_form_from_config,
     composed_4port,
     default_grid,
     effective_2port_sweep,
     grid_chunks,
     make_jis,
+    reference_device,
 )
-from paramix.mixer import PRIMARY_LOBE_RAD, amplitudes_of_frequency, turn_phasor
-from paramix.network import HYBRID, ConnectionGraph, ScatteringMatrix, connect, delay_phase_rad, lossy_coupler
+from paramix.mixer import PRIMARY_LOBE_RAD, amplitudes_of_frequency
+from paramix.network import delay_phase_rad
 from paramix.schemas import SCHEMA_TAG
 
 TOL = 1e-12
@@ -68,15 +70,6 @@ def devices():
 
 def sweep(config):
     return effective_2port_sweep(config, default_grid(config, 600.0, 201))
-
-
-@PROPERTY
-@given(devices())
-def test_the_swept_2port_is_passive(config):
-    s = sweep(config)
-    # the power leaving ports 1 and 2 per unit drive into either port
-    assert np.max(np.abs(s.s11) ** 2 + np.abs(s.s21) ** 2) <= 1.0 + TOL
-    assert np.max(np.abs(s.s12) ** 2 + np.abs(s.s22) ** 2) <= 1.0 + TOL
 
 
 @PROPERTY
@@ -124,42 +117,12 @@ def test_the_quarter_turn_kernel_is_the_general_phase_form(config):
     assert config.isolated_direction == ("s21" if np.sin(config.phi_rad) > 0.0 else "s12")
 
 
-def _stack_2port(ports, s11, s12, s21, s22):
-    """(F, 2, 2) stack of 2-ports on ports from (F,) arrays or scalars."""
-    s = np.empty(np.shape(s21) + (2, 2), dtype=complex)
-    s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1] = s11, s12, s21, s22
-    return ScatteringMatrix(ports, s)
-
-
 def composed_sweep(config, f):
-    """(S11, S12, S21, S22) of the sweep, reduced by connect from its elements.
-
-    One graph per grid chunk, each element a stack over the chunk's points:
-    the hybrid, one converter per stage with its quarter turns, a matched
-    line carrying the delay phase at f + f_p between stage 1 and the coupler
-    (only the total phase around the loop matters), and the coupler.
-    """
-    out = np.empty((4, f.size), dtype=complex)
+    """(F, 4, 4) stack of _composed over the grid f, a graph per chunk, its line at the phase of f + f_p."""
+    out = np.empty((f.size, 4, 4), dtype=complex)
     for part in grid_chunks(f.size):
-        t, r_a, r_b = amplitudes_of_frequency(f[part], config.jpc1)
-        stages = {
-            f"st{n}": _stack_2port(("a", "b"), r_a, -t * turn_phasor(k).conjugate(), -t * turn_phasor(k), -r_b)
-            for n, k in enumerate(config.quarter_turns, start=1)
-        }
         line = np.exp(1j * delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f[part] + config.f_p_ghz))
-        graph = ConnectionGraph(
-            {"hyb": HYBRID, **stages, "line": _stack_2port(("1", "2"), 0.0, line, line, 0.0), "cpl": lossy_coupler(config.alpha_mag)},
-            (
-                (("hyb", "1p"), ("st1", "a")),
-                (("hyb", "2p"), ("st2", "a")),
-                (("st1", "b"), ("line", "1")),
-                (("line", "2"), ("cpl", "b1")),
-                (("st2", "b"), ("cpl", "b2")),
-            ),
-            external=(("hyb", "1"), ("hyb", "2"), ("cpl", "3"), ("cpl", "4")),
-        )
-        s = connect(graph).s
-        out[:, part] = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+        out[part] = _composed(config, *amplitudes_of_frequency(f[part], config.jpc1), line).s
     return out
 
 
@@ -170,11 +133,35 @@ def composed_sweep(config, f):
 def test_the_sweep_kernel_is_the_network_composed_sweep(fields, alpha, delay_um):
     config = make_jis(**{**fields, "alpha_mag": alpha, "delay_length_um": delay_um})
     f = default_grid(config, 600.0, 201)
-    s = effective_2port_sweep(config, f)
-    s11, s12, s21, s22 = composed_sweep(config, f)
-    np.testing.assert_allclose(s21, s.s21, rtol=0, atol=TOL)
-    np.testing.assert_allclose(s12, s.s12, rtol=0, atol=TOL)
-    assert np.max(np.abs(s11)) < TOL and np.max(np.abs(s22)) < TOL
+    sweep = effective_2port_sweep(config, f)
+    s = composed_sweep(config, f)
+    np.testing.assert_allclose(s[:, 1, 0], sweep.s21, rtol=0, atol=TOL)
+    np.testing.assert_allclose(s[:, 0, 1], sweep.s12, rtol=0, atol=TOL)
+    assert np.max(np.abs(s[:, 0, 0])) < TOL and np.max(np.abs(s[:, 1, 1])) < TOL
+
+
+# both feeds and all four flux-parity pairs (the signs of the two fluxes)
+@pytest.mark.parametrize("pump, sign1, sign2", itertools.product(("P1", "P2"), (-1.0, 1.0), (-1.0, 1.0)))
+@settings(PROPERTY, max_examples=10)
+@given(device_fields(), st.floats(0.0, 0.99), st.floats(0.0, 5000.0))
+def test_the_composed_sweep_is_unitary_and_the_closed_form_at_f_a(pump, sign1, sign2, fields, alpha, delay_um):
+    fluxes = dict(phi_ext1_rad=sign1 * abs(fields["phi_ext1_rad"]), phi_ext2_rad=sign2 * abs(fields["phi_ext2_rad"]))
+    config = make_jis(**{**fields, **fluxes, "pump_port": pump, "alpha_mag": alpha, "delay_length_um": delay_um})
+    # passivity off resonance, of every port and not only the signal ones
+    s = composed_sweep(config, default_grid(config, 600.0, 201))
+    assert np.max(np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(4))) <= TOL
+    free = replace(config, delay_length_um=0.0)
+    s = composed_sweep(free, np.array([free.f_a_ghz]))[0]
+    np.testing.assert_allclose(s, closed_form_from_config(free).s, rtol=0, atol=TOL)
+
+
+# jis-4port has no delay line: at f_a it is 8.5e-3 off on the preset's 11.283 um
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the on-resonance 4-port ignores the delay line")
+def test_the_4port_is_the_composed_device_at_f_a_with_its_line():
+    for pump, delay_um in itertools.product(("P1", "P2"), (1e-3, 11.283, 700.0, 5000.0)):
+        config = replace(reference_device(pump_port=pump), delay_length_um=delay_um)
+        s = composed_sweep(config, np.array([config.f_a_ghz]))[0]
+        np.testing.assert_allclose(closed_form_from_config(config).s, s, rtol=0, atol=TOL)
 
 
 def model_zero_parts(s):
