@@ -129,7 +129,7 @@ def crit_cross_equivalence() -> CriterionResult:
         cfg = _random_config(rng)
         S = closed_form_from_config(cfg).s
         worst_pair = max(worst_pair, float(np.max(np.abs(composed_4port(cfg).s - S))))
-        # the signal block is the delay-free sweep at f_a
+        # the signal block is the sweep at f_a
         sw = effective_2port_sweep(cfg, np.array([cfg.f_a_ghz]))
         swept = np.array([[sw.s11[0], sw.s12[0]], [sw.s21[0], sw.s22[0]]])
         worst_res = max(worst_res, float(np.max(np.abs(S[:2, :2] - swept))))

@@ -10,7 +10,7 @@ numerical error, 4 check failure (self-test criteria or parity mismatch).
 Any other failure is a bug and surfaces as a traceback (exit 1).
 
 All outputs are deterministic: identical configs yield byte-identical files.
-jis-4port writes the closed form (isolator.closed_form_from_config), model
+jis-4port writes the device at f_a (isolator.closed_form_from_config), model
 zeros as 0; the network construction isolator.composed_4port only checks it.
 """
 

@@ -14,12 +14,13 @@ pair (k1, k2) once; every phasor comes from these integers through the
 exact quarter-turn table of mixer.turn_phasor. phi and phi_s are the
 difference and sum of the stage phases. k1 - k2 is odd for every feed and
 flux parity, so sin phi = +-1 and cos phi = 0 exactly: both the sweep
-kernel and the on-resonance 4-port take the exact sign from k1 - k2 and
+kernel and the 4-port at f_a take the exact sign from k1 - k2 and
 write S11 = S22 as exact zeros rather than a difference of two equal
-terms. The on-resonance 4-port is written once (closed_form_from_config).
+terms. The delay line enters as its phasor at f + f_p (_line_phasor), in
+the sweep kernel and in the device's 4-port at f_a (closed_form_from_config).
 _composed joins the device's elements (stages mixer_2port(t, r_a, r_b, k)
-and a matched delay line) into the network that checks it: composed_4port
-on resonance with no delay, and the tests' sweep oracle off resonance.
+and a matched delay line) into the network that checks both: composed_4port
+at f_a, and the tests' sweep oracle.
 """
 
 from __future__ import annotations
@@ -173,50 +174,58 @@ def reference_device(
 _PORTS_4 = ("1", "2", "3", "4")
 
 
-def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
-    """On-resonance 4-port scattering of the device in closed form.
+def _line_phasor(config: JisConfig, f_ghz):
+    """e^{i theta} of the delay line at signal frequency f: its phase at f + f_p."""
+    return np.exp(1j * delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f_ghz + config.f_p_ghz))
 
-    The stage's (t, r) come from rho (amplitudes_on_resonance); the
-    internal coupler has through amplitude alpha = alpha_mag and branches
-    beta = sqrt(1 - alpha^2). dk = k1 - k2 and sk = k1 + k2 (quarter_turns)
-    are odd, so sin phi = +-1, cos phi = 0 and S11 = S22 are exact zeros,
-    and the half phases phi/2 +- pi/4 and pi/4 -+ phi_s/2 are (dk +- 1)/2
-    and (1 -+ sk)/2 whole quarter turns: every phasor is exact, and so are
-    the model's zeros (-0.0 is written 0.0). With no conversion (rho = 0)
-    the device is exactly transparent: S21 = S12 = i, full reflection -1 at
-    the internal taps. alpha = 1 with rho > 0 raises SingularResponseError.
-    jis-4port writes this matrix; it reads no delay line or linewidth.
+
+def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
+    """The device's 4-port at f = f_a in closed form, its delay line included.
+
+    (t, r) come from rho (amplitudes_on_resonance), the line's phasor l at
+    f_a + f_p from _line_phasor; alpha_c = |alpha| l, beta^2 = 1 - |alpha|^2
+    and L = (1 - alpha_c)(1 + alpha_c) + alpha_c^2 t^2 = 1 - r^2 alpha_c^2,
+    the one loop denominator. S21, S12 = i (r (1 - alpha_c^2) -+ alpha_c t^2
+    sin phi) / L, S33 = -r beta^2 l^2 / L, S44 = -r beta^2 / L, S34 = S43 =
+    |alpha| (1 - l^2 r^2) / L; the cross entries carry t beta / (sqrt2 L),
+    times l on port 3's row and column. k1 -+ k2 (quarter_turns) are odd,
+    so sin phi = +-1, S11 = S22 are exact zeros and the half phases are
+    whole quarter turns. With no line (l = 1) the model's other zeros are
+    exact too (-0.0 is written 0.0), and rho = 0 is exactly transparent:
+    S21 = S12 = i, -1 at the taps. |alpha| = 1 is finite. Raises
+    SingularResponseError where L = 0: |alpha| = 1 with no line and t^2
+    underflowed. No linewidth enters: chi^-1 = 1 at f_a.
     """
     t, r = amplitudes_on_resonance(config.rho)
-    if t == 0.0:
-        s = np.diag(np.array([0, 0, -1, -1], dtype=complex))
-        s[0, 1] = s[1, 0] = 1j
-        return ScatteringMatrix(_PORTS_4, s)
+    ell = complex(_line_phasor(config, config.f_a_ghz))
+    if t == 0.0 and ell == 1.0:
+        return ScatteringMatrix(_PORTS_4, [[0, 1j, 0, 0], [1j, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     alpha = config.alpha_mag
-    beta = math.sqrt(1.0 - alpha**2)
-    if beta == 0.0:
-        raise SingularResponseError("alpha = 1 with t > 0 leaves the internal line unloaded")
+    beta2, a_c = (1.0 - alpha) * (1.0 + alpha), alpha * ell
+    at2, bc2 = a_c * t**2, (1.0 - a_c) * (1.0 + a_c)
+    loop = bc2 + a_c * at2
+    if loop == 0.0:
+        raise SingularResponseError("internal loop resonance: 1 - r^2 alpha^2 vanished")
 
     k1, k2 = config.quarter_turns
     dk, sk = k1 - k2, k1 + k2
     up, um, w_lo, w_hi = (turn_phasor(k // 2) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
-    ab2 = alpha / beta**2
-    d = 1.0 + (alpha**2 / beta**2) * t**2
-    conv = ab2 * t**2 / d
-    s21 = complex(0.0, (r - ab2 * t**2 * config.sin_phi) / d)
-    s12 = complex(0.0, (r + ab2 * t**2 * config.sin_phi) / d)
+    s21 = 1j * (r * bc2 - at2 * config.sin_phi) / loop
+    s12 = 1j * (r * bc2 + at2 * config.sin_phi) / loop
+    conv = alpha * ((1.0 - ell) * (1.0 + ell) + ell * ell * t**2) / loop
+    refl = -r * beta2 / loop
 
-    ra = r * alpha
+    ra = r * a_c
     a_p, b_p = ra * up + up.conjugate(), up + ra * up.conjugate()
     a_m, b_m = ra * um + um.conjugate(), um + ra * um.conjugate()
-    pre = -t / (math.sqrt(2.0) * beta * d)
+    pre = -t * math.sqrt(beta2) / (math.sqrt(2.0) * loop)
     lo, hi = pre * w_lo, pre * w_hi
     s = np.array(
         [
-            [0.0, s12, lo * a_p, lo * b_p],
-            [s21, 0.0, lo * a_m, lo * b_m],
-            [hi * b_m, hi * b_p, -r / d, conv],
-            [hi * a_m, hi * a_p, conv, -r / d],
+            [0.0, s12, lo * ell * a_p, lo * b_p],
+            [s21, 0.0, lo * ell * a_m, lo * b_m],
+            [hi * ell * b_m, hi * ell * b_p, refl * ell * ell, conv],
+            [hi * a_m, hi * a_p, conv, refl],
         ],
         dtype=complex,
     )
@@ -251,7 +260,7 @@ def _composed(config: JisConfig, t, r_a, r_b, line) -> ScatteringMatrix:
 def composed_4port(config: JisConfig) -> ScatteringMatrix:
     """closed_form_from_config's 4-port rebuilt by _composed: criterion 4's independent check."""
     t, r = amplitudes_on_resonance(config.rho)
-    return _composed(config, t, r, r, 1.0)
+    return _composed(config, t, r, r, _line_phasor(config, config.f_a_ghz))
 
 
 @dataclass(frozen=True)
@@ -273,21 +282,20 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     """Frequency response of ports 1 and 2 with the internal line folded in.
 
     The stages see the signal detuning through their susceptibilities; the
-    internal line contributes a complex round-trip factor alpha =
-    |alpha| e^{i theta_d} evaluated at the up-converted frequency f1 + f_p.
-    With conv = alpha t^2 / (1 - r_b^2 alpha^2) and the reflection refl of
-    one stage seen through the line, S21 = i (refl - conv sin phi) and
-    S12 = i (refl + conv sin phi). S11 = S22 = -i conv cos phi is zero,
-    since sin phi is exactly +-1 (JisConfig.sin_phi), and returned as an
-    exact zero array. Raises SingularResponseError if the internal loop
-    1 - r_b^2 alpha^2 becomes singular on the grid.
+    line gives the loop factor alpha = |alpha| e^{i theta} at the idler
+    frequency f1 + f_p (_line_phasor). With conv = alpha t^2 / (1 - r_b^2
+    alpha^2) and the reflection refl of one stage seen through the line,
+    S21 = i (refl - conv sin phi) and S12 = i (refl + conv sin phi).
+    S11 = S22 = -i conv cos phi is an exact zero array, since sin phi is
+    exactly +-1 (JisConfig.sin_phi). Raises SingularResponseError if the
+    loop 1 - r_b^2 alpha^2 becomes singular on the grid. Given the line's
+    float phase, S21 and S12 are within 6 eps / |1 - r_b^2 alpha^2| of the
+    model, absolute, over the whole config space; no relative bound holds
+    at a null (tests/test_accuracy.py).
     """
     f = np.asarray(f_ghz, dtype=float)
     t, r_a, r_b = amplitudes_of_frequency(f, config.jpc1)
-
-    # delay_phase_rad is plain arithmetic, safe to evaluate on the array
-    theta_d = delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f + config.f_p_ghz)
-    alpha = config.alpha_mag * np.exp(1j * theta_d)
+    alpha = config.alpha_mag * _line_phasor(config, f)
 
     loop = 1.0 - r_b**2 * alpha**2
     if np.min(np.abs(loop)) < _LOOP_SINGULARITY_TOL:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
 from .isolator import stage_quarters
 from .mixer import FLUX_QUANTUM_WB, mixer_2port, turn_phasor
 from .network import HYBRID, ConnectionGraph, connect, matched_line
@@ -37,8 +36,6 @@ _PARITY_BIT = {"even": 0, "odd": 1}
 # sweeps go in SWEEP_CHUNK points: a call holds a few copies of each stack,
 # so memory stays bounded however many long chains it is given.
 _STACK_ENTRIES = 1 << 16
-
-_NULL_TOL = 1e-9  # calibrate(): the weakest trim arm and largest imbalance it accepts
 
 
 @dataclass(frozen=True)
@@ -132,21 +129,15 @@ def calibrate() -> float:
     """Bottom-arm phase that nulls the bright port for one even P1 cell.
 
     Measures that interferometer with the bottom arm at +1 and -1 (phases 0
-    and pi) in one stack, solves T(psi) = A + B e^{i psi} for the nulling
-    phase, and raises if no unit e^{i psi} can null the output. Unique
+    and pi) in one stack, t0 and tpi. T(psi) = A + B e^{i psi} with
+    2A = t0 + tpi and 2B = t0 - tpi nulls at e^{i psi} = -A / B, which has
+    unit magnitude for this fixed cell, so the phase always exists. Unique
     modulo 2 pi; returned in (-pi, pi]. It is +0.0, the phase whose exact
     phasor chain_transmission puts in the bottom arm.
     """
     cell = (GyratorSpec(parity="even", pump_port="P1"),)
     t0, tpi = _interferometer([cell, cell], (1.0, -1.0))
-    a = (t0 + tpi) / 2.0
-    b = (t0 - tpi) / 2.0
-    if abs(b) < _NULL_TOL:
-        raise NumericalError("no nulling phase exists: trim arm does not reach the output")
-    z = -a / b
-    if abs(abs(z) - 1.0) > _NULL_TOL:
-        raise NumericalError("no nulling phase exists: arms are imbalanced")
-    psi = cmath.phase(z)
+    psi = cmath.phase(-(t0 + tpi) / (t0 - tpi))
     return psi if psi != -math.pi else math.pi
 
 

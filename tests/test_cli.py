@@ -5,11 +5,14 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paramix
 from paramix import acceptance, cli
 from paramix.analysis import FitResult
+from paramix.isolator import closed_form_from_config, composed_4port, reference_device
+from paramix.network import check_unitarity
 from paramix.schemas import SCHEMA_TAG, validate_artifact, validate_config
 
 JIS_PRESET = {"preset": "reference"}
@@ -131,37 +134,43 @@ def test_jis_4port_formats(tmp_path):
     assert doc["ports"] == ["1", "2", "3", "4"]
 
 
-def test_jis_4port_bytes_read_no_delay_line_linewidth_or_idler(tmp_path):
-    # jis-4port is the delay-free on-resonance model: it reads rho, |alpha|,
-    # the stage quarter turns and f_a, so these keys move none of its bytes
-    base = {**JIS_PLAIN, "alpha_mag": 0.51, "delay_length_um": 0.0}
-    variants = [
-        {"delay_length_um": 5000.0},
-        {"delay_length_um": 11.283, "delay_eps_eff": 7.418},
-        {"gamma_a_mhz": 3.0, "gamma_b_mhz": 700.0},
-        {"f_b_ghz": 50.0},
+def test_which_jis_keys_move_the_4port_bytes(tmp_path):
+    # jis-4port is the device at f_a. With a line its phase at the idler
+    # frequency f_a + f_p = f_b moves every format's bytes through the
+    # length, eps_eff and f_b; at zero delay those two keys move none. The
+    # linewidths never do: both inverse susceptibilities are 1 at f_a.
+    line = {**JIS_PLAIN, "alpha_mag": 0.51, "delay_length_um": 11.283, "delay_eps_eff": 7.418}
+    free = {**line, "delay_length_um": 0.0}
+    cases = [
+        (line, {"delay_length_um": 11.3}, True),
+        (line, {"delay_eps_eff": 7.5}, True),
+        (line, {"f_b_ghz": 9.6}, True),
+        (line, {"gamma_a_mhz": 3.0, "gamma_b_mhz": 700.0}, False),
+        (free, {"delay_eps_eff": 7.5}, False),
+        (free, {"f_b_ghz": 50.0}, False),
+        (free, {"gamma_a_mhz": 3.0, "gamma_b_mhz": 700.0}, False),
     ]
     for fmt in ("touchstone", "csv", "json"):
-        want = None
-        for n, change in enumerate([{}] + variants):
-            out = tmp_path / f"{fmt}{n}"
-            assert run(tmp_path, "jis-4port", {"jis": {**base, **change}}, fmt=fmt, out=out) == 0
-            (artifact,) = out.iterdir()
-            want = want or artifact.read_bytes()
-            assert artifact.read_bytes() == want, (fmt, change)
+        for n, (base, change, moves) in enumerate(cases):
+            files = []
+            for k, jis in enumerate((base, {**base, **change})):
+                out = tmp_path / f"{fmt}{n}-{k}"
+                assert run(tmp_path, "jis-4port", {"jis": jis}, fmt=fmt, out=out) == 0
+                (artifact,) = out.iterdir()
+                files.append(artifact.read_bytes())
+            assert (files[0] != files[1]) == moves, (fmt, base["delay_length_um"], change)
 
 
 @pytest.mark.parametrize("fmt", ["touchstone", "csv", "json"])
-def test_jis_4port_at_alpha_one_exits_3_and_writes_nothing(tmp_path, capsys, fmt):
-    # with conversion, alpha = 1 leaves the internal line unloaded
-    out = tmp_path / "out"
-    assert run(tmp_path, "jis-4port", {"jis": {**JIS_PRESET, "alpha_mag": 1.0}}, fmt=fmt, out=out) == 3
-    err = capsys.readouterr().err
-    assert err == "numerical error: alpha = 1 with t > 0 leaves the internal line unloaded\n"
-    assert not out.exists() or not any(out.iterdir())
-    # with the pump off the device is exactly transparent
-    assert run(tmp_path, "jis-4port", {"jis": {**JIS_PRESET, "alpha_mag": 1.0, "rho": 0.0}}, fmt=fmt, out=out) == 0
-    assert len(list(out.iterdir())) == 1
+def test_jis_4port_at_alpha_one_is_the_unitary_composed_device(tmp_path, fmt):
+    # the coupler then joins the taps to each other only; nothing is singular
+    jis = {**JIS_PRESET, "alpha_mag": 1.0}
+    assert run(tmp_path, "jis-4port", {"jis": jis}, fmt=fmt, out=tmp_path / "out") == 0
+    assert len(list((tmp_path / "out").iterdir())) == 1
+    config = reference_device(alpha_mag=1.0)
+    closed = closed_form_from_config(config)
+    assert check_unitarity(closed) <= 1e-12
+    assert np.max(np.abs(closed.s - composed_4port(config).s)) <= 1e-12
 
 
 def test_fit_command(tmp_path):

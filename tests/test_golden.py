@@ -4,11 +4,10 @@ The writers are deterministic, so a changed hash here is a change in the
 bytes a user gets. The hashes were taken with numpy 2.4.6 on Python 3.11;
 another numpy may move a last printed digit. The jis-sweep and jis-4port
 and parity hashes do not depend on the SIMD code path numpy dispatches to:
-the model's zeros (the sweep's S11 and S22; the 4-port's S11, S22 and one
-part of every other entry; a dark parity port) are exact zeros, not
-rounding noise, and a child process with that dispatch switched off must
-write the same bytes. The parity bytes also hold under OpenBLAS's oldest
-x86-64 kernels.
+the model's zeros (the sweep's S11 and S22, the 4-port's S11 and S22, a
+dark parity port) are exact zeros, not rounding noise, and a child
+process with that dispatch switched off must write the same bytes. The
+parity bytes also hold under OpenBLAS's oldest x86-64 kernels.
 """
 
 import hashlib
@@ -29,9 +28,9 @@ GOLDEN = {
     "bandwidth_scan.csv": "dfdc80f04669349daaa4db12cb1832453276e82ae47a2685e18f2eb44d9f6293",
     "fit.json": "83d55554ef853627f34ccd432a2b49940d038305c2ef8e105a35896d6967f4c8",
     "flux_curve.csv": "479d21fb8a26ac1a781a0febd78d49d18593211042f49b1af829be487bc68672",
-    "jis_4port.csv": "5b82174c5930b499f36e084fbf9271bf36d1c2e48caba9e9f8928920fb875c18",
-    "jis_4port.json": "726c2637dd7321c5ffa7ac608b65b17b10dbbc22a1a6561fa8795b1a0122501e",
-    "jis_4port.s4p": "da4a4f0eb5ce52e245a05eee038bceef7d7516b05bb509f7384d91ee9a82d520",
+    "jis_4port.csv": "fd4e39821faea318ac436a721cfc86e98366318469b04773e3943e8660dfd00c",
+    "jis_4port.json": "5f9b28f91698a840a3b5bcf8f7ef380d824c3156d50dc1ff950e3763f9a4bf3d",
+    "jis_4port.s4p": "d6667c1032b95dc6931b7c73f87359651bf3075ada88e1fb68b5506119f041c4",
     "jis_sweep.csv": "834d973e32d8e116e58d5380853d36db8d969c6ec6ca800207f799aa66015df9",
     "jis_sweep.json": "09531a69c6424a51e9207f3a01ff85bf4ce31348d550044643f913bbcf16edcc",
     "jis_sweep.s2p": "0246f36e596052d026ba24a9ce1af2adf72a0d810482123f56d13351085eb2c7",

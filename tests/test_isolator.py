@@ -18,8 +18,8 @@ from paramix.isolator import (
     reference_device,
     turn_phasor,
 )
-from paramix.mixer import JpcParams, RHO_5050, n_g
-from paramix.network import check_unitarity
+from paramix.mixer import JpcParams, RHO_5050, amplitudes_on_resonance, n_g
+from paramix.network import check_unitarity, delay_phase_rad
 
 SQ2 = np.sqrt(2.0)
 
@@ -59,13 +59,16 @@ def test_pump_off_is_exactly_transparent():
 
 
 def test_closed_form_validation():
-    # the config checks rho and alpha_mag (test_jis_config_validation);
-    # alpha = 1 with conversion is a numerical error (CLI exit 3), not a bad
-    # argument
-    with pytest.raises(SingularResponseError, match="unloaded"):
-        closed_form_from_config(reference_device(alpha_mag=1.0))
-    # alpha = 1 is fine when nothing converts
-    assert closed_form_from_config(reference_device(rho=0.0, alpha_mag=1.0)).s[0, 1] == 1j
+    # the config checks rho and alpha_mag (test_jis_config_validation); the
+    # 4-port raises only where its loop denominator is zero: |alpha| = 1 with
+    # no line and a t whose square underflows leave a lossless loop on
+    # resonance, a numerical error (CLI exit 3)
+    with pytest.raises(SingularResponseError, match="loop"):
+        closed_form_from_config(make_jis(6.84, 9.567, 40.0, 100.0, rho=1e-170, alpha_mag=1.0))
+    # with t^2 above the underflow the loop is finite, and the taps see
+    # each other only
+    s = closed_form_from_config(make_jis(6.84, 9.567, 40.0, 100.0, rho=1e-160, alpha_mag=1.0)).s
+    assert s[1, 0] == 1j and s[0, 1] == -1j and s[2, 3] == s[3, 2] == 1.0
 
 
 # the on-resonance config space: both feeds, all four flux-parity pairs (only
@@ -178,22 +181,30 @@ def test_with_rho_replaces_both_stages():
     assert (cfg, cfg.jpc1, cfg.quarter_turns) == (fresh, fresh.jpc1, fresh.quarter_turns)
 
 
-def test_the_4port_is_the_delay_free_sweep_at_f_a(reference):
-    # closed_form_from_config reads no delay line: at zero delay its signal
-    # block is the sweep's at f = f_a, with S11 = S22 exact zeros in both.
-    # Off the preset, alpha / beta^2 grows as alpha -> 1, which puts the two
-    # formulas up to 4.9e-15 apart over this grid.
+def test_the_4port_is_the_sweep_at_f_a(reference):
+    # one model: at f = f_a the sweep's S21 and S12 are the 4-port's signal
+    # block, delay line included, with S11 = S22 exact zeros in both. The
+    # sweep forms the loop denominator L = 1 - r^2 alpha_c^2 by cancellation
+    # and the 4-port without, so they differ by up to 3.5 eps / |L| here:
+    # 2.6e-14 at |alpha| = 1 - 1e-6 and 1 with no line, 3.3e-16 or less at
+    # |alpha| <= 0.51.
+    eps = np.finfo(float).eps
     f_a = np.array([reference.f_a_ghz])
     for pump, fx1, fx2 in itertools.product(("P1", "P2"), (-1.0, 1.0), (-1.0, 1.0)):
-        device = replace(reference, pump_port=pump, phi_ext1_rad=fx1, phi_ext2_rad=fx2, delay_length_um=0.0)
-        points = [(device, 1e-15)] + [
-            (replace(device, rho=rho, alpha_mag=alpha), 1e-14)
-            for rho in np.linspace(0.0, 1.0, 21)
-            for alpha in (0.0, 0.3, 0.51, 0.9, 0.99)
-        ]
-        for cfg, tol in points:
+        device = replace(reference, pump_port=pump, phi_ext1_rad=fx1, phi_ext2_rad=fx2)
+        for delay, rho, alpha in itertools.product(
+            (0.0, 11.283, 700.0, 5000.0), np.linspace(0.0, 1.0, 21), (0.0, 0.3, 0.51, 0.9, 0.99, 1.0 - 1e-6, 1.0)
+        ):
+            cfg = replace(device, delay_length_um=delay, rho=float(rho), alpha_mag=alpha)
+            t, r = amplitudes_on_resonance(cfg.rho)
+            loop = abs(1.0 - (r * alpha * np.exp(1j * delay_phase_rad(delay, cfg.delay_eps_eff, cfg.f_a_ghz + cfg.f_p_ghz))) ** 2)
+            if loop == 0.0:
+                # rho = 0 and |alpha| = 1 with no line: the sweep's loop clamp
+                # raises, the 4-port is the pump-off transparency
+                continue
             four = closed_form_from_config(cfg)
             sw = effective_2port_sweep(cfg, f_a)
+            tol = 4.0 * eps / loop
             assert abs(four.entry("2", "1") - sw.s21[0]) <= tol
             assert abs(four.entry("1", "2") - sw.s12[0]) <= tol
             assert four.entry("1", "1") == four.entry("2", "2") == sw.s11[0] == sw.s22[0] == 0.0
