@@ -21,7 +21,6 @@ import numpy as np
 
 from .analysis import (
     ReadoutChainRecord,
-    _on_resonance_powers,
     backaction_report,
     bandwidth_attenuation_scan,
     eta_from_separation,
@@ -38,7 +37,9 @@ from .isolator import (
     effective_2port_sweep,
     feed_sin_phi,
     make_jis,
+    on_resonance_powers,
     reference_device,
+    swap_twin,
 )
 from .mixer import RHO_5050
 from .network import check_unitarity
@@ -200,28 +201,6 @@ def crit_bandwidth_law() -> CriterionResult:
     return CriterionResult(7, "bandwidth-attenuation law", passed, detail)
 
 
-def _swap_twin(rho: float, alpha: float) -> tuple[float, float]:
-    """The point whose reflected and converted amplitudes are those of (rho, alpha) exchanged.
-
-    With r = (1 - rho^2) / (1 + rho^2) the amplitudes are refl = r (1 - a^2) / (1 - r^2 a^2)
-    and conv = (1 - r^2) a / (1 - r^2 a^2), so exchanging them exchanges r and a:
-    the twin has r' = a, hence rho' = sqrt((1 - a) / (1 + a)), and a' = r.
-    """
-    return math.sqrt((1.0 - alpha) / (1.0 + alpha)), (1.0 - rho**2) / (1.0 + rho**2)
-
-
-def _swap_system_roots(rho: float, alpha: float) -> bool:
-    """True when no power-equivalent point sits lexicographically below.
-
-    The on-resonance powers are invariant under exchanging the reflected
-    and converted amplitudes; compare that swapped twin against (rho, alpha).
-    """
-    rp, ap = _swap_twin(rho, alpha)
-    if abs(rp - rho) < 1e-6 and abs(ap - alpha) < 1e-6:
-        return True
-    return not (rp, ap) < (rho, alpha)
-
-
 def crit_fit_recovery() -> CriterionResult:
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -229,15 +208,16 @@ def crit_fit_recovery() -> CriterionResult:
     while kept < 100:
         rho_true = rng.uniform(0.05, 0.95)
         alpha_true = rng.uniform(0.05, 0.95)
-        # reject truths whose power-equivalent twin sorts below them: the
-        # estimator returns the canonical representative by construction
-        if not _swap_system_roots(rho_true, alpha_true):
+        # reject truths whose power-equivalent twin sorts below them and is
+        # not the same point within 1e-6: the estimator returns the lower twin
+        twin = swap_twin(rho_true, alpha_true)
+        if twin < (rho_true, alpha_true) and max(abs(twin[0] - rho_true), abs(twin[1] - alpha_true)) >= 1e-6:
             continue
         kept += 1
-        s21_sq, s12_sq = _on_resonance_powers(rho_true, alpha_true, feed_sin_phi("P1"))
+        s21_sq, s12_sq = on_resonance_powers(rho_true, alpha_true, feed_sin_phi("P1"))
         res = fit_rho_alpha(s21_sq, s12_sq)
         worst = max(worst, abs(res.rho - rho_true), abs(res.alpha_mag - alpha_true))
-    s21_sq, s12_sq = _on_resonance_powers(RHO_5050, 0.51, feed_sin_phi("P1"))
+    s21_sq, s12_sq = on_resonance_powers(RHO_5050, 0.51, feed_sin_phi("P1"))
     preset = fit_rho_alpha(s21_sq, s12_sq)
     preset_exact = abs(preset.rho - RHO_5050) < 1e-6 and abs(preset.alpha_mag - 0.51) < 1e-6
     alpha_near_half = abs(preset.alpha_mag - 0.5) <= 0.02
@@ -313,7 +293,7 @@ def crit_sweep_properties() -> CriterionResult:
         float(np.max(np.abs(getattr(sweep, entry)))) for entry in ("s11", "s12", "s21", "s22")
     )
     rhos = np.linspace(0.0, 1.0, 2001)
-    _, p12 = _on_resonance_powers(rhos, 0.51, feed_sin_phi("P1"))
+    _, p12 = on_resonance_powers(rhos, 0.51, feed_sin_phi("P1"))
     i_star = int(np.argmin(p12))
     monotone = bool(np.all(np.diff(p12[: i_star + 1]) < 1e-15))
     passed = dip_ok and swap_dev < 1e-12 and peak <= 1.0 + 1e-12 and monotone

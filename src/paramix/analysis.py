@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     NoDipError,
-    NonIdentifiableError,
     NumericalError,
     UnbracketedBandwidthError,
 )
@@ -26,7 +25,10 @@ from .isolator import (
     effective_2port_sweep,
     feed_sin_phi,
     grid_chunks,
+    on_resonance_powers,
+    swap_twin,
 )
+from .mixer import rho_of_r
 
 
 def to_power_dB(s) -> np.ndarray | float:
@@ -191,34 +193,9 @@ class FitResult:
     alpha_identifiable: bool
 
 
-def _refl_conv(rho, alpha):
-    """On-resonance reflected and converted amplitudes, both nonnegative."""
-    rho = np.asarray(rho, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    t = 2.0 * rho / (1.0 + rho**2)
-    r = (1.0 - rho**2) / (1.0 + rho**2)
-    conv_num = t**2 * alpha
-    loop = 1.0 - (r * alpha) ** 2
-    # t = 0 decouples the internal line; the loop denominator then cancels
-    # exactly, so guard the removable 0/0 at (rho, alpha) = (0, 1).
-    safe = np.where(loop == 0.0, 1.0, loop)
-    refl = r - r * alpha * conv_num / safe
-    conv = conv_num / safe
-    return refl, conv
-
-
-def _on_resonance_powers(rho, alpha, sin_phi: int):
-    """Model (|S21|^2, |S12|^2) on resonance, broadcasting over rho/alpha.
-
-    sin_phi is the exact +-1 of the pump feed (isolator.feed_sin_phi).
-    """
-    refl, conv = _refl_conv(rho, alpha)
-    return (refl - conv * sin_phi) ** 2, (refl + conv * sin_phi) ** 2
-
-
 def _residuals(rho, alpha, s21_sq: float, s12_sq: float, sin_phi: int):
     """Summed squared power residual of (rho, alpha) against the pair."""
-    m21, m12 = _on_resonance_powers(rho, alpha, sin_phi)
+    m21, m12 = on_resonance_powers(rho, alpha, sin_phi)
     return (m21 - s21_sq) ** 2 + (m12 - s12_sq) ** 2
 
 
@@ -227,10 +204,10 @@ def _exact_roots(s21_sq: float, s12_sq: float, sin_phi: int) -> list:
 
     The pass amplitude u = refl + conv and the isolated one v = |refl - conv|
     leave the sign of refl - conv open, so both branches refl, conv =
-    (u +- v)/2, (u -+ v)/2 are solved. With refl = r (1 - a^2) / (1 - r^2 a^2)
-    and conv = (1 - r^2) a / (1 - r^2 a^2), eliminating r leaves
-    conv a^2 - (1 + conv^2 - refl^2) a + conv = 0, whose roots multiply to 1,
-    so only the smaller can lie in [0, 1]; then r = refl / (1 - conv a). A
+    (u +- v)/2, (u -+ v)/2 are solved. Eliminating r from refl and conv
+    (isolator.on_resonance_amplitudes) leaves conv a^2 - (1 + conv^2 -
+    refl^2) a + conv = 0, whose roots multiply to 1, so only the smaller can
+    lie in [0, 1]; then r = refl / (1 - conv a) and rho = rho_of_r(r). A
     root is kept when its squared power residual is below _FIT_EXACT_TOL.
     """
     p_pass, p_iso = (s12_sq, s21_sq) if sin_phi > 0 else (s21_sq, s12_sq)
@@ -242,7 +219,7 @@ def _exact_roots(s21_sq: float, s12_sq: float, sin_phi: int) -> list:
         disc = (1.0 - conv - refl) * (1.0 - conv + refl) * (1.0 + conv - refl) * (1.0 + conv + refl)
         alpha = 2.0 * conv / (1.0 + conv**2 - refl**2 + np.sqrt(disc))
         r = refl / (1.0 - conv * alpha)
-        rho = np.sqrt((1.0 - r) / (1.0 + r))
+        rho = rho_of_r(r)
         residual = _residuals(rho, alpha, s21_sq, s12_sq, sin_phi)
     keep = (0.0 <= rho) & (rho <= 1.0) & (0.0 <= alpha) & (alpha <= 1.0) & (residual < _FIT_EXACT_TOL)
     return [(float(residual[k]), float(rho[k]), float(alpha[k])) for k in np.flatnonzero(keep)]
@@ -252,19 +229,17 @@ def _search(s21_sq: float, s12_sq: float, sin_phi: int) -> tuple[float, float, f
     """(residual, rho, alpha) of the least-squares fit of the pair over [0, 1]^2.
 
     A coarse grid over [0, 1]^2, then bounded refinement of the summed squared
-    residual from every candidate basin. Raises NonIdentifiableError when the
-    residual surface is flat.
+    residual from every candidate basin; the residual returned is that of the
+    point returned.
     """
     rr, aa = np.meshgrid(_FIT_GRID, _FIT_GRID, indexing="ij")
     res = _residuals(rr, aa, s21_sq, s12_sq, sin_phi)
-    if float(res.max() - res.min()) < _FIT_FLAT_TOL:
-        raise NonIdentifiableError("residual surface is flat: working point non-identifiable")
 
     # the power pair is blind to the sign of the matched-direction amplitude
     # refl - conv, so two separated exact minima can coexist (amplitudes
-    # swapped); polish every candidate basin and only then resolve ties
-    # toward the smallest rho, then the smallest alpha, so the returned
-    # point is deterministic
+    # swapped, swap_twin); polish every candidate basin, then return the
+    # best point or its twin, whichever has the smaller rho, then the
+    # smaller alpha, so the returned point is deterministic
     res_min = float(res.min())
     cut = max(res_min * 1e6, res_min + 1e-6)
     n0, n1 = res.shape
@@ -272,8 +247,6 @@ def _search(s21_sq: float, s12_sq: float, sin_phi: int) -> tuple[float, float, f
     is_min = np.ones_like(res, dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
             is_min &= res <= padded[1 + di : 1 + di + n0, 1 + dj : 1 + dj + n1]
     cand_idx = np.flatnonzero(is_min.ravel() & (res.ravel() <= cut))
     cand_idx = cand_idx[np.argsort(res.ravel()[cand_idx], kind="stable")]
@@ -286,7 +259,7 @@ def _search(s21_sq: float, s12_sq: float, sin_phi: int) -> tuple[float, float, f
             break
 
     def resid_vec(x):
-        p21, p12 = _on_resonance_powers(x[0], x[1], sin_phi)
+        p21, p12 = on_resonance_powers(x[0], x[1], sin_phi)
         return [p21 - s21_sq, p12 - s12_sq]
 
     polished = []
@@ -299,11 +272,10 @@ def _search(s21_sq: float, s12_sq: float, sin_phi: int) -> tuple[float, float, f
             ftol=1e-15,
             gtol=1e-15,
         )
-        fun = float(sol.fun[0] ** 2 + sol.fun[1] ** 2)
-        polished.append((fun, float(sol.x[0]), float(sol.x[1])))
-    best = min(p[0] for p in polished)
-    tie = best * (1.0 + 1e-6) + 1e-18
-    return min((p for p in polished if p[0] <= tie), key=lambda p: (p[1], p[2]))
+        polished.append((float(sol.fun[0] ** 2 + sol.fun[1] ** 2), float(sol.x[0]), float(sol.x[1])))
+    _, rho, alpha = min(polished)
+    rho, alpha = min((rho, alpha), tuple(float(x) for x in swap_twin(rho, alpha)))
+    return float(_residuals(rho, alpha, s21_sq, s12_sq, sin_phi)), rho, alpha
 
 
 def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitResult:

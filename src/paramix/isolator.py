@@ -18,6 +18,8 @@ kernel and the 4-port at f_a take the exact sign from k1 - k2 and
 write S11 = S22 as exact zeros rather than a difference of two equal
 terms. The delay line enters as its phasor at f + f_p (_line_phasor), in
 the sweep kernel and in the device's 4-port at f_a (closed_form_from_config).
+Its no-line signal block, on_resonance_amplitudes and _powers, is the
+forward model the fit inverts; swap_twin gives the point of equal powers.
 _composed joins the device's elements (stages mixer_2port(t, r_a, r_b, k)
 and a matched delay line) into the network that checks both: composed_4port
 at f_a, and the tests' sweep oracle.
@@ -38,6 +40,8 @@ from .mixer import (
     amplitudes_on_resonance,
     mixer_2port,
     n_g,
+    rho_of_r,
+    t_r_of_rho,
     turn_phasor,
 )
 from .network import (
@@ -45,6 +49,7 @@ from .network import (
     ConnectionGraph,
     ScatteringMatrix,
     connect,
+    coupler_beta2,
     delay_phase_rad,
     lossy_coupler,
     matched_line,
@@ -179,13 +184,42 @@ def _line_phasor(config: JisConfig, f_ghz):
     return np.exp(1j * delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f_ghz + config.f_p_ghz))
 
 
+def _loop_terms(a, t):
+    """(a t^2, (1 - a)(1 + a), L = 1 - r^2 a^2) of the loop factor a: alpha_c, or |alpha| with no line."""
+    at2, bc2 = a * t**2, (1.0 - a) * (1.0 + a)
+    return at2, bc2, bc2 + a * at2
+
+
+def on_resonance_amplitudes(rho, alpha):
+    """(refl, conv) = (r (1 - a^2), a t^2) / L, a = |alpha|: S21, S12 = i (refl -+ conv sin phi) with no line.
+
+    L = 0 only at a = 1 with t^2 = 0, a path-dependent limit: exactly (0, 1) is a decoupled
+    line, (1, 0), and the powers are (1, 1) on every path. Broadcasts, with no range check.
+    """
+    t, r = t_r_of_rho(rho)
+    at2, bc2, loop = _loop_terms(alpha, t)
+    cut = loop == 0.0
+    return (r * bc2 + cut) / (loop + cut), at2 / (loop + cut)
+
+
+def on_resonance_powers(rho, alpha, sin_phi: int):
+    """(|S21|^2, |S12|^2) of on_resonance_amplitudes; sin_phi is the feed's exact +-1 (feed_sin_phi)."""
+    refl, conv = on_resonance_amplitudes(rho, alpha)
+    return (refl - conv * sin_phi) ** 2, (refl + conv * sin_phi) ** 2
+
+
+def swap_twin(rho, alpha):
+    """(rho_of_r(|alpha|), r): exchanging r and a exchanges refl and conv, so the powers hold."""
+    return rho_of_r(alpha), t_r_of_rho(rho)[1]
+
+
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     """The device's 4-port at f = f_a in closed form, its delay line included.
 
     (t, r) come from rho (amplitudes_on_resonance), the line's phasor l at
     f_a + f_p from _line_phasor; alpha_c = |alpha| l, beta^2 = 1 - |alpha|^2
-    and L = (1 - alpha_c)(1 + alpha_c) + alpha_c^2 t^2 = 1 - r^2 alpha_c^2,
-    the one loop denominator. S21, S12 = i (r (1 - alpha_c^2) -+ alpha_c t^2
+    (coupler_beta2) and L = 1 - r^2 alpha_c^2 (_loop_terms), the one loop
+    denominator. S21, S12 = i (r (1 - alpha_c^2) -+ alpha_c t^2
     sin phi) / L, S33 = -r beta^2 l^2 / L, S44 = -r beta^2 / L, S34 = S43 =
     |alpha| (1 - l^2 r^2) / L; the cross entries carry t beta / (sqrt2 L),
     times l on port 3's row and column. k1 -+ k2 (quarter_turns) are odd,
@@ -201,9 +235,8 @@ def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     if t == 0.0 and ell == 1.0:
         return ScatteringMatrix(_PORTS_4, [[0, 1j, 0, 0], [1j, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     alpha = config.alpha_mag
-    beta2, a_c = (1.0 - alpha) * (1.0 + alpha), alpha * ell
-    at2, bc2 = a_c * t**2, (1.0 - a_c) * (1.0 + a_c)
-    loop = bc2 + a_c * at2
+    beta2, a_c = coupler_beta2(alpha), alpha * ell
+    at2, bc2, loop = _loop_terms(a_c, t)
     if loop == 0.0:
         raise SingularResponseError("internal loop resonance: 1 - r^2 alpha^2 vanished")
 

@@ -38,15 +38,25 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def amplitudes_on_resonance(rho: float) -> tuple[float, float]:
+def t_r_of_rho(rho):
     """Conversion t = 2 rho / (1 + rho^2) and reflection r of one stage at zero detuning.
 
     r = (1 - rho)(1 + rho) / (1 + rho^2) keeps its digits as rho -> 1, where
-    sqrt(1 - t^2) cancels; rho = 1 gives exactly t = 1 and r = 0.
+    sqrt(1 - t^2) cancels; rho = 1 gives exactly t = 1 and r = 0. Broadcasts
+    over an array of rho, with no range check.
     """
-    rho = _check_rho(rho)
     den = 1.0 + rho**2
     return 2.0 * rho / den, (1.0 - rho) * (1.0 + rho) / den
+
+
+def rho_of_r(r):
+    """The pump strength rho = sqrt((1 - r) / (1 + r)) whose reflection is r: t_r_of_rho's inverse."""
+    return np.sqrt((1.0 - r) / (1.0 + r))
+
+
+def amplitudes_on_resonance(rho: float) -> tuple[float, float]:
+    """(t, r) of t_r_of_rho for one rho, which must lie in [0, 1] (else ValueError)."""
+    return t_r_of_rho(_check_rho(rho))
 
 
 def chi_inv(f1_ghz: float, f_a_ghz: float, gamma_mhz: float) -> complex:

@@ -106,17 +106,22 @@ def delay_phase_rad(length_um: float, eps_eff: float, freq_ghz: float) -> float:
     )
 
 
+def coupler_beta2(alpha):
+    """The coupler's branch power beta^2 = 1 - alpha^2, as (1 - alpha)(1 + alpha): no cancellation as alpha -> 1."""
+    return (1.0 - alpha) * (1.0 + alpha)
+
+
 def lossy_coupler(alpha: float) -> ScatteringMatrix:
     """Directional power tap on ports (b1, b2, 3, 4).
 
     b1 and b2 are the internal line ports, 3 and 4 the external taps. The
     through path b1<->b2 carries -alpha, the branches b1<->3 and b2<->4 carry
-    +beta = sqrt(1 - alpha^2), and 3<->4 carries +alpha. Real, symmetric and
-    orthogonal.
+    +beta = sqrt(coupler_beta2(alpha)), and 3<->4 carries +alpha. Real,
+    symmetric and orthogonal.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    beta = np.sqrt(1.0 - alpha**2)
+    beta = np.sqrt(coupler_beta2(alpha))
     s = np.array(
         [
             [0.0, -alpha, beta, 0.0],

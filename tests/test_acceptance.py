@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramix import acceptance
-from paramix.analysis import _refl_conv
+from paramix.isolator import on_resonance_amplitudes, swap_twin
 
 
 def _check(battery, number):
@@ -79,9 +79,9 @@ def test_rendered_table_shape(battery):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(rho=st.floats(0.01, 1.0), alpha=st.floats(0.0, 1.0))
 def test_swap_twin_exchanges_reflected_and_converted(rho, alpha):
-    refl, conv = _refl_conv(rho, alpha)
-    twin = acceptance._swap_twin(rho, alpha)
-    refl_t, conv_t = _refl_conv(*twin)
+    refl, conv = on_resonance_amplitudes(rho, alpha)
+    twin = swap_twin(rho, alpha)
+    refl_t, conv_t = on_resonance_amplitudes(*twin)
     assert abs(refl_t - conv) < 1e-12 and abs(conv_t - refl) < 1e-12
-    back = acceptance._swap_twin(*twin)
+    back = swap_twin(*twin)
     assert abs(back[0] - rho) < 1e-12 and abs(back[1] - alpha) < 1e-12

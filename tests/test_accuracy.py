@@ -16,9 +16,18 @@ from mpmath import mp
 
 from paramix.analysis import gamma0, nbar_from_dephasing, t_phi, to_power_dB
 from paramix.errors import NumericalError, SingularResponseError
-from paramix.isolator import JisConfig, closed_form_from_config, default_grid, effective_2port_sweep
+from paramix.isolator import (
+    JisConfig,
+    closed_form_from_config,
+    composed_4port,
+    default_grid,
+    effective_2port_sweep,
+    on_resonance_amplitudes,
+    on_resonance_powers,
+    swap_twin,
+)
 from paramix.mixer import RHO_5050, JpcParams, JrmParams, amplitudes_of_frequency, amplitudes_on_resonance, flux_tuning_curve, turn_phasor
-from paramix.network import HYBRID, delay_phase_rad
+from paramix.network import HYBRID, delay_phase_rad, lossy_coupler
 from paramix.parity import GyratorSpec, chain_transmission
 
 
@@ -149,6 +158,65 @@ def test_the_4port_takes_r_from_rho(rho, alpha, pump_port, delay_um):
                 assert s[k, k] == 0.0
             elif theta == 0.0:
                 assert abs(mpmath.mpc(complex(s[k, k])) / exact[k][k] - 1) <= 2e-15
+
+
+def test_the_composed_4port_keeps_its_digits_as_alpha_nears_1():
+    # with beta = sqrt(1 - alpha^2) the coupler was 5.5e-12 relative off at
+    # |alpha| = 1 - 1e-6, and composed_4port 9.5e-15 off the model here
+    config = JisConfig(6.84, 9.567, 40.0, 100.0, 0.58, 1.0 - 1e-6)
+    s = composed_4port(config).s
+    with mp.workdps(40):
+        exact, _ = _four_port(0.58, 1.0 - 1e-6, *config.quarter_turns, 0)
+        assert max(abs(mpmath.mpc(complex(s[i, j])) - exact[i][j]) for i in range(4) for j in range(4)) <= 1e-15
+
+
+@settings(CONTRACT)
+@given(_weighted(0.0, 1.0, 0.51, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0**-53))
+def test_the_coupler_branch_is_within_2_ulp(alpha):
+    # beta = sqrt((1 - alpha)(1 + alpha)) keeps its digits as alpha -> 1
+    beta = lossy_coupler(alpha).s[0, 2].real
+    with mp.workdps(40):
+        a = mpmath.mpf(alpha)
+        exact = mpmath.sqrt(1 - a * a)
+        assert beta == 0.0 if exact == 0 else _ulps(beta, exact) <= 2.0
+
+
+def _unit():
+    """[0, 1] with a share drawn from 1e-16 to 1 away from either edge, and both edges exactly."""
+    near = st.floats(-16.0, 0.0).map(lambda e: 10.0**e)
+    return st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0), near, near.map(lambda d: 1.0 - d))
+
+
+@settings(CONTRACT, max_examples=300)
+@given(_unit(), _unit(), st.sampled_from((1, -1)))
+def test_the_on_resonance_powers_are_within_6_eps(rho, alpha, sin_phi):
+    # the fit's forward model over [0, 1]^2 (3.8 eps the worst seen over
+    # 40,000 edge-weighted draws). Exactly (rho, |alpha|) = (0, 1) is a
+    # decoupled line with powers (1, 1), the limit of every path into it.
+    got = on_resonance_powers(rho, alpha, sin_phi)
+    with mp.workdps(40):
+        x, a = mpmath.mpf(rho), mpmath.mpf(alpha)
+        t, r = 2 * x / (1 + x * x), (1 - x * x) / (1 + x * x)
+        # 1 - r^2 a^2 with r^2 = 1 - t^2: 40 digits hold where it cancels to 4e-32
+        loop = (1 - a * a) + a * a * t * t
+        if loop == 0:
+            assert rho == 0.0 and alpha == 1.0 and got == (1.0, 1.0)
+            assert on_resonance_amplitudes(rho, alpha) == (1.0, 0.0)
+            return
+        refl, conv = r * (1 - a * a) / loop, a * t * t / loop
+        for p, exact in zip(got, ((refl - sin_phi * conv) ** 2, (refl + sin_phi * conv) ** 2)):
+            assert abs(mpmath.mpf(p) - exact) <= 6 * np.finfo(float).eps
+
+
+@settings(CONTRACT, max_examples=200)
+@given(_unit(), _unit())
+def test_the_swap_twin_is_within_3_ulp(rho, alpha):
+    # (rho of r = |alpha|, r of rho): 1.2 and 2.4 ulp the worst seen
+    twin = swap_twin(rho, alpha)
+    with mp.workdps(40):
+        x, a = mpmath.mpf(rho), mpmath.mpf(alpha)
+        for got, exact in zip(twin, (mpmath.sqrt((1 - a) / (1 + a)), (1 - x * x) / (1 + x * x))):
+            assert got == 0.0 if exact == 0 else _ulps(float(got), exact) <= 3.0
 
 
 def _stage(f1, params):

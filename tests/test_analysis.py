@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from paramix import analysis
-from paramix.acceptance import _swap_twin
 from paramix.analysis import (
     ReadoutChainRecord,
     backaction_report,
@@ -20,10 +19,18 @@ from paramix.analysis import (
     t_phi,
     theta_from_chi_kappa,
     to_power_dB,
-    _on_resonance_powers,
 )
 from paramix.errors import NoDipError, NumericalError, UnbracketedBandwidthError
-from paramix.isolator import SweepResult, default_grid, effective_2port_sweep, feed_sin_phi, reference_device
+from paramix.isolator import (
+    SweepResult,
+    default_grid,
+    effective_2port_sweep,
+    feed_sin_phi,
+    on_resonance_amplitudes,
+    on_resonance_powers,
+    reference_device,
+    swap_twin,
+)
 from paramix.mixer import RHO_5050
 
 
@@ -40,8 +47,9 @@ def test_gamma0():
     assert gamma0(40.0, 100.0) == pytest.approx(400.0 / 7.0, abs=1e-12)
     assert gamma0(100.0, 40.0) == gamma0(40.0, 100.0)
     assert gamma0(80.0, 80.0) == 80.0
-    with pytest.raises(ValueError, match="positive"):
-        gamma0(0.0, 50.0)
+    for bad in ((0.0, 50.0), (50.0, 0.0)):
+        with pytest.raises(ValueError, match="positive"):
+            gamma0(*bad)
 
 
 def _synthetic_sweep(f, power):
@@ -60,14 +68,20 @@ def test_bandwidth_on_piecewise_linear_dip():
     assert bw.f_dip_ghz == 5.0
     assert bw.floor == pytest.approx(floor, rel=1e-12)
     assert bw.gamma_mhz == pytest.approx(20.0, abs=1e-9)
+    # the shortest grid: three points, the outer two exactly at 2 L, which
+    # count as reaching it
+    bw = dip_bandwidth([4.99, 5.0, 5.01], [0.2, 0.1, 0.2])
+    assert (bw.f_dip_ghz, bw.floor) == (5.0, 0.1)
+    assert bw.gamma_mhz == pytest.approx(20.0, abs=1e-9)
 
 
 def test_bandwidth_failure_modes():
     f = np.linspace(4.95, 5.05, 101)
     with pytest.raises(NoDipError, match="grid too short"):
         bandwidth_3dB(_synthetic_sweep(f[:2], f[:2]), "s12")
-    with pytest.raises(NoDipError, match="edge"):
-        bandwidth_3dB(_synthetic_sweep(f, 0.1 + 0.01 * (f - 4.95)), "s12")
+    for rising in (0.1 + 0.01 * (f - 4.95), 0.1 + 0.01 * (5.05 - f)):
+        with pytest.raises(NoDipError, match="edge"):
+            bandwidth_3dB(_synthetic_sweep(f, rising), "s12")
     shallow = 0.04 * (1.0 + np.abs(f - 5.0) / 1.0)  # never reaches 2 L
     with pytest.raises(UnbracketedBandwidthError, match="not bracketed"):
         bandwidth_3dB(_synthetic_sweep(f, shallow), "s12")
@@ -101,6 +115,11 @@ def test_a_trace_flat_to_rounding_has_no_dip():
     flat[200] = 1.0 - ulp
     with pytest.raises(NoDipError, match="no dip: the trace is flat"):
         dip_bandwidth(f, flat)
+    # a spread of exactly _FLAT_ULPS ulps of the maximum is still flat
+    flat = np.ones(5)
+    flat[2] = 1.0 - analysis._FLAT_ULPS * ulp
+    with pytest.raises(NoDipError, match="no dip: the trace is flat"):
+        dip_bandwidth(f[:5], flat)
 
 
 def test_reference_dip_regression(reference):
@@ -138,7 +157,7 @@ def test_scan_defaults_to_the_isolated_direction():
 
 
 def test_fit_recovers_reference_point():
-    p21, p12 = _on_resonance_powers(RHO_5050, 0.51, -1)
+    p21, p12 = on_resonance_powers(RHO_5050, 0.51, -1)
     fit = fit_rho_alpha(float(p21), float(p12))
     assert fit.rho == pytest.approx(RHO_5050, abs=1e-6)
     assert fit.alpha_mag == pytest.approx(0.51, abs=1e-6)
@@ -149,15 +168,15 @@ def test_fit_recovers_reference_point():
 def test_fit_round_trip_reproduces_measurements(rng):
     for _ in range(10):
         rho, alpha = rng.uniform(0.1, 0.9, size=2)
-        p21, p12 = _on_resonance_powers(rho, alpha, -1)
+        p21, p12 = on_resonance_powers(rho, alpha, -1)
         fit = fit_rho_alpha(float(p21), float(p12))
-        m21, m12 = _on_resonance_powers(fit.rho, fit.alpha_mag, -1)
+        m21, m12 = on_resonance_powers(fit.rho, fit.alpha_mag, -1)
         assert abs(m21 - p21) < 1e-9 and abs(m12 - p12) < 1e-9
         assert fit.residual < 1e-15
 
 
 def test_fit_pump_port_two():
-    p21, p12 = _on_resonance_powers(0.3, 0.6, 1)
+    p21, p12 = on_resonance_powers(0.3, 0.6, 1)
     fit = fit_rho_alpha(float(p21), float(p12), pump_port="P2")
     assert fit.rho == pytest.approx(0.3, abs=1e-6)
     assert fit.alpha_mag == pytest.approx(0.6, abs=1e-6)
@@ -166,7 +185,7 @@ def test_fit_pump_port_two():
 def test_fit_returns_the_canonical_twin_for_both_feeds():
     # (0.5, 0.9) and its swap twin (0.2294157, 0.6) give the same powers;
     # the fit returns the twin that sorts lower, whichever feed made them
-    p21, p12 = _on_resonance_powers(0.5, 0.9, -1)
+    p21, p12 = on_resonance_powers(0.5, 0.9, -1)
     fits = [fit_rho_alpha(float(p21), float(p12), "P1"), fit_rho_alpha(float(p12), float(p21), "P2")]
     for fit in fits:
         assert fit.rho == pytest.approx(0.2294157, abs=1e-6)
@@ -192,9 +211,8 @@ def _edge_weighted(rng, n):
 
 
 # Pairs whose pass power lies within this of 1 sit next to the pair (1, 1),
-# onto which the whole rho = 0 and |alpha| = 1 edges map and where
-# _refl_conv cancels: what the fit returns there is one of ROADMAP item 2's
-# "contracts to decide on purpose".
+# onto which the whole rho = 0 and |alpha| = 1 edges map: what the fit
+# returns there is one of ROADMAP item 2's "contracts to decide on purpose".
 _CORNER = 1e-12
 
 
@@ -205,13 +223,13 @@ def test_fit_inverts_the_forward_model_in_closed_form(monkeypatch):
     rng = np.random.default_rng(27)
     rho, alpha = _edge_weighted(rng, 1600), _edge_weighted(rng, 1600)
     for port in ("P1", "P2"):
-        p21, p12 = _on_resonance_powers(rho, alpha, feed_sin_phi(port))
+        p21, p12 = on_resonance_powers(rho, alpha, feed_sin_phi(port))
         deficit = 1.0 - np.maximum(p21, p12)
         kept = np.flatnonzero(deficit >= _CORNER)
         assert kept.size >= 1000
         for k in kept:
             fit = fit_rho_alpha(float(p21[k]), float(p12[k]), port)
-            want = min((rho[k], alpha[k]), _swap_twin(rho[k], alpha[k]))
+            want = min((rho[k], alpha[k]), swap_twin(rho[k], alpha[k]))
             # the inverse's condition number grows as 1 / deficit toward (1, 1)
             tol = 4.0 * np.finfo(float).eps / deficit[k]
             assert fit.residual < 1e-18
@@ -226,13 +244,15 @@ def test_fit_inverts_the_forward_model_in_closed_form(monkeypatch):
 
 def test_pairs_by_the_pass_power_edge_are_solved_on_the_second_branch(monkeypatch):
     # seeded edge-weighted draws by (rho, |alpha|) = (0, 1), 1 - p_pass < 1e-15,
-    # whose only exact root is on the second branch, refl < conv
+    # whose only exact root is on the second branch, refl < conv (378 of
+    # 200,000 such draws per feed); a fit that solves only the first branch
+    # searches on each of them
     monkeypatch.setattr(analysis, "optimize", _NoSearch())
-    pairs = [("P1", 1.0, 0.9663575655807035), ("P1", 0.9999999999999998, 0.0755473370882725)]
-    pairs += [("P2", 0.9533972704226127, 0.9999999999999998), ("P2", 0.9842407301038207, 1.0)]
+    pairs = [("P1", 1.0, 0.9898953951415206), ("P1", 0.9999999999999998, 0.051492390845431286)]
+    pairs += [("P2", 0.9188618437531054, 0.9999999999999998), ("P2", 0.011591704009005006, 1.0)]
     for port, p21, p12 in pairs:
         fit = fit_rho_alpha(p21, p12, port)
-        refl, conv = analysis._refl_conv(fit.rho, fit.alpha_mag)
+        refl, conv = on_resonance_amplitudes(fit.rho, fit.alpha_mag)
         assert fit.residual < 1e-18 and refl < conv, (port, p21, p12)
 
 
@@ -242,28 +262,38 @@ def test_the_search_agrees_with_the_closed_form():
     for k, (rho, alpha) in enumerate(points):
         port = ("P1", "P2")[k % 2]
         sin_phi = feed_sin_phi(port)
-        p21, p12 = (float(p) for p in _on_resonance_powers(rho, alpha, sin_phi))
+        p21, p12 = (float(p) for p in on_resonance_powers(rho, alpha, sin_phi))
         fit = fit_rho_alpha(p21, p12, port)
+        # (0.5, 0.9): the grid holds only the basin of the twin that sorts
+        # higher, and the search returns the lower twin of what it polished
         _, rho_s, alpha_s = analysis._search(p21, p12, sin_phi)
-        if k == 0:
-            # named twin case: the grid holds only the basin of the twin
-            # that sorts higher, (0.5, 0.9), so the search returns that one
-            rho_s, alpha_s = _swap_twin(rho_s, alpha_s)
         assert (rho_s, alpha_s) == pytest.approx((fit.rho, fit.alpha_mag), abs=1e-9), (rho, alpha, port)
 
 
 def test_a_pair_on_the_pass_power_edge_keeps_the_search():
-    # on P2, (0.5, 1.0) puts the pass power at 1, whose only root is the
-    # singular corner (rho, |alpha|) = (0, 1), where _refl_conv cancels; no
-    # root passes there, so the pair keeps the search and its result (what
-    # the fit should return here is one of ROADMAP item 2's "contracts to
-    # decide on purpose")
+    # on P2, (0.5, 1.0) puts the pass power at 1, which only paths into the
+    # corner (rho, |alpha|) = (0, 1) approach with refl - conv free; the
+    # corner itself gives (1, 1), so no root exists and the pair keeps the
+    # search and its result, the lower twin (what the fit should return
+    # here is one of ROADMAP item 2's "contracts to decide on purpose")
     assert analysis._exact_roots(0.5, 1.0, feed_sin_phi("P2")) == []
     fit = fit_rho_alpha(0.5, 1.0, "P2")
-    assert fit.rho == pytest.approx(0.0755325463, abs=1e-10)
-    assert fit.alpha_mag == pytest.approx(0.998044213, abs=1e-9)
-    assert fit.residual == pytest.approx(4.99087500e-10, rel=1e-8)
+    assert fit.rho == pytest.approx(0.0311853214, abs=1e-10)
+    assert fit.alpha_mag == pytest.approx(0.988727240, abs=1e-9)
+    assert fit.residual == pytest.approx(4.93132283e-10, rel=1e-8)
     assert fit.alpha_identifiable
+
+
+def test_the_pass_edge_pairs_return_the_lower_twin_on_both_feeds():
+    # on the feed whose pass power is 1 the pair keeps the search, on the
+    # other it lies off the image (p_iso > p_pass); either way the fit
+    # writes the twin that sorts lower and the residual of the point written
+    for port in ("P1", "P2"):
+        for pair in ((0.5, 1.0), (1.0, 0.5)):
+            fit = fit_rho_alpha(*pair, port)
+            assert (fit.rho, fit.alpha_mag) <= tuple(swap_twin(fit.rho, fit.alpha_mag)), (port, pair)
+            m21, m12 = on_resonance_powers(fit.rho, fit.alpha_mag, feed_sin_phi(port))
+            assert abs((m21 - pair[0]) ** 2 + (m12 - pair[1]) ** 2 - fit.residual) <= 1e-18
 
 
 def test_fit_equal_powers_picks_decoupled_line():
@@ -290,13 +320,29 @@ def test_fit_input_validation():
         fit_rho_alpha(0.5, 1.2)
     with pytest.raises(ValueError, match="pump_port"):
         fit_rho_alpha(0.5, 0.5, pump_port="P3")
+    # a power rounded up to 1e-9 above 1 is accepted
+    assert not fit_rho_alpha(1.0 + 1e-9, 1.0 + 1e-9).alpha_identifiable
+
+
+def test_the_ends_of_the_pass_edge_are_closed_form_roots(monkeypatch):
+    # (0, 0) is exactly the full converter rho = 1 with |alpha| = 0; a pair
+    # within 1e-9 of (1, 1) is reproduced within _FIT_EXACT_TOL by the
+    # decoupled corner (rho, |alpha|) = (0, 1), whose powers are exactly
+    # (1, 1), and |alpha| is not identifiable there
+    monkeypatch.setattr(analysis, "optimize", _NoSearch())
+    for port, near_one in (("P1", (1.0, 1.0 - 1e-10)), ("P2", (1.0 - 1e-10, 1.0))):
+        fit = fit_rho_alpha(0.0, 0.0, port)
+        assert (fit.rho, fit.alpha_mag, fit.residual, fit.alpha_identifiable) == (1.0, 0.0, 0.0, True)
+        fit = fit_rho_alpha(*near_one, port)
+        assert fit.rho == 0.0 and fit.residual < 1e-18 and not fit.alpha_identifiable
 
 
 def test_theta_from_chi_kappa():
     assert theta_from_chi_kappa(0.94, 1.1) == pytest.approx(81.031, abs=2e-3)
     assert theta_from_chi_kappa(1.0, 1.0) == pytest.approx(90.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        theta_from_chi_kappa(-1.0, 1.0)
+    for bad in ((-1.0, 1.0), (0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            theta_from_chi_kappa(*bad)
 
 
 def test_eta_from_separation():
@@ -305,13 +351,18 @@ def test_eta_from_separation():
     assert eta == pytest.approx(0.2059, abs=1e-3)
     with pytest.raises(ValueError, match="positive"):
         eta_from_separation(0.0, 2.0, 1.1, 1.0, theta)
+    with pytest.raises(ValueError, match="nonzero"):
+        eta_from_separation(1.55, 2.0, 1.1, 1.0, 0.0)
+    # (I/sigma)^2 / (2 nbar kappa T sin^2(theta/2)) with 2 pi x 1 MHz, T = 2 us, theta = 90 deg
+    assert eta_from_separation(1.0, 1.0, 1.0, 2.0, 90.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
 
 
 def test_t_phi():
     assert t_phi(60.0, 54.0) == pytest.approx(6480.0 / 66.0)
     assert t_phi(math.inf, 54.0) == pytest.approx(54.0)
-    with pytest.raises(ValueError, match="positive"):
-        t_phi(0.0, 10.0)
+    for bad in ((0.0, 10.0), (10.0, 0.0)):
+        with pytest.raises(ValueError, match="positive"):
+            t_phi(*bad)
     with pytest.raises(NumericalError, match="no measurable dephasing"):
         t_phi(10.0, 20.0)
     with pytest.raises(NumericalError):
@@ -319,6 +370,9 @@ def test_t_phi():
     # 1 / T2E overflows: T_phi would underflow to 0
     with pytest.raises(NumericalError, match="dephasing rate is out of range"):
         t_phi(60.0, 1e-320)
+    # T_phi overflows to inf: the rate would be 0
+    with pytest.raises(NumericalError, match="dephasing rate is out of range"):
+        t_phi(1e308, 1.5e308)
 
 
 def test_nbar_from_dephasing():
@@ -327,17 +381,17 @@ def test_nbar_from_dephasing():
     n2 = nbar_from_dephasing(20.0, 1.1, 0.94)
     assert n1 == pytest.approx(2.0 * n2, rel=1e-12)
     assert nbar_from_dephasing(math.inf, 1.1, 0.94) == 0.0
-    with pytest.raises(ValueError):
-        nbar_from_dephasing(-1.0, 1.1, 0.94)
-    with pytest.raises(ValueError):
-        nbar_from_dephasing(10.0, 0.0, 0.94)
+    for bad in ((-1.0, 1.1, 0.94), (0.0, 1.1, 0.94), (10.0, 0.0, 0.94), (10.0, 1.1, 0.0)):
+        with pytest.raises(ValueError):
+            nbar_from_dephasing(*bad)
 
 
 def test_isolation_estimate():
     assert isolation_estimate_dB(0.04, 0.002) == pytest.approx(13.0103, abs=1e-4)
     assert isolation_estimate_dB(0.5, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        isolation_estimate_dB(0.0, 0.1)
+    for bad in ((0.0, 0.1), (0.1, 0.0)):
+        with pytest.raises(ValueError, match="positive"):
+            isolation_estimate_dB(*bad)
 
 
 def _chain_records():
@@ -384,4 +438,9 @@ def test_backaction_report_edge_cases():
     same = replace(base, label="jda, no excess", jda="on")
     report = backaction_report([base, same, full])
     assert report.rows[1].nbar_ba == 0.0
+    assert report.isolation_db is None
+    # nor does an isolator-on row with no excess
+    jda_only = _chain_records()[2]
+    report = backaction_report([base, jda_only, replace(same, jis="on")])
+    assert report.rows[2].nbar_ba == 0.0
     assert report.isolation_db is None

@@ -1,4 +1,4 @@
-"""Operator mutation survey of the model modules against tier-1.
+"""Operator mutation survey of src/paramix modules against tier-1.
 
 Each mutant swaps one operator in one module: < and <=, > and >=, + and -,
 * and /. The swap is made in the source text, so the rest of the file keeps
@@ -7,8 +7,8 @@ out); it survives when every test still passes.
 
 Run from the repository root:
 
-    python tools/mutate.py                   # all four model modules
-    python tools/mutate.py parity network    # only these
+    python tools/mutate.py                   # the four model modules
+    python tools/mutate.py parity analysis   # any modules of src/paramix
     python tools/mutate.py --jobs 2          # two mutants at a time (at most 2)
 
 The suite runs with -x, the test files that import the mutated module
@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "paramix"
 MODULES = ("mixer", "network", "isolator", "parity")
 SWAPS = {
     ast.Lt: ("<", "<="),
@@ -118,11 +119,12 @@ def run_mutant(copies: queue.Queue, module: str, source: bytes, site) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("modules", nargs="*", help=f"any of {', '.join(MODULES)} (default: all)")
+    parser.add_argument("modules", nargs="*", help=f"modules of src/paramix (default: {', '.join(MODULES)})")
     parser.add_argument("--jobs", type=int, default=1, choices=(1, 2))
     args = parser.parse_args(argv)
-    if set(args.modules) - set(MODULES):
-        parser.error(f"modules must be among {', '.join(MODULES)}")
+    unknown = sorted(m for m in args.modules if not (m.isidentifier() and (PACKAGE / f"{m}.py").is_file()))
+    if unknown:
+        parser.error(f"no module {', '.join(unknown)} in src/paramix")
 
     with tempfile.TemporaryDirectory(prefix="paramix-mutants-") as tmp:
         copies: queue.Queue = queue.Queue()
