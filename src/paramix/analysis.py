@@ -28,7 +28,6 @@ from .isolator import (
     on_resonance_powers,
     swap_twin,
 )
-from .mixer import rho_of_r
 
 
 def to_power_dB(s) -> np.ndarray | float:
@@ -153,14 +152,14 @@ def bandwidth_attenuation_scan(
 class _LazyOptimize:
     """`scipy.optimize`, imported on the first attribute read.
 
-    Only the fit's search uses scipy, and a fit runs it only for a pair with
-    no exact root (`_exact_roots`). Importing it costs about 0.5 s and 48 MB,
-    so every other command, and a fit of a pair on the model's image, runs
-    without it. Each attribute read is cached on this object, so
-    `optimize.least_squares` can be looked up and replaced like a module
-    attribute (the benchmark's tracer wraps it there). Delete it together
-    with scipy once off-image pairs are fitted in closed form too (ROADMAP
-    item 2).
+    Only the fit's search uses scipy, and a fit runs it only for a pair that
+    the exact inverse of its projection does not reproduce (`fit_rho_alpha`).
+    Importing it costs about 0.5 s and 48 MB, so every other command, a fit
+    of a pair on the model's image and a fit of (1, 1) run without it. Each
+    attribute read is cached on this object, so `optimize.least_squares` can
+    be looked up and replaced like a module attribute (the benchmark's
+    tracer wraps it there). Delete it together with scipy once the search is
+    gone too (ROADMAP item 2).
     """
 
     def __getattr__(self, name):
@@ -174,12 +173,10 @@ class _LazyOptimize:
 optimize = _LazyOptimize()
 
 
-# Step of the fit's coarse (rho, |alpha|) grid, the residual spread below
-# which a surface counts as flat (non-identifiable), and the squared power
+# Step of the fit's coarse (rho, |alpha|) grid, and the squared power
 # residual below which a point reproduces its pair exactly.
 _FIT_GRID_STEP = 0.005
 _FIT_GRID = np.arange(0.0, 1.0 + _FIT_GRID_STEP / 2.0, _FIT_GRID_STEP)
-_FIT_FLAT_TOL = 1e-12
 _FIT_EXACT_TOL = 1e-18
 
 
@@ -197,32 +194,6 @@ def _residuals(rho, alpha, s21_sq: float, s12_sq: float, sin_phi: int):
     """Summed squared power residual of (rho, alpha) against the pair."""
     m21, m12 = on_resonance_powers(rho, alpha, sin_phi)
     return (m21 - s21_sq) ** 2 + (m12 - s12_sq) ** 2
-
-
-def _exact_roots(s21_sq: float, s12_sq: float, sin_phi: int) -> list:
-    """Every (residual, rho, alpha) in [0, 1]^2 that reproduces the pair exactly.
-
-    The pass amplitude u = refl + conv and the isolated one v = |refl - conv|
-    leave the sign of refl - conv open, so both branches refl, conv =
-    (u +- v)/2, (u -+ v)/2 are solved. Eliminating r from refl and conv
-    (isolator.on_resonance_amplitudes) leaves conv a^2 - (1 + conv^2 -
-    refl^2) a + conv = 0, whose roots multiply to 1, so only the smaller can
-    lie in [0, 1]; then r = refl / (1 - conv a) and rho = rho_of_r(r). A
-    root is kept when its squared power residual is below _FIT_EXACT_TOL.
-    """
-    p_pass, p_iso = (s12_sq, s21_sq) if sin_phi > 0 else (s21_sq, s12_sq)
-    u, v = math.sqrt(p_pass), math.sqrt(p_iso)
-    refl = np.array([u + v, u - v]) / 2.0
-    conv = np.array([u - v, u + v]) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the discriminant (1 + conv^2 - refl^2)^2 - 4 conv^2, factored
-        disc = (1.0 - conv - refl) * (1.0 - conv + refl) * (1.0 + conv - refl) * (1.0 + conv + refl)
-        alpha = 2.0 * conv / (1.0 + conv**2 - refl**2 + np.sqrt(disc))
-        r = refl / (1.0 - conv * alpha)
-        rho = rho_of_r(r)
-        residual = _residuals(rho, alpha, s21_sq, s12_sq, sin_phi)
-    keep = (0.0 <= rho) & (rho <= 1.0) & (0.0 <= alpha) & (alpha <= 1.0) & (residual < _FIT_EXACT_TOL)
-    return [(float(residual[k]), float(rho[k]), float(alpha[k])) for k in np.flatnonzero(keep)]
 
 
 def _search(s21_sq: float, s12_sq: float, sin_phi: int) -> tuple[float, float, float]:
@@ -278,38 +249,48 @@ def _search(s21_sq: float, s12_sq: float, sin_phi: int) -> tuple[float, float, f
     return float(_residuals(rho, alpha, s21_sq, s12_sq, sin_phi)), rho, alpha
 
 
+def _lower_twin(p_pass: float, p_iso: float) -> tuple[float, float]:
+    """The (rho, |alpha|) with r >= |alpha| whose pass and isolated powers are p_pass and p_iso.
+
+    With r = tanh x and |alpha| = tanh y the pass amplitude is tanh(x + y) and
+    the isolated one tanh|x - y|, and rho = e^-x. So a power p gives rho_p =
+    e^-atanh(sqrt p) = sqrt(1 - p) / (1 + sqrt p), which keeps its digits as
+    p -> 1, and rho = sqrt(rho_P rho_I), |alpha| = (rho_I - rho_P) / (rho_I +
+    rho_P). Needs 0 <= p_iso <= p_pass < 1.
+    """
+    rho_pass, rho_iso = (math.sqrt(1.0 - p) / (1.0 + math.sqrt(p)) for p in (p_pass, p_iso))
+    return math.sqrt(rho_pass * rho_iso), (rho_iso - rho_pass) / (rho_iso + rho_pass)
+
+
 def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitResult:
     """Recover (rho, |alpha|) from on-resonance |S21|^2 and |S12|^2.
 
-    A pair on the model's image is solved in closed form (`_exact_roots`);
-    only a pair with no exact root, such as a noisy pair off the image, goes
-    to the least-squares search (`_search`). Ties between power-equivalent
-    points resolve to the smallest rho, then the smallest |alpha|. When the
-    residual is flat along |alpha| at the fitted rho (e.g. both measurements
-    equal 1, so rho = 0 and the internal line is never probed),
-    alpha_identifiable is False and |alpha| is reported as 0.
+    The feed's pass power P and isolated power I are projected onto the
+    model's image 0 <= I <= P <= 1: both are clipped to 1, both become their
+    mean if I > P, and P = 1 with I < 1, an edge the image approaches but
+    never attains, becomes the float below 1. The projected pair is inverted
+    exactly (`_lower_twin`) to the one of two power-equivalent points with
+    the smaller rho. Only a pair whose inverse point misses it by
+    _FIT_EXACT_TOL or more, such as a noisy pair off the image, goes to the
+    least-squares search (`_search`). The residual returned is that of the
+    point returned. |alpha| is not identifiable only where the powers do not
+    depend on it, at rho = 0, which only a pair projected to (1, 1) reaches:
+    it returns (0, 0) with alpha_identifiable False.
     """
     for name, val in (("s21_sq", s21_sq), ("s12_sq", s12_sq)):
         if not 0.0 <= val <= 1.0 + 1e-9:
             raise ValueError(f"{name} must lie in [0, 1]")
     sin_phi = feed_sin_phi(pump_port)
-    roots = _exact_roots(s21_sq, s12_sq, sin_phi)
-    if roots:
-        residual, rho_fit, alpha_fit = min(roots, key=lambda p: (p[1], p[2]))
-    else:
+    p_pass, p_iso = (min(p, 1.0) for p in ((s12_sq, s21_sq) if sin_phi > 0 else (s21_sq, s12_sq)))
+    if p_iso > p_pass:
+        p_pass = p_iso = (p_pass + p_iso) / 2.0
+    if p_iso == 1.0:
+        return FitResult(0.0, 0.0, float(_residuals(0.0, 0.0, s21_sq, s12_sq, sin_phi)), False)
+    rho_fit, alpha_fit = _lower_twin(min(p_pass, math.nextafter(1.0, 0.0)), p_iso)
+    residual = float(_residuals(rho_fit, alpha_fit, s21_sq, s12_sq, sin_phi))
+    if residual >= _FIT_EXACT_TOL:
         residual, rho_fit, alpha_fit = _search(s21_sq, s12_sq, sin_phi)
-
-    # flat alpha direction: slide alpha across its full range at fixed rho
-    probe = _residuals(np.full_like(_FIT_GRID, rho_fit), _FIT_GRID, s21_sq, s12_sq, sin_phi)
-    alpha_identifiable = bool(probe.max() - probe.min() >= _FIT_FLAT_TOL)
-    if not alpha_identifiable:
-        alpha_fit = 0.0
-    return FitResult(
-        rho=rho_fit,
-        alpha_mag=alpha_fit,
-        residual=residual,
-        alpha_identifiable=alpha_identifiable,
-    )
+    return FitResult(rho=rho_fit, alpha_mag=alpha_fit, residual=residual, alpha_identifiable=True)
 
 
 def theta_from_chi_kappa(chi_mhz: float, kappa_mhz: float) -> float:

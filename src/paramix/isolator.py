@@ -226,19 +226,22 @@ def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     so sin phi = +-1, S11 = S22 are exact zeros and the half phases are
     whole quarter turns. With no line (l = 1) the model's other zeros are
     exact too (-0.0 is written 0.0), and rho = 0 is exactly transparent:
-    S21 = S12 = i, -1 at the taps. |alpha| = 1 is finite. Raises
-    SingularResponseError where L = 0: |alpha| = 1 with no line and t^2
-    underflowed. No linewidth enters: chi^-1 = 1 at f_a.
+    S21 = S12 = i, -1 at the taps. |alpha| = 1 with no line and rho > 0 has
+    L = t^2, which cancels from every entry: S21, S12 = -+i sin phi and
+    S34 = S43 = 1, written so for a t^2 that underflows too. L vanishes
+    nowhere else, so the 4-port is finite on the whole config domain. No
+    linewidth enters: chi^-1 = 1 at f_a.
     """
     t, r = amplitudes_on_resonance(config.rho)
     ell = complex(_line_phasor(config, config.f_a_ghz))
-    if t == 0.0 and ell == 1.0:
-        return ScatteringMatrix(_PORTS_4, [[0, 1j, 0, 0], [1j, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
     alpha = config.alpha_mag
+    if ell == 1.0 and t == 0.0:
+        return ScatteringMatrix(_PORTS_4, [[0, 1j, 0, 0], [1j, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    if ell == 1.0 and alpha == 1.0:
+        s12 = complex(0.0, config.sin_phi)
+        return ScatteringMatrix(_PORTS_4, [[0, s12, 0, 0], [s12.conjugate(), 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     beta2, a_c = coupler_beta2(alpha), alpha * ell
     at2, bc2, loop = _loop_terms(a_c, t)
-    if loop == 0.0:
-        raise SingularResponseError("internal loop resonance: 1 - r^2 alpha^2 vanished")
 
     k1, k2 = config.quarter_turns
     dk, sk = k1 - k2, k1 + k2

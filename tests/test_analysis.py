@@ -210,50 +210,77 @@ def _edge_weighted(rng, n):
     )
 
 
-# Pairs whose pass power lies within this of 1 sit next to the pair (1, 1),
-# onto which the whole rho = 0 and |alpha| = 1 edges map: what the fit
-# returns there is one of ROADMAP item 2's "contracts to decide on purpose".
-_CORNER = 1e-12
-
-
 def test_fit_inverts_the_forward_model_in_closed_form(monkeypatch):
     # fit(forward(rho, alpha)) is (rho, alpha) or its swap twin, whichever
-    # sorts lower, and reproduces the pair, without the search
+    # sorts lower, and reproduces the pair, without the search. A pass power
+    # of exactly 1 (the rho = 0 and |alpha| = 1 edges) is left out: (1, 1)
+    # has no |alpha|, and the fit clamps the unattained edge below it, whose
+    # point can miss the pair in the forward model's last bits and search
+    # (test_a_pair_on_the_pass_power_edge_keeps_the_search)
     monkeypatch.setattr(analysis, "optimize", _NoSearch())
     rng = np.random.default_rng(27)
     rho, alpha = _edge_weighted(rng, 1600), _edge_weighted(rng, 1600)
     for port in ("P1", "P2"):
         p21, p12 = on_resonance_powers(rho, alpha, feed_sin_phi(port))
         deficit = 1.0 - np.maximum(p21, p12)
-        kept = np.flatnonzero(deficit >= _CORNER)
+        kept = np.flatnonzero(deficit > 0.0)
         assert kept.size >= 1000
         for k in kept:
             fit = fit_rho_alpha(float(p21[k]), float(p12[k]), port)
             want = min((rho[k], alpha[k]), swap_twin(rho[k], alpha[k]))
             # the inverse's condition number grows as 1 / deficit toward (1, 1)
             tol = 4.0 * np.finfo(float).eps / deficit[k]
-            assert fit.residual < 1e-18
-            assert abs(fit.rho - want[0]) <= tol
-            if fit.alpha_identifiable:
-                assert abs(fit.alpha_mag - want[1]) <= tol
-            else:
-                # the residual can be flat along |alpha| only within 1e-6 of
-                # (1, 1), since the probe's |alpha| = 1 gives the pair (1, 1)
-                assert fit.alpha_mag == 0.0 and deficit[k] < 1e-6
+            assert fit.residual < 1e-18 and fit.alpha_identifiable
+            assert abs(fit.rho - want[0]) <= tol and abs(fit.alpha_mag - want[1]) <= tol
 
 
-def test_pairs_by_the_pass_power_edge_are_solved_on_the_second_branch(monkeypatch):
+def test_the_fit_writes_the_residual_of_its_point_and_loses_alpha_only_at_one_one(monkeypatch):
+    # over on-image forward pairs and pairs a few ulps off the image, without
+    # the search: the residual written is that of the point written, and
+    # |alpha| is not identifiable, and written 0, only for a pair projected
+    # to exactly (1, 1), the one pair whose powers do not depend on |alpha|.
+    # A pass power of exactly 1 over a smaller isolated one lies on the
+    # image's unattained edge and can search, so forward pairs there are
+    # left out (test_a_pair_on_the_pass_power_edge_keeps_the_search).
+    monkeypatch.setattr(analysis, "optimize", _NoSearch())
+    pairs = [
+        ("P1", 1.0000000000000004, 0.9986640651161274),  # a pass power 2 ulps above 1, |alpha| next to 1
+        ("P1", 0.9999999990955883, 0.9999999971660354),  # rho = 2e-5, 1 - p_pass = 1e-9
+        ("P2", 0.25 + 2.0**-54, 0.25),
+        ("P1", 0.5, 0.5 + 2.0**-53),
+        ("P1", 1.0, 1.0),
+        ("P2", 1.0 + 1e-9, 1.0),
+        ("P1", 1.0, 1.0 + 4e-16),
+        ("P2", 1.0 + 1e-9, 1.0 + 1e-9),
+    ]
+    rng = np.random.default_rng(31)
+    rho, alpha = _edge_weighted(rng, 400), _edge_weighted(rng, 400)
+    for port in ("P1", "P2"):
+        p21, p12 = on_resonance_powers(rho, alpha, feed_sin_phi(port))
+        kept = (np.maximum(p21, p12) < 1.0) | (p21 == p12)
+        pairs += [(port, float(a), float(b)) for a, b in zip(p21[kept], p12[kept])]
+    assert len(pairs) >= 600
+    for port, p21, p12 in pairs:
+        fit = fit_rho_alpha(p21, p12, port)
+        assert fit.residual == analysis._residuals(fit.rho, fit.alpha_mag, p21, p12, feed_sin_phi(port))
+        assert fit.alpha_identifiable == (min(p21, p12) < 1.0), (port, p21, p12)
+        if not fit.alpha_identifiable:
+            assert (fit.rho, fit.alpha_mag) == (0.0, 0.0)
+
+
+def test_pairs_by_the_pass_power_edge_are_solved_without_the_search(monkeypatch):
     # seeded edge-weighted draws by (rho, |alpha|) = (0, 1), 1 - p_pass < 1e-15,
-    # whose only exact root is on the second branch, refl < conv (378 of
-    # 200,000 such draws per feed); a fit that solves only the first branch
-    # searches on each of them
+    # that the forward model made from points with refl < conv; the fit
+    # returns their power-equivalent lower twin, r >= |alpha| and so
+    # refl >= conv, and reproduces each pair within _FIT_EXACT_TOL
     monkeypatch.setattr(analysis, "optimize", _NoSearch())
     pairs = [("P1", 1.0, 0.9898953951415206), ("P1", 0.9999999999999998, 0.051492390845431286)]
     pairs += [("P2", 0.9188618437531054, 0.9999999999999998), ("P2", 0.011591704009005006, 1.0)]
     for port, p21, p12 in pairs:
         fit = fit_rho_alpha(p21, p12, port)
         refl, conv = on_resonance_amplitudes(fit.rho, fit.alpha_mag)
-        assert fit.residual < 1e-18 and refl < conv, (port, p21, p12)
+        assert fit.residual < 1e-18 and refl >= conv, (port, p21, p12)
+        assert (fit.rho, fit.alpha_mag) <= tuple(swap_twin(fit.rho, fit.alpha_mag))
 
 
 def test_the_search_agrees_with_the_closed_form():
@@ -273,10 +300,11 @@ def test_the_search_agrees_with_the_closed_form():
 def test_a_pair_on_the_pass_power_edge_keeps_the_search():
     # on P2, (0.5, 1.0) puts the pass power at 1, which only paths into the
     # corner (rho, |alpha|) = (0, 1) approach with refl - conv free; the
-    # corner itself gives (1, 1), so no root exists and the pair keeps the
-    # search and its result, the lower twin (what the fit should return
-    # here is one of ROADMAP item 2's "contracts to decide on purpose")
-    assert analysis._exact_roots(0.5, 1.0, feed_sin_phi("P2")) == []
+    # inverse of the pass power clamped below 1 misses the pair by more than
+    # _FIT_EXACT_TOL in the forward model's last bits, so the pair keeps the
+    # search and its result, the lower twin
+    rho, alpha = analysis._lower_twin(math.nextafter(1.0, 0.0), 0.5)
+    assert analysis._residuals(rho, alpha, 0.5, 1.0, feed_sin_phi("P2")) >= analysis._FIT_EXACT_TOL
     fit = fit_rho_alpha(0.5, 1.0, "P2")
     assert fit.rho == pytest.approx(0.0311853214, abs=1e-10)
     assert fit.alpha_mag == pytest.approx(0.988727240, abs=1e-9)
@@ -326,15 +354,18 @@ def test_fit_input_validation():
 
 def test_the_ends_of_the_pass_edge_are_closed_form_roots(monkeypatch):
     # (0, 0) is exactly the full converter rho = 1 with |alpha| = 0; a pair
-    # within 1e-9 of (1, 1) is reproduced within _FIT_EXACT_TOL by the
-    # decoupled corner (rho, |alpha|) = (0, 1), whose powers are exactly
-    # (1, 1), and |alpha| is not identifiable there
+    # 1e-10 below (1, 1) in its isolated power is the corner's approach
+    # along rho -> 0 with |alpha| near 1, and is identifiable; only (1, 1)
+    # itself has powers that do not depend on |alpha|
     monkeypatch.setattr(analysis, "optimize", _NoSearch())
     for port, near_one in (("P1", (1.0, 1.0 - 1e-10)), ("P2", (1.0 - 1e-10, 1.0))):
         fit = fit_rho_alpha(0.0, 0.0, port)
         assert (fit.rho, fit.alpha_mag, fit.residual, fit.alpha_identifiable) == (1.0, 0.0, 0.0, True)
         fit = fit_rho_alpha(*near_one, port)
-        assert fit.rho == 0.0 and fit.residual < 1e-18 and not fit.alpha_identifiable
+        assert fit.rho == pytest.approx(1.623015e-7, rel=1e-6) and fit.alpha_mag == pytest.approx(0.99789488, abs=1e-8)
+        assert fit.residual < 1e-30 and fit.alpha_identifiable
+        fit = fit_rho_alpha(1.0, 1.0, port)
+        assert (fit.rho, fit.alpha_mag, fit.residual, fit.alpha_identifiable) == (0.0, 0.0, 0.0, False)
 
 
 def test_theta_from_chi_kappa():

@@ -11,7 +11,7 @@ import pytest
 import paramix
 from paramix import acceptance, cli
 from paramix.analysis import FitResult
-from paramix.isolator import closed_form_from_config, composed_4port, reference_device
+from paramix.isolator import closed_form_from_config, composed_4port, feed_sin_phi, reference_device
 from paramix.network import check_unitarity
 from paramix.schemas import SCHEMA_TAG, validate_artifact, validate_config
 
@@ -173,6 +173,21 @@ def test_jis_4port_at_alpha_one_is_the_unitary_composed_device(tmp_path, fmt):
     assert np.max(np.abs(closed.s - composed_4port(config).s)) <= 1e-12
 
 
+@pytest.mark.parametrize("rho", [1e-170, 5e-324])
+def test_jis_4port_at_alpha_one_with_no_line_has_no_underflow_cliff(tmp_path, rho):
+    # L = t^2 underflows below rho of about 7.9e-163, but it cancels from
+    # every entry: S21, S12 = -+i sin phi and S34 = S43 = 1 on both feeds
+    for pump in ("P1", "P2"):
+        jis = {**JIS_PLAIN, "rho": rho, "alpha_mag": 1.0, "pump_port": pump}
+        out = tmp_path / pump
+        assert run(tmp_path, "jis-4port", {"jis": jis}, fmt="json", out=out) == 0
+        doc = json.loads((out / "jis_4port.json").read_text())
+        s = np.array(doc["s_real"]) + 1j * np.array(doc["s_imag"])
+        assert np.max(np.abs(s.conj().T @ s - np.eye(4))) <= 1e-12
+        sin_phi = feed_sin_phi(pump)
+        assert (s[1, 0], s[0, 1], s[2, 3], s[3, 2]) == (-1j * sin_phi, 1j * sin_phi, 1.0, 1.0)
+
+
 def test_fit_command(tmp_path):
     rc = run(tmp_path, "fit", {"s21_sq": 0.36, "s12_sq": 0.01})
     assert rc == 0
@@ -180,6 +195,15 @@ def test_fit_command(tmp_path):
     validate_artifact("fit_result", doc)
     assert doc["rho"] == pytest.approx(0.672508005, abs=1e-6)
     assert doc["alpha_mag"] == pytest.approx(0.288020101, abs=1e-6)
+    assert doc["alpha_identifiable"] is True
+
+
+def test_fit_at_rho_2e_5_is_identifiable(tmp_path):
+    # 1 - p_pass is 1e-9 here, and |alpha| is still fixed by the pair
+    assert run(tmp_path, "fit", {"s21_sq": 0.9999999990955883, "s12_sq": 0.9999999971660354}) == 0
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    assert doc["rho"] == pytest.approx(2.0006e-5, rel=1e-4)
+    assert doc["alpha_mag"] == pytest.approx(0.27802176, abs=1e-8)
     assert doc["alpha_identifiable"] is True
 
 

@@ -1,9 +1,10 @@
 """scipy is loaded by the first fit that searches, not by importing paramix.
 
 Only the fit's least-squares search calls scipy (`analysis.optimize`), and a
-fit searches only for a pair with no exact root, such as a pair off the
-model's image. `scipy.optimize` costs about 0.5 s and 48 MB to import, so
-every other command, and a fit of a pair on the image, runs without it.
+fit searches only for a pair that the exact inverse of its projection onto
+the model's image does not reproduce, such as a pair far off the image.
+`scipy.optimize` costs about 0.5 s and 48 MB to import, so every other
+command, and a fit of a pair on the image, runs without it.
 """
 
 import ast
@@ -51,7 +52,8 @@ seen["cached"] = vars(paramix.analysis.optimize).get("least_squares") is scipy.o
 print(json.dumps({"rcs": rcs, **seen}))
 """
 # (0.36, 0.01) is on the image for P1, whose pass direction is s21; for P2
-# (FUZZ_CONFIGS) the isolated power exceeds the pass power, so no exact root exists
+# (FUZZ_CONFIGS) the isolated power exceeds the pass power, and the projected
+# pair (0.185, 0.185) misses it by far more than the exact tolerance
 ON_IMAGE_FIT = {"s21_sq": 0.36, "s12_sq": 0.01, "pump_port": "P1"}
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import optimize
 
 from paramix.errors import NumericalError
 from paramix.mixer import (
@@ -42,8 +41,9 @@ def test_fifty_fifty_point():
     t, r = amplitudes_on_resonance(RHO_5050)
     assert abs(t - c) < 1e-12 and abs(r - c) < 1e-12
     assert abs(_r_on_resonance(RHO_5050) - c) < 1e-12
-    # independent root of t(rho) = 1/sqrt2 on the rising branch
-    root = optimize.brentq(lambda rho: amplitudes_on_resonance(rho)[0] - c, 0.0, 0.5, xtol=1e-14)
+    # independent root of t = 2 rho / (1 + rho^2) = 1/sqrt2 on the rising
+    # branch, rho = t / (1 + sqrt(1 - t^2))
+    root = c / (1.0 + np.sqrt(1.0 - c * c))
     assert abs(root - RHO_5050) < 1e-12
 
 
