@@ -8,7 +8,6 @@ from .errors import (
     ConfigError,
     NoDipError,
     NonFiniteError,
-    NonIdentifiableError,
     NonInvertibleNetworkError,
     NumericalError,
     ParamixError,

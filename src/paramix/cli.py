@@ -312,13 +312,11 @@ def _parser() -> argparse.ArgumentParser:
         prog="paramix",
         description="Scattering models and analysis for pumped-converter interferometric isolators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--out", default=".", help="output directory")
     every_format = sorted({fmt for _, formats in _COMMANDS.values() for fmt in formats})
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", default=None, choices=every_format)
+    parser.add_argument("--format", default=None, choices=every_format)
     return parser
 
 

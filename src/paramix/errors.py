@@ -35,7 +35,3 @@ class NoDipError(NumericalError):
 
 class UnbracketedBandwidthError(NumericalError):
     """The 3 dB points of a dip are not bracketed by the sweep."""
-
-
-class NonIdentifiableError(NumericalError):
-    """A fit cannot pin down its parameters from the given data."""

@@ -193,13 +193,13 @@ def _loop_terms(a, t):
 def on_resonance_amplitudes(rho, alpha):
     """(refl, conv) = (r (1 - a^2), a t^2) / L, a = |alpha|: S21, S12 = i (refl -+ conv sin phi) with no line.
 
-    L = 0 only at a = 1 with t^2 = 0, a path-dependent limit: exactly (0, 1) is a decoupled
-    line, (1, 0), and the powers are (1, 1) on every path. Broadcasts, with no range check.
+    L = 0 only at a = 1 with t^2 = 0 or underflowing: the pump off (t = 0) is transparent, (1, 0),
+    and any t > 0 has the decoupled line's (0, 1), where L = t^2 cancels. Broadcasts, no range check.
     """
     t, r = t_r_of_rho(rho)
     at2, bc2, loop = _loop_terms(alpha, t)
     cut = loop == 0.0
-    return (r * bc2 + cut) / (loop + cut), at2 / (loop + cut)
+    return (r * bc2 + cut * (t == 0.0)) / (loop + cut), (at2 + cut * (t != 0.0)) / (loop + cut)
 
 
 def on_resonance_powers(rho, alpha, sin_phi: int):
@@ -225,21 +225,21 @@ def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     times l on port 3's row and column. k1 -+ k2 (quarter_turns) are odd,
     so sin phi = +-1, S11 = S22 are exact zeros and the half phases are
     whole quarter turns. With no line (l = 1) the model's other zeros are
-    exact too (-0.0 is written 0.0), and rho = 0 is exactly transparent:
-    S21 = S12 = i, -1 at the taps. |alpha| = 1 with no line and rho > 0 has
-    L = t^2, which cancels from every entry: S21, S12 = -+i sin phi and
-    S34 = S43 = 1, written so for a t^2 that underflows too. L vanishes
-    nowhere else, so the 4-port is finite on the whole config domain. No
-    linewidth enters: chi^-1 = 1 at f_a.
+    exact too (-0.0 is written 0.0), and at rho = 0 (transparent) or
+    |alpha| = 1 (L = t^2, which cancels and may underflow) the taps are
+    cut off from the signal ports: the matrix is i (refl -+ conv sin phi)
+    at S21, S12, -refl at S33, S44 and conv at S34, S43, with (refl, conv)
+    of on_resonance_amplitudes. L vanishes nowhere else, so the 4-port is
+    finite on the whole config domain. No linewidth enters: chi^-1 = 1 at f_a.
     """
     t, r = amplitudes_on_resonance(config.rho)
     ell = complex(_line_phasor(config, config.f_a_ghz))
     alpha = config.alpha_mag
-    if ell == 1.0 and t == 0.0:
-        return ScatteringMatrix(_PORTS_4, [[0, 1j, 0, 0], [1j, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-    if ell == 1.0 and alpha == 1.0:
-        s12 = complex(0.0, config.sin_phi)
-        return ScatteringMatrix(_PORTS_4, [[0, s12, 0, 0], [s12.conjugate(), 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    if ell == 1.0 and (t == 0.0 or alpha == 1.0):
+        refl, conv = on_resonance_amplitudes(config.rho, alpha)
+        s21, s12 = complex(0.0, refl - conv * config.sin_phi), complex(0.0, refl + conv * config.sin_phi)
+        s = np.array([[0.0, s12, 0.0, 0.0], [s21, 0.0, 0.0, 0.0], [0.0, 0.0, -refl, conv], [0.0, 0.0, conv, -refl]])
+        return ScatteringMatrix(_PORTS_4, s + 0.0)
     beta2, a_c = coupler_beta2(alpha), alpha * ell
     at2, bc2, loop = _loop_terms(a_c, t)
 
@@ -323,14 +323,18 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     alpha^2) and the reflection refl of one stage seen through the line,
     S21 = i (refl - conv sin phi) and S12 = i (refl + conv sin phi).
     S11 = S22 = -i conv cos phi is an exact zero array, since sin phi is
-    exactly +-1 (JisConfig.sin_phi). Raises SingularResponseError if the
-    loop 1 - r_b^2 alpha^2 becomes singular on the grid. Given the line's
-    float phase, S21 and S12 are within 6 eps / |1 - r_b^2 alpha^2| of the
-    model, absolute, over the whole config space; no relative bound holds
-    at a null (tests/test_accuracy.py).
+    exactly +-1 (JisConfig.sin_phi). The pump off (rho = 0) gives t = 0
+    and S21 = S12 = i r_a without the loop; otherwise SingularResponseError
+    is raised if the loop 1 - r_b^2 alpha^2 becomes singular on the grid.
+    Given the line's float phase, S21 and S12 are within 6 eps / |1 - r_b^2
+    alpha^2| of the model, absolute, over the whole config space; no
+    relative bound holds at a null (tests/test_accuracy.py).
     """
     f = np.asarray(f_ghz, dtype=float)
     t, r_a, r_b = amplitudes_of_frequency(f, config.jpc1)
+    s11 = np.zeros(f.shape, dtype=complex)
+    if config.rho == 0.0:
+        return SweepResult(f, s11, 1j * r_a, 1j * r_a)
     alpha = config.alpha_mag * _line_phasor(config, f)
 
     loop = 1.0 - r_b**2 * alpha**2
@@ -340,12 +344,7 @@ def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     refl = r_a - r_b * alpha**2 * t**2 / loop
     conv_sin_phi = config.sin_phi * alpha * t**2 / loop
 
-    return SweepResult(
-        f_ghz=f,
-        s11=np.zeros(f.shape, dtype=complex),
-        s12=1j * (refl + conv_sin_phi),
-        s21=1j * (refl - conv_sin_phi),
-    )
+    return SweepResult(f, s11, 1j * (refl + conv_sin_phi), 1j * (refl - conv_sin_phi))
 
 
 # Points per sweep chunk. numpy elides temporaries (reuses them in place) on

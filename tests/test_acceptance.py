@@ -5,10 +5,12 @@ module exercise the identical checks; the session's `battery` fixture
 (conftest.py) runs them once and each verdict is its own pass/fail line.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramix import acceptance
+from paramix import acceptance, isolator, parity
 from paramix.isolator import on_resonance_amplitudes, swap_twin
 
 
@@ -59,6 +61,23 @@ def test_criterion_10_parity_chains(battery):
 
 def test_criterion_11_sweep_properties(battery):
     _check(battery, 11)
+
+
+def test_criterion_10_fails_on_a_field_range_end_6_percent_off(monkeypatch):
+    lo, hi = parity.field_range(100.0 * 100.0)
+    for off in ((1.06 * lo, hi), (lo, 1.06 * hi)):
+        monkeypatch.setattr(acceptance, "field_range", lambda _, off=off: off)
+        assert not acceptance.crit_parity_chains().passed, off
+
+
+def test_criterion_11_fails_on_a_dip_5_mhz_off(monkeypatch):
+    # the device's f_a at 6.845 GHz puts the dip 4.85 MHz, 32 grid steps,
+    # above 6.84 GHz; the criterion's other checks still pass
+    shifted = lambda **kwargs: replace(isolator.reference_device(**kwargs), f_a_ghz=6.845)
+    monkeypatch.setattr(acceptance, "reference_device", shifted)
+    result = acceptance.crit_sweep_properties()
+    assert not result.passed and result.detail.startswith("dip at 6.84485 GHz (step 0.15 MHz)")
+    assert "curve dev 0.00e+00" in result.detail and result.detail.endswith(": yes")
 
 
 def test_criterion_12_determinism(battery):

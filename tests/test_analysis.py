@@ -301,14 +301,15 @@ def test_a_pair_on_the_pass_power_edge_keeps_the_search():
     # on P2, (0.5, 1.0) puts the pass power at 1, which only paths into the
     # corner (rho, |alpha|) = (0, 1) approach with refl - conv free; the
     # inverse of the pass power clamped below 1 misses the pair by more than
-    # _FIT_EXACT_TOL in the forward model's last bits, so the pair keeps the
-    # search and its result, the lower twin
+    # _FIT_EXACT_TOL in the forward model's last bits, so the pair still
+    # runs the search, which finds no smaller residual: the inverse's point,
+    # the lower twin, is written
     rho, alpha = analysis._lower_twin(math.nextafter(1.0, 0.0), 0.5)
     assert analysis._residuals(rho, alpha, 0.5, 1.0, feed_sin_phi("P2")) >= analysis._FIT_EXACT_TOL
     fit = fit_rho_alpha(0.5, 1.0, "P2")
-    assert fit.rho == pytest.approx(0.0311853214, abs=1e-10)
-    assert fit.alpha_mag == pytest.approx(0.988727240, abs=1e-9)
-    assert fit.residual == pytest.approx(4.93132283e-10, rel=1e-8)
+    assert fit.rho == pytest.approx(4.67142862e-05, rel=1e-8)
+    assert fit.alpha_mag == pytest.approx(0.999999975, abs=1e-9)
+    assert fit.residual == pytest.approx(3.96207385e-18, rel=1e-8)
     assert fit.alpha_identifiable
 
 

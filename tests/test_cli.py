@@ -97,14 +97,19 @@ def test_jis_sweep_touchstone(tmp_path):
 
 
 def test_jis_sweep_without_dip_exits_3(tmp_path, capsys):
-    rc = run(tmp_path, "jis-sweep", {"jis": {**JIS_PLAIN, "rho": 0.0}, "grid": {"points": 11}})
-    assert rc == 3
-    assert "numerical error" in capsys.readouterr().err
-    # artifacts are written before the failure is reported
-    side = json.loads((tmp_path / "jis_sweep.json").read_text())
-    assert side["gamma_mhz"] is None
-    assert "note" in side
-    assert (tmp_path / "jis_sweep.csv").exists()
+    # the pump off is transparent at every |alpha|; at 1 with no line it
+    # forms no internal loop, so it too fails only for want of a dip
+    for alpha in (0.5, 1.0):
+        out = tmp_path / str(alpha)
+        jis = {**JIS_PLAIN, "rho": 0.0, "alpha_mag": alpha}
+        rc = run(tmp_path, "jis-sweep", {"jis": jis, "grid": {"points": 11}}, out=out)
+        assert rc == 3
+        assert "numerical error: no dip" in capsys.readouterr().err
+        # artifacts are written before the failure is reported
+        side = json.loads((out / "jis_sweep.json").read_text())
+        assert side["gamma_mhz"] is None
+        assert "note" in side
+        assert (out / "jis_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("points", [401, 40001])
@@ -620,6 +625,18 @@ def test_numbers_no_float_holds_are_config_errors(tmp_path, capsys):
         assert f"config error: config {cfg}: number {literal[:4]}" in err
         assert "is not finite" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_non_finite_literal_is_echoed_whole_up_to_24_characters(tmp_path, capsys):
+    doc = {"schema": SCHEMA_TAG, "s21_sq": 0.36, "s12_sq": 0.0}
+    cfg = tmp_path / "config.json"
+    for literal, shown in (
+        ("1000000000000000000e9999", "1000000000000000000e9999"),
+        ("10000000000000000000e9999", "10000000000000000000..."),
+    ):
+        cfg.write_text(with_literal(doc, ("s12_sq",), literal))
+        assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"number {shown} is not finite" in capsys.readouterr().err
 
 
 def test_an_artifact_the_program_built_wrong_is_a_bug_not_a_config_error(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 import itertools
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from paramix.errors import SingularResponseError
 from paramix.isolator import (
@@ -15,10 +17,11 @@ from paramix.isolator import (
     default_grid,
     effective_2port_sweep,
     make_jis,
+    on_resonance_amplitudes,
     reference_device,
     turn_phasor,
 )
-from paramix.mixer import JpcParams, RHO_5050, amplitudes_on_resonance, n_g
+from paramix.mixer import PRIMARY_LOBE_RAD, JpcParams, RHO_5050, amplitudes_on_resonance, n_g
 from paramix.network import check_unitarity, delay_phase_rad
 
 SQ2 = np.sqrt(2.0)
@@ -70,6 +73,19 @@ def test_closed_form_validation():
         assert np.count_nonzero(s) == 4 and not np.signbit(s[s == 0].real).any()
 
 
+def test_the_4port_signal_block_is_the_forward_model():
+    # with no line, S21, S12 = i (refl -+ conv sin phi) of the fit's forward
+    # model, also at |alpha| = 1 where L = t^2 underflows: both take the
+    # pump-off limit (1, 0) at rho = 0 and the decoupled line (0, 1) above it
+    rhos, alphas = (0.0, 5e-324, 1e-170, 7e-163, 8e-163, 1e-160), (0.0, 0.5, 1.0)
+    for rho, alpha, pump in itertools.product(rhos, alphas, ("P1", "P2")):
+        config = make_jis(6.84, 9.567, 40.0, 100.0, rho, alpha, pump)
+        s = closed_form_from_config(config).s
+        refl, conv = on_resonance_amplitudes(rho, alpha)
+        assert abs(s[1, 0] - 1j * (refl - conv * config.sin_phi)) <= 1e-15, (rho, alpha, pump)
+        assert abs(s[0, 1] - 1j * (refl + conv * config.sin_phi)) <= 1e-15, (rho, alpha, pump)
+
+
 # the on-resonance config space: both feeds, all four flux-parity pairs (only
 # a flux's sign sets its parity), rho in [0, 1] and |alpha| in [0, 1), with
 # a share of the draws on the edges
@@ -88,6 +104,40 @@ ON_RESONANCE = st.builds(
 @given(ON_RESONANCE)
 def test_closed_form_unitary(config):
     assert check_unitarity(closed_form_from_config(config)) <= 1e-12
+
+
+# configs at and next to the schema's bounds: rho from the smallest
+# subnormal to 1, |alpha| to 1, lines from 5e-324 um to 5 mm, eps_eff to
+# 1e6, f_b from just above f_a to 1e6 GHz, and fluxes at the lobe's edges
+AT_THE_SCHEMA_EDGES = st.builds(
+    lambda rho, alpha, f_b, length, eps_eff, pump, fx1, fx2: make_jis(
+        6.84, f_b, 40.0, 100.0, rho, alpha, pump, fx1, fx2, length, eps_eff
+    ),
+    st.sampled_from((0.0, 5e-324, 1e-170, 1e-20, RHO_5050, 1.0 - 1e-16, 1.0)),
+    st.sampled_from((0.0, 1e-300, 0.51, 1.0 - 1e-8, 1.0 - 2.0**-53, 1.0)),
+    st.sampled_from((6.84 * (1.0 + 1e-15), 9.567, 50.0, 1e6)),
+    st.sampled_from((0.0, 5e-324, 1e-300, 1e-6, 11.283, 5000.0)),
+    st.sampled_from((1.0, 7.418, 1e6)),
+    st.sampled_from(("P1", "P2")),
+    st.sampled_from((-PRIMARY_LOBE_RAD, 0.0, 5e-324, PRIMARY_LOBE_RAD)),
+    st.sampled_from((-PRIMARY_LOBE_RAD, 0.0, 5e-324, PRIMARY_LOBE_RAD)),
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(AT_THE_SCHEMA_EDGES)
+def test_the_4port_is_finite_and_unitary_at_the_schema_edges(config):
+    # within max(1e-12, 4 eps / |L|), L = 1 - r^2 alpha_c^2 at 40 digits
+    # from the float rho, |alpha| and line phase
+    matrix = closed_form_from_config(config)
+    assert np.isfinite(matrix.s).all()
+    dev = check_unitarity(matrix)
+    theta = delay_phase_rad(config.delay_length_um, config.delay_eps_eff, config.f_a_ghz + config.f_p_ghz)
+    with mp.workdps(40):
+        rho2 = mpmath.mpf(config.rho) ** 2
+        r = (1 - rho2) / (1 + rho2)
+        loop = abs(1 - (r * config.alpha_mag * mpmath.expj(theta)) ** 2)
+        assert dev <= 1e-12 or dev * loop <= 4 * np.finfo(float).eps
 
 
 @PROPERTY
@@ -233,7 +283,9 @@ def test_reference_sweep_is_passive(reference):
 
 
 def test_internal_loop_singularity():
-    cfg = make_jis(6.84, 9.567, 40.0, 100.0, rho=0.0, alpha_mag=1.0)
+    # pumped just enough that the loop forms: 1 - r_b^2 |alpha|^2 is about
+    # 4 rho^2 at f_a, under the clamp (the pump off, rho = 0, is transparent)
+    cfg = make_jis(6.84, 9.567, 40.0, 100.0, rho=1e-7, alpha_mag=1.0)
     with pytest.raises(SingularResponseError, match="loop"):
         effective_2port_sweep(cfg, np.array([6.84]))
 
