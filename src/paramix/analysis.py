@@ -272,11 +272,13 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
     exactly (`_lower_twin`) to the one of two power-equivalent points with
     the smaller rho. Only a pair whose inverse point misses it by
     _FIT_EXACT_TOL or more, such as a noisy pair off the image, goes to the
-    least-squares search (`_search`), whose point replaces the inverse's
-    only if its residual is strictly smaller. The residual returned is that
-    of the point returned. |alpha| is not identifiable only where the
-    powers do not depend on it, at rho = 0, which only a pair projected to
-    (1, 1) reaches: it returns (0, 0) with alpha_identifiable False.
+    least-squares search (`_search`), whose point is kept only if its
+    residual is strictly smaller, which only rounding allows: on [0, 1]^2
+    the projection is the Euclidean one the residual measures. The
+    residual returned is that of the point returned. |alpha| is not
+    identifiable only where the powers do not depend on it, at rho = 0,
+    which only a pair projected to (1, 1) reaches: it returns (0, 0) with
+    alpha_identifiable False.
     """
     for name, val in (("s21_sq", s21_sq), ("s12_sq", s12_sq)):
         if not 0.0 <= val <= 1.0 + 1e-9:

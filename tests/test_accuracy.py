@@ -191,8 +191,9 @@ def _unit():
 @given(_unit(), _unit(), st.sampled_from((1, -1)))
 def test_the_on_resonance_powers_are_within_6_eps(rho, alpha, sin_phi):
     # the fit's forward model over [0, 1]^2 (3.8 eps the worst seen over
-    # 40,000 edge-weighted draws). Exactly (rho, |alpha|) = (0, 1) is a
-    # decoupled line with powers (1, 1), the limit of every path into it.
+    # 40,000 edge-weighted draws). Exactly (rho, |alpha|) = (0, 1) is the
+    # pump off (t = 0), transparent: amplitudes (1, 0), powers (1, 1), the
+    # limit of every path into the corner.
     got = on_resonance_powers(rho, alpha, sin_phi)
     with mp.workdps(40):
         x, a = mpmath.mpf(rho), mpmath.mpf(alpha)
@@ -274,17 +275,22 @@ def test_the_sweep_kernel_is_within_6_eps_over_its_loop(rho, alpha, at_null, pum
     # 6 eps / |L| absolute, L = 1 - r_b^2 alpha_c^2 the loop denominator
     # (3.1 eps / |L| seen over 6,000 random points). No relative bound holds
     # at a null: with no line, rho = sqrt((1 - a) / (1 + a)) darkens the
-    # isolated direction at f_a, the grid's centre point, to the same
-    # 6 eps / |L| (5.2e-15 at a = 0.99), except at a = 1, where that rho is
-    # 0, the pump off, which is transparent.
+    # isolated direction at f_a, the grid's centre point. The kernel's L,
+    # formed by cancellation, leaves up to 1.17 eps / (1 - a^2) there
+    # (5.2e-15 at a = 0.99; 23,722 nulls over both feeds), where the model
+    # given the float rho is within 1.5 eps of 0; the check keeps 1e-15 flat
+    # where that is the larger bound (a < 0.75). At a = 1 that rho is 0, the
+    # pump off, which is transparent.
     if at_null:
         rho = math.sqrt((1.0 - alpha) / (1.0 + alpha))
     config = JisConfig(6.84, 9.567, 40.0, 100.0, rho, alpha, pump_port, delay_length_um=delay_um, delay_eps_eff=7.418)
     f = default_grid(config, 600.0, 21)
     s = effective_2port_sweep(config, f)
-    dark = at_null and delay_um == 0.0 and rho > 0.0
-    theta = delay_phase_rad(delay_um, 7.418, f + config.f_p_ghz)
     eps = np.finfo(float).eps
+    if at_null and delay_um == 0.0 and rho > 0.0:
+        dark = max(1e-15, 2 * eps / ((1.0 - alpha) * (1.0 + alpha)))
+        assert abs(getattr(s, config.isolated_direction)[10]) < dark
+    theta = delay_phase_rad(delay_um, 7.418, f + config.f_p_ghz)
     with mp.workdps(40):
         for k in range(f.size):
             t, r_a, r_b = _stage(f[k], config.jpc1)
@@ -300,8 +306,6 @@ def test_the_sweep_kernel_is_within_6_eps_over_its_loop(rho, alpha, at_null, pum
                 bound = 6 * eps / abs(loop)
             assert abs(mpmath.mpc(complex(s.s21[k])) - 1j * (refl - conv)) <= bound, k
             assert abs(mpmath.mpc(complex(s.s12[k])) - 1j * (refl + conv)) <= bound, k
-            if dark and k == 10:
-                assert abs(getattr(s, config.isolated_direction)[k]) <= bound
 
 
 @settings(CONTRACT)
