@@ -152,14 +152,15 @@ def bandwidth_attenuation_scan(
 class _LazyOptimize:
     """`scipy.optimize`, imported on the first attribute read.
 
-    Only the fit's search uses scipy, and a fit runs it only for a pair that
-    the exact inverse of its projection does not reproduce (`fit_rho_alpha`).
-    Importing it costs about 0.5 s and 48 MB, so every other command, a fit
-    of a pair on the model's image and a fit of (1, 1) run without it. Each
-    attribute read is cached on this object, so `optimize.least_squares` can
-    be looked up and replaced like a module attribute (the benchmark's
-    tracer wraps it there). Delete it together with scipy once the search is
-    gone too (ROADMAP item 2).
+    Only the fit's search uses scipy, and a fit runs it only for a pair on
+    or within a few ulps of the pass-power edge P = 1 with I < 1 whose
+    inverse point misses its projection (`fit_rho_alpha`). Importing it
+    costs about 0.5 s and 48 MB, so every other command and every other
+    fit, a pair off the model's image and (1, 1) included, run without
+    it. Each attribute read is cached on this object, so
+    `optimize.least_squares` can be looked up and replaced like a module
+    attribute (the benchmark's tracer wraps it there). Delete it together
+    with scipy once the search is gone too (ROADMAP item 2).
     """
 
     def __getattr__(self, name):
@@ -266,18 +267,21 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
     """Recover (rho, |alpha|) from on-resonance |S21|^2 and |S12|^2.
 
     The feed's pass power P and isolated power I are projected onto the
-    model's image 0 <= I <= P <= 1: both are clipped to 1, both become their
-    mean if I > P, and P = 1 with I < 1, an edge the image approaches but
-    never attains, becomes the float below 1. The projected pair is inverted
-    exactly (`_lower_twin`) to the one of two power-equivalent points with
-    the smaller rho. Only a pair whose inverse point misses it by
-    _FIT_EXACT_TOL or more, such as a noisy pair off the image, goes to the
-    least-squares search (`_search`), whose point is kept only if its
-    residual is strictly smaller, which only rounding allows: on [0, 1]^2
-    the projection is the Euclidean one the residual measures. The
-    residual returned is that of the point returned. |alpha| is not
-    identifiable only where the powers do not depend on it, at rho = 0,
-    which only a pair projected to (1, 1) reaches: it returns (0, 0) with
+    model's image 0 <= I <= P <= 1: both are clipped to 1 and both become
+    their mean if I > P, which on [0, 1]^2 is the Euclidean projection the
+    residual measures. The projected pair is inverted exactly
+    (`_lower_twin`) to the one of two power-equivalent points with the
+    smaller rho; a pair off the image, I > P, is so written as the mean's
+    point with |alpha| = 0. P = 1 with I < 1, an edge the image approaches
+    but never attains, is inverted from the float below 1. A pair whose
+    inverse point misses its projection by _FIT_EXACT_TOL or more goes to
+    the least-squares search (`_search`), whose point is kept only if its
+    residual is strictly smaller; only a pair on that edge, or with P within
+    a few ulps of 1 where the inverse's conditioning eps / (1 - P) costs
+    the isolated power about 1e-9, misses. The residual returned is that of
+    the point returned against the pair given. |alpha| is not identifiable
+    only where the powers do not depend on it, at rho = 0, which only a
+    pair projected to (1, 1) reaches: it returns (0, 0) with
     alpha_identifiable False.
     """
     for name, val in (("s21_sq", s21_sq), ("s12_sq", s12_sq)):
@@ -291,7 +295,8 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
         return FitResult(0.0, 0.0, float(_residuals(0.0, 0.0, s21_sq, s12_sq, sin_phi)), False)
     rho_fit, alpha_fit = _lower_twin(min(p_pass, math.nextafter(1.0, 0.0)), p_iso)
     residual = float(_residuals(rho_fit, alpha_fit, s21_sq, s12_sq, sin_phi))
-    if residual >= _FIT_EXACT_TOL:
+    projected = (p_iso, p_pass) if sin_phi > 0 else (p_pass, p_iso)
+    if _residuals(rho_fit, alpha_fit, *projected, sin_phi) >= _FIT_EXACT_TOL:
         searched = _search(s21_sq, s12_sq, sin_phi)
         if searched[0] < residual:
             residual, rho_fit, alpha_fit = searched

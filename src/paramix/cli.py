@@ -36,7 +36,7 @@ from .analysis import (
     gamma0,
     to_power_dB,
 )
-from .errors import ConfigError, NoDipError, NumericalError, UnbracketedBandwidthError
+from .errors import ConfigError, NoDipError, NumericalError, UnbracketedBandwidthError, shown
 from .formats import (
     csv_stream,
     touchstone_stream,
@@ -68,8 +68,7 @@ def _finite(text: str):
     """The number a JSON literal spells, refused unless it is a finite float."""
     value = float(text)
     if not math.isfinite(value):
-        shown = text if len(text) <= 24 else text[:20] + "..."
-        raise ConfigError(f"number {shown} is not finite")
+        raise ConfigError(f"number {shown(text)} is not finite")
     return value
 
 

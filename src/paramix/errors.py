@@ -5,6 +5,11 @@ can map them to different exit codes.
 """
 
 
+def shown(text: str) -> str:
+    """text as an error message quotes it: whole up to 24 characters, else its first 20 and '...'."""
+    return text if len(text) <= 24 else text[:20] + "..."
+
+
 class ParamixError(Exception):
     """Base class for all package-specific errors."""
 

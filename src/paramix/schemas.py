@@ -18,7 +18,9 @@ v <= exclusiveMinimum, so NaN passes every bound (the CLI refuses
 non-finite numbers while it parses a config). Every document is checked
 in full on every call; of all violations, the one with the smallest JSON
 path is reported, with the message jsonschema gives (the test suite uses
-jsonschema as the oracle).
+jsonschema as the oracle), except that an array too long or too short is
+quoted cut to its first 20 characters (`errors.shown`), as the path already
+names it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import numbers
 import operator
 
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 SCHEMA_TAG = "paramix/1"
 
@@ -366,7 +368,7 @@ def _min_items(least, schema):
 
     def check(v, path, errors):
         if isinstance(v, list) and len(v) < least:
-            errors.append((path, f"{v!r} {text}"))
+            errors.append((path, f"{shown(repr(v))} {text}"))
 
     return check
 
@@ -374,7 +376,7 @@ def _min_items(least, schema):
 def _max_items(most, schema):
     def check(v, path, errors):
         if isinstance(v, list) and len(v) > most:
-            errors.append((path, f"{v!r} is too long"))
+            errors.append((path, f"{shown(repr(v))} is too long"))
 
     return check
 

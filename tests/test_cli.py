@@ -251,7 +251,9 @@ def test_a_chain_that_disagrees_with_its_xor_exits_4(tmp_path, monkeypatch):
 def test_a_parity_chain_of_more_than_256_cells_is_a_config_error(tmp_path, capsys):
     validate_config("parity", {"schema": SCHEMA_TAG, "chains": [[{"parity": "odd"}] * 256]})
     assert run(tmp_path, "parity", {"chains": [[{"parity": "odd"}] * 257]}, out=tmp_path / "long") == 2
-    assert capsys.readouterr().err.rstrip().endswith("is too long")
+    # the path names the array; the message quotes its first 20 characters only
+    err = capsys.readouterr().err.rstrip()
+    assert err.endswith("at chains/0: [{'parity': 'odd'}, ... is too long")
     assert not (tmp_path / "long").exists()
 
 

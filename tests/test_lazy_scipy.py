@@ -2,9 +2,11 @@
 
 Only the fit's least-squares search calls scipy (`analysis.optimize`), and a
 fit searches only for a pair that the exact inverse of its projection onto
-the model's image does not reproduce, such as a pair far off the image.
+the model's image does not reproduce, which only a pair on or within a few
+ulps of the image's unattained pass-power edge (P = 1 with I < 1) allows.
 `scipy.optimize` costs about 0.5 s and 48 MB to import, so every other
-command, and a fit of a pair on the image, runs without it.
+command, a fit of a pair on the image and a fit of a pair off it, with
+I > P, runs without it.
 """
 
 import ast
@@ -24,27 +26,28 @@ PACKAGE = Path(paramix.__file__).resolve().parent
 NON_FIT = ["jis-sweep", "jpc-sweep", "jis-4port", "parity", "flux-curve", "bandwidth-scan", "readout"]
 CONFIGS = {**FUZZ_CONFIGS, "parity": {"chains": [[{"parity": "odd"}], [{"parity": "even"}, {"parity": "odd"}]]}}
 
-# argv lists as JSON: the non-fit runs, an on-image fit, then an off-image fit
+# argv lists as JSON: the non-fit runs, the fits that must not search, then
+# a fit on the pass-power edge
 SCRIPT = """
 import json, sys
 import paramix, paramix.cli
 seen = {"import": "scipy" in sys.modules}
-runs, on_image, off_image = json.loads(sys.argv[1])
+runs, unsearched, pass_edge = json.loads(sys.argv[1])
 rcs = [paramix.cli.main(argv) for argv in runs]
 seen["commands"] = "scipy" in sys.modules
 
 
 class NoSearch:
     def __getattr__(self, name):
-        raise AssertionError("an on-image fit read analysis.optimize." + name)
+        raise AssertionError("a fit off the pass-power edge read analysis.optimize." + name)
 
 
 lazy, paramix.analysis.optimize = paramix.analysis.optimize, NoSearch()
-rcs.append(paramix.cli.main(on_image))
+rcs += [paramix.cli.main(argv) for argv in unsearched]
 paramix.analysis.optimize = lazy
-seen["on_image_fit"] = "scipy" in sys.modules
-rcs.append(paramix.cli.main(off_image))
-seen["off_image_fit"] = "scipy" in sys.modules
+seen["unsearched_fits"] = "scipy" in sys.modules
+rcs.append(paramix.cli.main(pass_edge))
+seen["pass_edge_fit"] = "scipy" in sys.modules
 import scipy.optimize
 seen["bound"] = paramix.analysis.optimize.least_squares is scipy.optimize.least_squares
 # cached where a tracer that patches vars() of analysis.optimize finds it
@@ -52,16 +55,20 @@ seen["cached"] = vars(paramix.analysis.optimize).get("least_squares") is scipy.o
 print(json.dumps({"rcs": rcs, **seen}))
 """
 # (0.36, 0.01) is on the image for P1, whose pass direction is s21; for P2
-# (FUZZ_CONFIGS) the isolated power exceeds the pass power, and the projected
-# pair (0.185, 0.185) misses it by far more than the exact tolerance
+# (FUZZ_CONFIGS) the isolated power exceeds the pass power, and the pair is
+# written as its projection (0.185, 0.185), which the inverse reproduces. On
+# P2, (0.5, 1.0) puts the pass power at 1 over an isolated 1/2, the edge the
+# image approaches but never attains, and that pair still searches
 ON_IMAGE_FIT = {"s21_sq": 0.36, "s12_sq": 0.01, "pump_port": "P1"}
+PASS_EDGE_FIT = {"s21_sq": 0.5, "s12_sq": 1.0, "pump_port": "P2"}
 
 
 def test_only_the_fit_loads_scipy(tmp_path):
     assert sorted(NON_FIT) == sorted(c for c in cli._COMMANDS if c not in ("fit", "selftest"))
     assert FUZZ_CONFIGS["fit"] == {**ON_IMAGE_FIT, "pump_port": "P2"}
+    fits = [ON_IMAGE_FIT, CONFIGS["fit"], PASS_EDGE_FIT]
     argvs = []
-    for command, payload in [(c, CONFIGS[c]) for c in NON_FIT] + [("fit", ON_IMAGE_FIT), ("fit", CONFIGS["fit"])]:
+    for command, payload in [(c, CONFIGS[c]) for c in NON_FIT] + [("fit", fit) for fit in fits]:
         cfg = tmp_path / f"{command}-{len(argvs)}.json"
         cfg.write_text(json.dumps({"schema": SCHEMA_TAG, **payload}))
         for fmt in cli._COMMANDS[command][1]:
@@ -69,12 +76,12 @@ def test_only_the_fit_loads_scipy(tmp_path):
             argvs.append([command, "--config", str(cfg), "--out", str(out), "--format", fmt])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps([argvs[:-2], argvs[-2], argvs[-1]])], env=env, cwd=tmp_path,
+        [sys.executable, "-c", SCRIPT, json.dumps([argvs[:-3], argvs[-3:-1], argvs[-1]])], env=env, cwd=tmp_path,
         capture_output=True, text=True, timeout=300, check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == {
-        "rcs": [0] * len(argvs), "import": False, "commands": False, "on_image_fit": False, "off_image_fit": True,
+        "rcs": [0] * len(argvs), "import": False, "commands": False, "unsearched_fits": False, "pass_edge_fit": True,
         "bound": True, "cached": True,
     }
 

@@ -51,7 +51,12 @@ def oracle(schema, what, doc):
     if not errors:
         return None
     path = "/".join(str(p) for p in errors[0].absolute_path) or "(root)"
-    return f"invalid {what} at {path}: {errors[0].message}"
+    message = errors[0].message
+    if errors[0].validator in ("minItems", "maxItems"):
+        # the package quotes an array cut to 20 characters, as cli quotes a literal
+        quoted = repr(errors[0].instance)
+        message = message.replace(quoted, quoted if len(quoted) <= 24 else quoted[:20] + "...", 1)
+    return f"invalid {what} at {path}: {message}"
 
 
 # a config violation is the user's (exit 2); an artifact violation is a bug
@@ -377,8 +382,9 @@ KEYWORD_CASES = [
     ({"type": ["number", "null"], "maximum": 1}, [None, 2, True, np.float64(1.5), math.nan]),
     ({"type": "integer", "minimum": 3}, [3.0, 2.0, 3.5, True, np.int64(4), np.float64(3.0)]),
     ({"enum": ["on", None]}, [None, "on", "off", 0, False, ["on"]]),
-    ({"type": "array", "minItems": 2, "items": {"const": "a"}}, [[], ["a"], ["a", "b", 1], "a"]),
-    ({"type": "array", "maxItems": 2, "items": {"const": "a"}}, [[], ["a", "a"], ["a", "a", "a"], ["a", "b", 1], "a"]),
+    ({"type": "array", "minItems": 2, "items": {"const": "a"}}, [[], ["a"], ["a", "b", 1], "a", ["a" * 30]]),
+    ({"type": "array", "maxItems": 2, "items": {"const": "a"}},
+     [[], ["a", "a"], ["a", "a", "a"], ["a", "b", 1], "a", ["a"] * 9]),
     ({"properties": {"b": {"type": "string"}}, "additionalProperties": False,
       "required": ["a"]}, [{}, {"b": 1}, {"c": 1, 2: 0, "a": 0}, []]),
 ]
