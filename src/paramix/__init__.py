@@ -11,7 +11,6 @@ from .errors import (
     NonInvertibleNetworkError,
     NumericalError,
     ParamixError,
-    SingularResponseError,
     UnbracketedBandwidthError,
 )
 from .network import ConnectionGraph, ScatteringMatrix, connect

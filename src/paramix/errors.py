@@ -30,10 +30,6 @@ class NonInvertibleNetworkError(NumericalError):
     """Port reduction hit a singular internal system."""
 
 
-class SingularResponseError(NumericalError):
-    """A closed-form response diverges at the requested working point."""
-
-
 class NoDipError(NumericalError):
     """A sweep has no interior minimum to analyze."""
 

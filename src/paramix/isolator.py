@@ -13,14 +13,14 @@ phase plus 2 n_g, a half turn per odd flux parity. JisConfig derives the
 pair (k1, k2) once; every phasor comes from these integers through the
 exact quarter-turn table of mixer.turn_phasor. phi and phi_s are the
 difference and sum of the stage phases. k1 - k2 is odd for every feed and
-flux parity, so sin phi = +-1 and cos phi = 0 exactly: both the sweep
-kernel and the 4-port at f_a take the exact sign from k1 - k2 and
-write S11 = S22 as exact zeros rather than a difference of two equal
-terms. The delay line enters as its phasor at f + f_p (_line_phasor), in
-the sweep kernel and in the device's 4-port at f_a (closed_form_from_config).
-Its no-line signal block, on_resonance_amplitudes and _powers, is the
-forward model the fit inverts; swap_twin gives the point of equal powers.
-_composed joins the device's elements (stages mixer_2port(t, r_a, r_b, k)
+flux parity, so sin phi = +-1 and cos phi = 0 exactly: the sweep kernel
+and the 4-port write S11 = S22 as exact zeros. The delay line enters as its
+phasor at f + f_p (_line). The signal block (refl, conv, L) is written once,
+_signal_block, its loop denominator a sum with no cancelling term: the
+sweep kernel evaluates it on its grid, the 4-port at f_a, and with no line
+it is the forward model the fit inverts (on_resonance_amplitudes and
+_powers); swap_twin gives the point of equal powers. Nothing here raises on
+a valid config. _composed joins the device's elements (stages mixer_2port
 and a matched delay line) into the network that checks both: composed_4port
 at f_a, and the tests' sweep oracle.
 """
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularResponseError
 from .mixer import (
     JpcParams,
     RHO_5050,
@@ -40,7 +39,9 @@ from .mixer import (
     amplitudes_on_resonance,
     mixer_2port,
     n_g,
+    reflections,
     rho_of_r,
+    susceptibilities,
     t_r_of_rho,
     turn_phasor,
 )
@@ -81,10 +82,6 @@ def _sin_phi(k1: int, k2: int) -> int:
 def feed_sin_phi(pump_port: str) -> int:
     """sin phi a pump feed sets at zero flux: -1 for P1, +1 for P2."""
     return _sin_phi(*stage_quarters(pump_port))
-
-
-# Clamp for the internal-loop resonance denominator 1 - r_b^2 alpha^2.
-_LOOP_SINGULARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,27 +176,43 @@ def reference_device(
 _PORTS_4 = ("1", "2", "3", "4")
 
 
-def _line_phasor(config: JisConfig, f_ghz):
-    """e^{i theta} of the delay line at signal frequency f: its phase at f + f_p."""
-    return np.exp(1j * delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f_ghz + config.f_p_ghz))
+def _line(config: JisConfig, f_ghz):
+    """(l, 1 - l) of the delay line at signal frequency f: l = e^{i theta}, theta its phase at f + f_p.
+
+    1 - l = 2 sin^2(theta/2) - i sin theta keeps its digits as theta -> 0; an overflowing theta gives NaN.
+    """
+    theta = delay_phase_rad(config.delay_length_um, config.delay_eps_eff, f_ghz + config.f_p_ghz)
+    ell = np.exp(1j * theta)
+    return ell, 2.0 * np.sin(theta / 2.0) ** 2 - 1j * ell.imag
 
 
-def _loop_terms(a, t):
-    """(a t^2, (1 - a)(1 + a), L = 1 - r^2 a^2) of the loop factor a: alpha_c, or |alpha| with no line."""
-    at2, bc2 = a * t**2, (1.0 - a) * (1.0 + a)
-    return at2, bc2, bc2 + a * at2
+def _signal_block(ca, cb, den, rho, alpha_mag, ell, one_minus_ell):
+    """(refl, conv, L) of the device's signal ports: S21, S12 = i (refl -+ conv sin phi).
+
+    From a stage's terms (ca, cb, D) (mixer.susceptibilities), alpha = |alpha| l
+    and 1 - alpha = (1 - |alpha|) + |alpha| (1 - l): L = 1 - r_b^2 alpha^2 is the
+    sum (1 - alpha)(1 + alpha) + alpha^2 (1 - r_b^2), 1 - r_b^2 = 4 ca (rho^2 +
+    u ca) / D^2 with u = cb - 1 = -iy, so no term cancels; conv = alpha t^2 / L,
+    alpha t^2 = 4 rho^2 alpha / D^2 a term of L too, so its rounding cancels
+    as |alpha| -> 1; refl = r_a - r_b alpha conv. Where L is below the smallest
+    normal float, whose reciprocal numpy's complex division overflows (f_a,
+    |alpha| = 1, theta 0 or subnormal, rho < 4e-155), L is 0 and (refl,
+    conv) the corner's limits: the pump off is transparent, (r_a, 0), and
+    any rho > 0 couples the line fully, (0, 1). Broadcasts, no range check.
+    """
+    r_a, r_b = reflections(ca, cb, den, rho)
+    alpha, u, d2 = alpha_mag * ell, cb - 1.0, den * den
+    minus, plus, at2 = (1.0 - alpha_mag) + alpha_mag * one_minus_ell, 1.0 + alpha, 4.0 * rho**2 * alpha / d2
+    # a temporary is the first factor of each product (SWEEP_CHUNK)
+    loop = minus * plus + alpha * 4.0 * (rho**2 + u * ca) / d2 * alpha * ca
+    cut = abs(loop) < 2.0**-1022
+    conv = (at2 + cut * (rho != 0.0)) / (loop + cut)
+    return r_a - r_b * alpha * conv, conv, loop * (1 - cut)
 
 
 def on_resonance_amplitudes(rho, alpha):
-    """(refl, conv) = (r (1 - a^2), a t^2) / L, a = |alpha|: S21, S12 = i (refl -+ conv sin phi) with no line.
-
-    L = 0 only at a = 1 with t^2 = 0 or underflowing: the pump off (t = 0) is transparent, (1, 0),
-    and any t > 0 has the decoupled line's (0, 1), where L = t^2 cancels. Broadcasts, no range check.
-    """
-    t, r = t_r_of_rho(rho)
-    at2, bc2, loop = _loop_terms(alpha, t)
-    cut = loop == 0.0
-    return (r * bc2 + cut * (t == 0.0)) / (loop + cut), (at2 + cut * (t != 0.0)) / (loop + cut)
+    """(refl, conv) of _signal_block at f_a (chi^-1 = 1) with no line: the fit's forward model."""
+    return _signal_block(1.0, 1.0, 1.0 + rho**2, rho, alpha, 1.0, 0.0)[:2]
 
 
 def on_resonance_powers(rho, alpha, sin_phi: int):
@@ -216,42 +229,32 @@ def swap_twin(rho, alpha):
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     """The device's 4-port at f = f_a in closed form, its delay line included.
 
-    (t, r) come from rho (amplitudes_on_resonance), the line's phasor l at
-    f_a + f_p from _line_phasor; alpha_c = |alpha| l, beta^2 = 1 - |alpha|^2
-    (coupler_beta2) and L = 1 - r^2 alpha_c^2 (_loop_terms), the one loop
-    denominator. S21, S12 = i (r (1 - alpha_c^2) -+ alpha_c t^2
-    sin phi) / L, S33 = -r beta^2 l^2 / L, S44 = -r beta^2 / L, S34 = S43 =
-    |alpha| (1 - l^2 r^2) / L; the cross entries carry t beta / (sqrt2 L),
-    times l on port 3's row and column. k1 -+ k2 (quarter_turns) are odd,
-    so sin phi = +-1, S11 = S22 are exact zeros and the half phases are
-    whole quarter turns. With no line (l = 1) the model's other zeros are
-    exact too (-0.0 is written 0.0), and at rho = 0 (transparent) or
-    |alpha| = 1 (L = t^2, which cancels and may underflow) the taps are
-    cut off from the signal ports: the matrix is i (refl -+ conv sin phi)
-    at S21, S12, -refl at S33, S44 and conv at S34, S43, with (refl, conv)
-    of on_resonance_amplitudes. L vanishes nowhere else, so the 4-port is
-    finite on the whole config domain. No linewidth enters: chi^-1 = 1 at f_a.
+    S21, S12 = i (refl -+ conv sin phi) of _signal_block at f_a, the sweep's
+    bits. The taps take (t, r) from rho (amplitudes_on_resonance), (l, 1 - l)
+    from _line, beta^2 = 1 - |alpha|^2 (coupler_beta2) and the block's L:
+    S33 = -r beta^2 l^2 / L, S44 = -r beta^2 / L, S34 = S43 = |alpha| (1 -
+    l)(1 + l) / L + l conv, and the cross entries t beta / (sqrt2 L), times l
+    on port 3's row and column. k1 -+ k2 are odd, so sin phi = +-1, S11 = S22
+    are exact zeros and the half phases whole quarter turns; with no line the
+    other model zeros are exact too (-0.0 is written 0.0). Where L is 0 (no
+    line, |alpha| = 1 and rho = 0 or tiny) the taps see each other only, S33
+    = S44 = -refl and S34 = S43 = conv, so the 4-port is finite everywhere.
     """
     t, r = amplitudes_on_resonance(config.rho)
-    ell = complex(_line_phasor(config, config.f_a_ghz))
-    alpha = config.alpha_mag
-    if ell == 1.0 and (t == 0.0 or alpha == 1.0):
-        refl, conv = on_resonance_amplitudes(config.rho, alpha)
-        s21, s12 = complex(0.0, refl - conv * config.sin_phi), complex(0.0, refl + conv * config.sin_phi)
+    alpha, one = config.alpha_mag, np.ones(1, dtype=complex)
+    # the sweep's arithmetic on the one-point grid f_a, where chi^-1 = 1 exactly, so S21 and S12 are its bits
+    line = _line(config, np.array([config.f_a_ghz]))
+    block = _signal_block(one, one, one + config.rho**2, config.rho, alpha, *line)
+    ell, one_minus_ell, refl, conv, loop = (complex(x[0]) for x in (*line, *block))
+    s21, s12 = 1j * (refl - conv * config.sin_phi), 1j * (refl + conv * config.sin_phi)
+    if loop == 0.0:
         s = np.array([[0.0, s12, 0.0, 0.0], [s21, 0.0, 0.0, 0.0], [0.0, 0.0, -refl, conv], [0.0, 0.0, conv, -refl]])
         return ScatteringMatrix(_PORTS_4, s + 0.0)
-    beta2, a_c = coupler_beta2(alpha), alpha * ell
-    at2, bc2, loop = _loop_terms(a_c, t)
-
-    k1, k2 = config.quarter_turns
+    beta2, (k1, k2) = coupler_beta2(alpha), config.quarter_turns
     dk, sk = k1 - k2, k1 + k2
     up, um, w_lo, w_hi = (turn_phasor(k // 2) for k in (dk + 1, dk - 1, 1 - sk, 1 + sk))
-    s21 = 1j * (r * bc2 - at2 * config.sin_phi) / loop
-    s12 = 1j * (r * bc2 + at2 * config.sin_phi) / loop
-    conv = alpha * ((1.0 - ell) * (1.0 + ell) + ell * ell * t**2) / loop
-    refl = -r * beta2 / loop
-
-    ra = r * a_c
+    s34, s44 = alpha * one_minus_ell * (1.0 + ell) / loop + ell * conv, -r * beta2 / loop
+    ra = r * (alpha * ell)
     a_p, b_p = ra * up + up.conjugate(), up + ra * up.conjugate()
     a_m, b_m = ra * um + um.conjugate(), um + ra * um.conjugate()
     pre = -t * math.sqrt(beta2) / (math.sqrt(2.0) * loop)
@@ -260,8 +263,8 @@ def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
         [
             [0.0, s12, lo * ell * a_p, lo * b_p],
             [s21, 0.0, lo * ell * a_m, lo * b_m],
-            [hi * ell * b_m, hi * ell * b_p, refl * ell * ell, conv],
-            [hi * a_m, hi * a_p, conv, refl],
+            [hi * ell * b_m, hi * ell * b_p, s44 * ell * ell, s34],
+            [hi * a_m, hi * a_p, s34, s44],
         ],
         dtype=complex,
     )
@@ -296,7 +299,7 @@ def _composed(config: JisConfig, t, r_a, r_b, line) -> ScatteringMatrix:
 def composed_4port(config: JisConfig) -> ScatteringMatrix:
     """closed_form_from_config's 4-port rebuilt by _composed: criterion 4's independent check."""
     t, r = amplitudes_on_resonance(config.rho)
-    return _composed(config, t, r, r, _line_phasor(config, config.f_a_ghz))
+    return _composed(config, t, r, r, _line(config, config.f_a_ghz)[0])
 
 
 @dataclass(frozen=True)
@@ -317,40 +320,29 @@ class SweepResult:
 def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     """Frequency response of ports 1 and 2 with the internal line folded in.
 
-    The stages see the signal detuning through their susceptibilities; the
-    line gives the loop factor alpha = |alpha| e^{i theta} at the idler
-    frequency f1 + f_p (_line_phasor). With conv = alpha t^2 / (1 - r_b^2
-    alpha^2) and the reflection refl of one stage seen through the line,
-    S21 = i (refl - conv sin phi) and S12 = i (refl + conv sin phi).
-    S11 = S22 = -i conv cos phi is an exact zero array, since sin phi is
-    exactly +-1 (JisConfig.sin_phi). The pump off (rho = 0) gives t = 0
-    and S21 = S12 = i r_a without the loop; otherwise SingularResponseError
-    is raised if the loop 1 - r_b^2 alpha^2 becomes singular on the grid.
-    Given the line's float phase, S21 and S12 are within 6 eps / |1 - r_b^2
-    alpha^2| of the model, absolute, over the whole config space; no
-    relative bound holds at a null (tests/test_accuracy.py).
+    With (refl, conv) of _signal_block on the grid, its loop factor alpha =
+    |alpha| e^{i theta} taken at the idler frequency f + f_p (_line): S21 = i
+    (refl - conv sin phi), S12 = i (refl + conv sin phi), at f_a the 4-port's
+    bits, and S11 = S22 an exact zero array (sin phi = +-1 exactly). The pump
+    off (rho = 0) gives S21 = S12 = i r_a. Nothing raises: the loop denominator
+    has no zero for rho > 0, and an input that overflows gives NaN. Given the
+    line's float phase, S21 and S12 are within 6 eps of the model with no line
+    and 6 eps / |L| with one, absolute; no relative bound holds at a null.
     """
     f = np.asarray(f_ghz, dtype=float)
-    t, r_a, r_b = amplitudes_of_frequency(f, config.jpc1)
     s11 = np.zeros(f.shape, dtype=complex)
     if config.rho == 0.0:
+        r_a = amplitudes_of_frequency(f, config.jpc1)[1]
         return SweepResult(f, s11, 1j * r_a, 1j * r_a)
-    alpha = config.alpha_mag * _line_phasor(config, f)
-
-    loop = 1.0 - r_b**2 * alpha**2
-    if np.min(np.abs(loop)) < _LOOP_SINGULARITY_TOL:
-        raise SingularResponseError("internal loop resonance: 1 - r_b^2 alpha^2 vanished")
-
-    refl = r_a - r_b * alpha**2 * t**2 / loop
-    conv_sin_phi = config.sin_phi * alpha * t**2 / loop
-
-    return SweepResult(f, s11, 1j * (refl + conv_sin_phi), 1j * (refl - conv_sin_phi))
+    refl, conv, _ = _signal_block(*susceptibilities(f, config.jpc1), config.rho, config.alpha_mag, *_line(config, f))
+    return SweepResult(f, s11, 1j * (refl + conv * config.sin_phi), 1j * (refl - conv * config.sin_phi))
 
 
 # Points per sweep chunk. numpy elides temporaries (reuses them in place) on
-# arrays of 256 KiB or more, 16,384 complex points, and a grid evaluated in
-# smaller pieces differs from one whole-grid call in the last bit of about
-# 0.8% of its S12/S21 values. Chunks of at least this many points do not.
+# arrays of 256 KiB or more, 16,384 complex points, and may then swap the
+# factors of a product, whose fused complex rounding is not symmetric. The
+# kernel writes each temporary as the first factor, so its bits do not
+# depend on the chunk size; chunks of at least this many points elide alike.
 SWEEP_CHUNK = 16384
 
 

@@ -94,21 +94,22 @@ class JpcParams:
         _check_rho(self.rho)
 
 
-def amplitudes_of_frequency(f1_ghz: float, params: JpcParams) -> tuple[complex, complex, complex]:
-    """(t, r_a, r_b) at signal frequency f1, from one pair of susceptibilities.
-
-    With D = chi_a^-1 chi_b^-1 + rho^2: the conversion amplitude t = 2 rho / D,
-    the reflection at the low-mode port r_a = (chi_a^-1* chi_b^-1 - rho^2) / D,
-    and the reflection at the high-mode port (idler frequency f1 + f_p)
-    r_b = (chi_a^-1 chi_b^-1* - rho^2) / D.
-    """
+def susceptibilities(f1_ghz, params: JpcParams):
+    """(chi_a^-1, chi_b^-1, D = chi_a^-1 chi_b^-1 + rho^2) at signal frequency f1: a stage's shared terms."""
     ca = chi_inv(f1_ghz, params.f_a_ghz, params.gamma_a_mhz)
     cb = chi_inv(f1_ghz, params.f_a_ghz, params.gamma_b_mhz)
-    den = ca * cb + params.rho**2
-    t = 2.0 * params.rho / den
-    r_a = (np.conj(ca) * cb - params.rho**2) / den
-    r_b = (ca * np.conj(cb) - params.rho**2) / den
-    return t, r_a, r_b
+    return ca, cb, ca * cb + params.rho**2
+
+
+def reflections(ca, cb, den, rho):
+    """(r_a, r_b) = (chi_a^-1* chi_b^-1 - rho^2, chi_a^-1 chi_b^-1* - rho^2) / D of `susceptibilities`."""
+    return (ca.conjugate() * cb - rho**2) / den, (ca * cb.conjugate() - rho**2) / den
+
+
+def amplitudes_of_frequency(f1_ghz: float, params: JpcParams) -> tuple[complex, complex, complex]:
+    """(t, r_a, r_b) at signal frequency f1: conversion t = 2 rho / D and the mode ports' `reflections`."""
+    ca, cb, den = susceptibilities(f1_ghz, params)
+    return 2.0 * params.rho / den, *reflections(ca, cb, den, params.rho)
 
 
 def t_of_frequency(f1_ghz: float, params: JpcParams) -> complex:

@@ -11,7 +11,7 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from paramix.analysis import _lower_twin, gamma0, nbar_from_dephasing, t_phi, to_power_dB
@@ -190,10 +190,10 @@ def _unit():
 @settings(CONTRACT, max_examples=300)
 @given(_unit(), _unit(), st.sampled_from((1, -1)))
 def test_the_on_resonance_powers_are_within_6_eps(rho, alpha, sin_phi):
-    # the fit's forward model over [0, 1]^2 (3.8 eps the worst seen over
-    # 40,000 edge-weighted draws). Exactly (rho, |alpha|) = (0, 1) is the
-    # pump off (t = 0), transparent: amplitudes (1, 0), powers (1, 1), the
-    # limit of every path into the corner.
+    # the fit's forward model over [0, 1]^2 (4.3 eps the worst seen over
+    # 36,000 edge-weighted pairs on both feeds). Exactly (rho, |alpha|) =
+    # (0, 1) is the pump off (t = 0), transparent: amplitudes (1, 0), powers
+    # (1, 1), the limit of every path into the corner.
     got = on_resonance_powers(rho, alpha, sin_phi)
     with mp.workdps(40):
         x, a = mpmath.mpf(rho), mpmath.mpf(alpha)
@@ -269,18 +269,22 @@ def test_the_stage_amplitudes_are_within_8e_16(rho, detuning_mhz):
     st.sampled_from(("P1", "P2")),
     _weighted(0.0, 5000.0, 11.283),
 )
+# a null near |alpha| = 1, and a weak pump at |alpha| = 1 where L is about
+# 4 rho^2: each lost digits to a loop formed by subtraction
+@example(0.0, 0.99, True, "P1", 0.0)
+@example(1e-5, 1.0, False, "P2", 0.0)
 def test_the_sweep_kernel_is_within_6_eps_over_its_loop(rho, alpha, at_null, pump_port, delay_um):
     # S21 and S12 of effective_2port_sweep on a 21-point grid over 600 MHz
-    # centred on f_a, given the line's float phase at f + f_p: within
-    # 6 eps / |L| absolute, L = 1 - r_b^2 alpha_c^2 the loop denominator
-    # (3.1 eps / |L| seen over 6,000 random points). No relative bound holds
-    # at a null: with no line, rho = sqrt((1 - a) / (1 + a)) darkens the
-    # isolated direction at f_a, the grid's centre point. The kernel's L,
-    # formed by cancellation, leaves up to 1.17 eps / (1 - a^2) there
-    # (5.2e-15 at a = 0.99; 23,722 nulls over both feeds), where the model
-    # given the float rho is within 1.5 eps of 0; the check keeps 1e-15 flat
-    # where that is the larger bound (a < 0.75). At a = 1 that rho is 0, the
-    # pump off, which is transparent.
+    # centred on f_a, given the line's float phase at f + f_p, absolute, L =
+    # 1 - r_b^2 alpha_c^2 the loop denominator: within 6 eps with no line
+    # (6 eps / |L| where |L| > 1; 2.1 eps the worst seen over 1,300
+    # edge-weighted configs), and within 6 eps / |L| with one, as the
+    # rounding of alpha_c = |alpha| l is divided by |L| (err |L| <= 4.9 eps
+    # seen). No relative bound holds at a null: with no line, rho = sqrt((1 -
+    # a) / (1 + a)) darkens the isolated direction at f_a, the grid's centre
+    # point, where the model given the float rho is within 1.5 eps of 0; the
+    # kernel reads below 1e-15 there for every a (2.8e-16 seen). At a = 1
+    # that rho is 0, the pump off, which is transparent.
     if at_null:
         rho = math.sqrt((1.0 - alpha) / (1.0 + alpha))
     config = JisConfig(6.84, 9.567, 40.0, 100.0, rho, alpha, pump_port, delay_length_um=delay_um, delay_eps_eff=7.418)
@@ -288,8 +292,7 @@ def test_the_sweep_kernel_is_within_6_eps_over_its_loop(rho, alpha, at_null, pum
     s = effective_2port_sweep(config, f)
     eps = np.finfo(float).eps
     if at_null and delay_um == 0.0 and rho > 0.0:
-        dark = max(1e-15, 2 * eps / ((1.0 - alpha) * (1.0 + alpha)))
-        assert abs(getattr(s, config.isolated_direction)[10]) < dark
+        assert abs(getattr(s, config.isolated_direction)[10]) < 1e-15
     theta = delay_phase_rad(delay_um, 7.418, f + config.f_p_ghz)
     with mp.workdps(40):
         for k in range(f.size):
@@ -303,7 +306,7 @@ def test_the_sweep_kernel_is_within_6_eps_over_its_loop(rho, alpha, at_null, pum
             else:
                 refl = r_a - r_b * a_c**2 * t**2 / loop
                 conv = config.sin_phi * a_c * t**2 / loop
-                bound = 6 * eps / abs(loop)
+                bound = 6 * eps / (max(1, abs(loop)) if delay_um == 0.0 else abs(loop))
             assert abs(mpmath.mpc(complex(s.s21[k])) - 1j * (refl - conv)) <= bound, k
             assert abs(mpmath.mpc(complex(s.s12[k])) - 1j * (refl + conv)) <= bound, k
 

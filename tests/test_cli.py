@@ -112,6 +112,20 @@ def test_jis_sweep_without_dip_exits_3(tmp_path, capsys):
         assert (out / "jis_sweep.csv").exists()
 
 
+def test_a_weak_pump_at_full_coupling_writes_its_sweep(tmp_path, capsys):
+    # rho 1e-7 at alpha_mag 1 with no line: the loop denominator is about
+    # 4 rho^2 at f_a, and the conversion's width about rho^2 gamma is far
+    # below the grid step, so the trace is flat as with the pump off: every
+    # file is written, and the command exits 3 for want of a dip
+    out = tmp_path / "out"
+    jis = {**JIS_PLAIN, "rho": 1e-7, "alpha_mag": 1.0}
+    assert run(tmp_path, "jis-sweep", {"jis": jis}, fmt="touchstone", out=out) == 3
+    assert capsys.readouterr().err.startswith("numerical error: no dip")
+    assert sorted(p.name for p in out.iterdir()) == ["jis_sweep.csv", "jis_sweep.json", "jis_sweep.s2p"]
+    assert json.loads((out / "jis_sweep.json").read_text())["note"].startswith("no dip")
+    assert not NON_FINITE.search((out / "jis_sweep.s2p").read_text())
+
+
 @pytest.mark.parametrize("points", [401, 40001])
 def test_jis_sweep_with_the_pump_off_reports_no_dip(tmp_path, points):
     # |S12|^2 is 1 to rounding; its argmin once fell inside the grid and

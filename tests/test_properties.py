@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from paramix import cli
 from paramix.isolator import (
     _composed,
-    _line_phasor,
+    _line,
     closed_form_from_config,
     composed_4port,
     default_grid,
@@ -193,7 +193,7 @@ def test_the_closed_form_4port_has_exact_model_zeros(config, delay):
         config = replace(config, delay_length_um=0.0)
     s = closed_form_from_config(config).s
     np.testing.assert_allclose(s, composed_4port(config).s, rtol=0, atol=1e-12)
-    zeros = model_zero_parts(s, _line_phasor(config, config.f_a_ghz) != 1.0)
+    zeros = model_zero_parts(s, _line(config, config.f_a_ghz)[0] != 1.0)
     assert zeros == [0.0] * len(zeros)
     parts = np.concatenate([s.real.ravel(), s.imag.ravel()])
     assert not np.any(np.signbit(parts[parts == 0.0])), "a model zero is -0.0"
@@ -213,7 +213,7 @@ def test_the_4port_files_print_model_zeros_as_zero(fields, rho, delay):
     if not delay:
         fields["delay_length_um"] = 0.0
     config = make_jis(**fields)
-    line = _line_phasor(config, config.f_a_ghz) != 1.0
+    line = _line(config, config.f_a_ghz)[0] != 1.0
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps({"schema": SCHEMA_TAG, "jis": fields}))
