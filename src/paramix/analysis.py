@@ -267,12 +267,12 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
     """Recover (rho, |alpha|) from on-resonance |S21|^2 and |S12|^2.
 
     The feed's pass power P and isolated power I are projected onto the
-    model's image 0 <= I <= P <= 1: both are clipped to 1 and both become
-    their mean if I > P, which on [0, 1]^2 is the Euclidean projection the
-    residual measures. The projected pair is inverted exactly
-    (`_lower_twin`) to the one of two power-equivalent points with the
-    smaller rho; a pair off the image, I > P, is so written as the mean's
-    point with |alpha| = 0. P = 1 with I < 1, an edge the image approaches
+    model's image 0 <= I <= P <= 1: both become their mean if I > P, then
+    both are clipped to 1, the Euclidean projection the residual measures.
+    The projected pair is inverted exactly (`_lower_twin`) to the one of
+    two power-equivalent points with the smaller rho; a pair off the image,
+    I > P, is so written as its mean's point with |alpha| = 0, or as (1, 1)
+    for a mean of 1 or more. P = 1 with I < 1, an edge the image approaches
     but never attains, is inverted from the float below 1. A pair whose
     inverse point misses its projection by _FIT_EXACT_TOL or more goes to
     the least-squares search (`_search`), whose point is kept only if its
@@ -288,9 +288,10 @@ def fit_rho_alpha(s21_sq: float, s12_sq: float, pump_port: str = "P1") -> FitRes
         if not 0.0 <= val <= 1.0 + 1e-9:
             raise ValueError(f"{name} must lie in [0, 1]")
     sin_phi = feed_sin_phi(pump_port)
-    p_pass, p_iso = (min(p, 1.0) for p in ((s12_sq, s21_sq) if sin_phi > 0 else (s21_sq, s12_sq)))
+    p_pass, p_iso = (s12_sq, s21_sq) if sin_phi > 0 else (s21_sq, s12_sq)
     if p_iso > p_pass:
         p_pass = p_iso = (p_pass + p_iso) / 2.0
+    p_pass, p_iso = min(p_pass, 1.0), min(p_iso, 1.0)
     if p_iso == 1.0:
         return FitResult(0.0, 0.0, float(_residuals(0.0, 0.0, s21_sq, s12_sq, sin_phi)), False)
     rho_fit, alpha_fit = _lower_twin(min(p_pass, math.nextafter(1.0, 0.0)), p_iso)

@@ -16,11 +16,12 @@ difference and sum of the stage phases. k1 - k2 is odd for every feed and
 flux parity, so sin phi = +-1 and cos phi = 0 exactly: the sweep kernel
 and the 4-port write S11 = S22 as exact zeros. The delay line enters as its
 phasor at f + f_p (_line). The signal block (refl, conv, L) is written once,
-_signal_block, its loop denominator a sum with no cancelling term: the
-sweep kernel evaluates it on its grid, the 4-port at f_a, and with no line
-it is the forward model the fit inverts (on_resonance_amplitudes and
-_powers); swap_twin gives the point of equal powers. Nothing here raises on
-a valid config. _composed joins the device's elements (stages mixer_2port
+_signal_block, its loop denominator a sum with no cancelling term; with no
+line it is the forward model the fit inverts (on_resonance_amplitudes and
+_powers), and swap_twin gives the point of equal powers. _device evaluates
+it with the line, for the sweep kernel on its grid and the 4-port at f_a;
+_transmissions forms S21 and S12 for both. Nothing here raises on a valid
+config. _composed joins the device's elements (stages mixer_2port
 and a matched delay line) into the network that checks both: composed_4port
 at f_a, and the tests' sweep oracle.
 """
@@ -35,7 +36,6 @@ import numpy as np
 from .mixer import (
     JpcParams,
     RHO_5050,
-    amplitudes_of_frequency,
     amplitudes_on_resonance,
     mixer_2port,
     n_g,
@@ -203,11 +203,24 @@ def _signal_block(ca, cb, den, rho, alpha_mag, ell, one_minus_ell):
     r_a, r_b = reflections(ca, cb, den, rho)
     alpha, u, d2 = alpha_mag * ell, cb - 1.0, den * den
     minus, plus, at2 = (1.0 - alpha_mag) + alpha_mag * one_minus_ell, 1.0 + alpha, 4.0 * rho**2 * alpha / d2
-    # a temporary is the first factor of each product (SWEEP_CHUNK)
+    # a temporary is the first factor of each product: numpy reuses a
+    # temporary of 16,384 or more complex points in place and may then swap
+    # a product's factors, whose fused complex rounding is not symmetric
     loop = minus * plus + alpha * 4.0 * (rho**2 + u * ca) / d2 * alpha * ca
     cut = abs(loop) < 2.0**-1022
     conv = (at2 + cut * (rho != 0.0)) / (loop + cut)
     return r_a - r_b * alpha * conv, conv, loop * (1 - cut)
+
+
+def _device(config: JisConfig, f_ghz):
+    """(l, 1 - l, refl, conv, L) at signal frequencies f: _line and _signal_block, the pump off included."""
+    line = _line(config, f_ghz)
+    return (*line, *_signal_block(*susceptibilities(f_ghz, config.jpc1), config.rho, config.alpha_mag, *line))
+
+
+def _transmissions(config: JisConfig, refl, conv):
+    """(S21, S12) = i (refl -+ conv sin phi) of _signal_block's (refl, conv)."""
+    return 1j * (refl - conv * config.sin_phi), 1j * (refl + conv * config.sin_phi)
 
 
 def on_resonance_amplitudes(rho, alpha):
@@ -229,24 +242,21 @@ def swap_twin(rho, alpha):
 def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     """The device's 4-port at f = f_a in closed form, its delay line included.
 
-    S21, S12 = i (refl -+ conv sin phi) of _signal_block at f_a, the sweep's
-    bits. The taps take (t, r) from rho (amplitudes_on_resonance), (l, 1 - l)
-    from _line, beta^2 = 1 - |alpha|^2 (coupler_beta2) and the block's L:
+    S21 and S12 of _device on the one-point grid f_a (_transmissions), the
+    sweep's bits. The taps take (t, r) from rho (amplitudes_on_resonance),
+    (l, 1 - l, L) from _device and beta^2 = 1 - |alpha|^2 (coupler_beta2):
     S33 = -r beta^2 l^2 / L, S44 = -r beta^2 / L, S34 = S43 = |alpha| (1 -
     l)(1 + l) / L + l conv, and the cross entries t beta / (sqrt2 L), times l
-    on port 3's row and column. k1 -+ k2 are odd, so sin phi = +-1, S11 = S22
-    are exact zeros and the half phases whole quarter turns; with no line the
-    other model zeros are exact too (-0.0 is written 0.0). Where L is 0 (no
-    line, |alpha| = 1 and rho = 0 or tiny) the taps see each other only, S33
-    = S44 = -refl and S34 = S43 = conv, so the 4-port is finite everywhere.
+    on port 3's row and column. k1 -+ k2 are odd, so sin phi = +-1, S11 =
+    S22 are exact zeros and the half phases whole quarter turns; with no line
+    the other model zeros are exact too (-0.0 is written 0.0). Where L is 0
+    (no line, |alpha| = 1 and rho = 0 or tiny) the taps see each other only,
+    S33 = S44 = -refl and S34 = S43 = conv, so the 4-port is finite
+    everywhere.
     """
-    t, r = amplitudes_on_resonance(config.rho)
-    alpha, one = config.alpha_mag, np.ones(1, dtype=complex)
-    # the sweep's arithmetic on the one-point grid f_a, where chi^-1 = 1 exactly, so S21 and S12 are its bits
-    line = _line(config, np.array([config.f_a_ghz]))
-    block = _signal_block(one, one, one + config.rho**2, config.rho, alpha, *line)
-    ell, one_minus_ell, refl, conv, loop = (complex(x[0]) for x in (*line, *block))
-    s21, s12 = 1j * (refl - conv * config.sin_phi), 1j * (refl + conv * config.sin_phi)
+    (t, r), alpha = amplitudes_on_resonance(config.rho), config.alpha_mag
+    ell, one_minus_ell, refl, conv, loop = (complex(x[0]) for x in _device(config, np.array([config.f_a_ghz])))
+    s21, s12 = _transmissions(config, refl, conv)
     if loop == 0.0:
         s = np.array([[0.0, s12, 0.0, 0.0], [s21, 0.0, 0.0, 0.0], [0.0, 0.0, -refl, conv], [0.0, 0.0, conv, -refl]])
         return ScatteringMatrix(_PORTS_4, s + 0.0)
@@ -320,43 +330,34 @@ class SweepResult:
 def effective_2port_sweep(config: JisConfig, f_ghz: np.ndarray) -> SweepResult:
     """Frequency response of ports 1 and 2 with the internal line folded in.
 
-    With (refl, conv) of _signal_block on the grid, its loop factor alpha =
-    |alpha| e^{i theta} taken at the idler frequency f + f_p (_line): S21 = i
-    (refl - conv sin phi), S12 = i (refl + conv sin phi), at f_a the 4-port's
-    bits, and S11 = S22 an exact zero array (sin phi = +-1 exactly). The pump
-    off (rho = 0) gives S21 = S12 = i r_a. Nothing raises: the loop denominator
-    has no zero for rho > 0, and an input that overflows gives NaN. Given the
-    line's float phase, S21 and S12 are within 6 eps of the model with no line
-    and 6 eps / |L| with one, absolute; no relative bound holds at a null.
+    With (refl, conv) of _device on the grid, its loop factor alpha = |alpha|
+    e^{i theta} taken at the idler frequency f + f_p (_line): S21, S12 = i
+    (refl -+ conv sin phi) (_transmissions), at f_a the 4-port's bits, and
+    S11 = S22 an exact zero array (sin phi = +-1 exactly). The pump off (rho
+    = 0) gives S21 = S12 = i r_a. Nothing raises: the loop denominator has no
+    zero for rho > 0, and an input that overflows gives NaN. Given the line's
+    float phase, S21 and S12 are within 6 eps of the model with no line and
+    6 eps / |L| with one, absolute; no relative bound holds at a null.
     """
     f = np.asarray(f_ghz, dtype=float)
-    s11 = np.zeros(f.shape, dtype=complex)
-    if config.rho == 0.0:
-        r_a = amplitudes_of_frequency(f, config.jpc1)[1]
-        return SweepResult(f, s11, 1j * r_a, 1j * r_a)
-    refl, conv, _ = _signal_block(*susceptibilities(f, config.jpc1), config.rho, config.alpha_mag, *_line(config, f))
-    return SweepResult(f, s11, 1j * (refl + conv * config.sin_phi), 1j * (refl - conv * config.sin_phi))
+    s21, s12 = _transmissions(config, *_device(config, f)[2:4])
+    return SweepResult(f, np.zeros(f.shape, dtype=complex), s12, s21)
 
 
-# Points per sweep chunk. numpy elides temporaries (reuses them in place) on
-# arrays of 256 KiB or more, 16,384 complex points, and may then swap the
-# factors of a product, whose fused complex rounding is not symmetric. The
-# kernel writes each temporary as the first factor, so its bits do not
-# depend on the chunk size; chunks of at least this many points elide alike.
+# Most points the commands evaluate in one kernel call: a memory bound. Each
+# complex temporary of a chunk is 256 KiB, however large the grid; the
+# kernel's bits do not depend on the chunk size.
 SWEEP_CHUNK = 16384
 
 
 def grid_chunks(points: int) -> list[slice]:
-    """Slices that cover a grid of points in chunks of SWEEP_CHUNK points.
+    """Slices of at most SWEEP_CHUNK points that cover a grid of points, in order.
 
-    The last chunk also takes any tail shorter than SWEEP_CHUNK, so a grid
-    of fewer than 2 SWEEP_CHUNK points is one chunk. Evaluating
-    effective_2port_sweep or amplitudes_of_frequency chunk by chunk gives
-    the bits of one call on the whole grid.
+    A grid of 0 points is one empty slice. Evaluating effective_2port_sweep
+    or amplitudes_of_frequency chunk by chunk gives the bits of one call on
+    the whole grid.
     """
-    count = max(points // SWEEP_CHUNK, 1)
-    edges = [k * SWEEP_CHUNK for k in range(count)] + [points]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return [slice(a, min(a + SWEEP_CHUNK, points)) for a in range(0, max(points, 1), SWEEP_CHUNK)]
 
 
 def default_grid(config, span_mhz: float = 300.0, points: int = 2001) -> np.ndarray:

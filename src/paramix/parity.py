@@ -32,9 +32,9 @@ from .network import HYBRID, ConnectionGraph, connect, matched_line
 
 _PARITY_BIT = {"even": 0, "odd": 1}
 
-# Largest B * n^2 of one stack of chain graphs handed to connect(), the way
-# sweeps go in SWEEP_CHUNK points: a call holds a few copies of each stack,
-# so memory stays bounded however many long chains it is given.
+# Largest B * n^2 of one stack of chain graphs handed to connect(): a call
+# holds a few copies of each stack, so memory stays bounded however many
+# long chains it is given, as isolator.SWEEP_CHUNK bounds a sweep's.
 _STACK_ENTRIES = 1 << 16
 
 

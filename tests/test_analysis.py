@@ -346,9 +346,9 @@ def _above_the_diagonal(rng, n):
 
 
 def test_a_pair_off_the_image_is_written_as_its_projection_without_the_search(monkeypatch):
-    # with the isolated power I above the pass power P, both clipped to 1,
-    # the Euclidean projection onto the image is their mean m on both
-    # powers, whose exact point is |alpha| = 0 and rho = sqrt(1 - m) / (1 +
+    # with the isolated power I above the pass power P, the Euclidean
+    # projection onto the image is their mean m on both powers, clipped to
+    # 1, whose exact point is |alpha| = 0 and rho = sqrt(1 - m) / (1 +
     # sqrt m); m = 1 is the non-identifiable (0, 0). The least-squares
     # search used to beat the exact point of each fixed pair by rounding in
     # the residual's last bits, and wrote |alpha| 6.2e-23 on P1 and 2.8e-20
@@ -363,11 +363,27 @@ def test_a_pair_off_the_image_is_written_as_its_projection_without_the_search(mo
         sin_phi = feed_sin_phi(port)
         for p, i in [fixed[port]] + _above_the_diagonal(rng, 200):
             p21, p12 = (i, p) if sin_phi > 0 else (p, i)
-            m = (min(p, 1.0) + min(i, 1.0)) / 2.0
+            m = min((p + i) / 2.0, 1.0)
             fit = fit_rho_alpha(p21, p12, port)
             assert (fit.rho, fit.alpha_mag) == (math.sqrt(1.0 - m) / (1.0 + math.sqrt(m)), 0.0), (port, p21, p12)
             assert fit.alpha_identifiable == (m < 1.0)
             assert fit.residual == analysis._residuals(fit.rho, fit.alpha_mag, p21, p12, sin_phi)
+
+
+def test_a_pair_with_p_below_one_below_i_is_projected_by_its_unclipped_mean():
+    # the projection takes the mean before the clip: clipping I to 1 first
+    # puts rho at 0.0908784387 on this pair, 7e-9 relative off the
+    # least-squares point, with a larger residual. A pair whose unclipped
+    # mean is 1 or more projects to (1, 1), which has no |alpha|
+    pair = (0.9350068508498127, 1.0000000009468257)
+    mean = sum(pair) / 2.0
+    fit = fit_rho_alpha(*pair, "P1")
+    assert (fit.rho, fit.alpha_mag) == analysis._lower_twin(mean, mean)
+    assert (fit.rho, fit.alpha_mag) == (pytest.approx(0.0908784380, abs=1e-10), 0.0)
+    assert fit.residual < analysis._residuals(0.09087843865885965, 0.0, *pair, feed_sin_phi("P1"))
+    for port, pair in (("P1", (0.9999999995, 1.000000001)), ("P2", (1.000000001, 0.9999999995))):
+        fit = fit_rho_alpha(*pair, port)
+        assert (fit.rho, fit.alpha_mag, fit.alpha_identifiable) == (0.0, 0.0, False), port
 
 
 def test_the_fit_batch_pass_edge_pairs_still_search(monkeypatch):

@@ -13,6 +13,7 @@ import hashlib
 import json
 import pkgutil
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,43 @@ def test_the_tracer_counts_one_call_per_parity_layer_on_a_parity_job(tmp_path, m
     assert metrics["parity.chain_transmission.calls"] == 1
     assert metrics["parity.calibrate.calls"] == 1
     assert metrics["network.connect.calls"] == len(lengths) + 1
+
+
+BENCHMARK_WORKLOADS = ("fit-batch", "network-batch", "sweep-export")
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_one_untraced_benchmark_pass_runs_and_passes_its_checks(workload, tmp_path, monkeypatch):
+    # the seed-1 job list after the warm-up jobs, one pass as the benchmark's
+    # worker times it, with the speed probe firing every 50 ms, then every
+    # job judged by the benchmark's own checker: a pass shorter than one
+    # probe, or a job whose artifacts the checker refuses, fails here rather
+    # than in a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import reference
+    import run
+    import worker
+    import workloads
+
+    from paramix import cli
+
+    assert set(BENCHMARK_WORKLOADS) == set(workloads.WORKLOADS)
+    jobs, warmup = workloads.generate(workload, workloads.DEFAULT_SEED), workloads.warmup_jobs()
+    (tmp_path / "configs").mkdir()
+    for job in jobs + warmup:
+        (tmp_path / "out" / job["id"]).mkdir(parents=True)
+    manifest = json.loads(run.write_inputs(jobs, warmup, tmp_path).read_text())
+    for job, entry in zip(warmup, manifest["warmup"]):
+        assert checks.check_exit_code(job, cli.main(entry["argv"])) == [], job["id"]
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        plain, _ = worker.run_pass(cli, manifest["jobs"], reference.Probe())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+        signal.signal(signal.SIGALRM, handler)
+    assert [rec["id"] for rec in plain] == [job["id"] for job in jobs]
+    for job, rec in zip(jobs, plain):
+        problems = checks.check_exit_code(job, rec["rc"]) + checks.check_values(job, tmp_path / "out" / job["id"])
+        assert problems == [], job["id"]
+        assert rec["latency_s"] > 0.0 and rec["ref_unit_s"] > 0.0, job["id"]

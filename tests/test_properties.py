@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from paramix import cli
 from paramix.isolator import (
     _composed,
+    _device,
     _line,
     closed_form_from_config,
     composed_4port,
@@ -128,7 +129,10 @@ def composed_sweep(config, f):
 
 
 # |alpha| up to 0.99 and delays up to 5 mm, so the line turns the loop by
-# several radians: the kernel is checked away from resonance and zero delay
+# several radians: the kernel is checked away from resonance and zero delay.
+# Kernel and network differ by at most 6.54 eps / |L| per point (6,600
+# random draws), and the bound is twice that; |L| >= 1 - 0.99^2 keeps it
+# under 1.5e-13
 @settings(PROPERTY, max_examples=50)
 @given(device_fields(), st.floats(0.0, 0.99), st.just(0.0) | st.floats(0.0, 5000.0))
 def test_the_sweep_kernel_is_the_network_composed_sweep(fields, alpha, delay_um):
@@ -136,9 +140,10 @@ def test_the_sweep_kernel_is_the_network_composed_sweep(fields, alpha, delay_um)
     f = default_grid(config, 600.0, 201)
     sweep = effective_2port_sweep(config, f)
     s = composed_sweep(config, f)
-    np.testing.assert_allclose(s[:, 1, 0], sweep.s21, rtol=0, atol=TOL)
-    np.testing.assert_allclose(s[:, 0, 1], sweep.s12, rtol=0, atol=TOL)
-    assert np.max(np.abs(s[:, 0, 0])) < TOL and np.max(np.abs(s[:, 1, 1])) < TOL
+    bound = 13.1 * np.finfo(float).eps / np.abs(_device(config, f)[4])
+    assert np.all(bound < TOL)
+    for got, want in ((s[:, 1, 0], sweep.s21), (s[:, 0, 1], sweep.s12), (s[:, 0, 0], 0.0), (s[:, 1, 1], 0.0)):
+        assert np.all(np.abs(got - want) <= bound)
 
 
 # both feeds and all four flux-parity pairs (the signs of the two fluxes)

@@ -44,8 +44,8 @@ def test_chunks_cover_the_grid_and_none_is_short(points):
     assert parts[0].start == 0 and parts[-1].stop == points
     assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
     sizes = [p.stop - p.start for p in parts]
-    assert len(parts) == 1 or min(sizes) >= SWEEP_CHUNK
-    assert max(sizes) < max(2 * SWEEP_CHUNK, points + 1)
+    # plain slices: every chunk but the last is whole, and none is longer
+    assert all(size == SWEEP_CHUNK for size in sizes[:-1]) and sizes[-1] <= SWEEP_CHUNK
 
 
 @pytest.mark.parametrize("points", SIZES)
@@ -102,7 +102,7 @@ def test_a_later_chunk_that_fails_leaves_no_artifact(tmp_path, monkeypatch, caps
         calls.clear()
         monkeypatch.setattr(cli, "effective_2port_sweep", failing(kind))
         assert run(tmp_path, "jis-sweep", payload, fmt="touchstone", out=out) == 3
-        assert calls == [SWEEP_CHUNK, 40001 - SWEEP_CHUNK]
+        assert calls == [SWEEP_CHUNK, SWEEP_CHUNK]
         assert message in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["jis_sweep.csv"]
         assert (out / "jis_sweep.csv").read_bytes() == b"old bytes\n"
@@ -139,7 +139,7 @@ def test_constant_reflections_are_the_bytes_of_the_kernel_zeros(tmp_path, name):
     assert run(tmp_path, "jis-sweep", payload, fmt="touchstone", out=tmp_path / "cli") == 0
     config = cli._build_jis(jis)
     f = cli._grid(config, payload)
-    assert len(grid_chunks(f.size)) == 2
+    assert len(grid_chunks(f.size)) == 3
     header = ["f_GHz", "S21_dB", "S12_dB", "S11_dB", "S22_dB"]
     with csv_stream(tmp_path / "jis_sweep.csv", header) as csv, touchstone_stream(
         tmp_path / "jis_sweep.s2p", 2
