@@ -11,7 +11,6 @@ from .errors import (
     NonInvertibleNetworkError,
     NumericalError,
     ParamixError,
-    UnbracketedBandwidthError,
 )
 from .network import ConnectionGraph, ScatteringMatrix, connect
 from .mixer import JpcParams, flux_tuning_curve, r_a_of_frequency, t_of_frequency

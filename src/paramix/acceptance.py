@@ -14,7 +14,7 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,6 @@ from .isolator import (
     default_grid,
     effective_2port_sweep,
     feed_sin_phi,
-    make_jis,
     on_resonance_powers,
     reference_device,
     swap_twin,
@@ -62,12 +61,13 @@ def _random_flux(rng) -> float:
     return sign * rng.uniform(0.2, 1.4) * 2.0 * np.pi
 
 
+def _reference(**changes):
+    """The reference device's modes with no delay line, and the given changes."""
+    return replace(reference_device(), delay_length_um=0.0, **changes)
+
+
 def _random_config(rng):
-    return make_jis(
-        f_a_ghz=6.84,
-        f_b_ghz=9.567,
-        gamma_a_mhz=40.0,
-        gamma_b_mhz=100.0,
+    return _reference(
         rho=rng.uniform(0.0, 1.0),
         alpha_mag=rng.uniform(0.05, 0.95),
         pump_port=("P1", "P2")[rng.integers(2)],
@@ -77,8 +77,8 @@ def _random_config(rng):
 
 
 def crit_closed_form_anchors() -> CriterionResult:
-    # t = r = 1/sqrt2 and alpha = 1/sqrt2; P1 at zero flux is phi = -pi/2, phi_s = pi/2
-    cfg = make_jis(6.84, 9.567, 40.0, 100.0, rho=RHO_5050, alpha_mag=1.0 / _SQ2)
+    # t = r = 1/sqrt2 and alpha = 1/sqrt2; P1 with both fluxes in one lobe is phi = -pi/2
+    cfg = _reference(rho=RHO_5050, alpha_mag=1.0 / _SQ2)
     closed_form_from_config(cfg)
     runtime = min(_timed(lambda: closed_form_from_config(cfg)) for _ in range(5))
     S = closed_form_from_config(cfg).s
@@ -105,10 +105,10 @@ def crit_pump_off_transparency() -> CriterionResult:
     expected[2, 2] = expected[3, 3] = -1.0
     # every |alpha|, 1 included, both feeds and all four flux-parity pairs
     points = itertools.product((0.0, 0.7, 1.0 / _SQ2, 1.0), ("P1", "P2"), (-1.0, 1.0), (-1.0, 1.0))
-    exact = all(
-        np.array_equal(closed_form_from_config(make_jis(6.84, 9.567, 40.0, 100.0, 0.0, *point)).s, expected)
-        for point in points
+    devices = (
+        _reference(rho=0.0, alpha_mag=a, pump_port=p, phi_ext1_rad=f1, phi_ext2_rad=f2) for a, p, f1, f2 in points
     )
+    exact = all(np.array_equal(closed_form_from_config(device).s, expected) for device in devices)
     return CriterionResult(
         2, "pump-off transparency", exact, "matrix equals transparency literal exactly" if exact else "NOT exact"
     )
@@ -148,13 +148,10 @@ def crit_directionality() -> CriterionResult:
         alpha = rng.uniform(0.05, 0.95)
         pump = ("P1", "P2")[rng.integers(2)]
         f1, f2 = _random_flux(rng), _random_flux(rng)
-        base = make_jis(6.84, 9.567, 40.0, 100.0, rho, alpha, pump, phi_ext1_rad=f1, phi_ext2_rad=f2)
+        base = _reference(rho=rho, alpha_mag=alpha, pump_port=pump, phi_ext1_rad=f1, phi_ext2_rad=f2)
         # the two pump feeds differ by exactly pi in the phase difference
-        swapped = make_jis(
-            6.84, 9.567, 40.0, 100.0, rho, alpha,
-            "P2" if pump == "P1" else "P1", phi_ext1_rad=f1, phi_ext2_rad=f2,
-        )
-        flipped = make_jis(6.84, 9.567, 40.0, 100.0, rho, alpha, pump, phi_ext1_rad=-f1, phi_ext2_rad=-f2)
+        swapped = replace(base, pump_port="P2" if pump == "P1" else "P1")
+        flipped = replace(base, phi_ext1_rad=-f1, phi_ext2_rad=-f2)
         grid = default_grid(base, 100.0, 7)
         s = effective_2port_sweep(base, grid)
         ss = effective_2port_sweep(swapped, grid)
@@ -180,9 +177,9 @@ def crit_added_noise() -> CriterionResult:
 
 
 def crit_bandwidth_law() -> CriterionResult:
-    g0 = gamma0(40.0, 100.0)
-    g0_ok = abs(g0 - 57.143) <= 0.001
     cfg = reference_device()
+    g0 = gamma0(cfg.gamma_a_mhz, cfg.gamma_b_mhz)
+    g0_ok = abs(g0 - 57.143) <= 0.001
     law_rhos = [0.29, 0.30, 0.32, 0.35, 0.38, 0.40, 0.4142, 0.43, 0.45]
     pairs = bandwidth_attenuation_scan(cfg, law_rhos)
     worst_law = 0.0
@@ -283,7 +280,7 @@ def crit_sweep_properties() -> CriterionResult:
     step = grid[1] - grid[0]
     sweep = effective_2port_sweep(cfg, grid)
     f_dip = float(grid[int(np.argmin(np.abs(sweep.s12)))])
-    dip_ok = abs(f_dip - 6.84) <= step + 1e-12
+    dip_ok = abs(f_dip - cfg.f_a_ghz) <= step + 1e-12
     swapped = effective_2port_sweep(reference_device(pump_port="P2"), grid)
     swap_dev = max(
         float(np.max(np.abs(swapped.s21 - sweep.s12))),
@@ -309,16 +306,7 @@ def crit_determinism(started_at: float) -> CriterionResult:
     from . import cli
 
     jis_cfg = {"schema": "paramix/1", "jis": {"preset": "reference"}}
-    jpc_cfg = {
-        "schema": "paramix/1",
-        "jpc": {
-            "f_a_ghz": 6.84,
-            "f_b_ghz": 9.567,
-            "gamma_a_mhz": 40.0,
-            "gamma_b_mhz": 100.0,
-            "rho": 0.4142,
-        },
-    }
+    jpc_cfg = {"schema": "paramix/1", "jpc": {**asdict(reference_device().jpc1), "rho": 0.4142}}
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

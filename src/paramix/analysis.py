@@ -13,11 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    NoDipError,
-    NumericalError,
-    UnbracketedBandwidthError,
-)
+from .errors import NoDipError, NumericalError
 from .isolator import (
     JisConfig,
     SweepResult,
@@ -31,13 +27,9 @@ from .isolator import (
 
 
 def to_power_dB(s) -> np.ndarray | float:
-    """Power 10 log10 |s|^2 of a complex amplitude; zero maps to -inf."""
-    mag2 = np.abs(np.asarray(s)) ** 2
+    """Power 10 log10 |s|^2 of a complex amplitude; zero maps to -inf. A scalar gives an np.float64."""
     with np.errstate(divide="ignore"):
-        out = 10.0 * np.log10(mag2)
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(out)
-    return out
+        return 10.0 * np.log10(np.abs(np.asarray(s)) ** 2)
 
 
 def gamma0(gamma_a_mhz: float, gamma_b_mhz: float) -> float:
@@ -81,9 +73,9 @@ def dip_bandwidth(f_ghz, power) -> BandwidthResult:
 
     The dip floor L is the minimum of the power over the grid; the width is
     the distance between the two interpolated crossings of 2 L. Raises
-    NoDipError("no dip") when the trace is flat to rounding or its minimum
-    sits on a grid edge, and UnbracketedBandwidthError when either crossing
-    lies outside the grid.
+    NoDipError when the trace is flat to rounding, its minimum sits on a
+    grid edge ("no dip: ...") or either crossing lies outside the grid ("3 dB
+    points not bracketed by the sweep").
     """
     f = np.asarray(f_ghz, dtype=float)
     y = np.asarray(power, dtype=float)
@@ -102,7 +94,7 @@ def dip_bandwidth(f_ghz, power) -> BandwidthResult:
     above_left = np.flatnonzero(y[:i0] >= target)
     above_right = np.flatnonzero(y[i0 + 1 :] >= target)
     if above_left.size == 0 or above_right.size == 0:
-        raise UnbracketedBandwidthError("3 dB points not bracketed by the sweep")
+        raise NoDipError("3 dB points not bracketed by the sweep")
     j = int(above_left[-1])
     left = _crossing(f, y, j, j + 1, target)
     j = i0 + 1 + int(above_right[0])

@@ -36,7 +36,7 @@ from .analysis import (
     gamma0,
     to_power_dB,
 )
-from .errors import ConfigError, NoDipError, NumericalError, UnbracketedBandwidthError, shown
+from .errors import ConfigError, NoDipError, NumericalError, shown
 from .formats import (
     csv_stream,
     touchstone_stream,
@@ -112,6 +112,13 @@ def _grid(model, payload) -> np.ndarray:
     return _build(default_grid, config=model, **payload.get("grid", {}))
 
 
+def _write_artifact(path: Path, name: str, **fields) -> None:
+    """Tag fields with SCHEMA_TAG, check them as artifact name and write them to path as JSON."""
+    doc = {"schema": SCHEMA_TAG, **fields}
+    validate_artifact(name, doc)
+    write_json(path, doc)
+
+
 def cmd_jpc_sweep(payload, out_dir: Path, fmt: str) -> int:
     jpc = _build(JpcParams, **payload["jpc"])
     f = _grid(jpc, payload)
@@ -152,16 +159,14 @@ def cmd_jis_sweep(payload, out_dir: Path, fmt: str) -> int:
             if s2p is not None:
                 s2p(sweep.f_ghz, [[0j, sweep.s12], [sweep.s21, 0j]])
             power[part] = np.abs(getattr(sweep, direction)) ** 2
-        sidecar = {"schema": SCHEMA_TAG, "direction": direction}
         extraction_error = None
         try:
             bw = dip_bandwidth(f, power)
-            sidecar.update(dip_f_ghz=bw.f_dip_ghz, gamma_mhz=bw.gamma_mhz, floor=bw.floor)
-        except (NoDipError, UnbracketedBandwidthError) as exc:
+            dip = {"dip_f_ghz": bw.f_dip_ghz, "gamma_mhz": bw.gamma_mhz, "floor": bw.floor}
+        except NoDipError as exc:
             extraction_error = exc
-            sidecar.update(dip_f_ghz=None, gamma_mhz=None, floor=None, note=str(exc))
-        validate_artifact("jis_sweep_sidecar", sidecar)
-        write_json(out_dir / "jis_sweep.json", sidecar)
+            dip = {"dip_f_ghz": None, "gamma_mhz": None, "floor": None, "note": str(exc)}
+        _write_artifact(out_dir / "jis_sweep.json", "jis_sweep_sidecar", direction=direction, **dip)
     if extraction_error is not None:
         print(f"numerical error: {extraction_error}", file=sys.stderr)
         return 3
@@ -179,29 +184,20 @@ def cmd_jis_4port(payload, out_dir: Path, fmt: str) -> int:
         columns = [out_ports, ports * len(ports), mat.s.real.ravel(), mat.s.imag.ravel()]
         write_csv(out_dir / "jis_4port.csv", ["out_port", "in_port", "s_real", "s_imag"], columns)
     else:
-        doc = {
-            "schema": SCHEMA_TAG,
-            "freq_ghz": config.f_a_ghz,
-            "ports": list(mat.ports),
-            "s_real": mat.s.real.tolist(),
-            "s_imag": mat.s.imag.tolist(),
-        }
-        validate_artifact("four_port", doc)
-        write_json(out_dir / "jis_4port.json", doc)
+        _write_artifact(
+            out_dir / "jis_4port.json",
+            "four_port",
+            freq_ghz=config.f_a_ghz,
+            ports=list(mat.ports),
+            s_real=mat.s.real.tolist(),
+            s_imag=mat.s.imag.tolist(),
+        )
     return 0
 
 
 def cmd_fit(payload, out_dir: Path, fmt: str) -> int:
     result = fit_rho_alpha(**{k: v for k, v in payload.items() if k != "schema"})
-    doc = {
-        "schema": SCHEMA_TAG,
-        "rho": result.rho,
-        "alpha_mag": result.alpha_mag,
-        "residual": result.residual,
-        "alpha_identifiable": result.alpha_identifiable,
-    }
-    validate_artifact("fit_result", doc)
-    write_json(out_dir / "fit.json", doc)
+    _write_artifact(out_dir / "fit.json", "fit_result", **asdict(result))
     if not result.alpha_identifiable:
         print("fit: |alpha| is not identifiable from this measurement pair", file=sys.stderr)
         return 3
@@ -227,28 +223,22 @@ def cmd_parity(payload, out_dir: Path, fmt: str) -> int:
                 "match": match,
             }
         )
-    doc = {
-        "schema": SCHEMA_TAG,
-        "calibration_phase_rad": phase,
-        "all_match": all_match,
-        "rows": rows,
-    }
-    validate_artifact("parity_report", doc)
-    write_json(out_dir / "parity.json", doc)
+    _write_artifact(
+        out_dir / "parity.json", "parity_report", calibration_phase_rad=phase, all_match=all_match, rows=rows
+    )
     return 0 if all_match else 4
 
 
 def cmd_readout(payload, out_dir: Path, fmt: str) -> int:
     records = [_build(ReadoutChainRecord, **r) for r in payload["records"]]
     report = backaction_report(records)
-    doc = {
-        "schema": SCHEMA_TAG,
-        "nbar_th": report.nbar_th,
-        "isolation_db": report.isolation_db,
-        "rows": [asdict(r) for r in report.rows],
-    }
-    validate_artifact("readout_report", doc)
-    write_json(out_dir / "readout.json", doc)
+    _write_artifact(
+        out_dir / "readout.json",
+        "readout_report",
+        nbar_th=report.nbar_th,
+        isolation_db=report.isolation_db,
+        rows=[asdict(r) for r in report.rows],
+    )
     header = ["label", "jis", "jda", "t_phi_us", "gamma_phi_per_us", "nbar", "nbar_ba"]
     columns = [[getattr(r, k) for r in report.rows] for k in header]
     write_csv(out_dir / "readout.csv", header, columns)

@@ -31,8 +31,4 @@ class NonInvertibleNetworkError(NumericalError):
 
 
 class NoDipError(NumericalError):
-    """A sweep has no interior minimum to analyze."""
-
-
-class UnbracketedBandwidthError(NumericalError):
-    """The 3 dB points of a dip are not bracketed by the sweep."""
+    """A power trace holds no dip to measure: no interior minimum, or 3 dB points outside the grid."""

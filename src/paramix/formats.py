@@ -178,13 +178,10 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if not math.isfinite(v):
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
             raise NonFiniteError("non-finite value in JSON artifact")
-        return round9(v)
-    if isinstance(obj, np.integer):
-        return int(obj)
+        return round9(obj)
     return obj
 
 
@@ -276,7 +273,7 @@ def _touchstone_template(texts) -> str:
 def _touchstone_block(fh, n, order, freqs_ghz, s) -> None:
     freqs = np.asarray(freqs_ghz, dtype=float)
     entries = [e for row in s for e in row]
-    if len(s) != n or len(entries) != n * n or isinstance(s, np.ndarray) and s.ndim != 3:
+    if len(s) != n or len(entries) != n * n:
         raise ValueError("need one matrix per frequency")
     # a complex or float entry holds one value on every record: its re/im
     # texts go into the template, and only the array entries are formatted

@@ -36,7 +36,6 @@ import numpy as np
 from .mixer import (
     JpcParams,
     RHO_5050,
-    amplitudes_on_resonance,
     mixer_2port,
     n_g,
     reflections,
@@ -59,7 +58,6 @@ from .network import (
 # Pump feed patterns: per-stage pump phases, in quarter turns, for each
 # physical pump port.
 _PUMP_QUARTERS = {"P1": (0, 1), "P2": (1, 0)}
-QUARTER_TURN_RAD = np.pi / 2.0
 
 
 def stage_quarters(pump_port: str, n_g1: int = 0, n_g2: int = 0) -> tuple[int, int]:
@@ -130,7 +128,7 @@ class JisConfig:
     def phi_rad(self) -> float:
         """Exact difference of the stage phases (phi_p + p pi mod 2 pi)."""
         k1, k2 = self.quarter_turns
-        return (k1 - k2) * QUARTER_TURN_RAD
+        return (k1 - k2) * (np.pi / 2.0)
 
     @property
     def sin_phi(self) -> int:
@@ -243,18 +241,19 @@ def closed_form_from_config(config: JisConfig) -> ScatteringMatrix:
     """The device's 4-port at f = f_a in closed form, its delay line included.
 
     S21 and S12 of _device on the one-point grid f_a (_transmissions), the
-    sweep's bits. The taps take (t, r) from rho (amplitudes_on_resonance),
-    (l, 1 - l, L) from _device and beta^2 = 1 - |alpha|^2 (coupler_beta2):
-    S33 = -r beta^2 l^2 / L, S44 = -r beta^2 / L, S34 = S43 = |alpha| (1 -
-    l)(1 + l) / L + l conv, and the cross entries t beta / (sqrt2 L), times l
-    on port 3's row and column. k1 -+ k2 are odd, so sin phi = +-1, S11 =
-    S22 are exact zeros and the half phases whole quarter turns; with no line
-    the other model zeros are exact too (-0.0 is written 0.0). Where L is 0
-    (no line, |alpha| = 1 and rho = 0 or tiny) the taps see each other only,
-    S33 = S44 = -refl and S34 = S43 = conv, so the 4-port is finite
-    everywhere.
+    sweep's bits. The taps take (t, r) from rho as a float (t_r_of_rho; an
+    np.float64 rho would give numpy scalars, which round the taps' complex
+    products differently), (l, 1 - l, L) from _device and beta^2 = 1 -
+    |alpha|^2 (coupler_beta2): S33 = -r beta^2 l^2 / L, S44 = -r beta^2 / L,
+    S34 = S43 = |alpha| (1 - l)(1 + l) / L + l conv, and the cross entries t
+    beta / (sqrt2 L), times l on port 3's row and column. k1 -+ k2 are odd,
+    so sin phi = +-1, S11 = S22 are exact zeros and the half phases whole
+    quarter turns; with no line the other model zeros are exact too (-0.0 is
+    written 0.0). Where L is 0 (no line, |alpha| = 1 and rho = 0 or tiny) the
+    taps see each other only, S33 = S44 = -refl and S34 = S43 = conv, so the
+    4-port is finite everywhere.
     """
-    (t, r), alpha = amplitudes_on_resonance(config.rho), config.alpha_mag
+    (t, r), alpha = t_r_of_rho(float(config.rho)), config.alpha_mag
     ell, one_minus_ell, refl, conv, loop = (complex(x[0]) for x in _device(config, np.array([config.f_a_ghz])))
     s21, s12 = _transmissions(config, refl, conv)
     if loop == 0.0:
@@ -308,7 +307,7 @@ def _composed(config: JisConfig, t, r_a, r_b, line) -> ScatteringMatrix:
 
 def composed_4port(config: JisConfig) -> ScatteringMatrix:
     """closed_form_from_config's 4-port rebuilt by _composed: criterion 4's independent check."""
-    t, r = amplitudes_on_resonance(config.rho)
+    t, r = t_r_of_rho(config.rho)
     return _composed(config, t, r, r, _line(config, config.f_a_ghz)[0])
 
 

@@ -31,13 +31,6 @@ PRIMARY_LOBE_RAD = 1.4 * 2.0 * np.pi
 RHO_5050 = np.sqrt(2.0) - 1.0
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    return rho
-
-
 def t_r_of_rho(rho):
     """Conversion t = 2 rho / (1 + rho^2) and reflection r of one stage at zero detuning.
 
@@ -52,11 +45,6 @@ def t_r_of_rho(rho):
 def rho_of_r(r):
     """The pump strength rho = sqrt((1 - r) / (1 + r)) whose reflection is r: t_r_of_rho's inverse."""
     return np.sqrt((1.0 - r) / (1.0 + r))
-
-
-def amplitudes_on_resonance(rho: float) -> tuple[float, float]:
-    """(t, r) of t_r_of_rho for one rho, which must lie in [0, 1] (else ValueError)."""
-    return t_r_of_rho(_check_rho(rho))
 
 
 def chi_inv(f1_ghz: float, f_a_ghz: float, gamma_mhz: float) -> complex:
@@ -91,7 +79,8 @@ class JpcParams:
             raise ValueError("need 0 < f_a_ghz < f_b_ghz")
         if not (self.gamma_a_mhz > 0.0 and self.gamma_b_mhz > 0.0):
             raise ValueError("linewidths must be positive")
-        _check_rho(self.rho)
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError("rho must lie in [0, 1]")
 
 
 def susceptibilities(f1_ghz, params: JpcParams):

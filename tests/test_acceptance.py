@@ -71,12 +71,13 @@ def test_criterion_10_fails_on_a_field_range_end_6_percent_off(monkeypatch):
 
 
 def test_criterion_11_fails_on_a_dip_5_mhz_off(monkeypatch):
-    # the device's f_a at 6.845 GHz puts the dip 4.85 MHz, 32 grid steps,
-    # above 6.84 GHz; the criterion's other checks still pass
-    shifted = lambda **kwargs: replace(isolator.reference_device(**kwargs), f_a_ghz=6.845)
-    monkeypatch.setattr(acceptance, "reference_device", shifted)
+    # a model whose dip sits 5 MHz above the device's f_a: the sweep runs with
+    # f_a at 6.845 GHz on the device's grid around 6.84 GHz, so the dip lands
+    # 4.95 MHz, 33 grid steps, above f_a; the criterion's other checks still pass
+    shifted = lambda config, f: isolator.effective_2port_sweep(replace(config, f_a_ghz=6.845), f)
+    monkeypatch.setattr(acceptance, "effective_2port_sweep", shifted)
     result = acceptance.crit_sweep_properties()
-    assert not result.passed and result.detail.startswith("dip at 6.84485 GHz (step 0.15 MHz)")
+    assert not result.passed and result.detail.startswith("dip at 6.84495 GHz (step 0.15 MHz)")
     assert "curve dev 0.00e+00" in result.detail and result.detail.endswith(": yes")
 
 

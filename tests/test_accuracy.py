@@ -26,7 +26,7 @@ from paramix.isolator import (
     on_resonance_powers,
     swap_twin,
 )
-from paramix.mixer import RHO_5050, JpcParams, JrmParams, amplitudes_of_frequency, amplitudes_on_resonance, flux_tuning_curve, turn_phasor
+from paramix.mixer import RHO_5050, JpcParams, JrmParams, amplitudes_of_frequency, flux_tuning_curve, t_r_of_rho, turn_phasor
 from paramix.network import HYBRID, delay_phase_rad, lossy_coupler
 from paramix.parity import GyratorSpec, chain_transmission
 
@@ -64,7 +64,7 @@ def test_the_hybrid_entry_is_one_ulp_below_root_half():
 def test_t_on_resonance_is_within_two_ulp(rho):
     with mp.workdps(40):
         r = mpmath.mpf(rho)
-        assert _ulps(amplitudes_on_resonance(rho)[0], 2 * r / (1 + r * r)) <= 2.0
+        assert _ulps(t_r_of_rho(rho)[0], 2 * r / (1 + r * r)) <= 2.0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -72,7 +72,7 @@ def test_t_on_resonance_is_within_two_ulp(rho):
 def test_the_stage_reflection_is_within_3_ulp(rho):
     # (1 - rho)(1 + rho) keeps its digits as rho -> 1, where sqrt(1 - t^2)
     # is 4e-4 off at rho = 0.9999999; rho = 1 gives exactly r = 0
-    r = amplitudes_on_resonance(rho)[1]
+    r = t_r_of_rho(rho)[1]
     with mp.workdps(40):
         x = mpmath.mpf(rho)
         exact = (1 - x * x) / (1 + x * x)

@@ -8,13 +8,13 @@ from paramix.mixer import (
     PRIMARY_LOBE_RAD,
     RHO_5050,
     amplitudes_of_frequency,
-    amplitudes_on_resonance,
     chi_inv,
     flux_tuning_curve,
     mixer_2port,
     n_g,
     r_a_of_frequency,
     t_of_frequency,
+    t_r_of_rho,
     turn_phasor,
 )
 from paramix.network import check_unitarity
@@ -30,15 +30,15 @@ def _r_on_resonance(rho):
 
 
 def test_on_resonance_extremes():
-    assert amplitudes_on_resonance(0.0) == (0.0, 1.0)
+    assert t_r_of_rho(0.0) == (0.0, 1.0)
     assert _r_on_resonance(0.0) == 1.0
-    assert amplitudes_on_resonance(1.0) == (1.0, 0.0)
+    assert t_r_of_rho(1.0) == (1.0, 0.0)
     assert _r_on_resonance(1.0) == 0.0
 
 
 def test_fifty_fifty_point():
     c = 1.0 / np.sqrt(2.0)
-    t, r = amplitudes_on_resonance(RHO_5050)
+    t, r = t_r_of_rho(RHO_5050)
     assert abs(t - c) < 1e-12 and abs(r - c) < 1e-12
     assert abs(_r_on_resonance(RHO_5050) - c) < 1e-12
     # independent root of t = 2 rho / (1 + rho^2) = 1/sqrt2 on the rising
@@ -49,15 +49,18 @@ def test_fifty_fifty_point():
 
 def test_energy_split_on_resonance(rng):
     for rho in rng.uniform(0.0, 1.0, size=50):
-        t, r = amplitudes_on_resonance(rho)
+        t, r = t_r_of_rho(rho)
         assert abs(t**2 + r**2 - 1.0) < 1e-12
         assert abs(_r_on_resonance(rho) - r) < 1e-15
 
 
 def test_rho_bounds():
+    # the working point refuses rho outside [0, 1] on both sides; t_r_of_rho checks no range
     for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            amplitudes_on_resonance(bad)
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+            _params(rho=bad)
+    for edge in (0.0, 1.0):
+        assert _params(rho=edge).rho == edge
 
 
 def test_chi_inv_halfwidth_points():
@@ -73,7 +76,7 @@ def test_chi_inv_halfwidth_points():
 def test_frequency_response_reduces_on_resonance(rng):
     for rho in rng.uniform(0.0, 1.0, size=10):
         p = _params(rho=rho)
-        assert t_of_frequency(p.f_a_ghz, p) == pytest.approx(amplitudes_on_resonance(rho)[0], abs=1e-15)
+        assert t_of_frequency(p.f_a_ghz, p) == pytest.approx(t_r_of_rho(rho)[0], abs=1e-15)
         assert r_a_of_frequency(p.f_a_ghz, p) == pytest.approx((1.0 - rho**2) / (1.0 + rho**2), abs=1e-15)
 
 

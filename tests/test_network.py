@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paramix.errors import NonInvertibleNetworkError
-from paramix.mixer import amplitudes_on_resonance, mixer_2port
+from paramix.mixer import mixer_2port, t_r_of_rho
 from paramix.network import (
     HYBRID,
     ConnectionGraph,
@@ -248,7 +248,7 @@ def test_connect_order_invariance(rng):
 def _random_composition(rng):
     """Two hybrids joined through a random delay line, a random nonreciprocal mixer on a side arm."""
     theta = rng.uniform(0.0, 2.0 * np.pi)
-    t, r = amplitudes_on_resonance(rng.uniform(0.0, 1.0))
+    t, r = t_r_of_rho(rng.uniform(0.0, 1.0))
     return ConnectionGraph(
         {
             "h1": HYBRID,

@@ -9,7 +9,7 @@ import pytest
 from test_sweep_chunks import _peak_rss_kb
 
 from paramix import network, parity
-from paramix.mixer import mixer_2port
+from paramix.mixer import mixer_2port, turn_phasor
 from paramix.network import HYBRID
 from paramix.parity import GyratorSpec, calibrate, chain_transmission, field_range
 from paramix.schemas import SCHEMA_TAG
@@ -111,6 +111,20 @@ def test_every_amplitude_is_exactly_the_parity(chains_alone):
         assert abs(t) == (2.0 * c * c if odd else 0.0)
     psi = calibrate()
     assert psi == 0.0 and math.copysign(1.0, psi) == 1.0
+
+
+def test_every_amplitude_is_the_closed_form_cell_product(chains_alone):
+    # each cell is its gyrator's forward phasor -i^q times its segment's
+    # i^(2p - q - 2), exactly +1 or -1; the bright port is c c (T - 1), T the
+    # product of the cells and c the hybrid's 1/sqrt2, the bottom arm +1
+    c = HYBRID.s[0, 2].real
+    chains, alone = chains_alone
+    for chain, t in zip(chains, alone):
+        product = 1.0
+        for g in chain:
+            q = g.quarter_turns
+            product *= -turn_phasor(q) * turn_phasor(2 * g.parity_bit - q - 2)
+        assert t == c * c * (product - 1.0)
 
 
 # 1 reduces every chain alone; 1 << 22 puts all chains of one length in one stack
