@@ -43,6 +43,7 @@ from .isolator import (
 from .mixer import RHO_5050
 from .network import check_unitarity
 from .parity import GyratorSpec, calibrate, chain_transmission, field_range
+from .schemas import SCHEMA_TAG
 
 _SQ2 = math.sqrt(2.0)
 
@@ -305,8 +306,8 @@ def crit_sweep_properties() -> CriterionResult:
 def crit_determinism(started_at: float) -> CriterionResult:
     from . import cli
 
-    jis_cfg = {"schema": "paramix/1", "jis": {"preset": "reference"}}
-    jpc_cfg = {"schema": "paramix/1", "jpc": {**asdict(reference_device().jpc1), "rho": 0.4142}}
+    jis_cfg = {"schema": SCHEMA_TAG, "jis": {"preset": "reference"}}
+    jpc_cfg = {"schema": SCHEMA_TAG, "jpc": {**asdict(reference_device().jpc1), "rho": 0.4142}}
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -434,7 +434,7 @@ def backaction_report(records) -> BackactionReport:
     nbar_th = None
     for rec in records:
         tphi = t_phi(rec.t1_us, rec.t2e_us)
-        gamma_phi = 0.0 if math.isinf(tphi) else 1.0 / tphi
+        gamma_phi = 1.0 / tphi
         nbar = nbar_from_dephasing(tphi, rec.kappa_mhz, rec.chi_mhz)
         if nbar_th is None:
             nbar_th = nbar

@@ -64,25 +64,22 @@ from .mixer import (
 from .parity import GyratorSpec, calibrate, chain_transmission
 from .schemas import SCHEMA_TAG, validate_artifact, validate_artifact_rows, validate_config
 
-def _finite(text: str):
-    """The number a JSON literal spells, refused unless it is a finite float."""
+def _finite(text: str) -> float:
+    """The float any JSON number literal spells, refused unless it is finite.
+
+    Integer literals become floats too, so configs equal in value write
+    equal bytes.
+    """
     value = float(text)
     if not math.isfinite(value):
         raise ConfigError(f"number {shown(text)} is not finite")
     return value
 
 
-def _finite_int(text: str) -> int:
-    _finite(text)
-    return int(text)
-
-
 def _load_config(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(
-                fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
-            )
+            return json.load(fh, parse_float=_finite, parse_int=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -248,8 +245,8 @@ def cmd_readout(payload, out_dir: Path, fmt: str) -> int:
 def cmd_flux_curve(payload, out_dir: Path, fmt: str) -> int:
     jrm = _build(JrmParams, **payload.get("jrm", {}))
     grid = payload.get("grid") or {}
-    start = float(grid.get("phi_start_rad", -PRIMARY_LOBE_RAD))
-    stop = float(grid.get("phi_stop_rad", PRIMARY_LOBE_RAD))
+    start = grid.get("phi_start_rad", -PRIMARY_LOBE_RAD)
+    stop = grid.get("phi_stop_rad", PRIMARY_LOBE_RAD)
     phis = np.linspace(start, stop, int(grid.get("points", 401)))
     # linspace overflows to NaN/inf between huge finite ends: a config error
     f = _build(flux_tuning_curve, phi_ext_rad=phis, jrm=jrm)

@@ -258,7 +258,6 @@ def write_json_rows(path, envelope, names, columns) -> None:
         fh.write("\n  ]" + tail)
 
 
-@functools.lru_cache(maxsize=16)
 def _touchstone_template(texts) -> str:
     """The template of one record: the frequency, then one field per text.
 
@@ -293,7 +292,7 @@ def _touchstone_block(fh, n, order, freqs_ghz, s) -> None:
         raise NonFiniteError("non-finite value in Touchstone data")
     values = data[1:]
     columns = [freqs, *chain.from_iterable(zip(values.real, values.imag))]
-    _write_rows(fh, _touchstone_template(tuple(texts)), columns)
+    _write_rows(fh, _touchstone_template(texts), columns)
 
 
 @contextmanager

@@ -169,14 +169,12 @@ def test_the_tracer_counts_one_call_per_parity_layer_on_a_parity_job(tmp_path, m
 BENCHMARK_WORKLOADS = ("fit-batch", "network-batch", "sweep-export")
 
 
-@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
-def test_one_untraced_benchmark_pass_runs_and_passes_its_checks(workload, tmp_path, monkeypatch):
-    # the seed-1 job list after the warm-up jobs, one pass as the benchmark's
-    # worker times it, with the speed probe firing every 50 ms, then every
-    # job judged by the benchmark's own checker: a pass shorter than one
-    # probe, or a job whose artifacts the checker refuses, fails here rather
-    # than in a benchmark run
-    monkeypatch.syspath_prepend(str(PERFBENCH))
+def _one_pass(workload, root, tracer=None):
+    """(jobs, plain, traced) of one seed-1 pass after the warm-up jobs.
+
+    The pass runs as the benchmark's worker times it, with the speed probe
+    firing every 50 ms; the SIGALRM handler and timer are restored after.
+    """
     import checks
     import reference
     import run
@@ -185,22 +183,55 @@ def test_one_untraced_benchmark_pass_runs_and_passes_its_checks(workload, tmp_pa
 
     from paramix import cli
 
-    assert set(BENCHMARK_WORKLOADS) == set(workloads.WORKLOADS)
     jobs, warmup = workloads.generate(workload, workloads.DEFAULT_SEED), workloads.warmup_jobs()
-    (tmp_path / "configs").mkdir()
+    (root / "configs").mkdir()
     for job in jobs + warmup:
-        (tmp_path / "out" / job["id"]).mkdir(parents=True)
-    manifest = json.loads(run.write_inputs(jobs, warmup, tmp_path).read_text())
+        (root / "out" / job["id"]).mkdir(parents=True)
+    manifest = json.loads(run.write_inputs(jobs, warmup, root).read_text())
     for job, entry in zip(warmup, manifest["warmup"]):
         assert checks.check_exit_code(job, cli.main(entry["argv"])) == [], job["id"]
     handler = signal.getsignal(signal.SIGALRM)
     try:
-        plain, _ = worker.run_pass(cli, manifest["jobs"], reference.Probe())
+        plain, traced = worker.run_pass(cli, manifest["jobs"], reference.Probe(), tracer)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
         signal.signal(signal.SIGALRM, handler)
     assert [rec["id"] for rec in plain] == [job["id"] for job in jobs]
+    return jobs, plain, traced
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_one_untraced_benchmark_pass_runs_and_passes_its_checks(workload, tmp_path, monkeypatch):
+    # the seed-1 job list after the warm-up jobs, one pass as the benchmark's
+    # worker times it, then every job judged by the benchmark's own checker:
+    # a pass shorter than one probe, or a job whose artifacts the checker
+    # refuses, fails here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import workloads
+
+    assert set(BENCHMARK_WORKLOADS) == set(workloads.WORKLOADS)
+    jobs, plain, _ = _one_pass(workload, tmp_path)
     for job, rec in zip(jobs, plain):
         problems = checks.check_exit_code(job, rec["rc"]) + checks.check_values(job, tmp_path / "out" / job["id"])
         assert problems == [], job["id"]
         assert rec["latency_s"] > 0.0 and rec["ref_unit_s"] > 0.0, job["id"]
+
+
+def test_one_traced_network_batch_pass_runs_and_changes_no_artifact(tmp_path, monkeypatch):
+    # the benchmark's --trace 1 path: each job runs untraced, then traced
+    # with the probe off, then on again. parity-long64 is the one plain job
+    # longer than the 50 ms probe interval, so a probe lands inside a job
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import tracing
+
+    tracer = tracing.Tracer()
+    jobs, plain, traced = _one_pass("network-batch", tmp_path, tracer)
+    assert tracer.missing == []
+    assert [rec["id"] for rec in traced] == [job["id"] for job in jobs]
+    for job, rec, traced_rec in zip(jobs, plain, traced):
+        assert traced_rec["hashes"] == rec["hashes"], job["id"]
+        # the traced run wrote the artifacts last, with the plain run's bytes
+        problems = checks.check_exit_code(job, rec["rc"]) + checks.check_values(job, tmp_path / "out" / job["id"])
+        assert problems == [], job["id"]

@@ -153,33 +153,6 @@ def test_jis_4port_formats(tmp_path):
     assert doc["ports"] == ["1", "2", "3", "4"]
 
 
-def test_which_jis_keys_move_the_4port_bytes(tmp_path):
-    # jis-4port is the device at f_a. With a line its phase at the idler
-    # frequency f_a + f_p = f_b moves every format's bytes through the
-    # length, eps_eff and f_b; at zero delay those two keys move none. The
-    # linewidths never do: both inverse susceptibilities are 1 at f_a.
-    line = {**JIS_PLAIN, "alpha_mag": 0.51, "delay_length_um": 11.283, "delay_eps_eff": 7.418}
-    free = {**line, "delay_length_um": 0.0}
-    cases = [
-        (line, {"delay_length_um": 11.3}, True),
-        (line, {"delay_eps_eff": 7.5}, True),
-        (line, {"f_b_ghz": 9.6}, True),
-        (line, {"gamma_a_mhz": 3.0, "gamma_b_mhz": 700.0}, False),
-        (free, {"delay_eps_eff": 7.5}, False),
-        (free, {"f_b_ghz": 50.0}, False),
-        (free, {"gamma_a_mhz": 3.0, "gamma_b_mhz": 700.0}, False),
-    ]
-    for fmt in ("touchstone", "csv", "json"):
-        for n, (base, change, moves) in enumerate(cases):
-            files = []
-            for k, jis in enumerate((base, {**base, **change})):
-                out = tmp_path / f"{fmt}{n}-{k}"
-                assert run(tmp_path, "jis-4port", {"jis": jis}, fmt=fmt, out=out) == 0
-                (artifact,) = out.iterdir()
-                files.append(artifact.read_bytes())
-            assert (files[0] != files[1]) == moves, (fmt, base["delay_length_um"], change)
-
-
 @pytest.mark.parametrize("fmt", ["touchstone", "csv", "json"])
 def test_jis_4port_at_alpha_one_is_the_unitary_composed_device(tmp_path, fmt):
     # the coupler then joins the taps to each other only; nothing is singular
@@ -660,3 +633,91 @@ def test_an_artifact_the_program_built_wrong_is_a_bug_not_a_config_error(tmp_pat
     monkeypatch.setattr(cli, "fit_rho_alpha", lambda **kwargs: wrong)
     with pytest.raises(ValueError, match="invalid fit_result at rho: 2.0 is greater"):
         run(tmp_path, "fit", {"s21_sq": 0.36, "s12_sq": 0.01})
+
+
+def artifacts(tmp_path, command, text, name):
+    """{format: {artifact name: bytes}} of command run on the config text in each format."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(text)
+    files = {}
+    for fmt in cli._COMMANDS[command][1]:
+        out = tmp_path / f"{name}-{fmt}"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        files[fmt] = {p.name: p.read_bytes() for p in out.iterdir()}
+    return files
+
+
+def spelled(doc, spell):
+    """The JSON text of doc with each number written as spell(number)."""
+    if isinstance(doc, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {spelled(v, spell)}" for k, v in doc.items()) + "}"
+    if isinstance(doc, list):
+        return "[" + ", ".join(spelled(v, spell) for v in doc) + "]"
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        return spell(doc)
+    return json.dumps(doc)
+
+
+# an integral f_a once wrote "freq_ghz": 7 in the 4-port's JSON when spelled 7
+SPELLING_CASES = {**FUZZ_CONFIGS, "jis-4port:f_a-7": {"jis": {**JIS_FULL, "f_a_ghz": 7.0}}}
+
+
+@pytest.mark.parametrize("case", SPELLING_CASES)
+def test_configs_equal_in_value_write_equal_bytes(tmp_path, case):
+    # every JSON number is read as a float, so only its value reaches a file
+    doc = {"schema": SCHEMA_TAG, **SPELLING_CASES[case]}
+    command = case.split(":")[0]
+    want = artifacts(tmp_path, command, json.dumps(doc), "json")
+    respelled = {
+        "integral": lambda v: str(int(v)) if float(v).is_integer() else f"{v:.17e}",
+        "exponent": lambda v: f"{float(v):.17e}",
+    }
+    for name, spell in respelled.items():
+        got = artifacts(tmp_path, command, spelled(doc, spell), name)
+        for fmt in want:
+            assert got[fmt] == want[fmt], (name, fmt)
+
+
+# Config numbers that move no artifact byte when nudged by a relative 1e-3,
+# or points by +2, in every format unless the formats are named. A zero has
+# no relative nudge and is not checked.
+PHI_SIGNS = {"jis/phi_ext1_rad": None, "jis/phi_ext2_rad": None}  # only the lobe's sign enters
+LINEWIDTHS = {"jis/gamma_a_mhz": None, "jis/gamma_b_mhz": None}  # chi^-1 = 1 at f_a
+STILL = {
+    # a stage's line shape takes both susceptibilities at the signal detuning
+    "jpc-sweep": {"jpc/f_b_ghz": None},
+    "jis-sweep": PHI_SIGNS,
+    # the 4-port is the device at f_a, and its CSV has no frequency column
+    "jis-4port": {**PHI_SIGNS, **LINEWIDTHS, "jis/f_a_ghz": {"csv"}},
+    # with no line the idler frequency f_b and the line's eps_eff enter nowhere
+    "jis-4port:no-line": {
+        **PHI_SIGNS, **LINEWIDTHS, "jis/f_a_ghz": {"csv"}, "jis/f_b_ghz": None, "jis/delay_eps_eff": None,
+    },
+    "fit": {},
+    "readout": {},
+    # L_s cancels from L_tot(0) / L_tot(phi) while L_s + L_ring(0) <= Z / (4 f_max)
+    "flux-curve": {"jrm/lj0_over_ls": None},
+    # the grid is centred on f_a, and each rho_values entry replaces jis.rho
+    "bandwidth-scan": {**PHI_SIGNS, "jis/f_a_ghz": None, "jis/rho": None},
+}
+SENSITIVITY_CASES = {**FUZZ_CONFIGS, "jis-4port:no-line": {"jis": {**JIS_FULL, "delay_length_um": 0.0}}}
+
+
+@pytest.mark.parametrize("case", SENSITIVITY_CASES)
+def test_every_config_number_moves_an_artifact_byte(tmp_path, case):
+    doc = {"schema": SCHEMA_TAG, **SENSITIVITY_CASES[case]}
+    command = case.split(":")[0]
+    base = artifacts(tmp_path, command, json.dumps(doc), "base")
+    still = {}
+    for k, path in enumerate(numeric_paths(doc)):
+        node = doc
+        for key in path:
+            node = node[key]
+        if node == 0:
+            continue
+        nudged = node + 2 if path[-1] == "points" else node * (1 + 1e-3)
+        files = artifacts(tmp_path, command, json.dumps(with_node(doc, path, nudged)), str(k))
+        unmoved = {fmt for fmt in files if files[fmt] == base[fmt]}
+        if unmoved:
+            still["/".join(map(str, path))] = None if unmoved == set(base) else unmoved
+    assert still == STILL[case]
